@@ -25,7 +25,7 @@ print(f"  route mismatch  = {row.discrepancy:.2e}  "
 print(f"  n_ex            = {row.n_ex:.10e}")
 print(f"  n_total         = {row.n_total:.10e}")
 
-row0 = n_point((0, 0, 0), cfg, pot, policy, route="both", threads=8)
+row0 = n_point((0, 0, 0), cfg, pot, policy, route="both")
 print("\nxi = (0,0,0)  [hole probability; truncated k-support]")
 print(f"  n_b = {row0.n_b:.6e}   n_ex = {row0.n_ex:.6e}")
 print(f"  modes used = {row0.k_modes_used}, tail estimate = "
@@ -35,14 +35,14 @@ print(f"  modes used = {row0.k_modes_used}, tail estimate = "
 print("\noccupancy profile along (n, 0, 0):")
 for n in range(0, 5):
     xi = (n, 0, 0)
-    r = n_point(xi, cfg, pot, policy, threads=8)
+    r = n_point(xi, cfg, pot, policy)
     side = "hole" if n <= cfg.k_f else "particle"
     print(f"  xi = {xi}  ({side:8s})  n_b = {r.n_b:.3e}  n_ex = {r.n_ex:.3e}")
 
 # --- collective observables -------------------------------------------------
 # The ball indicator counts excited particle-hole pairs.
 total, rows = n_weighted(Observable.ball_indicator(cfg), cfg, pot, policy,
-                         route="spectral", threads=8)
+                         route="spectral")
 print(f"\nexpected number of excited pairs (ball indicator): {total:.6e}")
 
 # A symmetrized point mass is the same thing as twice the single point.

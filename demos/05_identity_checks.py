@@ -12,7 +12,7 @@ from fermigas import verify
 cfg = fg.fermi_ball(1.0)
 pot = fg.coulomb(1.0)
 
-reports = verify.run_all(cfg, pot, threads=8)
+reports = verify.run_all(cfg, pot)
 width = max(len(r.name) for r in reports)
 for r in sorted(reports, key=lambda r: r.name):
     line = f"{r.status:10s} {r.name:{width}s}  measured = {r.measured:.3e}"

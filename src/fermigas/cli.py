@@ -3,7 +3,7 @@
 Subcommands: lattice-info, lune, momentum, momentum-sum, energy,
 dv-compare, verify.  JSON is the canonical output; CSV is available for
 table-shaped results.  Numeric output is deterministic for a given
-command line, independent of the thread count (sorted reductions).
+command line (fixed reduction order, seeded Monte Carlo).
 
 Exit codes: 0 success, 1 verify failure, 2 configuration error,
 3 flagged non-convergence.
@@ -17,7 +17,6 @@ import sys
 
 from . import dvlimit, energy, momentum, verify
 from .lattice import TailPolicy, fermi_ball, lune, norm2
-from .parallel import resolve_threads
 from .potential import Potential, coulomb, load_table, validate
 from .potential import zero as zero_potential
 from .potential import yukawa
@@ -62,6 +61,16 @@ def parse_potential(spec: str) -> Potential:
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
+def _potential(args) -> Potential:
+    """The --potential of a subcommand, checked against the hypotheses."""
+    pot = parse_potential(args.potential)
+    report = validate(pot, cutoff_radius=max(4, int(2 * args.kf)))
+    if not report.ok:
+        raise ConfigError(f"potential violates the hypotheses: offenders "
+                          f"{[list(o) for o in report.offenders[:5]]}")
+    return pot
+
+
 def _policy(args) -> TailPolicy:
     return TailPolicy(k_max=args.k_max, tail_tol=args.tail_tol,
                       max_doublings=args.max_doublings)
@@ -100,17 +109,16 @@ def cmd_lune(args) -> int:
 
 def cmd_momentum(args) -> int:
     cfg = fermi_ball(args.kf)
-    pot = parse_potential(args.potential)
+    pot = _potential(args)
     row = momentum.n_point(parse_vec(args.xi), cfg, pot, _policy(args),
-                           route=args.route, quad_tol=args.quad_tol,
-                           threads=resolve_threads(args.threads))
+                           route=args.route, quad_tol=args.quad_tol)
     _emit(row.to_json_dict())
     return 0 if row.converged else 3
 
 
 def cmd_momentum_sum(args) -> int:
     cfg = fermi_ball(args.kf)
-    pot = parse_potential(args.potential)
+    pot = _potential(args)
     spec = args.observable
     try:
         if spec == "ball":
@@ -125,8 +133,7 @@ def cmd_momentum_sum(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     total, rows = momentum.n_weighted(obs, cfg, pot, _policy(args),
-                                      route=args.route, quad_tol=args.quad_tol,
-                                      threads=resolve_threads(args.threads))
+                                      route=args.route, quad_tol=args.quad_tol)
     _emit({"observable": spec, "value": total,
            "per_xi": [r.to_json_dict() for r in rows]})
     return 0 if all(r.converged for r in rows) else 3
@@ -134,10 +141,9 @@ def cmd_momentum_sum(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg = fermi_ball(args.kf)
-    pot = parse_potential(args.potential)
+    pot = _potential(args)
     report = energy.energy_report(cfg, pot, _policy(args),
-                                  quad_tol=args.quad_tol,
-                                  threads=resolve_threads(args.threads))
+                                  quad_tol=args.quad_tol)
     _emit(report.to_json_dict())
     flags = report.tail_flags
     return 0 if flags["bos_converged"] and flags["ex_converged"] else 3
@@ -145,7 +151,7 @@ def cmd_energy(args) -> int:
 
 def cmd_dv_compare(args) -> int:
     cfg = fermi_ball(args.kf)
-    pot = parse_potential(args.potential)
+    pot = _potential(args)
     if pot.kind != "coulomb":
         raise ConfigError("dv-compare requires a coulomb potential")
     xi_list = [parse_vec(part) for part in args.xi_list.split(";") if part]
@@ -155,8 +161,7 @@ def cmd_dv_compare(args) -> int:
         if norm2(xi) <= cfg.r2:
             raise ConfigError(f"comparison point {xi} lies inside the Fermi ball")
     rows = dvlimit.compare_table(cfg, pot, xi_list, _policy(args),
-                                 samples=args.samples, seed=args.seed,
-                                 threads=resolve_threads(args.threads))
+                                 samples=args.samples, seed=args.seed)
     if args.format == "json":
         _emit([{"xi": list(r.xi), "n_b_disc": r.n_b_disc, "n_ex_disc": r.n_ex_disc,
                 "n_b_dv": r.n_b_dv, "n_ex_dv": r.n_ex_dv,
@@ -168,12 +173,7 @@ def cmd_dv_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = fermi_ball(args.kf)
-    pot = parse_potential(args.potential)
-    report = validate(pot, cutoff_radius=max(4, int(2 * args.kf)))
-    if not report.ok:
-        raise ConfigError(f"potential violates the hypotheses: offenders "
-                          f"{[list(o) for o in report.offenders[:5]]}")
-    reports = verify.run_all(cfg, pot, threads=resolve_threads(args.threads))
+    reports = verify.run_all(cfg, _potential(args))
     print(verify.reports_to_json(reports))
     return 1 if verify.any_failed(reports) else 0
 
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tail-tol", type=float, default=1e-6, dest="tail_tol")
         p.add_argument("--max-doublings", type=int, default=5,
                        dest="max_doublings")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 

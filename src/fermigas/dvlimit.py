@@ -22,8 +22,7 @@ Sampling reduces the six dimensions analytically by the common azimuth
 about xi (a factor 2pi); |k| is drawn uniformly on its interval, which
 folds the 1/|k|^2 kernel into the radial volume factor |k|^2 d|k|.  The
 generator is counter-based (Philox) with per-shard keys, and shards are
-reduced in index order, so results are reproducible for any worker
-count.
+reduced in index order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import QuadratureResult, integrate_interval, integrate_semi_infinite
-from .parallel import ordered_map
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,7 @@ def _ex_shard(params: DVParams, n: int, key: int) -> tuple[float, float, int]:
 
 
 def n_ex_dv(params: DVParams, samples: int = 100_000, seed: int = 0,
-            shards: int = 16, threads: int | None = 1) -> tuple[float, float]:
+            shards: int = 16) -> tuple[float, float]:
     """Monte-Carlo value and standard error of the exchange integral.
 
     Exactly quadratic in alpha (the samples do not depend on it), never
@@ -178,11 +176,8 @@ def n_ex_dv(params: DVParams, samples: int = 100_000, seed: int = 0,
     base = samples // shards
     sizes = [base + (1 if i < samples % shards else 0) for i in range(shards)]
 
-    def work(item):
-        i, n = item
-        return _ex_shard(params, n, key=(seed << 8) + i)
-
-    parts = ordered_map(work, list(enumerate(sizes)), threads)
+    parts = [_ex_shard(params, n, key=(seed << 8) + i)
+             for i, n in enumerate(sizes)]
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     count = sum(p[2] for p in parts)
@@ -208,8 +203,7 @@ CSV_HEADER = "xi,n_b_disc,n_ex_disc,n_b_dv,n_ex_dv,ratio_b,ratio_ex"
 
 
 def compare_table(cfg, pot, xi_list, policy=None, quad_tol: float = 1e-7,
-                  samples: int = 100_000, seed: int = 0,
-                  threads: int | None = 1) -> list[CompareRow]:
+                  samples: int = 100_000, seed: int = 0) -> list[CompareRow]:
     """Discrete vs continuum rows for points outside the Fermi ball.
 
     The coupling map is alpha = g / (4 pi k_F), from identifying the
@@ -228,11 +222,11 @@ def compare_table(cfg, pot, xi_list, policy=None, quad_tol: float = 1e-7,
         xv = as_vec3(xi)
         if norm2(xv) <= cfg.r2:
             raise ValueError(f"comparison point {xv} must lie outside the Fermi ball")
-        disc = n_point(xv, cfg, pot, policy, route="spectral", threads=threads)
+        disc = n_point(xv, cfg, pot, policy, route="spectral")
         ex_disc = disc.n_ex
         params = DVParams(k_f=cfg.k_f, alpha=alpha, xi_norm=math.sqrt(norm2(xv)))
         nb_dv = n_b_dv(params, quad_tol=quad_tol).value
-        nex_dv, _ = n_ex_dv(params, samples=samples, seed=seed, threads=threads)
+        nex_dv, _ = n_ex_dv(params, samples=samples, seed=seed)
         rows.append(CompareRow(
             xi=xv,
             n_b_disc=disc.n_b,

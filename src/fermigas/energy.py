@@ -21,12 +21,8 @@ import numpy as np
 from .lattice import (LatticeConfig, TailPolicy, lune, nonzero_k_vectors,
                       norm2, orbit_reduce)
 from .numerics import QuadratureResult, integrate_semi_infinite
-from .parallel import ordered_map
 from .potential import Potential, evaluate
-from .quasiboson import build_mode, q_of_s
-
-TWO_PI_CUBED = (2.0 * np.pi) ** 3
-TWO_PI_6 = (2.0 * np.pi) ** 6
+from .quasiboson import TWO_PI_6, TWO_PI_CUBED, build_mode, q_of_s
 
 
 def stable_log1p_minus_x(x):
@@ -72,7 +68,8 @@ def e_fs(cfg: LatticeConfig, pot: Potential) -> tuple[float, float]:
     is the whole shifted ball and the summand V_k (|L_k| - N) vanishes.
     """
     kinetic = float(sum(norm2(p) for p in cfg.ball))
-    two_kf_r2 = math.floor(4.0 * cfg.k_f * cfg.k_f)
+    # |k|^2 > 4 r2 puts every k + q with |q|^2 <= r2 outside the ball
+    two_kf_r2 = 4 * cfg.r2
     interaction = 0.0
     for k in nonzero_k_vectors(math.isqrt(two_kf_r2) + 1):
         if norm2(k) > two_kf_r2:
@@ -129,8 +126,7 @@ def _ex_term(k, cfg: LatticeConfig, pot: Potential) -> float:
 
 
 def _truncated_k_sum(term_fn, cfg: LatticeConfig, pot: Potential,
-                     policy: TailPolicy, threads: int | None,
-                     symmetry: str | None = None):
+                     policy: TailPolicy, symmetry: str | None = None):
     """Cutoff-doubled sum of a per-k scalar (plus diagnostics) over k != 0.
 
     term_fn(k) must return (value, quad_err, converged).  The
@@ -144,7 +140,7 @@ def _truncated_k_sum(term_fn, cfg: LatticeConfig, pot: Potential,
     def shell(k_hi, k_lo):
         items = orbit_reduce(nonzero_k_vectors(k_hi, k_min_excl=k_lo),
                              (0, 0, 0), symmetry)
-        results = ordered_map(lambda kw: term_fn(kw[0]), items, threads)
+        results = [term_fn(k) for k, _ in items]
         val = sum(w * r[0] for (_, w), r in zip(items, results))
         qerr = sum(w * r[1] for (_, w), r in zip(items, results))
         ok = all(r[2] for r in results)
@@ -171,20 +167,19 @@ def _truncated_k_sum(term_fn, cfg: LatticeConfig, pot: Potential,
 
 
 def e_corr_bos(cfg: LatticeConfig, pot: Potential,
-               policy: TailPolicy | None = None, quad_tol: float = 1e-9,
-               threads: int | None = 1):
+               policy: TailPolicy | None = None, quad_tol: float = 1e-9):
     """Bosonization correlation energy; <= 0 since F <= 0.
 
     Returns (value, tail_estimate, quad_error, k_cutoff, converged).
     """
     policy = policy or TailPolicy()
     total, tail, qerr, k_cut, _, ok = _truncated_k_sum(
-        lambda k: _bos_term(k, cfg, pot, quad_tol), cfg, pot, policy, threads)
+        lambda k: _bos_term(k, cfg, pot, quad_tol), cfg, pot, policy)
     return total, tail, qerr, k_cut, ok
 
 
 def e_corr_ex(cfg: LatticeConfig, pot: Potential,
-              policy: TailPolicy | None = None, threads: int | None = 1):
+              policy: TailPolicy | None = None):
     """Exchange correlation energy; >= 0 for nonnegative potentials.
 
     Returns (value, tail_estimate, k_cutoff, converged).
@@ -192,7 +187,7 @@ def e_corr_ex(cfg: LatticeConfig, pot: Potential,
     policy = policy or TailPolicy()
     pref = 1.0 / (4.0 * TWO_PI_6 * cfg.k_f**2)
     total, tail, _, k_cut, _, ok = _truncated_k_sum(
-        lambda k: (_ex_term(k, cfg, pot), 0.0, True), cfg, pot, policy, threads)
+        lambda k: (_ex_term(k, cfg, pot), 0.0, True), cfg, pot, policy)
     return pref * total, pref * tail, k_cut, ok
 
 
@@ -202,13 +197,13 @@ def single_k_exchange_term(k, cfg: LatticeConfig, pot: Potential) -> float:
 
 
 def energy_report(cfg: LatticeConfig, pot: Potential,
-                  policy: TailPolicy | None = None, quad_tol: float = 1e-9,
-                  threads: int | None = 1) -> EnergyReport:
+                  policy: TailPolicy | None = None,
+                  quad_tol: float = 1e-9) -> EnergyReport:
     policy = policy or TailPolicy()
     kin, inter = e_fs(cfg, pot)
     bos, bos_tail, bos_qerr, bos_cut, bos_ok = e_corr_bos(
-        cfg, pot, policy, quad_tol, threads)
-    ex, ex_tail, ex_cut, ex_ok = e_corr_ex(cfg, pot, policy, threads)
+        cfg, pot, policy, quad_tol)
+    ex, ex_tail, ex_cut, ex_ok = e_corr_ex(cfg, pot, policy)
     return EnergyReport(
         e_fs_kinetic=kin,
         e_fs_interaction=inter,

@@ -72,9 +72,10 @@ class LatticeConfig:
 
     N is the exact count of integer points with |p| <= k_F, never the
     continuum idealization 4*pi*k_F^3/3.  ``r2`` is the integer threshold
-    floor(k_F^2); membership is the exact test |p|^2 <= r2.  ``kappa`` is
-    the midpoint of the squared-norm gap across the Fermi surface and
-    bounds ||p|^2 - kappa| >= 1/2 for every integer p.
+    floor(k_F^2) (see ``fermi_ball``); membership is the exact test
+    |p|^2 <= r2.  ``kappa`` is the midpoint of the squared-norm gap
+    across the Fermi surface and bounds ||p|^2 - kappa| >= 1/2 for every
+    integer p.
     """
 
     k_f: float
@@ -82,7 +83,6 @@ class LatticeConfig:
     n_particles: int
     kappa: float
     ball: tuple[Vec3, ...] = field(repr=False)
-    _ball_set: frozenset = field(repr=False)
 
     def in_ball(self, p: Sequence[int]) -> bool:
         return norm2(p) <= self.r2
@@ -96,11 +96,16 @@ def fermi_ball(k_f: float) -> LatticeConfig:
     """Enumerate the Fermi ball and derive N and kappa exactly.
 
     Any k_f > 0 is valid; the closed shell at radius k_f is taken, i.e.
-    all integer points with |p|^2 <= floor(k_f^2).
+    all integer points with |p|^2 <= floor(k_f^2).  A k_f^2 within a few
+    ulps of an integer n counts as n, so k_f = sqrt(n) takes the shell
+    |p|^2 = n even when the rounded square falls just below it.
     """
     if k_f <= 0:
         raise ValueError(f"k_f must be positive, got {k_f}")
-    r2 = math.floor(k_f * k_f)
+    sq = k_f * k_f
+    r2 = round(sq)
+    if abs(sq - r2) > 4 * math.ulp(sq):
+        r2 = math.floor(sq)
     ball = ball_points(r2)
 
     sup_inside = max(n for n in range(r2, -1, -1) if is_sum_of_three_squares(n))
@@ -117,7 +122,6 @@ def fermi_ball(k_f: float) -> LatticeConfig:
         n_particles=len(ball),
         kappa=kappa,
         ball=ball,
-        _ball_set=frozenset(ball),
     )
 
 
@@ -371,8 +375,3 @@ def orbit_reduce(ks: list[Vec3], xi: Vec3,
         out.extend((tuple(int(c) for c in k), int(w))
                    for k, w in zip(arr[keep].tolist(), distinct.tolist()))
     return out
-
-
-def lambda_power_sum(basis: LuneBasis, beta: float) -> float:
-    """Sum of gap powers over the lune, the basic lattice-sum diagnostic."""
-    return float(np.sum(basis.lambdas ** beta))

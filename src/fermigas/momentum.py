@@ -34,15 +34,13 @@ from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3,
                       d_intersection, k_support, neg, norm2, orbit_reduce,
                       sub, truncated_k_vectors)
 from .numerics import integrate_semi_infinite, integrate_semi_infinite_batch
-from .parallel import ordered_map
-from .potential import Potential, evaluate
-from .quasiboson import Mode, build_mode, cosh2k_minus_one_diag, q_of_s
+from .potential import Potential, evaluate, load_table
+from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, Mode, build_mode,
+                         cosh2k_minus_one_diag, q_of_s)
 
-TWO_PI_CUBED = (2.0 * np.pi) ** 3
 _BULK_CHUNK = 384
 
 EIGHT_PI4 = 8.0 * np.pi**4
-TWO_PI_6 = (2.0 * np.pi) ** 6
 
 
 @dataclass
@@ -248,7 +246,7 @@ def _bulk_exchange(lam, vhat, kn2, kdq, qpm_n2, signs_idx, signs_mask,
 
 def _eval_k_block(ks: list, xi: Vec3, cfg: LatticeConfig, pot: Potential,
                   quad_tol: float, collapse: bool, want_spectral: bool,
-                  want_integral: bool, threads: int | None) -> _PerK:
+                  want_integral: bool) -> _PerK:
     """Evaluate a lex-sorted block of k vectors, orbit-reduced and batched.
 
     Modes whose lune is the full shifted ball (all of them once
@@ -291,7 +289,7 @@ def _eval_k_block(ks: list, xi: Vec3, cfg: LatticeConfig, pot: Potential,
         part.quad_error *= w
         return part
 
-    total = sum(ordered_map(small_work, smalls, threads), _PerK())
+    total = sum((small_work(i) for i in smalls), _PerK())
 
     if bulk_sel.size:
         xv = np.array(xi, dtype=np.int64)
@@ -324,20 +322,18 @@ def _eval_k_block(ks: list, xi: Vec3, cfg: LatticeConfig, pot: Potential,
 
         chunks = [bulk_sel[i:i + _BULK_CHUNK]
                   for i in range(0, bulk_sel.size, _BULK_CHUNK)]
-        total = total + sum(ordered_map(bulk_work, chunks, threads), _PerK())
+        total = total + sum((bulk_work(c) for c in chunks), _PerK())
     return total
 
 
 def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
                       policy: TailPolicy, quad_tol: float, collapse: bool,
-                      want_spectral: bool, want_integral: bool,
-                      threads: int | None):
+                      want_spectral: bool, want_integral: bool):
     """Accumulate per-k contributions over the k-support of xi.
 
     Exact supports are summed outright (tail 0); truncated supports are
     doubled until every tracked component moves by less than the
-    relative tail tolerance.  Reduction order is sorted-k, so results do
-    not depend on the thread count.
+    relative tail tolerance.  Reduction order is sorted-k.
     """
     def work(k):
         return _per_k(k, xi, cfg, pot, quad_tol, collapse,
@@ -345,14 +341,13 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
 
     support = k_support(xi, cfg, policy)
     if support.exact:
-        parts = ordered_map(work, support.finite_part, threads)
-        total = sum(parts, _PerK())
+        total = sum((work(k) for k in support.finite_part), _PerK())
         return total, 0.0, len(support.finite_part), total.converged
 
     k_cut = policy.initial_k_max(cfg)
     ks = truncated_k_vectors(xi, cfg, k_cut)
     total = _eval_k_block(ks, xi, cfg, pot, quad_tol, collapse,
-                          want_spectral, want_integral, threads)
+                          want_spectral, want_integral)
     n_k = len(ks)
     tail = np.inf
     converged = False
@@ -360,7 +355,7 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
         new_cut = 2 * k_cut
         shell = truncated_k_vectors(xi, cfg, new_cut, k_min_excl=k_cut)
         inc = _eval_k_block(shell, xi, cfg, pot, quad_tol, collapse,
-                            want_spectral, want_integral, threads)
+                            want_spectral, want_integral)
         new_total = total + inc
         n_k += len(shell)
         deltas = []
@@ -381,13 +376,12 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
 
 def n_boson_spectral(xi, cfg: LatticeConfig, pot: Potential,
                      policy: TailPolicy | None = None,
-                     collapse_coincident: bool = False,
-                     threads: int | None = 1) -> MomentumBreakdown:
+                     collapse_coincident: bool = False) -> MomentumBreakdown:
     """Pair-excitation occupancy at xi by the spectral route."""
     policy = policy or TailPolicy()
     xv = as_vec3(xi)
     total, tail, n_k, ok = _sum_over_support(
-        xv, cfg, pot, policy, 1e-9, collapse_coincident, True, False, threads)
+        xv, cfg, pot, policy, 1e-9, collapse_coincident, True, False)
     return MomentumBreakdown(xi=xv, n_b=total.nb_spectral, n_ex=total.n_ex,
                              route="spectral", tail_estimate=tail,
                              k_modes_used=n_k, converged=ok)
@@ -395,13 +389,12 @@ def n_boson_spectral(xi, cfg: LatticeConfig, pot: Potential,
 
 def n_boson_integral(xi, cfg: LatticeConfig, pot: Potential,
                      policy: TailPolicy | None = None, quad_tol: float = 1e-9,
-                     collapse_coincident: bool = False,
-                     threads: int | None = 1) -> MomentumBreakdown:
+                     collapse_coincident: bool = False) -> MomentumBreakdown:
     """Pair-excitation occupancy at xi by the screened-quadrature route."""
     policy = policy or TailPolicy()
     xv = as_vec3(xi)
     total, tail, n_k, ok = _sum_over_support(
-        xv, cfg, pot, policy, quad_tol, collapse_coincident, False, True, threads)
+        xv, cfg, pot, policy, quad_tol, collapse_coincident, False, True)
     return MomentumBreakdown(xi=xv, n_b=total.nb_integral, n_ex=total.n_ex,
                              route="integral", quad_error=total.quad_error,
                              tail_estimate=tail, k_modes_used=n_k, converged=ok)
@@ -409,20 +402,19 @@ def n_boson_integral(xi, cfg: LatticeConfig, pot: Potential,
 
 def n_exchange(xi, cfg: LatticeConfig, pot: Potential,
                policy: TailPolicy | None = None,
-               collapse_coincident: bool = False,
-               threads: int | None = 1) -> float:
+               collapse_coincident: bool = False) -> float:
     """Exchange correction at xi (always <= 0 for nonnegative potentials)."""
     policy = policy or TailPolicy()
     total, _, _, _ = _sum_over_support(
         as_vec3(xi), cfg, pot, policy, 1e-9, collapse_coincident,
-        False, False, threads)
+        False, False)
     return total.n_ex
 
 
 def n_point(xi, cfg: LatticeConfig, pot: Potential,
             policy: TailPolicy | None = None, route: str = "auto",
-            quad_tol: float = 1e-9, collapse_coincident: bool = False,
-            threads: int | None = 1) -> MomentumBreakdown:
+            quad_tol: float = 1e-9,
+            collapse_coincident: bool = False) -> MomentumBreakdown:
     """Full occupancy record n_b + n_ex at xi.
 
     route "auto" picks spectral outside the Fermi ball (finite support,
@@ -437,14 +429,14 @@ def n_point(xi, cfg: LatticeConfig, pot: Potential,
     if route == "auto":
         route = "spectral" if norm2(xv) > cfg.r2 else "integral"
     if route == "spectral":
-        return n_boson_spectral(xv, cfg, pot, policy, collapse_coincident, threads)
+        return n_boson_spectral(xv, cfg, pot, policy, collapse_coincident)
     if route == "integral":
         return n_boson_integral(xv, cfg, pot, policy, quad_tol,
-                                collapse_coincident, threads)
+                                collapse_coincident)
     if route != "both":
         raise ValueError(f"unknown route {route!r}")
     total, tail, n_k, ok = _sum_over_support(
-        xv, cfg, pot, policy, quad_tol, collapse_coincident, True, True, threads)
+        xv, cfg, pot, policy, quad_tol, collapse_coincident, True, True)
     return MomentumBreakdown(
         xi=xv, n_b=total.nb_spectral, n_ex=total.n_ex, route="both",
         quad_error=total.quad_error, tail_estimate=tail, k_modes_used=n_k,
@@ -484,18 +476,7 @@ class Observable:
     @staticmethod
     def load_table(path) -> "Observable":
         """Read "kx ky kz value" lines (same format as table potentials)."""
-        vals: dict[Vec3, float] = {}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 4:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 'kx ky kz value', got {raw!r}")
-                vals[(int(parts[0]), int(parts[1]), int(parts[2]))] = float(parts[3])
-        return Observable(values=vals)
+        return Observable(values=dict(load_table(path).table))
 
     def support(self) -> list[Vec3]:
         return sorted(xi for xi, v in self.values.items() if v != 0.0)
@@ -503,20 +484,15 @@ class Observable:
 
 def n_weighted(f: Observable, cfg: LatticeConfig, pot: Potential,
                policy: TailPolicy | None = None, route: str = "auto",
-               quad_tol: float = 1e-9,
-               threads: int | None = 1) -> tuple[float, list[MomentumBreakdown]]:
+               quad_tol: float = 1e-9) -> tuple[float, list[MomentumBreakdown]]:
     """Weighted sum over the support of f of f(xi) * (n_b + n_ex)(xi).
 
-    Per-xi jobs are independent; the reduction runs in sorted-xi order.
-    Returns the total and the per-point records.
+    The sum runs in sorted-xi order.  Returns the total and the
+    per-point records.
     """
     policy = policy or TailPolicy()
     support = f.support()
-
-    def work(xi):
-        return n_point(xi, cfg, pot, policy, route=route,
-                       quad_tol=quad_tol, threads=1)
-
-    rows = ordered_map(work, support, threads)
+    rows = [n_point(xi, cfg, pot, policy, route=route, quad_tol=quad_tol)
+            for xi in support]
     total = sum(f.values[xi] * row.n_total for xi, row in zip(support, rows))
     return total, rows

@@ -2,9 +2,11 @@
 
 Three independent pieces live here:
 
-* adaptive Gauss-Kronrod quadrature on [0, inf) via the rational map
-  s = t/(1-t), with optional seed points to pre-split panels at known
-  scales of the integrand;
+* one adaptive Gauss-Kronrod engine for families of integrands on
+  shared panels (a scalar integrand is a family of one), on finite
+  intervals or on [0, inf) via the rational map s = t/(1-t), with
+  optional seed points to pre-split panels at known scales of the
+  integrand;
 * matrix functions of real symmetric matrices through a single
   eigendecomposition backend;
 * the O(n) diagonal of a rank-one-updated resolvent (h^2 + 2 u u^T + s^2)^-1.
@@ -15,6 +17,7 @@ All kernels are pure and reentrant.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -59,25 +62,24 @@ class QuadratureResult:
         assert self.evaluations >= 1
 
 
-def _gk_panel(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Kronrod value, |K15 - G7| error estimate, and eval count on [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    t = mid + half * _GK_NODES
-    y = np.asarray(g(t), dtype=float)
-    vk = half * float(np.dot(_GK_WEIGHTS, y))
-    vg = half * float(np.dot(_G7_WEIGHTS, y[_G7_IDX]))
-    return vk, abs(vk - vg), t.size
+def _gauss_kronrod(g: Callable[[np.ndarray], np.ndarray],
+                   edges: Iterable[float], tol: float,
+                   max_subdivisions: int):
+    """Adaptive bisection of a family of n integrands on shared panels.
 
+    A globally adaptive Gauss-Kronrod (7, 15) scheme in the manner of
+    QUADPACK's QAG (Piessens et al., 1983).  g maps an array of m nodes
+    to an (n, m) array of values.  The panel with the largest per-member
+    Kronrod-Gauss discrepancy is split first (ties go to the older
+    panel), until every member's total error estimate is within ``tol``
+    or ``max_subdivisions`` splits are spent.  Refinement is
+    deterministic and independent of ``tol``, so loosening the tolerance
+    can only stop the same refinement sequence earlier.  Returns
+    (values, errors, evaluations, converged) with values and errors of
+    shape (n,), summed in panel-position order.
 
-def integrate_panels(g: Callable[[np.ndarray], np.ndarray],
-                     edges: Iterable[float], tol: float,
-                     max_subdivisions: int = 2000) -> QuadratureResult:
-    """Adaptive bisection over initial panels given by ``edges``.
-
-    The worst panel (largest Kronrod-Gauss discrepancy) is split first;
-    refinement is deterministic and independent of ``tol``, so loosening
-    the tolerance can only stop the same refinement sequence earlier.
+    Sharing panels is conservative: each member's error estimate is a
+    valid Kronrod-Gauss bound on its own panel sums.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -85,37 +87,54 @@ def integrate_panels(g: Callable[[np.ndarray], np.ndarray],
     if len(edges) < 2:
         raise ValueError("need at least two panel edges")
     heap = []
-    counter = 0
-    total_v = 0.0
-    total_e = 0.0
-    nev = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e, n = _gk_panel(g, a, b)
-        heapq.heappush(heap, (-e, counter, a, b, v))
-        counter += 1
-        total_v += v
-        total_e += e
-        nev += n
+    seq = itertools.count()
+
+    def push(a, b):
+        """Evaluate the panel [a, b], queue it and return its errors."""
+        half = 0.5 * (b - a)
+        y = g(0.5 * (a + b) + half * _GK_NODES)
+        vk = half * (y @ _GK_WEIGHTS)
+        err = np.abs(vk - half * (y[:, _G7_IDX] @ _G7_WEIGHTS))
+        heapq.heappush(heap, (-float(err.max()), next(seq), a, b, vk, err))
+        return err
+
+    total_err = sum(push(a, b) for a, b in zip(edges[:-1], edges[1:]))
     splits = 0
-    while total_e > tol and splits < max_subdivisions:
-        neg_e, _, a, b, v = heapq.heappop(heap)
-        total_v -= v
-        total_e += neg_e  # neg_e is -err
+    while total_err.max() > tol and splits < max_subdivisions:
+        _, _, a, b, _, err = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            v2, e2, n2 = _gk_panel(g, lo, hi)
-            heapq.heappush(heap, (-e2, counter, lo, hi, v2))
-            counter += 1
-            total_v += v2
-            total_e += e2
-            nev += n2
+        total_err = total_err - err + push(a, mid) + push(mid, b)
         splits += 1
-    # recompute sums in deterministic (position) order to avoid heap-order noise
-    panels = sorted(heap, key=lambda item: item[2])
-    value = sum(p[4] for p in panels)
-    err = sum(-p[0] for p in panels)
-    return QuadratureResult(value=value, abs_error_estimate=err,
-                            evaluations=nev, converged=err <= tol)
+    # sum in position order, so the result does not depend on heap order
+    panels = sorted(heap, key=lambda p: p[2])
+    values = sum(p[4] for p in panels)
+    errors = sum(p[5] for p in panels)
+    nev = _GK_NODES.size * (len(edges) - 1 + 2 * splits)
+    return values, errors, nev, bool(errors.max() <= tol)
+
+
+def _half_line(f: Callable[[np.ndarray], np.ndarray]):
+    """f on [0, inf) as an integrand on [0, 1) under s = t/(1-t)."""
+    def g(t):
+        omt = 1.0 - t
+        return np.asarray(f(t / omt), dtype=float) / omt**2
+    return g
+
+
+def _half_line_edges(seeds: Iterable[float]) -> list[float]:
+    return [0.0, 1.0] + [s / (1.0 + s) for s in seeds if s > 0.0]
+
+
+def _integrate_one(g: Callable[[np.ndarray], np.ndarray],
+                   edges: Iterable[float], tol: float,
+                   max_subdivisions: int) -> QuadratureResult:
+    """The engine on the scalar integrand g, as a family of one."""
+    values, errors, nev, converged = _gauss_kronrod(
+        lambda t: np.asarray(g(t), dtype=float)[None, :], edges, tol,
+        max_subdivisions)
+    return QuadratureResult(value=float(values[0]),
+                            abs_error_estimate=float(errors[0]),
+                            evaluations=nev, converged=converged)
 
 
 def integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -123,7 +142,7 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
                        max_subdivisions: int = 2000) -> QuadratureResult:
     """Adaptive quadrature of a vectorized integrand on the finite [a, b]."""
     edges = [a, b] + [s for s in seeds if a < s < b]
-    return integrate_panels(f, edges, tol, max_subdivisions)
+    return _integrate_one(f, edges, tol, max_subdivisions)
 
 
 def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
@@ -137,13 +156,8 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
     edges.  Non-convergence after ``max_subdivisions`` splits is flagged
     on the result, never silent.
     """
-    def g(t):
-        omt = 1.0 - t
-        s = t / omt
-        return np.asarray(f(s), dtype=float) / omt**2
-
-    edges = [0.0, 1.0] + [s / (1.0 + s) for s in seeds if s > 0.0]
-    return integrate_panels(g, edges, tol, max_subdivisions)
+    return _integrate_one(_half_line(f), _half_line_edges(seeds), tol,
+                          max_subdivisions)
 
 
 def integrate_semi_infinite_batch(f: Callable[[np.ndarray], np.ndarray],
@@ -152,57 +166,13 @@ def integrate_semi_infinite_batch(f: Callable[[np.ndarray], np.ndarray],
                                   max_subdivisions: int = 2000):
     """Integrate a family of integrands over [0, inf) on shared panels.
 
-    f maps an array of m quadrature nodes to an (n, m) array of values.
-    Panels are refined (worst first, by the largest per-integrand
-    discrepancy) until every integrand's accumulated error estimate is
-    below ``tol``.  Returns (values, errors, evaluations, converged)
-    with values and errors of shape (n,).
-
-    Sharing panels is conservative: each per-integrand error estimate is
-    a valid Kronrod-Gauss bound on its own panel sums.
+    f maps an array of m quadrature nodes to an (n, m) array of values,
+    n being the family size.  Panels are refined as in ``integrate_semi_infinite`` until every
+    integrand's error estimate is below ``tol``.  Returns (values,
+    errors, evaluations, converged) with values and errors of shape (n,).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    def g(t):
-        omt = 1.0 - t
-        s = t / omt
-        return np.asarray(f(s), dtype=float) / omt**2
-
-    def panel(a, b):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        t = mid + half * _GK_NODES
-        y = g(t)
-        vk = half * (y @ _GK_WEIGHTS)
-        vg = half * (y[:, _G7_IDX] @ _G7_WEIGHTS)
-        return vk, np.abs(vk - vg)
-
-    edges = sorted({0.0, 1.0} | {s / (1.0 + s) for s in seeds if s > 0.0})
-    panels = []
-    nev = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        vk, err = panel(a, b)
-        panels.append((a, b, vk, err))
-        nev += _GK_NODES.size
-    splits = 0
-    while splits < max_subdivisions:
-        total_err = np.sum([p[3] for p in panels], axis=0)
-        if float(np.max(total_err)) <= tol:
-            break
-        worst = max(range(len(panels)),
-                    key=lambda i: (float(np.max(panels[i][3])), -panels[i][0]))
-        a, b, _, _ = panels.pop(worst)
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            vk, err = panel(lo, hi)
-            panels.append((lo, hi, vk, err))
-            nev += _GK_NODES.size
-        splits += 1
-    panels.sort(key=lambda p: p[0])
-    values = np.sum([p[2] for p in panels], axis=0)
-    errors = np.sum([p[3] for p in panels], axis=0)
-    return values, errors, nev, bool(np.max(errors) <= tol)
+    return _gauss_kronrod(_half_line(f), _half_line_edges(seeds), tol,
+                          max_subdivisions)
 
 
 class MatrixFunctionDomainError(ValueError):

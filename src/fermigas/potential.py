@@ -57,10 +57,6 @@ class Potential:
             return np.zeros_like(n2)
         raise ValueError(f"potential kind {self.kind!r} is not radial")
 
-    def l2_norm_estimate(self, cutoff_radius: int = 10) -> float:
-        """Partial l2 norm over |k| <= cutoff (square-summability estimate)."""
-        return validate(self, cutoff_radius).partial_l2
-
     def spec_string(self) -> str:
         if self.kind == "coulomb":
             return f"coulomb:g={self.g:g}"
@@ -86,15 +82,6 @@ def evaluate(pot: Potential, k: Sequence[int]) -> float:
     if pot.kind == "table":
         return float(pot.table.get(kv, 0.0))
     raise ValueError(f"unknown potential kind {pot.kind!r}")
-
-
-def evaluate_many(pot: Potential, ks: np.ndarray) -> np.ndarray:
-    """Evaluate on an (n, 3) integer array; vectorized for radial kinds."""
-    ks = np.asarray(ks)
-    n2 = np.einsum("ij,ij->i", ks.astype(float), ks.astype(float))
-    if pot.is_radial:
-        return pot.from_norm2(n2)
-    return np.array([evaluate(pot, tuple(int(c) for c in k)) for k in ks])
 
 
 def coulomb(g: float) -> Potential:

@@ -29,6 +29,7 @@ from .numerics import sym_eig, sym_matrix_function
 from .potential import Potential, evaluate
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
+TWO_PI_6 = (2.0 * np.pi) ** 6
 
 
 @dataclass(frozen=True)

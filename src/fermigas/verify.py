@@ -20,12 +20,10 @@ from .lattice import (LatticeConfig, Vec3, as_vec3, ball_points,
                       nonzero_k_vectors, norm2, sub)
 from .momentum import _exchange_term, _integral_term, _spectral_term
 from .numerics import rank1_resolvent_diag, sym_matrix_function
-from .parallel import ordered_map
 from .potential import Potential, evaluate
-from .quasiboson import (build_K, build_mode, cosh2k_minus_one_diag, csk_pair,
-                         exp_pm2K, q_of_s, sandwich_bounds)
-
-TWO_PI_6 = (2.0 * np.pi) ** 6
+from .quasiboson import (TWO_PI_6, build_K, build_mode,
+                         cosh2k_minus_one_diag, csk_pair, q_of_s,
+                         sandwich_bounds)
 
 
 @dataclass
@@ -208,8 +206,7 @@ def _mode_sample(cfg: LatticeConfig) -> list[Vec3]:
 
 
 def check_mode(cfg: LatticeConfig, pot: Potential,
-               taus=(0.0, 0.5, 1.0), seed: int = 11,
-               threads: int | None = 1) -> list[CheckReport]:
+               taus=(0.0, 0.5, 1.0), seed: int = 11) -> list[CheckReport]:
     ks = _mode_sample(cfg)
     slack = 1e-10
 
@@ -260,7 +257,7 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
         out["decomposition"] = dec_dev
         return out, mode, kmat
 
-    results = ordered_map(per_k, ks, threads)
+    results = [per_k(k) for k in ks]
     reports = []
 
     def collect(key, tol, label):
@@ -347,8 +344,7 @@ def _brute_force_pair_sum(k, cfg: LatticeConfig, pot: Potential) -> float:
 
 
 def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
-                quad_tol: float = 1e-10,
-                threads: int | None = 1) -> list[CheckReport]:
+                quad_tol: float = 1e-10) -> list[CheckReport]:
     ks = _mode_sample(cfg)
     reports = []
 
@@ -441,11 +437,10 @@ def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
     return reports
 
 
-def run_all(cfg: LatticeConfig, pot: Potential,
-            threads: int | None = 1) -> list[CheckReport]:
+def run_all(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
     reports = check_lattice(cfg)
-    reports += check_mode(cfg, pot, threads=threads)
-    reports += check_cross(cfg, pot, threads=threads)
+    reports += check_mode(cfg, pot)
+    reports += check_cross(cfg, pot)
     return reports
 
 

@@ -19,7 +19,6 @@ from fermigas.lattice import TailPolicy, kappa_and_weight, norm2
 from fermigas.momentum import n_point
 from fermigas.verify import any_failed, check_cross, check_lattice, check_mode
 
-THREADS = 8
 INSIDE_POLICY = TailPolicy(k_max=4, tail_tol=1e-3, max_doublings=1)
 
 # (k_f, g, xi) with points inside and outside the Fermi ball
@@ -47,7 +46,7 @@ def grid_rows():
     for k_f, g, xi in CROSS_ROUTE_GRID:
         cfg = fg.fermi_ball(k_f)
         rows.append((k_f, g, xi, n_point(xi, cfg, fg.coulomb(g), INSIDE_POLICY,
-                                         route="both", threads=THREADS)))
+                                         route="both")))
     return rows
 
 
@@ -79,8 +78,8 @@ def test_criterion_2_exact_identity_suite():
     for k_f in (1.0, 2.0):
         cfg = fg.fermi_ball(k_f)
         pot = fg.coulomb(1.0)
-        reports = check_lattice(cfg) + check_mode(cfg, pot, threads=THREADS) \
-            + check_cross(cfg, pot, threads=THREADS)
+        reports = check_lattice(cfg) + check_mode(cfg, pot) \
+            + check_cross(cfg, pot)
         ok = ok and not any_failed(reports)
         names |= {r.name for r in reports}
     required = {
@@ -98,8 +97,7 @@ def test_criterion_3_sandwich_bounds():
     ok = True
     for k_f in (1.0, 2.0):
         for g in (0.1, 1.0, 10.0):
-            reports = check_mode(fg.fermi_ball(k_f), fg.coulomb(g),
-                                 threads=THREADS)
+            reports = check_mode(fg.fermi_ball(k_f), fg.coulomb(g))
             bad = [r for r in reports if r.status == "fail"
                    and r.name.startswith("mode.sandwich")]
             ok = ok and not bad
@@ -128,7 +126,7 @@ def test_criterion_5_signs_and_symmetry():
         cfg = fg.fermi_ball(k_f)
         ok = ok and row.n_b >= -1e-10 and row.n_ex <= 1e-10
         mirror = n_point(tuple(-c for c in xi), cfg, fg.coulomb(g),
-                         INSIDE_POLICY, route="both", threads=THREADS)
+                         INSIDE_POLICY, route="both")
         sym = abs(row.n_total - mirror.n_total)
         scale = max(1.0, abs(row.n_total))
         ok = ok and sym <= 1e-12 * scale
@@ -136,7 +134,7 @@ def test_criterion_5_signs_and_symmetry():
     for k_f in (1.0, 2.0):
         for g in (0.5, 1.0):
             val = e_corr_bos(fg.fermi_ball(k_f), fg.coulomb(g),
-                             INSIDE_POLICY, threads=THREADS)[0]
+                             INSIDE_POLICY)[0]
             ok = ok and val <= 0.0
     report("criterion 5 (signs and reflection symmetry)", ok,
            f"worst |n(xi)-n(-xi)| = {max(detail):.2e}")
@@ -145,8 +143,8 @@ def test_criterion_5_signs_and_symmetry():
 def test_criterion_6_small_coupling_law():
     cfg = fg.fermi_ball(1.0)
     pol = TailPolicy(k_max=5, tail_tol=1e-3, max_doublings=1)
-    r1 = e_corr_bos(cfg, fg.coulomb(1e-3), pol, threads=THREADS)[0] / 1e-6
-    r2 = e_corr_bos(cfg, fg.coulomb(1e-4), pol, threads=THREADS)[0] / 1e-8
+    r1 = e_corr_bos(cfg, fg.coulomb(1e-3), pol)[0] / 1e-6
+    r2 = e_corr_bos(cfg, fg.coulomb(1e-4), pol)[0] / 1e-8
     dev = abs(r1 / r2 - 1.0)
     report("criterion 6 (small-coupling quadratic law)", dev < 0.01,
            f"E/g^2 ratio deviation {dev:.2e}")
@@ -161,17 +159,15 @@ def test_criterion_7_truncation_robustness():
     exact_ok = a.n_b == b.n_b and a.n_ex == b.n_ex and a.tail_estimate == 0.0
     # inside: the next doubling moves the result by less than the tail
     r1 = n_point((0, 0, 0), cfg, pot, TailPolicy(k_max=3, max_doublings=1),
-                 route="spectral", threads=THREADS)
+                 route="spectral")
     r2 = n_point((0, 0, 0), cfg, pot, TailPolicy(k_max=6, max_doublings=1),
-                 route="spectral", threads=THREADS)
+                 route="spectral")
     inside_ok = abs(r2.n_b - r1.n_b) <= r1.tail_estimate
     # correlation-energy sums obey the same contract
     e1, t1, _, _ = e_corr_ex(cfg, pot, TailPolicy(k_max=4, max_doublings=1))
     e2 = e_corr_ex(cfg, pot, TailPolicy(k_max=8, max_doublings=1))[0]
-    b1, bt1 = e_corr_bos(cfg, pot, TailPolicy(k_max=4, max_doublings=1),
-                         threads=THREADS)[:2]
-    b2 = e_corr_bos(cfg, pot, TailPolicy(k_max=8, max_doublings=1),
-                    threads=THREADS)[0]
+    b1, bt1 = e_corr_bos(cfg, pot, TailPolicy(k_max=4, max_doublings=1))[:2]
+    b2 = e_corr_bos(cfg, pot, TailPolicy(k_max=8, max_doublings=1))[0]
     energy_ok = abs(e2 - e1) <= t1 and abs(b2 - b1) <= bt1
     report("criterion 7 (truncation robustness)",
            exact_ok and inside_ok and energy_ok,
@@ -212,8 +208,7 @@ def test_criterion_9_scaling_trend_diagnostics():
     entries = []
     for k_f, xi in ((1.0, (1, 1, 0)), (2.0, (2, 1, 0)), (3.0, (3, 1, 0))):
         cfg = fg.fermi_ball(k_f)
-        row = n_point(xi, cfg, fg.coulomb(1.0), route="spectral",
-                      threads=THREADS)
+        row = n_point(xi, cfg, fg.coulomb(1.0), route="spectral")
         _, m = kappa_and_weight(xi, cfg)
         entry = row.n_b * k_f / m
         entries.append(entry)
@@ -226,7 +221,7 @@ def test_criterion_9_scaling_trend_diagnostics():
     for k_f in (2.0, 3.0, 4.0, 5.0, 6.0):
         pol = TailPolicy(tail_tol=1e-3, max_doublings=2)
         val = e_corr_bos(fg.fermi_ball(k_f), fg.coulomb(1.0), pol,
-                         quad_tol=1e-8, threads=THREADS)[0]
+                         quad_tol=1e-8)[0]
         entry = val / (k_f * math.log(k_f))
         trend.append(entry)
         print(f"    k_F={k_f:.0f}: {entry:.6e}")

@@ -58,13 +58,12 @@ def test_momentum_both_routes(capsys):
     assert data["n_total"] == data["n_b"] + data["n_ex"]
 
 
-def test_momentum_deterministic_across_thread_counts(capsys):
+def test_momentum_deterministic_across_runs(capsys):
     args = ("momentum", "--kf", "1", "--xi", "2,0,0",
             "--potential", "coulomb:g=1", "--route", "both")
-    _, out1 = run_cli(capsys, *args, "--threads", "1")
-    _, out2 = run_cli(capsys, *args, "--threads", "1")
-    _, out4 = run_cli(capsys, *args, "--threads", "4")
-    assert out1 == out2 == out4
+    _, out1 = run_cli(capsys, *args)
+    _, out2 = run_cli(capsys, *args)
+    assert out1 == out2
 
 
 def test_momentum_sum_delta(capsys):
@@ -121,6 +120,14 @@ def test_verify_rejects_bad_potential_table(capsys, tmp_path):
     code, _ = run_cli(capsys, "verify", "--kf", "1",
                       "--potential", f"table:{path}")
     assert code == 2
+
+
+def test_every_subcommand_rejects_negative_potential_table(capsys, tmp_path):
+    path = tmp_path / "neg.txt"
+    path.write_text("1 0 0 -1.0\n-1 0 0 -1.0\n")
+    for argv in (("momentum", "--xi", "2,0,0"), ("energy",)):
+        assert main([*argv, "--kf", "1", "--potential", f"table:{path}"]) == 2
+        assert "violates the hypotheses" in capsys.readouterr().err
 
 
 def test_nonconvergence_flag_exit_3(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,12 @@ def _ball(r):
                 if x * x + y * y + z * z <= r * r:
                     out.append((x, y, z))
     return out
+
+
+def test_e_fs_at_sqrt_n_matches_same_shell():
+    # k_F = sqrt(3) and k_F = 1.75 fill the same shell |p|^2 <= 3
+    pot = coulomb(1.0)
+    assert e_fs(fermi_ball(math.sqrt(3.0)), pot) == e_fs(fermi_ball(1.75), pot)
 
 
 def test_e_fs_sum_terminates_at_two_kf():
@@ -126,9 +134,9 @@ def test_orbit_reduction_matches_full_enumeration():
     pot = coulomb(1.0)
     pol = TailPolicy(k_max=3, max_doublings=1)
     term = lambda k: (_ex_term(k, cfg, pot), 0.0, True)
-    reduced = _truncated_k_sum(term, cfg, pot, pol, 1)
-    paired = _truncated_k_sum(term, cfg, pot, pol, 1, symmetry="even")
-    full = _truncated_k_sum(term, cfg, pot, pol, 1, symmetry="none")
+    reduced = _truncated_k_sum(term, cfg, pot, pol)
+    paired = _truncated_k_sum(term, cfg, pot, pol, symmetry="even")
+    full = _truncated_k_sum(term, cfg, pot, pol, symmetry="none")
     assert reduced[0] == pytest.approx(full[0], rel=1e-12)
     assert paired[0] == pytest.approx(full[0], rel=1e-12)
 

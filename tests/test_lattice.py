@@ -54,6 +54,14 @@ def test_ball_matches_brute_force(k_f):
     assert cfg.n_particles == len(cfg.ball)
 
 
+@pytest.mark.parametrize("n", [3, 6, 12, 13, 18, 23, 24])
+def test_fermi_ball_takes_the_shell_of_sqrt_n(n):
+    # for these n, sqrt(n)**2 rounds to just below n
+    cfg = fermi_ball(math.sqrt(n))
+    assert cfg.r2 == n
+    assert cfg.n_particles == len(ball_points(n))
+
+
 def test_fermi_ball_rejects_nonpositive():
     with pytest.raises(ValueError):
         fermi_ball(0.0)

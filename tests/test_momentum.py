@@ -153,7 +153,7 @@ def test_orbit_and_bulk_path_match_plain_per_k():
     ks = truncated_k_vectors(xi, cfg, 5)
     plain = sum((_per_k(k, xi, cfg, pot, 1e-9, False, True, True) for k in ks),
                 _PerK())
-    fast = _eval_k_block(ks, xi, cfg, pot, 1e-9, False, True, True, 1)
+    fast = _eval_k_block(ks, xi, cfg, pot, 1e-9, False, True, True)
     assert fast.nb_spectral == pytest.approx(plain.nb_spectral, rel=1e-10)
     assert fast.nb_integral == pytest.approx(plain.nb_integral, rel=1e-10)
     assert fast.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
@@ -249,7 +249,7 @@ def test_weighted_ball_indicator_positive():
     # counts excited particle-hole pairs: finite and positive
     cfg = fermi_ball(1.0)
     total, rows = n_weighted(Observable.ball_indicator(cfg), cfg, coulomb(1.0),
-                             FAST, route="spectral", threads=4)
+                             FAST, route="spectral")
     assert np.isfinite(total) and total > 0.0
     assert len(rows) == 7
 
@@ -257,7 +257,7 @@ def test_weighted_ball_indicator_positive():
 def test_cross_route_desk_scale_boundary():
     # k_F = 3 outside point: exact support, both routes
     cfg = fermi_ball(3.0)
-    row = n_point((3, 1, 0), cfg, coulomb(1.0), route="both", threads=4)
+    row = n_point((3, 1, 0), cfg, coulomb(1.0), route="both")
     assert row.n_b > 0.0
     assert row.discrepancy <= 10.0 * (row.quad_error + 1e-13)
 

@@ -35,10 +35,17 @@ def test_tolerance_contract(f, exact, seeds):
 
 def test_non_convergence_is_flagged():
     # a sharp spike the budget cannot resolve
-    res = integrate_semi_infinite(lambda s: 1e8 / (1.0 + 1e16 * (s - 3.0) ** 2),
-                                  tol=1e-12, max_subdivisions=3)
+    def spike(s):
+        return 1e8 / (1.0 + 1e16 * (s - 3.0) ** 2)
+
+    res = integrate_semi_infinite(spike, tol=1e-12, max_subdivisions=3)
     assert not res.converged
     assert res.abs_error_estimate > 1e-12
+    _, errs, _, ok = integrate_semi_infinite_batch(
+        lambda s: np.array([1.0 / (1.0 + s**2), spike(s)]), 2, tol=1e-12,
+        max_subdivisions=3)
+    assert not ok
+    assert errs[1] > 1e-12
 
 
 def test_integrate_interval_polynomial():
@@ -57,6 +64,14 @@ def test_batch_quadrature_matches_scalar():
     assert ok
     for v, e in zip(vals, errs):
         assert v == pytest.approx(np.pi / 2.0, abs=max(1e-9, 10 * e))
+
+    # a family of one is the scalar integral, bit for bit
+    for f, _, seeds in INTEGRANDS:
+        res = integrate_semi_infinite(f, tol=1e-10, seeds=seeds)
+        vals, errs, nev, ok = integrate_semi_infinite_batch(
+            lambda s: f(s)[None, :], 1, tol=1e-10, seeds=seeds)
+        assert (vals[0], errs[0], nev, ok) == (
+            res.value, res.abs_error_estimate, res.evaluations, res.converged)
 
 
 def test_sym_matrix_function_examples():

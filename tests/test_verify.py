@@ -68,7 +68,7 @@ def test_check_cross_green():
 @pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 10.0])
 def test_full_suite_green_kf2(g):
     pot = coulomb(g) if g else zero()
-    assert not any_failed(run_all(fermi_ball(2.0), pot, threads=4))
+    assert not any_failed(run_all(fermi_ball(2.0), pot))
 
 
 def test_run_all_green_and_json_round_trips():
