@@ -8,21 +8,40 @@ pieces are
                  * sum_k sum_{p,q in lune(k)} V_k V_{p+q-k} / (lam_p + lam_q),
 
 with the k-sums truncated by cutoff doubling.  For radial potentials the
-k-sum is reduced to octahedral orbit representatives, which is exact.
+k-sum is reduced to octahedral orbit representatives, which is exact;
+both sums walk the same shells.
+
+The lune of k enters only through the points k + q, q in the ball B,
+with gaps lam = (|k|^2 + 2 k.q)/2 (``lattice.lune_kernel``):
+
+* the response depends on the gap histogram alone, the distinct gaps
+  lam_d and their multiplicities m_d:
+
+      q_k(s) = 2 v^2 sum_d m_d lam_d / (s^2 + lam_d^2);
+
+* with p = k + a and q = k + b the exchange summand depends on the
+  pair through t = a + b alone: p + q - k = k + t and
+  lam_p + lam_q = |k|^2 + k.t.  When the lune is the whole shifted
+  ball the pair sum is therefore
+
+      V_k sum_{t in B+B} c(t) V(k + t) / (|k|^2 + k.t),
+
+  with c(t) = #{(a, b) in B^2 : a + b = t} the ball autocorrelation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (LatticeConfig, TailPolicy, lune, nonzero_k_vectors,
-                      norm2, orbit_reduce)
-from .numerics import QuadratureResult, integrate_semi_infinite
+from .lattice import (LatticeConfig, TailPolicy, ball_array, lune_kernel,
+                      orbit_reduce)
+from .numerics import integrate_semi_infinite
 from .potential import Potential, evaluate
-from .quasiboson import TWO_PI_6, TWO_PI_CUBED, build_mode, q_of_s
+from .quasiboson import TWO_PI_6, TWO_PI_CUBED
 
 
 def stable_log1p_minus_x(x):
@@ -67,62 +86,90 @@ def e_fs(cfg: LatticeConfig, pot: Potential) -> tuple[float, float]:
     The interaction k-sum is exactly finite: beyond |k| > 2 k_F the lune
     is the whole shifted ball and the summand V_k (|L_k| - N) vanishes.
     """
-    kinetic = float(sum(norm2(p) for p in cfg.ball))
-    # |k|^2 > 4 r2 puts every k + q with |q|^2 <= r2 outside the ball
-    two_kf_r2 = 4 * cfg.r2
+    ball = cfg.ball_arr
+    kinetic = float(np.einsum("ij,ij->", ball, ball))
     interaction = 0.0
-    for k in nonzero_k_vectors(math.isqrt(two_kf_r2) + 1):
-        if norm2(k) > two_kf_r2:
-            continue
+    # |k|^2 > 4 r2 puts every k + q with |q|^2 <= r2 outside the ball
+    for k in ball_array(4 * cfg.r2, 0).tolist():
         vhat = evaluate(pot, k)
         if vhat == 0.0:
             continue
-        deficit = lune(k, cfg).dim - cfg.n_particles
-        interaction += vhat * deficit
+        lune_size = int(np.count_nonzero(lune_kernel(k, cfg)[0]))
+        interaction += vhat * (lune_size - cfg.n_particles)
     return kinetic, interaction / (2.0 * TWO_PI_CUBED)
 
 
 def _bos_term(k, cfg: LatticeConfig, pot: Potential,
               quad_tol: float) -> tuple[float, float, bool]:
     """(1/pi) int_0^inf F(q_k(s)) ds for one k, with error and flag."""
-    if evaluate(pot, k) == 0.0:
+    vhat = evaluate(pot, k)
+    if vhat == 0.0:
         return 0.0, 0.0, True
-    mode = build_mode(k, cfg, pot)
-    lam_min = float(np.min(mode.h))
+    mask, gaps = lune_kernel(k, cfg)
+    lam, mult = np.unique(gaps[mask], return_counts=True)
+    vsq = vhat / (2.0 * TWO_PI_CUBED * cfg.k_f)
+    weight = (mult * lam)[:, None]
+    lam_sq = lam[:, None] ** 2
 
     def integrand(s):
-        return stable_log1p_minus_x(q_of_s(mode, s))
+        q = 2.0 * vsq * np.sum(weight / (s**2 + lam_sq), axis=0)
+        return stable_log1p_minus_x(q)
 
+    lam_min = float(lam[0])
     res = integrate_semi_infinite(integrand, tol=quad_tol,
                                   seeds=(lam_min, 10.0 * lam_min))
     return res.value / np.pi, res.abs_error_estimate / np.pi, res.converged
 
 
-def _ex_term(k, cfg: LatticeConfig, pot: Potential) -> float:
-    """Exact pair sum V_k V_{p+q-k} / (lam_p + lam_q) over one lune squared."""
+def _ball_pair_sums(cfg: LatticeConfig):
+    """(t, c(t), |t|^2) over the distinct t in B + B, lex-sorted.
+
+    c is the ball autocorrelation.  The code a . (side^2, side, 1) is
+    additive and, offset, maps the box |t_i| <= 2 isqrt(r2) onto bins.
+    """
+    r = math.isqrt(cfg.r2)
+    side = 4 * r + 1
+    code = cfg.ball_arr @ np.array([side * side, side, 1])
+    counts = np.bincount((code[:, None] + code[None, :]).ravel()
+                         + 2 * r * (side * side + side + 1))
+    bins = np.flatnonzero(counts)
+    t = np.column_stack(np.unravel_index(bins, (side, side, side))) - 2 * r
+    return t, counts[bins].astype(float), np.einsum("ij,ij->i", t, t)
+
+
+def _ex_term(k, cfg: LatticeConfig, pot: Potential, pair_sums) -> float:
+    """Exact pair sum V_k V_{p+q-k} / (lam_p + lam_q) over one lune squared.
+
+    ``pair_sums`` is ``_ball_pair_sums(cfg)``: for a radial V and a lune
+    that is the whole shifted ball the sum runs over t in B + B.
+    """
     vhat = evaluate(pot, k)
     if vhat == 0.0:
         return 0.0
-    basis = lune(k, cfg)
-    pts = np.array(basis.points, dtype=np.int64)
+    mask, gaps = lune_kernel(k, cfg)
     kv = np.array(k, dtype=np.int64)
-    lam = basis.lambdas
-    # |p + q - k|^2 for all pairs from the expansion |a + b|^2 with a = p - k
-    a = pts - kv
-    an2 = np.einsum("ij,ij->i", a, a).astype(float)
-    bn2 = np.einsum("ij,ij->i", pts, pts).astype(float)
-    cross = 2.0 * (a @ pts.T).astype(float)
-    n2 = an2[:, None] + bn2[None, :] + cross
+    if pot.is_radial and mask.all():
+        t, count, tn2 = pair_sums
+        kn2 = int(kv @ kv)
+        kt = t @ kv
+        return vhat * float(np.sum(count * pot.from_norm2(kn2 + 2 * kt + tn2)
+                                   / (kn2 + kt)))
+    a = cfg.ball_arr[mask]
+    args = kv + a[:, None, :] + a[None, :, :]       # p + q - k, pair by pair
     if pot.is_radial:
-        vmat = pot.from_norm2(n2)
+        vmat = pot.from_norm2(np.einsum("ijc,ijc->ij", args, args))
     else:
-        vmat = np.empty_like(n2)
-        for i in range(pts.shape[0]):
-            for j in range(pts.shape[0]):
-                arg = tuple(int(c) for c in a[i] + pts[j])
-                vmat[i, j] = evaluate(pot, arg)
-    denom = lam[:, None] + lam[None, :]
-    return vhat * float(np.sum(vmat / denom))
+        vmat = np.array([evaluate(pot, arg) for arg in
+                         args.reshape(-1, 3).tolist()]).reshape(args.shape[:2])
+    lam = gaps[mask]
+    return vhat * float(np.sum(vmat / (lam[:, None] + lam[None, :])))
+
+
+@lru_cache(maxsize=16)
+def _k_shell(k_hi: int, k_lo: int, symmetry: str) -> tuple:
+    """Orbit representatives and weights of k_lo < |k| <= k_hi (both sums)."""
+    return tuple(orbit_reduce(ball_array(k_hi * k_hi, k_lo * k_lo),
+                              (0, 0, 0), symmetry))
 
 
 def _truncated_k_sum(term_fn, cfg: LatticeConfig, pot: Potential,
@@ -138,8 +185,7 @@ def _truncated_k_sum(term_fn, cfg: LatticeConfig, pot: Potential,
     symmetry = pot.symmetry if symmetry is None else symmetry
 
     def shell(k_hi, k_lo):
-        items = orbit_reduce(nonzero_k_vectors(k_hi, k_min_excl=k_lo),
-                             (0, 0, 0), symmetry)
+        items = _k_shell(k_hi, k_lo, symmetry)
         results = [term_fn(k) for k, _ in items]
         val = sum(w * r[0] for (_, w), r in zip(items, results))
         qerr = sum(w * r[1] for (_, w), r in zip(items, results))
@@ -186,14 +232,17 @@ def e_corr_ex(cfg: LatticeConfig, pot: Potential,
     """
     policy = policy or TailPolicy()
     pref = 1.0 / (4.0 * TWO_PI_6 * cfg.k_f**2)
+    pair_sums = _ball_pair_sums(cfg)
     total, tail, _, k_cut, _, ok = _truncated_k_sum(
-        lambda k: (_ex_term(k, cfg, pot), 0.0, True), cfg, pot, policy)
+        lambda k: (_ex_term(k, cfg, pot, pair_sums), 0.0, True), cfg, pot,
+        policy)
     return pref * total, pref * tail, k_cut, ok
 
 
 def single_k_exchange_term(k, cfg: LatticeConfig, pot: Potential) -> float:
     """One k-term of E_corr,ex including its prefactor (for diagnostics)."""
-    return _ex_term(k, cfg, pot) / (4.0 * TWO_PI_6 * cfg.k_f**2)
+    return (_ex_term(k, cfg, pot, _ball_pair_sums(cfg))
+            / (4.0 * TWO_PI_6 * cfg.k_f**2))
 
 
 def energy_report(cfg: LatticeConfig, pot: Potential,

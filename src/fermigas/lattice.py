@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -71,11 +72,12 @@ class LatticeConfig:
     """Filled Fermi ball at radius k_F.
 
     N is the exact count of integer points with |p| <= k_F, never the
-    continuum idealization 4*pi*k_F^3/3.  ``r2`` is the integer threshold
-    floor(k_F^2) (see ``fermi_ball``); membership is the exact test
-    |p|^2 <= r2.  ``kappa`` is the midpoint of the squared-norm gap
-    across the Fermi surface and bounds ||p|^2 - kappa| >= 1/2 for every
-    integer p.
+    continuum idealization 4*pi*k_F^3/3.  ``r2`` is the integer squared
+    radius of the closed shell: k_F^2 rounded when within 4 ulps of an
+    integer, floored otherwise (see ``fermi_ball``).  Membership is the
+    exact test |p|^2 <= r2.  ``kappa`` is the midpoint of the squared-norm
+    gap across the Fermi surface and bounds ||p|^2 - kappa| >= 1/2 for
+    every integer p.
     """
 
     k_f: float
@@ -83,6 +85,13 @@ class LatticeConfig:
     n_particles: int
     kappa: float
     ball: tuple[Vec3, ...] = field(repr=False)
+
+    @cached_property
+    def ball_arr(self) -> np.ndarray:
+        """``ball`` as a read-only lex-sorted (N, 3) int64 array."""
+        arr = np.array(self.ball, dtype=np.int64).reshape(-1, 3)
+        arr.flags.writeable = False
+        return arr
 
     def in_ball(self, p: Sequence[int]) -> bool:
         return norm2(p) <= self.r2
@@ -157,26 +166,34 @@ class LuneBasis:
         return as_vec3(p) in self._index
 
 
+def lune_kernel(k, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lune mask and gaps of k + q for every ball point q, in ball order.
+
+    The mask is |k + q|^2 > r2 (k + q lies in the lune of k); the gaps
+    are (|k|^2 + 2 k.q)/2 = lambda_of(k, k + q), exact half-integers.
+    """
+    kv = np.asarray(k, dtype=np.int64)
+    ball = cfg.ball_arr
+    shift = kv @ kv + 2 * (ball @ kv)
+    return shift + np.einsum("ij,ij->i", ball, ball) > cfg.r2, shift / 2.0
+
+
 def lune(k: Sequence[int], cfg: LatticeConfig) -> LuneBasis:
     """Enumerate the lune of k: the slab of the shifted ball poking out.
 
     Candidates are exactly the shifted ball points k + B_F, filtered by
-    |p| > k_F.  Nonempty for every k != 0.
+    |p| > k_F; a translate of the lex-sorted ball stays lex-sorted.
+    Nonempty for every k != 0.
     """
     kv = as_vec3(k)
     if kv == (0, 0, 0):
         raise ValueError("lune is undefined for k = 0")
-    pts = []
-    for q in cfg.ball:
-        p = add(kv, q)
-        if norm2(p) > cfg.r2:
-            pts.append(p)
-    pts.sort()
-    lambdas = np.array([lambda_of(kv, p) for p in pts], dtype=float)
+    mask, gaps = lune_kernel(kv, cfg)
+    pts = tuple(map(tuple, (cfg.ball_arr[mask] + kv).tolist()))
     return LuneBasis(
         k=kv,
-        points=tuple(pts),
-        lambdas=lambdas,
+        points=pts,
+        lambdas=gaps[mask],
         _index={p: i for i, p in enumerate(pts)},
     )
 
@@ -338,7 +355,7 @@ def stabilizer_group(xi: Vec3, symmetry: str) -> np.ndarray:
     return group[keep]
 
 
-def orbit_reduce(ks: list[Vec3], xi: Vec3,
+def orbit_reduce(ks: list[Vec3] | np.ndarray, xi: Vec3,
                  symmetry: str) -> list[tuple[Vec3, int]]:
     """Collapse a k-list to stabilizer-orbit representatives with weights.
 
@@ -346,32 +363,30 @@ def orbit_reduce(ks: list[Vec3], xi: Vec3,
     any f invariant under the stabilizer of xi (all per-mode observables
     at the point xi are, when the potential has the matching symmetry
     class).  The input list must itself be stabilizer-invariant as a
-    set.
+    set.  ``ks`` may also be an (n, 3) integer array.
     """
-    if not ks:
+    arr_all = np.asarray(ks, dtype=np.int64).reshape(-1, 3)
+    if arr_all.shape[0] == 0:
         return []
     group = stabilizer_group(xi, symmetry)
     if group.shape[0] == 1:
-        return [(k, 1) for k in ks]
-    arr_all = np.array(ks, dtype=np.int64)
-    bound = int(np.max(np.abs(arr_all))) + 1
-    base = 2 * bound + 1
-
-    def encode(pts):
-        return ((pts[..., 0] + bound) * base + (pts[..., 1] + bound)) * base \
-            + (pts[..., 2] + bound)
+        return [(k, 1) for k in map(tuple, arr_all.tolist())]
+    base = 2 * int(np.max(np.abs(arr_all))) + 1
+    # p . digits is injective on the images (balanced digits below
+    # base/2), so the key of R k for every R at once is k @ codes with
+    # codes[:, g] = R_g^T digits
+    digits = np.array([base * base, base, 1])
+    codes = (group.transpose(0, 2, 1) @ digits).T
 
     out = []
     # canonicality and weight are per-element, so chunking is exact
-    for start in range(0, arr_all.shape[0], 65536):
-        arr = arr_all[start:start + 65536]
-        images = np.einsum("gij,mj->gmi", group, arr)
-        keys = encode(images)              # (g, m)
-        own = encode(arr)                  # (m,)
-        keep = own == keys.min(axis=0)
-        sorted_keys = np.sort(keys[:, keep], axis=0)
-        distinct = 1 + np.count_nonzero(np.diff(sorted_keys, axis=0) != 0,
-                                        axis=0)
+    for start in range(0, arr_all.shape[0], 8192):
+        arr = arr_all[start:start + 8192]
+        keys = arr @ codes                 # (m, g)
+        keep = arr @ digits == keys.min(axis=1)
+        sorted_keys = np.sort(keys[keep], axis=1)
+        distinct = 1 + np.count_nonzero(np.diff(sorted_keys, axis=1) != 0,
+                                        axis=1)
         out.extend((tuple(int(c) for c in k), int(w))
                    for k, w in zip(arr[keep].tolist(), distinct.tolist()))
     return out

@@ -25,14 +25,14 @@ is reported as the tail estimate.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3,
                       d_intersection, k_support, neg, norm2, orbit_reduce,
-                      sub, truncated_k_vectors)
+                      truncated_k_vectors)
 from .numerics import integrate_semi_infinite, integrate_semi_infinite_batch
 from .potential import Potential, evaluate, load_table
 from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, Mode, build_mode,

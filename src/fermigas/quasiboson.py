@@ -20,7 +20,7 @@ function and equals the screening denominator minus one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (LatticeConfig, Vec3, as_vec3, ball_points,
-                      d_intersection, fermi_ball, lambda_of, lune, neg,
-                      nonzero_k_vectors, norm2, sub)
-from .momentum import _exchange_term, _integral_term, _spectral_term
+from .lattice import (LatticeConfig, Vec3, ball_points, d_intersection,
+                      lambda_of, lune, neg, nonzero_k_vectors, norm2, sub)
+from .momentum import _exchange_term, _integral_term
 from .numerics import rank1_resolvent_diag, sym_matrix_function
 from .potential import Potential, evaluate
 from .quasiboson import (TWO_PI_6, build_K, build_mode,

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fermigas.energy import (e_corr_bos, e_corr_ex, e_fs, energy_report,
+from fermigas.energy import (_ball_pair_sums, _bos_term, _ex_term, e_corr_bos,
+                             e_corr_ex, e_fs, energy_report,
                              single_k_exchange_term, stable_log1p_minus_x)
-from fermigas.lattice import TailPolicy, fermi_ball, lambda_of, lune, neg, norm2
-from fermigas.potential import coulomb, evaluate, zero
+from fermigas.lattice import (TailPolicy, ball_points, fermi_ball, lambda_of,
+                              lune, lune_kernel, neg, norm2)
+from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
+from oracles import bos_term_mode, e_fs_interaction_loop, ex_term_dense
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 TWO_PI_6 = (2.0 * np.pi) ** 6
@@ -49,6 +52,13 @@ def test_e_fs_at_sqrt_n_matches_same_shell():
     # k_F = sqrt(3) and k_F = 1.75 fill the same shell |p|^2 <= 3
     pot = coulomb(1.0)
     assert e_fs(fermi_ball(math.sqrt(3.0)), pot) == e_fs(fermi_ball(1.75), pot)
+
+
+@pytest.mark.parametrize("k_f", [1.0, math.sqrt(3.0), 2.0, 2.5])
+def test_e_fs_interaction_matches_lune_loop(k_f):
+    cfg = fermi_ball(k_f)
+    for pot in (coulomb(1.0), yukawa(0.7, 1.3)):
+        assert e_fs(cfg, pot)[1] == e_fs_interaction_loop(cfg, pot)
 
 
 def test_e_fs_sum_terminates_at_two_kf():
@@ -108,6 +118,58 @@ def test_e_corr_ex_single_k_brute_force():
     assert single_k_exchange_term(k, cfg, pot) == pytest.approx(expected, rel=1e-13)
 
 
+def _table_potential(radius):
+    # even, nonnegative and not radial: V(k) = 1 / (|k|^2 + k_x^2 / 2)
+    return from_table({k: 1.0 / (norm2(k) + 0.5 * k[0] ** 2)
+                       for k in ball_points(radius * radius) if k != (0, 0, 0)})
+
+
+# (1,0,0) and (2,1,0) have partial lunes at k_F = 2; (5,0,0) and (3,3,1)
+# have full ones, so every k + q lies outside the ball
+EX_KS = ((1, 0, 0), (2, 1, 0), (5, 0, 0), (3, 3, 1))
+
+
+@pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(0.7, 1.3),
+                                 _table_potential(10)],
+                         ids=["coulomb", "yukawa", "table"])
+def test_ex_term_matches_dense_pair_sum(pot):
+    cfg = fermi_ball(2.0)
+    pair_sums = _ball_pair_sums(cfg)
+    assert [bool(lune_kernel(k, cfg)[0].all()) for k in EX_KS] == [
+        False, False, True, True]
+    for k in EX_KS:
+        expected = ex_term_dense(k, cfg, pot)
+        assert expected > 0.0
+        assert _ex_term(k, cfg, pot, pair_sums) == pytest.approx(expected,
+                                                                 rel=1e-13)
+
+
+def test_ball_pair_sums_is_the_autocorrelation():
+    cfg = fermi_ball(math.sqrt(3.0))
+    counts = {}
+    for a in cfg.ball:
+        for b in cfg.ball:
+            t = tuple(x + y for x, y in zip(a, b))
+            counts[t] = counts.get(t, 0) + 1
+    t, c, tn2 = _ball_pair_sums(cfg)
+    assert list(map(tuple, t.tolist())) == sorted(counts)
+    assert c.tolist() == [counts[key] for key in sorted(counts)]
+    assert tn2.tolist() == [norm2(key) for key in sorted(counts)]
+    assert c.sum() == cfg.n_particles ** 2
+
+
+@pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(0.7, 1.3)],
+                         ids=["coulomb", "yukawa"])
+def test_bos_term_gap_histogram_matches_full_lune(pot):
+    cfg = fermi_ball(2.0)
+    for k in EX_KS + ((1, 1, 1), (12, 7, 3)):
+        value, err, ok = _bos_term(k, cfg, pot, 1e-9)
+        ref_value, ref_err, ref_ok = bos_term_mode(k, cfg, pot, 1e-9)
+        assert value < 0.0 and ok == ref_ok
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-12 * abs(value))
+
+
 def test_e_corr_ex_reflection_symmetry():
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
@@ -129,11 +191,12 @@ def test_e_corr_ex_positive_and_cutoff_stable():
 
 
 def test_orbit_reduction_matches_full_enumeration():
-    from fermigas.energy import _truncated_k_sum, _ex_term
+    from fermigas.energy import _truncated_k_sum
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
     pol = TailPolicy(k_max=3, max_doublings=1)
-    term = lambda k: (_ex_term(k, cfg, pot), 0.0, True)
+    pair_sums = _ball_pair_sums(cfg)
+    term = lambda k: (_ex_term(k, cfg, pot, pair_sums), 0.0, True)
     reduced = _truncated_k_sum(term, cfg, pot, pol)
     paired = _truncated_k_sum(term, cfg, pot, pol, symmetry="even")
     full = _truncated_k_sum(term, cfg, pot, pol, symmetry="none")

@@ -5,9 +5,10 @@ import pytest
 
 from fermigas.lattice import (TailPolicy, ball_points, d_intersection,
                               fermi_ball, is_sum_of_three_squares, k_support,
-                              kappa_and_weight, lambda_of, lune, neg,
-                              nonzero_k_vectors, norm2, orbit_reduce,
+                              kappa_and_weight, lambda_of, lune, lune_kernel,
+                              neg, nonzero_k_vectors, norm2, orbit_reduce,
                               signed_perm_group, truncated_k_vectors)
+from oracles import lune_loop, orbit_reduce_einsum
 
 
 def brute_ball(r2):
@@ -100,6 +101,21 @@ def test_lune_matches_brute_force(k_f):
         assert list(basis.points) == brute_lune(k, cfg)
         for p, lam in zip(basis.points, basis.lambdas):
             assert lam == (norm2(p) - norm2(tuple(a - b for a, b in zip(p, k)))) / 2
+
+
+@pytest.mark.parametrize("k_f", [1.0, math.sqrt(3.0), 2.5])
+def test_lune_matches_point_loop_exhaustive(k_f):
+    cfg = fermi_ball(k_f)
+    for k in nonzero_k_vectors(int(math.ceil(2 * k_f)) + 2):
+        basis = lune(k, cfg)
+        points, gaps = lune_loop(k, cfg)
+        assert basis.points == points
+        assert np.array_equal(basis.lambdas, gaps)
+        assert [lambda_of(k, p) for p in basis.points] == basis.lambdas.tolist()
+        mask, all_gaps = lune_kernel(k, cfg)
+        assert np.count_nonzero(mask) == basis.dim
+        assert all_gaps.tolist() == [lambda_of(k, tuple(a + b for a, b in zip(k, q)))
+                                     for q in cfg.ball]
 
 
 def test_lune_rejects_zero_k():
@@ -233,6 +249,15 @@ def test_orbit_reduce_reconstructs_full_sum():
     assert len(orbit_reduce(ks, (1, 0, 0), "none")) == len(ks)
     with pytest.raises(ValueError):
         orbit_reduce(ks, (1, 0, 0), "bogus")
+
+
+def test_orbit_reduce_matches_explicit_images():
+    cfg = fermi_ball(2.0)
+    for xi in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0)):
+        ks = truncated_k_vectors(xi, cfg, 9, k_min_excl=2)
+        for symmetry in ("radial", "even"):
+            assert orbit_reduce(ks, xi, symmetry) == orbit_reduce_einsum(
+                ks, xi, symmetry)
 
 
 def test_signed_perm_group_is_the_48_element_point_group():
