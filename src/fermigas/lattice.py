@@ -104,13 +104,13 @@ class LatticeConfig:
 def fermi_ball(k_f: float) -> LatticeConfig:
     """Enumerate the Fermi ball and derive N and kappa exactly.
 
-    Any k_f > 0 is valid; the closed shell at radius k_f is taken, i.e.
+    Any finite k_f > 0 is valid; the closed shell at radius k_f is taken, i.e.
     all integer points with |p|^2 <= floor(k_f^2).  A k_f^2 within a few
     ulps of an integer n counts as n, so k_f = sqrt(n) takes the shell
     |p|^2 = n even when the rounded square falls just below it.
     """
-    if k_f <= 0:
-        raise ValueError(f"k_f must be positive, got {k_f}")
+    if not (k_f > 0 and math.isfinite(k_f)):
+        raise ValueError(f"k_f must be positive and finite, got {k_f}")
     sq = k_f * k_f
     r2 = round(sq)
     if abs(sq - r2) > 4 * math.ulp(sq):
@@ -171,10 +171,13 @@ def lune_kernel(k, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
 
     The mask is |k + q|^2 > r2 (k + q lies in the lune of k); the gaps
     are (|k|^2 + 2 k.q)/2 = lambda_of(k, k + q), exact half-integers.
+    ``k`` is one vector, giving (N,) arrays, or an (m, 3) block, giving
+    (m, N) arrays with one row per k.
     """
     kv = np.asarray(k, dtype=np.int64)
     ball = cfg.ball_arr
-    shift = kv @ kv + 2 * (ball @ kv)
+    shift = 2 * np.inner(kv, ball)
+    shift += kv @ kv if kv.ndim == 1 else np.einsum("mi,mi->m", kv, kv)[:, None]
     return shift + np.einsum("ij,ij->i", ball, ball) > cfg.r2, shift / 2.0
 
 
@@ -242,6 +245,12 @@ class TailPolicy:
     k_max: int | None = None
     tail_tol: float = 1e-6
     max_doublings: int = 5
+
+    def __post_init__(self):
+        if not (self.tail_tol > 0 and self.max_doublings >= 0):
+            raise ValueError(f"tail_tol must be positive and max_doublings "
+                             f"nonnegative, got {self.tail_tol}, "
+                             f"{self.max_doublings}")
 
     def initial_k_max(self, cfg: LatticeConfig) -> int:
         if self.k_max is not None:

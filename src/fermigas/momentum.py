@@ -20,6 +20,20 @@ M = lam^2 + c lam).
 Outside the Fermi ball the k-support is exactly finite; inside it the
 k-sum is truncated with a cutoff-doubling policy and the last increment
 is reported as the tail estimate.
+
+Inside the ball a radial potential's k-sum runs over masked mode
+blocks: the only lune hits are k +- xi, at the fixed ball indices +-xi,
+so near and full lunes share one (m, N) lune mask and gap table.  n_b
+sees a lune only through its gap histogram (gaps lam_d, multiplicities
+m_d).  Spectral: the core h^2 + 2 u u^T deflates exactly to
+diag(lam_d^2) + 2 w w^T, w_d^2 = m_d lam_d v^2 (Golub 1973), and
+cosh(-2K) - 1 at a point of gap d is c_d / m_d, c the deflated diagonal;
+the histogram is invariant under the 48 signed permutations of k, as
+the ball is, so modes with equal sorted |k| share one eigensolve.
+Integral: q_k(s) = sum_g C[k, g] / (s^2 + g^2) is one matmul over the
+block's distinct gaps g, with C[k, g] = 2 v^2 m_g g.  The exchange part
+is no histogram function and stays a masked pair sum.  Outside points
+and non-radial potentials take the per-k path.
 """
 
 from __future__ import annotations
@@ -31,14 +45,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3,
-                      d_intersection, k_support, neg, norm2, orbit_reduce,
-                      truncated_k_vectors)
+                      d_intersection, k_support, lune_kernel, neg, norm2,
+                      orbit_reduce, truncated_k_vectors)
 from .numerics import integrate_semi_infinite, integrate_semi_infinite_batch
 from .potential import Potential, evaluate, load_table
 from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, Mode, build_mode,
                          cosh2k_minus_one_diag, q_of_s)
 
-_BULK_CHUNK = 384
+_CHUNK = 384
 
 EIGHT_PI4 = 8.0 * np.pi**4
 
@@ -153,176 +167,156 @@ class _PerK:
 
 
 def _per_k(k: Vec3, xi: Vec3, cfg: LatticeConfig, pot: Potential,
-           quad_tol: float, collapse: bool,
-           want_spectral: bool, want_integral: bool) -> _PerK:
+           quad_tol: float, collapse: bool, want_spectral: bool,
+           want_integral: bool, weight: float = 1.0) -> _PerK:
     zetas = Counter(d_intersection(k, xi, cfg, collapse_coincident=collapse))
-    if not zetas:
-        return _PerK()
-    if evaluate(pot, k) == 0.0:
+    if not zetas or evaluate(pot, k) == 0.0:
         return _PerK()
     mode = build_mode(k, cfg, pot)
     out = _PerK()
     if want_spectral:
-        out.nb_spectral = _spectral_term(mode, zetas)
+        out.nb_spectral = weight * _spectral_term(mode, zetas)
     if want_integral:
-        out.nb_integral, out.quad_error, out.converged = _integral_term(
-            mode, zetas, quad_tol)
-    out.n_ex = _exchange_term(mode, zetas, pot)
+        nb, err, out.converged = _integral_term(mode, zetas, quad_tol)
+        out.nb_integral, out.quad_error = weight * nb, weight * err
+    out.n_ex = weight * _exchange_term(mode, zetas, pot)
     return out
 
 
-def _bulk_chunk(lam: np.ndarray, vhat: np.ndarray, signs_idx, signs_mask,
-                k_f: float, quad_tol: float, want_spectral: bool,
-                want_integral: bool, weights: np.ndarray) -> _PerK:
-    """Spectral/integral contributions for a chunk of full-lune modes.
+def _orbit_key(arr: np.ndarray) -> np.ndarray:
+    """Sorted |k| components as one integer, equal on each 48-element orbit."""
+    srt = np.sort(np.abs(arr), axis=1)
+    base = int(srt.max(initial=0)) + 1
+    return (srt[:, 2] * base + srt[:, 1]) * base + srt[:, 0]
 
-    lam is the (c, N) gap table of the modes and vhat their couplings;
-    signs_idx/signs_mask give, per sign channel of zeta = k +- xi, the
-    lune index of zeta (constant: the lune of a full-lune mode is the
-    shifted ball in ball order) and the per-mode hit mask |k +- xi| > k_F.
+
+def _gap_counts(mask: np.ndarray, lam: np.ndarray):
+    """Gap histograms of a block of modes on one shared gap axis.
+
+    Returns the distinct lune gaps g of the whole block, ascending, and
+    the (m, G) counts of lune points of each mode at each gap.
+    """
+    g, col = np.unique(lam[mask], return_inverse=True)
+    counts = np.bincount(np.nonzero(mask)[0] * g.size + col,
+                         minlength=mask.shape[0] * g.size)
+    return g, counts.reshape(-1, g.size)
+
+
+def _cosh_minus_one_per_gap(g: np.ndarray, counts: np.ndarray,
+                            vsq: np.ndarray) -> np.ndarray:
+    """(cosh(-2K) - 1)_pp at a lune point p of each gap, on the gap axis g.
+
+    Deflated to the gap histogram (module docstring): one batched eigh
+    per histogram size D.
+    """
+    out = np.zeros(counts.shape)
+    sizes = np.count_nonzero(counts, axis=1)
+    for d in np.unique(sizes):
+        rows = np.flatnonzero(sizes == d)
+        nz = np.nonzero(counts[rows])
+        m = counts[rows][nz].reshape(-1, d)
+        lam = g[nz[1]].reshape(-1, d)
+        w = np.sqrt(m * lam * vsq[rows, None])
+        core = 2.0 * w[:, :, None] * w[:, None, :]
+        step = np.arange(d)
+        core[:, step, step] += lam**2
+        ev, vec = np.linalg.eigh(core)
+        sw = np.sqrt(ev)[:, None, :]
+        a = np.sum(vec**2 * sw, axis=2) / lam
+        ainv = np.sum(vec**2 / sw, axis=2) * lam
+        out[rows[nz[0]], nz[1]] = ((0.5 * (a + ainv) - 1.0) / m).ravel()
+    return out
+
+
+def _mode_chunk(arr, wts, vhat, channels, cfg: LatticeConfig, pot: Potential,
+                quad_tol: float, want_spectral: bool,
+                want_integral: bool) -> _PerK:
+    """Spectral, integral and exchange sums over one chunk of modes.
+
+    ``channels`` holds the ball index of s xi per sign s of the hit
+    zeta = k + s xi; the lune mask at that index says whether zeta hits.
     """
     out = _PerK()
-    vsq = vhat / (2.0 * TWO_PI_CUBED * k_f)
-    c, n = lam.shape
+    mask, lam = lune_kernel(arr, cfg)
+    g, counts = _gap_counts(mask, lam)
+    vsq = vhat / (2.0 * TWO_PI_CUBED * cfg.k_f)
+    hits = [(idx, mask[:, idx], lam[:, idx]) for idx in channels]
     if want_spectral:
-        u = np.sqrt(lam * vsq[:, None])
-        m = np.einsum("ci,cj->cij", u, 2.0 * u)
-        step = np.arange(n)
-        m[:, step, step] += lam**2
-        w, uvec = np.linalg.eigh(m)
-        sw = np.sqrt(w)
-        for idx, mask in zip(signs_idx, signs_mask):
-            row2 = uvec[:, idx, :] ** 2
-            lz = lam[:, idx]
-            a = np.einsum("cj,cj->c", row2, sw) / lz
-            ainv = np.einsum("cj,cj->c", row2, 1.0 / sw) * lz
-            dval = 0.5 * (a + ainv) - 1.0
-            out.nb_spectral += float(np.sum(weights * mask * dval))
+        _, rep, inv = np.unique(_orbit_key(arr), return_index=True,
+                                return_inverse=True)
+        per_gap = _cosh_minus_one_per_gap(g, counts[rep], vsq[rep])
+        for _, hit, lz in hits:
+            val = per_gap[inv[hit], np.searchsorted(g, lz[hit])]
+            out.nb_spectral += float(wts[hit] @ val)
     if want_integral:
-        pref = vhat / (EIGHT_PI4 * k_f)
-        for idx, mask in zip(signs_idx, signs_mask):
-            if not np.any(mask):
+        # q_k(s) = sum_g C[k, g] / (s^2 + g^2) with C[k, g] = 2 v_k^2 m_g g
+        resp = 2.0 * vsq[:, None] * counts * g
+        pref = vhat / (EIGHT_PI4 * cfg.k_f)
+        for _, hit, lz in hits:
+            if not np.any(hit):
                 continue
-            lz = lam[mask, idx]
-            lam_m = lam[mask]
-            vsq_m = vsq[mask]
+            resp_h, lz2 = resp[hit], lz[hit, None] ** 2
 
             def family(s):
                 s2 = s * s
-                q = 2.0 * vsq_m[:, None] * np.einsum(
-                    "cjm->cm", lam_m[:, :, None] / (s2[None, None, :]
-                                                    + lam_m[:, :, None] ** 2))
-                lz2 = lz[:, None] ** 2
-                return (s2[None, :] - lz2) / (s2[None, :] + lz2) ** 2 / (1.0 + q)
+                q = resp_h @ (1.0 / (s2[None, :] + g[:, None] ** 2))
+                return (s2 - lz2) / (s2 + lz2) ** 2 / (1.0 + q)
 
-            seed = float(np.exp(np.mean(np.log(lz))))
+            seed = float(np.exp(np.mean(np.log(lz[hit]))))
             vals, errs, _, ok = integrate_semi_infinite_batch(
-                family, int(np.count_nonzero(mask)), tol=quad_tol,
+                family, int(np.count_nonzero(hit)), tol=quad_tol,
                 seeds=(seed, 10.0 * seed))
-            out.nb_integral += float(np.sum(weights[mask] * pref[mask] * vals))
-            out.quad_error += float(np.sum(weights[mask] * pref[mask] * errs))
+            out.nb_integral += float(np.sum((wts * pref)[hit] * vals))
+            out.quad_error += float(np.sum((wts * pref)[hit] * errs))
             out.converged = out.converged and ok
+    # exchange: sum over p = k + q in the lune of V(p + zeta - k) / t^2
+    # with t = lam_p + lam_zeta, and |p + zeta - k|^2 = |k + q + s xi|^2
+    # = 2 t - |k|^2 + |q + s xi|^2
+    ex = 0.0
+    kn2 = np.einsum("mi,mi->m", arr, arr)
+    for idx, hit, lz in hits:
+        shifted = cfg.ball_arr + cfg.ball_arr[idx]
+        t = lam[hit] + lz[hit, None]
+        arg_n2 = (2.0 * t - kn2[hit, None]
+                  + np.einsum("ni,ni->n", shifted, shifted))
+        terms = np.divide(pot.from_norm2(arg_n2), t**2,
+                          out=np.zeros(t.shape), where=mask[hit])
+        ex += float((vhat * wts)[hit] @ np.sum(terms, axis=1))
+    out.n_ex = -ex / (8.0 * TWO_PI_6 * cfg.k_f**2)
     return out
-
-
-def _bulk_exchange(lam, vhat, kn2, kdq, qpm_n2, signs_idx, signs_mask,
-                   pot: Potential, k_f: float, weights) -> float:
-    """Vectorized exchange sum for full-lune modes (radial potentials).
-
-    The second potential argument p + zeta - k equals k + q +- xi, whose
-    squared norm is |k|^2 + 2 k.(q +- xi) + |q +- xi|^2; kdq and qpm_n2
-    carry those inner products and norms per sign channel.
-    """
-    total = np.zeros(lam.shape[0])
-    for (idx, mask), kd, qn2 in zip(zip(signs_idx, signs_mask), kdq, qpm_n2):
-        if not np.any(mask):
-            continue
-        arg_n2 = kn2[:, None] + 2.0 * kd + qn2[None, :]
-        v2 = pot.from_norm2(arg_n2)
-        lz = lam[:, idx]
-        total += mask * np.sum(v2 / (lam + lz[:, None]) ** 2, axis=1)
-    return -float(np.sum(weights * vhat * total)) / (8.0 * TWO_PI_6 * k_f**2)
 
 
 def _eval_k_block(ks: list, xi: Vec3, cfg: LatticeConfig, pot: Potential,
                   quad_tol: float, collapse: bool, want_spectral: bool,
                   want_integral: bool) -> _PerK:
-    """Evaluate a lex-sorted block of k vectors, orbit-reduced and batched.
+    """Evaluate a block of k vectors at an inside xi, orbit-reduced.
 
-    Modes whose lune is the full shifted ball (all of them once
-    |k| > 2 k_F) go through the vectorized bulk path; the remaining few
-    near the origin take the generic per-k path.  Orbit reduction under
-    the stabilizer of xi is exact for the potential's symmetry class.
+    Radial potentials run in mode chunks sorted by |k|^2 and orbit key,
+    so modes sharing a gap histogram sit together; the rest, and the
+    deduplicated candidates at xi != 0, take the per-k path.  Orbit
+    reduction under the stabilizer of xi is exact for the potential's
+    symmetry class.
     """
     if not ks:
         return _PerK()
     pairs = orbit_reduce(ks, xi, pot.symmetry)
-
-    bulk_ok = (pot.is_radial and norm2(xi) <= cfg.r2
-               and not (collapse and xi != (0, 0, 0)))
-    channels = [1, -1]
-    if collapse and xi == (0, 0, 0):
-        channels = [1]
-    smalls = []
-    bulk = []
-    if bulk_ok:
-        arr = np.array([k for k, _ in pairs], dtype=np.int64)
-        ball = np.array(cfg.ball, dtype=np.int64)
-        kq2 = (np.einsum("mi,ni->mn", arr, ball) * 2
-               + np.einsum("mi,mi->m", arr, arr)[:, None]
-               + np.einsum("ni,ni->n", ball, ball)[None, :])
-        full = np.min(kq2, axis=1) > cfg.r2
-        for i, (k, w) in enumerate(pairs):
-            (bulk if full[i] else smalls).append(i)
-        bulk_sel = np.array(bulk, dtype=int)
-    else:
-        smalls = list(range(len(pairs)))
-        bulk_sel = np.array([], dtype=int)
-
-    def small_work(i):
-        k, w = pairs[i]
-        part = _per_k(k, xi, cfg, pot, quad_tol, collapse,
-                      want_spectral, want_integral)
-        part.nb_spectral *= w
-        part.nb_integral *= w
-        part.n_ex *= w
-        part.quad_error *= w
-        return part
-
-    total = sum((small_work(i) for i in smalls), _PerK())
-
-    if bulk_sel.size:
-        xv = np.array(xi, dtype=np.int64)
-        ball = np.array(cfg.ball, dtype=np.int64)
-        ball_list = list(cfg.ball)
-        signs_idx = [ball_list.index(tuple(int(c) for c in (s * xv)))
-                     for s in channels]
-        qpm = [ball + s * xv for s in channels]
-        qpm_n2 = [np.einsum("ni,ni->n", q, q).astype(float) for q in qpm]
-
-        def bulk_work(sel):
-            arr_b = np.array([pairs[i][0] for i in sel], dtype=np.int64)
-            wts_b = np.array([pairs[i][1] for i in sel], dtype=float)
-            kn2 = np.einsum("mi,mi->m", arr_b, arr_b).astype(float)
-            vhat = pot.from_norm2(kn2)
-            kq = np.einsum("mi,ni->mn", arr_b, ball).astype(float)
-            # lam_{k, k+q} = (|k+q|^2 - |q|^2) / 2 = (|k|^2 + 2 k.q) / 2
-            lam = 0.5 * (kn2[:, None] + 2.0 * kq)
-            kdq = [np.einsum("mi,ni->mn", arr_b, q).astype(float) for q in qpm]
-            masks = []
-            for s, qn2, kd in zip(channels, qpm_n2, kdq):
-                zn2 = kn2 + 2.0 * np.einsum("mi,i->m", arr_b,
-                                            (s * xv).astype(float)) + norm2(xv)
-                masks.append(zn2 > cfg.r2)
-            part = _bulk_chunk(lam, vhat, signs_idx, masks, cfg.k_f,
-                               quad_tol, want_spectral, want_integral, wts_b)
-            part.n_ex = _bulk_exchange(lam, vhat, kn2, kdq, qpm_n2, signs_idx,
-                                       masks, pot, cfg.k_f, wts_b)
-            return part
-
-        chunks = [bulk_sel[i:i + _BULK_CHUNK]
-                  for i in range(0, bulk_sel.size, _BULK_CHUNK)]
-        total = total + sum((bulk_work(c) for c in chunks), _PerK())
+    if not pot.is_radial or (collapse and xi != (0, 0, 0)):
+        return sum((_per_k(k, xi, cfg, pot, quad_tol, collapse, want_spectral,
+                           want_integral, w) for k, w in pairs), _PerK())
+    arr = np.array([k for k, _ in pairs], dtype=np.int64)
+    wts = np.array([w for _, w in pairs], dtype=float)
+    kn2 = np.einsum("mi,mi->m", arr, arr)
+    vhat = pot.from_norm2(kn2)
+    order = np.lexsort((_orbit_key(arr), kn2))
+    order = order[vhat[order] != 0.0]
+    signs = (1,) if collapse else (1, -1)
+    channels = [cfg.ball.index(tuple(s * c for c in xi)) for s in signs]
+    total = _PerK()
+    for start in range(0, order.size, _CHUNK):
+        sel = order[start:start + _CHUNK]
+        total = total + _mode_chunk(arr[sel], wts[sel], vhat[sel], channels,
+                                    cfg, pot, quad_tol, want_spectral,
+                                    want_integral)
     return total
 
 
@@ -333,15 +327,12 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
 
     Exact supports are summed outright (tail 0); truncated supports are
     doubled until every tracked component moves by less than the
-    relative tail tolerance.  Reduction order is sorted-k.
+    relative tail tolerance.  Reduction order is fixed by the k-list.
     """
-    def work(k):
-        return _per_k(k, xi, cfg, pot, quad_tol, collapse,
-                      want_spectral, want_integral)
-
     support = k_support(xi, cfg, policy)
     if support.exact:
-        total = sum((work(k) for k in support.finite_part), _PerK())
+        total = sum((_per_k(k, xi, cfg, pot, quad_tol, collapse, want_spectral,
+                            want_integral) for k in support.finite_part), _PerK())
         return total, 0.0, len(support.finite_part), total.converged
 
     k_cut = policy.initial_k_max(cfg)
@@ -349,6 +340,9 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
     total = _eval_k_block(ks, xi, cfg, pot, quad_tol, collapse,
                           want_spectral, want_integral)
     n_k = len(ks)
+    tracked = [name for name, on in (("nb_spectral", want_spectral),
+                                     ("nb_integral", want_integral),
+                                     ("n_ex", True)) if on]
     tail = np.inf
     converged = False
     for _ in range(policy.max_doublings):
@@ -358,14 +352,8 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
                             want_spectral, want_integral)
         new_total = total + inc
         n_k += len(shell)
-        deltas = []
-        for name in ("nb_spectral", "nb_integral", "n_ex"):
-            if name == "nb_spectral" and not want_spectral:
-                continue
-            if name == "nb_integral" and not want_integral:
-                continue
-            new_v = getattr(new_total, name)
-            deltas.append((abs(getattr(inc, name)), abs(new_v)))
+        deltas = [(abs(getattr(inc, name)), abs(getattr(new_total, name)))
+                  for name in tracked]
         tail = max(d for d, _ in deltas)
         total, k_cut = new_total, new_cut
         if all(d <= policy.tail_tol * max(v, 1e-300) for d, v in deltas):

@@ -81,8 +81,8 @@ def _gauss_kronrod(g: Callable[[np.ndarray], np.ndarray],
     Sharing panels is conservative: each member's error estimate is a
     valid Kronrod-Gauss bound on its own panel sums.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     edges = sorted(set(float(e) for e in edges))
     if len(edges) < 2:
         raise ValueError("need at least two panel edges")

@@ -1,4 +1,4 @@
-"""Plain-loop reference implementations of the vectorized lattice and energy kernels.
+"""Plain-loop reference implementations of the vectorized lattice, energy and momentum kernels.
 
 Each function here is the straightforward per-point form of a hot-path
 kernel in ``fermigas``: a Python loop over the ball, a dense pair sum
@@ -15,9 +15,12 @@ import numpy as np
 from fermigas.energy import stable_log1p_minus_x
 from fermigas.lattice import (add, as_vec3, lambda_of, nonzero_k_vectors, norm2,
                               stabilizer_group)
-from fermigas.numerics import integrate_semi_infinite
+from fermigas.numerics import (integrate_semi_infinite,
+                               integrate_semi_infinite_batch)
 from fermigas.potential import evaluate
-from fermigas.quasiboson import TWO_PI_CUBED, build_mode, q_of_s
+from fermigas.quasiboson import TWO_PI_6, TWO_PI_CUBED, build_mode, q_of_s
+
+EIGHT_PI4 = 8.0 * np.pi**4
 
 
 def lune_loop(k, cfg):
@@ -82,3 +85,78 @@ def orbit_reduce_einsum(ks, xi, symmetry):
     keep = encode(arr) == keys.min(axis=0)
     weights = [len(set(col)) for col in keys[:, keep].T.tolist()]
     return [(tuple(k), w) for k, w in zip(arr[keep].tolist(), weights)]
+
+
+def _bulk_inputs(ks, xi, cfg, pot, signs):
+    """Couplings, full (m, N) gap table and per-channel hit data of full-lune modes."""
+    arr = np.array(ks, dtype=np.int64)
+    kn2 = np.einsum("mi,mi->m", arr, arr).astype(float)
+    xv = np.array(xi, dtype=np.int64)
+    # lam_{k, k+q} = (|k+q|^2 - |q|^2) / 2 = (|k|^2 + 2 k.q) / 2
+    lam = 0.5 * (kn2[:, None] + 2.0 * (arr @ cfg.ball_arr.T))
+    channels = [(cfg.ball.index(tuple(int(c) for c in s * xv)),
+                 np.einsum("mi,mi->m", arr + s * xv, arr + s * xv) > cfg.r2,
+                 cfg.ball_arr + s * xv) for s in signs]
+    return arr, kn2, pot.from_norm2(kn2), lam, channels
+
+
+def bulk_chunk(ks, xi, cfg, pot, signs, quad_tol):
+    """(spectral, integral, quad error, converged) summed over full-lune modes.
+
+    Each mode gets one eigh of its full N x N core and, per sign
+    channel of zeta = k + s xi, one integrand over all N gaps.
+    """
+    _, _, vhat, lam, channels = _bulk_inputs(ks, xi, cfg, pot, signs)
+    vsq = vhat / (2.0 * TWO_PI_CUBED * cfg.k_f)
+    n = lam.shape[1]
+    u = np.sqrt(lam * vsq[:, None])
+    m = np.einsum("ci,cj->cij", u, 2.0 * u)
+    step = np.arange(n)
+    m[:, step, step] += lam**2
+    w, uvec = np.linalg.eigh(m)
+    sw = np.sqrt(w)
+    spectral = integral = err = 0.0
+    ok = True
+    pref = vhat / (EIGHT_PI4 * cfg.k_f)
+    for idx, mask, _ in channels:
+        row2 = uvec[:, idx, :] ** 2
+        lz = lam[:, idx]
+        a = np.einsum("cj,cj->c", row2, sw) / lz
+        ainv = np.einsum("cj,cj->c", row2, 1.0 / sw) * lz
+        spectral += float(np.sum(mask * (0.5 * (a + ainv) - 1.0)))
+        if not np.any(mask):
+            continue
+        lz, lam_m, vsq_m = lz[mask], lam[mask], vsq[mask]
+
+        def family(s):
+            s2 = s * s
+            q = 2.0 * vsq_m[:, None] * np.einsum(
+                "cjm->cm", lam_m[:, :, None] / (s2[None, None, :]
+                                                + lam_m[:, :, None] ** 2))
+            lz2 = lz[:, None] ** 2
+            return (s2[None, :] - lz2) / (s2[None, :] + lz2) ** 2 / (1.0 + q)
+
+        seed = float(np.exp(np.mean(np.log(lz))))
+        vals, errs, _, conv = integrate_semi_infinite_batch(
+            family, int(np.count_nonzero(mask)), tol=quad_tol,
+            seeds=(seed, 10.0 * seed))
+        integral += float(np.sum(pref[mask] * vals))
+        err += float(np.sum(pref[mask] * errs))
+        ok = ok and conv
+    return spectral, integral, err, ok
+
+
+def bulk_exchange(ks, xi, cfg, pot, signs):
+    """Exchange term summed over full-lune modes: a pair sum over the whole ball.
+
+    The second potential argument p + zeta - k equals k + q + s xi, whose
+    squared norm is |k|^2 + 2 k.(q + s xi) + |q + s xi|^2.
+    """
+    arr, kn2, vhat, lam, channels = _bulk_inputs(ks, xi, cfg, pot, signs)
+    total = np.zeros(len(ks))
+    for idx, mask, qpm in channels:
+        arg_n2 = (kn2[:, None] + 2.0 * (arr @ qpm.T)
+                  + np.einsum("ni,ni->n", qpm, qpm)[None, :])
+        v2 = pot.from_norm2(arg_n2)
+        total += mask * np.sum(v2 / (lam + lam[:, idx, None]) ** 2, axis=1)
+    return -float(np.sum(vhat * total)) / (8.0 * TWO_PI_6 * cfg.k_f**2)

@@ -114,6 +114,26 @@ def test_config_error_exit_2(capsys):
     assert code == 2
 
 
+def test_non_finite_kf_exit_2(capsys):
+    for kf in ("inf", "nan"):
+        assert main(["lattice-info", "--kf", kf]) == 2
+        assert "k_f must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("momentum", "--xi", "1,1,0", "--route", "both", "--quad-tol", "nan"),
+     "tol must be positive"),
+    (("momentum", "--xi", "0,0,0", "--tail-tol", "-1"),
+     "tail_tol must be positive"),
+    (("momentum", "--xi", "0,0,0", "--tail-tol", "nan"),
+     "tail_tol must be positive"),
+    (("energy", "--max-doublings", "-2"), "max_doublings nonnegative"),
+])
+def test_bad_numeric_options_exit_2(capsys, argv, message):
+    assert main([*argv, "--kf", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_rejects_bad_potential_table(capsys, tmp_path):
     path = tmp_path / "asym.txt"
     path.write_text("1 0 0 1.0\n")

@@ -32,6 +32,39 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level private functions, classes and constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in a module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def _unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
+    """Private module-level names that no module of the package refers to."""
+    refs = set().union(*(_references(t) for t in trees.values()))
+    return [f"{mod}:{name}" for mod, tree in sorted(trees.items())
+            for name in _private_definitions(tree) if name not in refs]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
@@ -42,3 +75,18 @@ def test_unused_import_is_found():
                      "from __future__ import annotations\n"
                      "__all__ = ['b']\nprint(d)\n")
     assert _unused_imports(tree) == ["os (line 1)"]
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    assert _unreferenced_private(trees) == []
+
+
+def test_unreferenced_private_definition_is_found():
+    trees = {"a.py": ast.parse("_USED = 1\n_DEAD = 2\n_T: int = 3\n"
+                               "def _f():\n    return _USED\n"
+                               "class _Gone:\n    pass\n"
+                               "def public():\n    pass\n"),
+             "b.py": ast.parse("from .a import _f\n")}
+    assert _unreferenced_private(trees) == ["a.py:_DEAD", "a.py:_T",
+                                            "a.py:_Gone"]

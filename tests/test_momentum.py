@@ -3,14 +3,22 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fermigas.lattice import (TailPolicy, d_intersection, fermi_ball,
-                              lambda_of, lune, nonzero_k_vectors, norm2)
-from fermigas.momentum import (MomentumBreakdown, Observable, _exchange_term,
-                               _integral_term, _spectral_term, n_boson_integral,
-                               n_boson_spectral, n_exchange, n_point,
-                               n_weighted)
-from fermigas.potential import coulomb, evaluate, zero
-from fermigas.quasiboson import build_mode, cosh2k_minus_one_diag
+                              lambda_of, lune, lune_kernel, nonzero_k_vectors,
+                              norm2, signed_perm_group, truncated_k_vectors)
+from fermigas.momentum import (MomentumBreakdown, Observable, _PerK,
+                               _cosh_minus_one_per_gap, _eval_k_block,
+                               _exchange_term, _gap_counts, _integral_term,
+                               _mode_chunk, _orbit_key, _per_k, _spectral_term,
+                               n_boson_integral, n_boson_spectral, n_exchange,
+                               n_point, n_weighted)
+from fermigas.potential import coulomb, evaluate, yukawa, zero
+from fermigas.quasiboson import build_mode, cosh2k_minus_one_diag, q_of_s
+
+from oracles import bulk_chunk, bulk_exchange
 
 TWO_PI_6 = (2.0 * np.pi) ** 6
 FAST = TailPolicy(k_max=4, tail_tol=1e-3, max_doublings=2)
@@ -145,8 +153,6 @@ def test_collapse_flag_halves_origin():
 
 
 def test_orbit_and_bulk_path_match_plain_per_k():
-    from fermigas.momentum import _PerK, _eval_k_block, _per_k
-    from fermigas.lattice import truncated_k_vectors
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
     xi = (1, 0, 0)
@@ -157,6 +163,94 @@ def test_orbit_and_bulk_path_match_plain_per_k():
     assert fast.nb_spectral == pytest.approx(plain.nb_spectral, rel=1e-10)
     assert fast.nb_integral == pytest.approx(plain.nb_integral, rel=1e-10)
     assert fast.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
+
+
+# near (partial-lune, |k| <= 2 k_F) and far (full-lune) transfers
+BLOCK_KS = {
+    2.0: [(1, 0, 0), (1, 1, 1), (2, 1, 0), (3, 1, 1), (0, 4, 0),
+          (5, 2, 1), (3, 3, 3), (8, 3, 2), (-11, 4, 1)],
+    3.0: [(1, 0, 0), (2, 2, 1), (4, 1, 0), (0, 3, -3), (7, 2, 2),
+          (6, 6, 0), (11, 5, 3)],
+}
+
+
+@pytest.mark.parametrize("kf", sorted(BLOCK_KS))
+def test_deflated_diag_matches_full_lune(kf):
+    cfg = fermi_ball(kf)
+    modes = [build_mode(k, cfg, coulomb(1.0)) for k in BLOCK_KS[kf]]
+    g, counts = _gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
+    per_gap = _cosh_minus_one_per_gap(g, counts,
+                                      np.array([m.vsq for m in modes]))
+    for row, mode in enumerate(modes):
+        col = np.searchsorted(g, mode.h)
+        assert np.array_equal(g[col], mode.h)
+        assert counts[row].sum() == mode.dim
+        # both routes form (A + A^-1)/2 - 1 from O(1) terms, so each
+        # carries an absolute error of order N eps (N <= 123 here)
+        np.testing.assert_allclose(per_gap[row, col],
+                                   cosh2k_minus_one_diag(mode),
+                                   rtol=1e-9, atol=123 * 2.3e-16)
+
+
+def test_gap_table_response_matches_q_of_s():
+    s = np.array([0.0, 0.05, 0.5, 1.0, 3.0, 10.0, 1e3])
+    for kf, pot in ((2.0, coulomb(1.0)), (3.0, yukawa(2.0, 0.5))):
+        cfg = fermi_ball(kf)
+        modes = [build_mode(k, cfg, pot) for k in BLOCK_KS[kf]]
+        g, counts = _gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
+        vsq = np.array([m.vsq for m in modes])
+        q = (2.0 * vsq[:, None] * counts * g) @ (
+            1.0 / (s[None, :] ** 2 + g[:, None] ** 2))
+        for row, mode in zip(q, modes):
+            np.testing.assert_allclose(row, q_of_s(mode, s), rtol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+       .filter(lambda k: k != (0, 0, 0)),
+       kf=st.sampled_from([1.0, 2**0.5, 2.0, 2.5, 3.0]))
+def test_gap_histogram_is_point_group_invariant(k, kf):
+    cfg = fermi_ball(kf)
+    images = signed_perm_group() @ np.array(k)
+    g, counts = _gap_counts(*lune_kernel(images, cfg))
+    lam_d, m_d = np.unique(lune(k, cfg).lambdas, return_counts=True)
+    assert np.array_equal(g, lam_d)
+    assert np.array_equal(counts, np.broadcast_to(m_d, (48, lam_d.size)))
+    assert np.all(_orbit_key(images) == _orbit_key(images)[0])
+
+
+@pytest.mark.parametrize("xi, collapse", [
+    ((0, 0, 0), False), ((1, 0, 0), False), ((1, 1, 0), False),
+    ((2, 0, 0), False), ((0, 0, 0), True)])
+def test_mode_block_matches_plain_per_k_kf2(xi, collapse):
+    cfg = fermi_ball(2.0)
+    pot = coulomb(1.0)
+    ks = truncated_k_vectors(xi, cfg, 5)
+    plain = sum((_per_k(k, xi, cfg, pot, 1e-9, collapse, True, True)
+                 for k in ks), _PerK())
+    fast = _eval_k_block(ks, xi, cfg, pot, 1e-9, collapse, True, True)
+    assert fast.nb_spectral == pytest.approx(plain.nb_spectral, rel=1e-10)
+    assert fast.nb_integral == pytest.approx(plain.nb_integral, rel=1e-10)
+    assert fast.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
+    assert fast.converged and plain.converged
+
+
+@pytest.mark.parametrize("xi", [(0, 0, 0), (1, 0, 0), (1, 1, 1)])
+def test_mode_chunk_matches_full_lune_bulk_oracle(xi):
+    cfg = fermi_ball(2.0)
+    pot = coulomb(1.0)
+    ks = truncated_k_vectors(xi, cfg, 7, k_min_excl=4)
+    arr = np.array(ks)
+    vhat = pot.from_norm2(np.einsum("mi,mi->m", arr, arr))
+    channels = [cfg.ball.index(tuple(s * c for c in xi)) for s in (1, -1)]
+    fast = _mode_chunk(arr, np.ones(len(ks)), vhat, channels, cfg, pot,
+                       1e-9, True, True)
+    spectral, integral, _, ok = bulk_chunk(ks, xi, cfg, pot, (1, -1), 1e-9)
+    assert fast.nb_spectral == pytest.approx(spectral, rel=1e-9)
+    assert fast.nb_integral == pytest.approx(integral, rel=1e-9)
+    assert fast.n_ex == pytest.approx(bulk_exchange(ks, xi, cfg, pot, (1, -1)),
+                                      rel=1e-12)
+    assert fast.converged and ok
 
 
 def test_table_potential_inside_point_uses_generic_path():
