@@ -93,6 +93,14 @@ class LatticeConfig:
         arr.flags.writeable = False
         return arr
 
+    def ball_index(self, pts) -> np.ndarray:
+        """Row in ``ball_arr`` of each point of an (..., 3) array; -1 off the ball."""
+        pts = np.asarray(pts, dtype=np.int64)
+        # balanced base-(2r+1) digits order keys as ball_arr is ordered
+        digits = (2 * math.isqrt(self.r2) + 1) ** np.arange(2, -1, -1)
+        rows = np.searchsorted(self.ball_arr @ digits, pts @ digits)
+        return np.where(np.einsum("...i,...i->...", pts, pts) <= self.r2, rows, -1)
+
     def in_ball(self, p: Sequence[int]) -> bool:
         return norm2(p) <= self.r2
 
@@ -286,15 +294,10 @@ def k_support(xi: Sequence[int], cfg: LatticeConfig,
     policy = policy or TailPolicy()
     xv = as_vec3(xi)
     if norm2(xv) > cfg.r2:
-        ks = set()
-        for q in cfg.ball:
-            for base in (xv, neg(xv)):
-                k = add(base, q)
-                if k != (0, 0, 0):
-                    ks.add(k)
-        # keep only k whose lune actually meets {xi, -xi}
-        ks = [k for k in sorted(ks)
-              if cfg.in_lune(k, xv) or cfg.in_lune(k, neg(xv))]
+        # xi sits in the lune of k iff k is in xi + B_F, and -xi iff k is
+        # in -xi + B_F; the two balls are disjoint and miss 0 as |xi| > k_F
+        ks = np.concatenate([cfg.ball_arr + xv, cfg.ball_arr - xv])
+        ks = map(tuple, ks[np.lexsort(ks.T[::-1])].tolist())
         return KSupport(xi=xv, exact=True, finite_part=tuple(ks), policy=policy)
     return KSupport(xi=xv, exact=False, finite_part=(), policy=policy)
 

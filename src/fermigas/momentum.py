@@ -21,9 +21,12 @@ Outside the Fermi ball the k-support is exactly finite; inside it the
 k-sum is truncated with a cutoff-doubling policy and the last increment
 is reported as the tail estimate.
 
-Inside the ball a radial potential's k-sum runs over masked mode
-blocks: the only lune hits are k +- xi, at the fixed ball indices +-xi,
-so near and full lunes share one (m, N) lune mask and gap table.  n_b
+A radial potential's k-sum runs over masked mode blocks: one (m, N)
+lune mask and gap table per chunk, with per mode and sign s one ball
+column q_z of the candidate hit zeta = k + q_z.  Inside the ball the
+hits are k +- xi, at the fixed columns +-xi, and near and full lunes
+share the block; outside it they are +-xi, at the column of s xi - k
+where that point is in the ball, and each support k hits one.  n_b
 sees a lune only through its gap histogram (gaps lam_d, multiplicities
 m_d).  Spectral: the core h^2 + 2 u u^T deflates exactly to
 diag(lam_d^2) + 2 w w^T, w_d^2 = m_d lam_d v^2 (Golub 1973), and
@@ -32,8 +35,9 @@ the histogram is invariant under the 48 signed permutations of k, as
 the ball is, so modes with equal sorted |k| share one eigensolve.
 Integral: q_k(s) = sum_g C[k, g] / (s^2 + g^2) is one matmul over the
 block's distinct gaps g, with C[k, g] = 2 v^2 m_g g.  The exchange part
-is no histogram function and stays a masked pair sum.  Outside points
-and non-radial potentials take the per-k path.
+is no histogram function and stays a masked pair sum.  Non-radial
+potentials, and the deduplicated candidates at an inside xi != 0, take
+the per-k path, which builds each mode's full lune.
 """
 
 from __future__ import annotations
@@ -169,6 +173,8 @@ class _PerK:
 def _per_k(k: Vec3, xi: Vec3, cfg: LatticeConfig, pot: Potential,
            quad_tol: float, collapse: bool, want_spectral: bool,
            want_integral: bool, weight: float = 1.0) -> _PerK:
+    """One mode's contributions from its full lune: the path of table
+    potentials and of the deduplicated candidates at an inside xi != 0."""
     zetas = Counter(d_intersection(k, xi, cfg, collapse_coincident=collapse))
     if not zetas or evaluate(pot, k) == 0.0:
         return _PerK()
@@ -211,7 +217,8 @@ def _cosh_minus_one_per_gap(g: np.ndarray, counts: np.ndarray,
     """
     out = np.zeros(counts.shape)
     sizes = np.count_nonzero(counts, axis=1)
-    for d in np.unique(sizes):
+    # not np.unique: without extra outputs it imports numpy.ma (~1 MB)
+    for d in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == d)
         nz = np.nonzero(counts[rows])
         m = counts[rows][nz].reshape(-1, d)
@@ -228,19 +235,22 @@ def _cosh_minus_one_per_gap(g: np.ndarray, counts: np.ndarray,
     return out
 
 
-def _mode_chunk(arr, wts, vhat, channels, cfg: LatticeConfig, pot: Potential,
+def _mode_chunk(arr, wts, vhat, cols, cfg: LatticeConfig, pot: Potential,
                 quad_tol: float, want_spectral: bool,
                 want_integral: bool) -> _PerK:
     """Spectral, integral and exchange sums over one chunk of modes.
 
-    ``channels`` holds the ball index of s xi per sign s of the hit
-    zeta = k + s xi; the lune mask at that index says whether zeta hits.
+    ``cols`` is (m, channels): per mode and channel the ball column q of
+    the candidate hit zeta = k + q, -1 for none; the lune mask at that
+    column says whether zeta hits.
     """
     out = _PerK()
     mask, lam = lune_kernel(arr, cfg)
     g, counts = _gap_counts(mask, lam)
     vsq = vhat / (2.0 * TWO_PI_CUBED * cfg.k_f)
-    hits = [(idx, mask[:, idx], lam[:, idx]) for idx in channels]
+    rows = np.arange(arr.shape[0])
+    hits = [(col, (col >= 0) & mask[rows, col], lam[rows, col])
+            for col in cols.T]
     if want_spectral:
         _, rep, inv = np.unique(_orbit_key(arr), return_index=True,
                                 return_inverse=True)
@@ -270,15 +280,18 @@ def _mode_chunk(arr, wts, vhat, channels, cfg: LatticeConfig, pot: Potential,
             out.quad_error += float(np.sum((wts * pref)[hit] * errs))
             out.converged = out.converged and ok
     # exchange: sum over p = k + q in the lune of V(p + zeta - k) / t^2
-    # with t = lam_p + lam_zeta, and |p + zeta - k|^2 = |k + q + s xi|^2
-    # = 2 t - |k|^2 + |q + s xi|^2
+    # with t = lam_p + lam_zeta, zeta = k + q_z, and |p + zeta - k|^2 =
+    # |k + q + q_z|^2 = 2 t - |k|^2 + |q + q_z|^2 (exact in integers)
     ex = 0.0
     kn2 = np.einsum("mi,mi->m", arr, arr)
-    for idx, hit, lz in hits:
-        shifted = cfg.ball_arr + cfg.ball_arr[idx]
+    ball = cfg.ball_arr
+    for col, hit, lz in hits:
+        qz = ball[col[hit]]
         t = lam[hit] + lz[hit, None]
         arg_n2 = (2.0 * t - kn2[hit, None]
-                  + np.einsum("ni,ni->n", shifted, shifted))
+                  + (np.einsum("ni,ni->n", ball, ball)
+                     + np.einsum("hi,hi->h", qz, qz)[:, None]
+                     + 2 * qz @ ball.T))
         terms = np.divide(pot.from_norm2(arg_n2), t**2,
                           out=np.zeros(t.shape), where=mask[hit])
         ex += float((vhat * wts)[hit] @ np.sum(terms, axis=1))
@@ -286,35 +299,43 @@ def _mode_chunk(arr, wts, vhat, channels, cfg: LatticeConfig, pot: Potential,
     return out
 
 
-def _eval_k_block(ks: list, xi: Vec3, cfg: LatticeConfig, pot: Potential,
-                  quad_tol: float, collapse: bool, want_spectral: bool,
-                  want_integral: bool) -> _PerK:
-    """Evaluate a block of k vectors at an inside xi, orbit-reduced.
+def _eval_k_block(ks: Sequence[Vec3], xi: Vec3, cfg: LatticeConfig,
+                  pot: Potential, quad_tol: float, collapse: bool,
+                  want_spectral: bool, want_integral: bool) -> _PerK:
+    """Evaluate a block of k vectors at xi.
 
-    Radial potentials run in mode chunks sorted by |k|^2 and orbit key,
-    so modes sharing a gap histogram sit together; the rest, and the
-    deduplicated candidates at xi != 0, take the per-k path.  Orbit
-    reduction under the stabilizer of xi is exact for the potential's
-    symmetry class.
+    Inside the ball the block is orbit-reduced under the stabilizer of
+    xi, which is exact for the potential's symmetry class, and the hits
+    are k + s xi; outside it every k has weight 1 and the hits are s xi.
+    Radial potentials run in mode chunks, inside sorted by |k|^2 and
+    orbit key so modes sharing a gap histogram sit together, outside in
+    the order of ``ks``.  Non-radial potentials, and the deduplicated
+    candidates at an inside xi != 0, take the per-k path.
     """
     if not ks:
         return _PerK()
-    pairs = orbit_reduce(ks, xi, pot.symmetry)
-    if not pot.is_radial or (collapse and xi != (0, 0, 0)):
+    inside = norm2(xi) <= cfg.r2
+    pairs = orbit_reduce(ks, xi, pot.symmetry) if inside else [(k, 1) for k in ks]
+    if not pot.is_radial or (collapse and inside and xi != (0, 0, 0)):
         return sum((_per_k(k, xi, cfg, pot, quad_tol, collapse, want_spectral,
                            want_integral, w) for k, w in pairs), _PerK())
     arr = np.array([k for k, _ in pairs], dtype=np.int64)
     wts = np.array([w for _, w in pairs], dtype=float)
     kn2 = np.einsum("mi,mi->m", arr, arr)
     vhat = pot.from_norm2(kn2)
-    order = np.lexsort((_orbit_key(arr), kn2))
+    # ball column of zeta - k per sign s: k + s xi - k inside, s xi - k
+    # outside (off the ball, -1, where s xi misses the lune of k)
+    signs = np.array((1,) if collapse and inside else (1, -1))
+    cols = cfg.ball_index(signs[:, None] * np.array(xi)
+                          - (0 if inside else arr[:, None]))
+    cols = np.broadcast_to(cols, (arr.shape[0], signs.size))
+    order = (np.lexsort((_orbit_key(arr), kn2)) if inside
+             else np.arange(arr.shape[0]))
     order = order[vhat[order] != 0.0]
-    signs = (1,) if collapse else (1, -1)
-    channels = [cfg.ball.index(tuple(s * c for c in xi)) for s in signs]
     total = _PerK()
     for start in range(0, order.size, _CHUNK):
         sel = order[start:start + _CHUNK]
-        total = total + _mode_chunk(arr[sel], wts[sel], vhat[sel], channels,
+        total = total + _mode_chunk(arr[sel], wts[sel], vhat[sel], cols[sel],
                                     cfg, pot, quad_tol, want_spectral,
                                     want_integral)
     return total
@@ -325,14 +346,15 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
                       want_spectral: bool, want_integral: bool):
     """Accumulate per-k contributions over the k-support of xi.
 
-    Exact supports are summed outright (tail 0); truncated supports are
-    doubled until every tracked component moves by less than the
-    relative tail tolerance.  Reduction order is fixed by the k-list.
+    Exact supports (xi outside the ball) are one block in the support's
+    lex order (tail 0); truncated supports are doubled until every
+    tracked component moves by less than the relative tail tolerance.
+    Reduction order is fixed by the k-list.
     """
     support = k_support(xi, cfg, policy)
     if support.exact:
-        total = sum((_per_k(k, xi, cfg, pot, quad_tol, collapse, want_spectral,
-                            want_integral) for k in support.finite_part), _PerK())
+        total = _eval_k_block(support.finite_part, xi, cfg, pot, quad_tol,
+                              collapse, want_spectral, want_integral)
         return total, 0.0, len(support.finite_part), total.converged
 
     k_cut = policy.initial_k_max(cfg)

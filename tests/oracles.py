@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from fermigas.energy import stable_log1p_minus_x
-from fermigas.lattice import (add, as_vec3, lambda_of, nonzero_k_vectors, norm2,
-                              stabilizer_group)
+from fermigas.lattice import (add, as_vec3, lambda_of, neg, nonzero_k_vectors,
+                              norm2, stabilizer_group)
 from fermigas.numerics import (integrate_semi_infinite,
                                integrate_semi_infinite_batch)
 from fermigas.potential import evaluate
@@ -28,6 +28,15 @@ def lune_loop(k, cfg):
     kv = as_vec3(k)
     pts = sorted(p for q in cfg.ball if norm2(p := add(kv, q)) > cfg.r2)
     return tuple(pts), np.array([lambda_of(kv, p) for p in pts], dtype=float)
+
+
+def k_support_loop(xi, cfg):
+    """Exact k-support of an outside xi: shifted-ball candidates kept by two lune tests."""
+    xv = as_vec3(xi)
+    ks = {add(base, q) for q in cfg.ball for base in (xv, neg(xv))}
+    ks.discard((0, 0, 0))
+    return tuple(k for k in sorted(ks)
+                 if cfg.in_lune(k, xv) or cfg.in_lune(k, neg(xv)))
 
 
 def e_fs_interaction_loop(cfg, pot):

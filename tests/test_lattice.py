@@ -8,7 +8,7 @@ from fermigas.lattice import (TailPolicy, ball_points, d_intersection,
                               kappa_and_weight, lambda_of, lune, lune_kernel,
                               neg, nonzero_k_vectors, norm2, orbit_reduce,
                               signed_perm_group, truncated_k_vectors)
-from oracles import lune_loop, orbit_reduce_einsum
+from oracles import k_support_loop, lune_loop, orbit_reduce_einsum
 
 
 def brute_ball(r2):
@@ -203,6 +203,28 @@ def test_k_support_outside_is_exactly_finite():
     # support does not depend on the policy cutoff
     sup2 = k_support((2, 0, 0), cfg, TailPolicy(k_max=50))
     assert sup2.finite_part == sup.finite_part
+
+
+@pytest.mark.parametrize("k_f", [0.5, 1.0, 2**0.5, 2.0, 3.0])
+def test_k_support_outside_matches_loop_oracle(k_f):
+    cfg = fermi_ball(k_f)
+    r = math.isqrt(cfg.r2)
+    for xi in ((r + 1, 0, 0), (r, 1, 0), (-r, r, 1), (0, -r - 2, 3), (9, 9, 9)):
+        if norm2(xi) > cfg.r2:
+            assert k_support(xi, cfg).finite_part == k_support_loop(xi, cfg)
+
+
+def test_ball_index_matches_tuple_index():
+    for k_f in (0.5, 1.0, 2.0, 3.0):
+        cfg = fermi_ball(k_f)
+        r = math.isqrt(cfg.r2) + 2
+        axis = np.arange(-r, r + 1)
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+        want = [cfg.ball.index(p) if p in cfg.ball else -1
+                for p in map(tuple, pts.reshape(-1, 3).tolist())]
+        got = cfg.ball_index(pts)
+        assert got.shape == pts.shape[:-1]
+        assert got.ravel().tolist() == want
 
 
 def test_k_support_inside_is_truncated():

@@ -1,14 +1,17 @@
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, d_intersection, fermi_ball,
-                              lambda_of, lune, lune_kernel, nonzero_k_vectors,
-                              norm2, signed_perm_group, truncated_k_vectors)
+                              k_support, lambda_of, lune, lune_kernel,
+                              nonzero_k_vectors, norm2, signed_perm_group,
+                              truncated_k_vectors)
 from fermigas.momentum import (MomentumBreakdown, Observable, _PerK,
                                _cosh_minus_one_per_gap, _eval_k_block,
                                _exchange_term, _gap_counts, _integral_term,
@@ -16,7 +19,8 @@ from fermigas.momentum import (MomentumBreakdown, Observable, _PerK,
                                n_boson_integral, n_boson_spectral, n_exchange,
                                n_point, n_weighted)
 from fermigas.potential import coulomb, evaluate, yukawa, zero
-from fermigas.quasiboson import build_mode, cosh2k_minus_one_diag, q_of_s
+from fermigas.quasiboson import (TWO_PI_CUBED, build_mode,
+                                 cosh2k_minus_one_diag, q_of_s)
 
 from oracles import bulk_chunk, bulk_exchange
 
@@ -242,8 +246,8 @@ def test_mode_chunk_matches_full_lune_bulk_oracle(xi):
     ks = truncated_k_vectors(xi, cfg, 7, k_min_excl=4)
     arr = np.array(ks)
     vhat = pot.from_norm2(np.einsum("mi,mi->m", arr, arr))
-    channels = [cfg.ball.index(tuple(s * c for c in xi)) for s in (1, -1)]
-    fast = _mode_chunk(arr, np.ones(len(ks)), vhat, channels, cfg, pot,
+    cols = np.broadcast_to(cfg.ball_index([xi, [-c for c in xi]]), (len(ks), 2))
+    fast = _mode_chunk(arr, np.ones(len(ks)), vhat, cols, cfg, pot,
                        1e-9, True, True)
     spectral, integral, _, ok = bulk_chunk(ks, xi, cfg, pot, (1, -1), 1e-9)
     assert fast.nb_spectral == pytest.approx(spectral, rel=1e-9)
@@ -251,6 +255,105 @@ def test_mode_chunk_matches_full_lune_bulk_oracle(xi):
     assert fast.n_ex == pytest.approx(bulk_exchange(ks, xi, cfg, pot, (1, -1)),
                                       rel=1e-12)
     assert fast.converged and ok
+
+
+def _no_per_k(*args, **kwargs):
+    raise AssertionError("per-k path taken")
+
+
+OUTSIDE = [(1.0, (1, 1, 0)), (1.0, (2, 0, 0)), (1.0, (9, 9, 9)),
+           (2.0, (3, 0, 0)), (2.0, (2, 2, 1)), (3.0, (3, 1, 0)), (3.0, (4, 1, 1))]
+
+
+@pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(2.0, 0.5)],
+                         ids=["coulomb", "yukawa"])
+@pytest.mark.parametrize("kf, xi", OUTSIDE)
+def test_outside_block_matches_plain_per_k(kf, xi, pot, monkeypatch):
+    cfg = fermi_ball(kf)
+    ks = k_support(xi, cfg).finite_part
+    plain = sum((_per_k(k, xi, cfg, pot, 1e-9, False, True, True) for k in ks),
+                _PerK())
+    monkeypatch.setattr(momentum, "_per_k", _no_per_k)
+    row = n_point(xi, cfg, pot, route="both")
+    assert row.k_modes_used == len(ks) and row.tail_estimate == 0.0
+    assert row.converged and plain.converged
+    assert row.n_b_integral == pytest.approx(plain.nb_integral, rel=1e-10)
+    assert row.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
+    # both spectral forms cancel O(1) terms: N eps per mode (ROADMAP item 3)
+    floor = len(ks) * cfg.n_particles * np.finfo(float).eps
+    assert row.n_b_spectral == pytest.approx(plain.nb_spectral, rel=1e-9,
+                                             abs=floor)
+    # only +-xi can hit, one per k, so deduplicating candidates changes nothing
+    collapsed = n_point(xi, cfg, pot, route="both", collapse_coincident=True)
+    assert collapsed.to_json_dict() == row.to_json_dict()
+
+
+def test_table_potential_outside_point_takes_per_k(monkeypatch):
+    from fermigas.potential import from_table
+    cfg = fermi_ball(1.0)
+    pot_t = from_table({k: 1.0 / norm2(k) for k in nonzero_k_vectors(11)})
+    xi = (1, 1, 0)
+    ks = k_support(xi, cfg).finite_part
+    plain = sum((_per_k(k, xi, cfg, pot_t, 1e-9, False, True, True)
+                 for k in ks), _PerK())
+    monkeypatch.setattr(momentum, "_mode_chunk", _no_per_k)
+    row = n_point(xi, cfg, pot_t, route="both")
+    assert (row.n_b_spectral, row.n_b_integral, row.n_ex, row.quad_error) == (
+        plain.nb_spectral, plain.nb_integral, plain.n_ex, plain.quad_error)
+    # frozen from the per-k sum before outside points moved to mode blocks
+    assert row.n_b_spectral == pytest.approx(1.5225653274120177e-04, rel=1e-12)
+    assert row.n_b_integral == pytest.approx(1.5225653274261963e-04, rel=1e-12)
+    assert row.n_ex == pytest.approx(-2.541346328525346e-05, rel=1e-12)
+
+
+def _cosh_minus_one_mp(lam, m, vsq):
+    """cosh(-2K) - 1 at a point of each gap, by a 40-digit deflated eigensolve."""
+    with mpmath.workdps(40):
+        lam = [mpmath.mpf(float(x)) for x in lam]
+        w = [mpmath.sqrt(int(c) * x * mpmath.mpf(float(vsq)))
+             for c, x in zip(m, lam)]
+        d = len(lam)
+        core = mpmath.matrix([[2 * w[i] * w[j] + (lam[i] ** 2 if i == j else 0)
+                               for j in range(d)] for i in range(d)])
+        ev, vec = mpmath.eigsy(core)
+        sw = [mpmath.sqrt(e) for e in ev]
+        return [float((sum(vec[i, j] ** 2 * (sw[j] / lam[i] + lam[i] / sw[j])
+                           for j in range(d)) / 2 - 1) / int(m[i]))
+                for i in range(d)]
+
+
+def test_deflated_hit_value_against_mpmath_kf3():
+    """Per-mode spectral value at k_F = 3, xi = (4, 0, 0) against 40 digits.
+
+    There the summed deflated values sit about 1e-14 below the integral
+    route and the full-lune cosh2k_minus_one_diag sum as far above it.
+    Summing the 40-digit value over all 246 support modes (one solve per
+    orbit key) gives 2.77162373083240e-06: the integral route agrees to
+    1e-13 relative, and both spectral sums are 3.7e-9 off, in opposite
+    directions.  Neither is right; both carry the far-mode cancellation
+    of ROADMAP item 3.  Per mode the deflated value at the hit was
+    measured 1.3e-6 off at k = (6, 2, 1) and 2.1e-6 at k = (+-7, 0, 0).
+    """
+    cfg = fermi_ball(3.0)
+    xi = np.array((4, 0, 0))
+    ks = np.array(k_support(tuple(xi), cfg).finite_part)
+    kn2 = np.einsum("mi,mi->m", ks, ks)
+    ks = ks[np.lexsort((*ks.T[::-1], kn2))[-3:]]
+    assert ks.tolist() == [[6, 2, 1], [-7, 0, 0], [7, 0, 0]]
+    vsq = coulomb(1.0).from_norm2(np.einsum("mi,mi->m", ks, ks)) / (
+        2.0 * TWO_PI_CUBED * cfg.k_f)
+    mask, lam = lune_kernel(ks, cfg)
+    g, counts = _gap_counts(mask, lam)
+    per_gap = _cosh_minus_one_per_gap(g, counts, vsq)
+    for row, k in enumerate(ks):
+        # the hit is s xi with s xi - k in the ball
+        s = 1 if norm2(xi - k) <= cfg.r2 else -1
+        lz = (norm2(k) + 2 * int(k @ (s * xi - k))) / 2.0
+        nz = np.flatnonzero(counts[row])
+        exact = _cosh_minus_one_mp(g[nz], counts[row, nz], vsq[row])
+        got = per_gap[row, np.searchsorted(g, lz)]
+        want = exact[int(np.searchsorted(g[nz], lz))]
+        assert abs(got - want) <= 1e-5 * want
 
 
 def test_table_potential_inside_point_uses_generic_path():
@@ -349,11 +452,15 @@ def test_weighted_ball_indicator_positive():
 
 
 def test_cross_route_desk_scale_boundary():
-    # k_F = 3 outside point: exact support, both routes
+    # k_F = 3 outside points, one per |xi|^2 class of the benchmark's
+    # outside workload: exact support, both routes, held to the gate's
+    # criterion-1 allowance 10 (quad_error + tail_estimate)
     cfg = fermi_ball(3.0)
-    row = n_point((3, 1, 0), cfg, coulomb(1.0), route="both")
-    assert row.n_b > 0.0
-    assert row.discrepancy <= 10.0 * (row.quad_error + 1e-13)
+    for xi in ((3, 1, 0), (3, 2, 1), (4, 0, 0), (4, 1, 1)):
+        row = n_point(xi, cfg, coulomb(1.0), route="both")
+        assert row.n_b > 0.0
+        assert row.tail_estimate == 0.0 and row.k_modes_used == 246
+        assert row.discrepancy <= 10.0 * row.quad_error
 
 
 def test_route_auto_defaults():
