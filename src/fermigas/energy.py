@@ -155,12 +155,7 @@ def _ex_term(k, cfg: LatticeConfig, pot: Potential, pair_sums) -> float:
         return vhat * float(np.sum(count * pot.from_norm2(kn2 + 2 * kt + tn2)
                                    / (kn2 + kt)))
     a = cfg.ball_arr[mask]
-    args = kv + a[:, None, :] + a[None, :, :]       # p + q - k, pair by pair
-    if pot.is_radial:
-        vmat = pot.from_norm2(np.einsum("ijc,ijc->ij", args, args))
-    else:
-        vmat = np.array([evaluate(pot, arg) for arg in
-                         args.reshape(-1, 3).tolist()]).reshape(args.shape[:2])
+    vmat = pot.at(kv + a[:, None, :] + a[None, :, :])   # V(p + q - k)
     lam = gaps[mask]
     return vhat * float(np.sum(vmat / (lam[:, None] + lam[None, :])))
 

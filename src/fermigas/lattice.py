@@ -209,24 +209,20 @@ def lune(k: Sequence[int], cfg: LatticeConfig) -> LuneBasis:
     )
 
 
-def d_intersection(k: Sequence[int], xi: Sequence[int], cfg: LatticeConfig,
-                   collapse_coincident: bool = False) -> list[Vec3]:
+def d_intersection(k: Sequence[int], xi: Sequence[int],
+                   cfg: LatticeConfig) -> list[Vec3]:
     """Members of {xi, -xi, k+xi, k-xi} that lie in the lune of k.
 
     Multiplicity is preserved: for xi = 0 the four candidates collapse
-    pairwise and a lune hit is returned twice.  Pass
-    ``collapse_coincident=True`` to deduplicate instead.
+    pairwise and a lune hit is returned twice.  At any other xi two
+    candidates coincide only at k = +-2 xi, as xi = k - xi or -xi = k + xi,
+    and that point is never in the lune (it would need |xi| <= k_F <
+    |xi|), so each hit appears once.
     """
     kv, xv = as_vec3(k), as_vec3(xi)
     if kv == (0, 0, 0):
         raise ValueError("k = 0 has no lune")
     candidates = [xv, neg(xv), add(kv, xv), sub(kv, xv)]
-    if collapse_coincident:
-        seen = []
-        for c in candidates:
-            if c not in seen:
-                seen.append(c)
-        candidates = seen
     return [z for z in candidates if cfg.in_lune(kv, z)]
 
 

@@ -21,7 +21,7 @@ Outside the Fermi ball the k-support is exactly finite; inside it the
 k-sum is truncated with a cutoff-doubling policy and the last increment
 is reported as the tail estimate.
 
-A radial potential's k-sum runs over masked mode blocks: one (m, N)
+The k-sum of every potential runs over masked mode blocks: one (m, N)
 lune mask and gap table per chunk, with per mode and sign s one ball
 column q_z of the candidate hit zeta = k + q_z.  Inside the ball the
 hits are k +- xi, at the fixed columns +-xi, and near and full lunes
@@ -32,29 +32,27 @@ m_d).  Spectral: the core h^2 + 2 u u^T deflates exactly to
 diag(lam_d^2) + 2 w w^T, w_d^2 = m_d lam_d v^2 (Golub 1973), and
 cosh(-2K) - 1 at a point of gap d is c_d / m_d, c the deflated diagonal;
 the histogram is invariant under the 48 signed permutations of k, as
-the ball is, so modes with equal sorted |k| share one eigensolve.
-Integral: q_k(s) = sum_g C[k, g] / (s^2 + g^2) is one matmul over the
-block's distinct gaps g, with C[k, g] = 2 v^2 m_g g.  The exchange part
-is no histogram function and stays a masked pair sum.  Non-radial
-potentials, and the deduplicated candidates at an inside xi != 0, take
-the per-k path, which builds each mode's full lune.
+the ball is, so modes with equal sorted |k| and equal V_k share one
+eigensolve.  Integral: q_k(s) = sum_g C[k, g] / (s^2 + g^2) is one
+matmul over the block's distinct gaps g, with C[k, g] = 2 v^2 m_g g.
+The exchange part is no histogram function and stays a masked pair
+sum.  The plain per-k form, one full lune and one scalar quadrature per
+hit, lives on as a test oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3,
-                      d_intersection, k_support, lune_kernel, neg, norm2,
-                      orbit_reduce, truncated_k_vectors)
-from .numerics import integrate_semi_infinite, integrate_semi_infinite_batch
-from .potential import Potential, evaluate, load_table
-from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, Mode, build_mode,
-                         cosh2k_minus_one_diag, q_of_s)
+from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, k_support,
+                      lune_kernel, neg, norm2, orbit_reduce,
+                      truncated_k_vectors)
+from .numerics import integrate_semi_infinite_batch
+from .potential import Potential, load_table
+from .quasiboson import TWO_PI_6, TWO_PI_CUBED
 
 _CHUNK = 384
 
@@ -100,60 +98,6 @@ class MomentumBreakdown:
         return out
 
 
-def _spectral_term(mode: Mode, zetas: Counter) -> float:
-    """Sum over lune hits of the diagonal of cosh(-2K) - 1."""
-    if mode.vhat == 0.0 or not zetas:
-        return 0.0
-    diag = cosh2k_minus_one_diag(mode)
-    return float(sum(mult * diag[mode.lune.index_of(z)]
-                     for z, mult in zetas.items()))
-
-
-def _integral_term(mode: Mode, zetas: Counter,
-                   quad_tol: float) -> tuple[float, float, bool]:
-    """Screened-quadrature route for the same per-mode contribution."""
-    if mode.vhat == 0.0 or not zetas:
-        return 0.0, 0.0, True
-    pref = mode.vhat / (EIGHT_PI4 * mode.k_f)
-    total = 0.0
-    err = 0.0
-    ok = True
-    for z, mult in sorted(zetas.items()):
-        lam = mode.lune.lambdas[mode.lune.index_of(z)]
-
-        def integrand(s, lam=lam):
-            s2 = s * s
-            return (s2 - lam * lam) / (s2 + lam * lam) ** 2 / (1.0 + q_of_s(mode, s))
-
-        res = integrate_semi_infinite(integrand, tol=quad_tol,
-                                      seeds=(lam, 10.0 * lam))
-        total += mult * pref * res.value
-        err += mult * pref * res.abs_error_estimate
-        ok = ok and res.converged
-    return total, err, ok
-
-
-def _exchange_term(mode: Mode, zetas: Counter, pot: Potential) -> float:
-    """-V_k / (8 (2pi)^6 k_F^2) * sum_zeta sum_p V_{p+zeta-k} / (lam_p + lam_zeta)^2."""
-    if mode.vhat == 0.0 or not zetas or mode.dim == 0:
-        return 0.0
-    pts = np.array(mode.lune.points, dtype=np.int64)
-    lam = mode.lune.lambdas
-    kv = np.array(mode.k, dtype=np.int64)
-    total = 0.0
-    for z, mult in sorted(zetas.items()):
-        zi = mode.lune.index_of(z)
-        shift = np.array(z, dtype=np.int64) - kv
-        args = pts + shift
-        n2 = np.einsum("ij,ij->i", args, args).astype(float)
-        if pot.is_radial:
-            vhat2 = pot.from_norm2(n2)
-        else:
-            vhat2 = np.array([evaluate(pot, tuple(int(c) for c in a)) for a in args])
-        total += mult * float(np.sum(vhat2 / (lam + lam[zi]) ** 2))
-    return -mode.vhat * total / (8.0 * TWO_PI_6 * mode.k_f**2)
-
-
 @dataclass
 class _PerK:
     nb_spectral: float = 0.0
@@ -168,25 +112,6 @@ class _PerK:
                      self.n_ex + other.n_ex,
                      self.quad_error + other.quad_error,
                      self.converged and other.converged)
-
-
-def _per_k(k: Vec3, xi: Vec3, cfg: LatticeConfig, pot: Potential,
-           quad_tol: float, collapse: bool, want_spectral: bool,
-           want_integral: bool, weight: float = 1.0) -> _PerK:
-    """One mode's contributions from its full lune: the path of table
-    potentials and of the deduplicated candidates at an inside xi != 0."""
-    zetas = Counter(d_intersection(k, xi, cfg, collapse_coincident=collapse))
-    if not zetas or evaluate(pot, k) == 0.0:
-        return _PerK()
-    mode = build_mode(k, cfg, pot)
-    out = _PerK()
-    if want_spectral:
-        out.nb_spectral = weight * _spectral_term(mode, zetas)
-    if want_integral:
-        nb, err, out.converged = _integral_term(mode, zetas, quad_tol)
-        out.nb_integral, out.quad_error = weight * nb, weight * err
-    out.n_ex = weight * _exchange_term(mode, zetas, pot)
-    return out
 
 
 def _orbit_key(arr: np.ndarray) -> np.ndarray:
@@ -252,8 +177,11 @@ def _mode_chunk(arr, wts, vhat, cols, cfg: LatticeConfig, pot: Potential,
     hits = [(col, (col >= 0) & mask[rows, col], lam[rows, col])
             for col in cols.T]
     if want_spectral:
-        _, rep, inv = np.unique(_orbit_key(arr), return_index=True,
-                                return_inverse=True)
+        # the eigensolve depends on k through the gap histogram, fixed by
+        # the orbit key, and through V_k, fixed by it too when V is radial
+        _, vcode = np.unique(vhat, return_inverse=True)
+        key = _orbit_key(arr) * (vcode.max(initial=0) + 1) + vcode
+        _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
         per_gap = _cosh_minus_one_per_gap(g, counts[rep], vsq[rep])
         for _, hit, lz in hits:
             val = per_gap[inv[hit], np.searchsorted(g, lz[hit])]
@@ -280,55 +208,53 @@ def _mode_chunk(arr, wts, vhat, cols, cfg: LatticeConfig, pot: Potential,
             out.quad_error += float(np.sum((wts * pref)[hit] * errs))
             out.converged = out.converged and ok
     # exchange: sum over p = k + q in the lune of V(p + zeta - k) / t^2
-    # with t = lam_p + lam_zeta, zeta = k + q_z, and |p + zeta - k|^2 =
-    # |k + q + q_z|^2 = 2 t - |k|^2 + |q + q_z|^2 (exact in integers)
+    # with t = lam_p + lam_zeta, zeta = k + q_z, and p + zeta - k =
+    # k + q + q_z; a radial V reads |k + q + q_z|^2 = 2 t - |k|^2 +
+    # |q + q_z|^2 (exact in integers)
     ex = 0.0
     kn2 = np.einsum("mi,mi->m", arr, arr)
     ball = cfg.ball_arr
     for col, hit, lz in hits:
         qz = ball[col[hit]]
         t = lam[hit] + lz[hit, None]
-        arg_n2 = (2.0 * t - kn2[hit, None]
-                  + (np.einsum("ni,ni->n", ball, ball)
-                     + np.einsum("hi,hi->h", qz, qz)[:, None]
-                     + 2 * qz @ ball.T))
-        terms = np.divide(pot.from_norm2(arg_n2), t**2,
-                          out=np.zeros(t.shape), where=mask[hit])
+        if pot.is_radial:
+            v2 = pot.from_norm2(2.0 * t - kn2[hit, None]
+                                + (np.einsum("ni,ni->n", ball, ball)
+                                   + np.einsum("hi,hi->h", qz, qz)[:, None]
+                                   + 2 * qz @ ball.T))
+        else:
+            v2 = pot.at(arr[hit, None] + ball + qz[:, None])
+        terms = np.divide(v2, t**2, out=np.zeros(t.shape), where=mask[hit])
         ex += float((vhat * wts)[hit] @ np.sum(terms, axis=1))
     out.n_ex = -ex / (8.0 * TWO_PI_6 * cfg.k_f**2)
     return out
 
 
 def _eval_k_block(ks: Sequence[Vec3], xi: Vec3, cfg: LatticeConfig,
-                  pot: Potential, quad_tol: float, collapse: bool,
-                  want_spectral: bool, want_integral: bool) -> _PerK:
-    """Evaluate a block of k vectors at xi.
+                  pot: Potential, quad_tol: float, want_spectral: bool,
+                  want_integral: bool) -> _PerK:
+    """Evaluate a block of k vectors at xi, for every potential kind.
 
     Inside the ball the block is orbit-reduced under the stabilizer of
     xi, which is exact for the potential's symmetry class, and the hits
     are k + s xi; outside it every k has weight 1 and the hits are s xi.
-    Radial potentials run in mode chunks, inside sorted by |k|^2 and
-    orbit key so modes sharing a gap histogram sit together, outside in
-    the order of ``ks``.  Non-radial potentials, and the deduplicated
-    candidates at an inside xi != 0, take the per-k path.
+    The modes run in chunks, inside sorted by |k|^2 and orbit key so
+    modes sharing a gap histogram sit together, outside in the order of
+    ``ks``.
     """
     if not ks:
         return _PerK()
     inside = norm2(xi) <= cfg.r2
     pairs = orbit_reduce(ks, xi, pot.symmetry) if inside else [(k, 1) for k in ks]
-    if not pot.is_radial or (collapse and inside and xi != (0, 0, 0)):
-        return sum((_per_k(k, xi, cfg, pot, quad_tol, collapse, want_spectral,
-                           want_integral, w) for k, w in pairs), _PerK())
     arr = np.array([k for k, _ in pairs], dtype=np.int64)
     wts = np.array([w for _, w in pairs], dtype=float)
     kn2 = np.einsum("mi,mi->m", arr, arr)
-    vhat = pot.from_norm2(kn2)
-    # ball column of zeta - k per sign s: k + s xi - k inside, s xi - k
-    # outside (off the ball, -1, where s xi misses the lune of k)
-    signs = np.array((1,) if collapse and inside else (1, -1))
-    cols = cfg.ball_index(signs[:, None] * np.array(xi)
+    vhat = pot.at(arr)
+    # ball column of zeta - k per sign s = +-1: k + s xi - k inside,
+    # s xi - k outside (off the ball, -1, where s xi misses the lune of k)
+    cols = cfg.ball_index(np.array([xi, neg(xi)])
                           - (0 if inside else arr[:, None]))
-    cols = np.broadcast_to(cols, (arr.shape[0], signs.size))
+    cols = np.broadcast_to(cols, (arr.shape[0], 2))
     order = (np.lexsort((_orbit_key(arr), kn2)) if inside
              else np.arange(arr.shape[0]))
     order = order[vhat[order] != 0.0]
@@ -342,7 +268,7 @@ def _eval_k_block(ks: Sequence[Vec3], xi: Vec3, cfg: LatticeConfig,
 
 
 def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
-                      policy: TailPolicy, quad_tol: float, collapse: bool,
+                      policy: TailPolicy, quad_tol: float,
                       want_spectral: bool, want_integral: bool):
     """Accumulate per-k contributions over the k-support of xi.
 
@@ -354,13 +280,13 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
     support = k_support(xi, cfg, policy)
     if support.exact:
         total = _eval_k_block(support.finite_part, xi, cfg, pot, quad_tol,
-                              collapse, want_spectral, want_integral)
+                              want_spectral, want_integral)
         return total, 0.0, len(support.finite_part), total.converged
 
     k_cut = policy.initial_k_max(cfg)
     ks = truncated_k_vectors(xi, cfg, k_cut)
-    total = _eval_k_block(ks, xi, cfg, pot, quad_tol, collapse,
-                          want_spectral, want_integral)
+    total = _eval_k_block(ks, xi, cfg, pot, quad_tol, want_spectral,
+                          want_integral)
     n_k = len(ks)
     tracked = [name for name, on in (("nb_spectral", want_spectral),
                                      ("nb_integral", want_integral),
@@ -370,8 +296,8 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
     for _ in range(policy.max_doublings):
         new_cut = 2 * k_cut
         shell = truncated_k_vectors(xi, cfg, new_cut, k_min_excl=k_cut)
-        inc = _eval_k_block(shell, xi, cfg, pot, quad_tol, collapse,
-                            want_spectral, want_integral)
+        inc = _eval_k_block(shell, xi, cfg, pot, quad_tol, want_spectral,
+                            want_integral)
         new_total = total + inc
         n_k += len(shell)
         deltas = [(abs(getattr(inc, name)), abs(getattr(new_total, name)))
@@ -385,46 +311,42 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
 
 
 def n_boson_spectral(xi, cfg: LatticeConfig, pot: Potential,
-                     policy: TailPolicy | None = None,
-                     collapse_coincident: bool = False) -> MomentumBreakdown:
+                     policy: TailPolicy | None = None) -> MomentumBreakdown:
     """Pair-excitation occupancy at xi by the spectral route."""
     policy = policy or TailPolicy()
     xv = as_vec3(xi)
-    total, tail, n_k, ok = _sum_over_support(
-        xv, cfg, pot, policy, 1e-9, collapse_coincident, True, False)
+    total, tail, n_k, ok = _sum_over_support(xv, cfg, pot, policy, 1e-9,
+                                             True, False)
     return MomentumBreakdown(xi=xv, n_b=total.nb_spectral, n_ex=total.n_ex,
                              route="spectral", tail_estimate=tail,
                              k_modes_used=n_k, converged=ok)
 
 
 def n_boson_integral(xi, cfg: LatticeConfig, pot: Potential,
-                     policy: TailPolicy | None = None, quad_tol: float = 1e-9,
-                     collapse_coincident: bool = False) -> MomentumBreakdown:
+                     policy: TailPolicy | None = None,
+                     quad_tol: float = 1e-9) -> MomentumBreakdown:
     """Pair-excitation occupancy at xi by the screened-quadrature route."""
     policy = policy or TailPolicy()
     xv = as_vec3(xi)
-    total, tail, n_k, ok = _sum_over_support(
-        xv, cfg, pot, policy, quad_tol, collapse_coincident, False, True)
+    total, tail, n_k, ok = _sum_over_support(xv, cfg, pot, policy, quad_tol,
+                                             False, True)
     return MomentumBreakdown(xi=xv, n_b=total.nb_integral, n_ex=total.n_ex,
                              route="integral", quad_error=total.quad_error,
                              tail_estimate=tail, k_modes_used=n_k, converged=ok)
 
 
 def n_exchange(xi, cfg: LatticeConfig, pot: Potential,
-               policy: TailPolicy | None = None,
-               collapse_coincident: bool = False) -> float:
+               policy: TailPolicy | None = None) -> float:
     """Exchange correction at xi (always <= 0 for nonnegative potentials)."""
     policy = policy or TailPolicy()
-    total, _, _, _ = _sum_over_support(
-        as_vec3(xi), cfg, pot, policy, 1e-9, collapse_coincident,
-        False, False)
+    total, _, _, _ = _sum_over_support(as_vec3(xi), cfg, pot, policy, 1e-9,
+                                       False, False)
     return total.n_ex
 
 
 def n_point(xi, cfg: LatticeConfig, pot: Potential,
             policy: TailPolicy | None = None, route: str = "auto",
-            quad_tol: float = 1e-9,
-            collapse_coincident: bool = False) -> MomentumBreakdown:
+            quad_tol: float = 1e-9) -> MomentumBreakdown:
     """Full occupancy record n_b + n_ex at xi.
 
     route "auto" picks spectral outside the Fermi ball (finite support,
@@ -439,14 +361,13 @@ def n_point(xi, cfg: LatticeConfig, pot: Potential,
     if route == "auto":
         route = "spectral" if norm2(xv) > cfg.r2 else "integral"
     if route == "spectral":
-        return n_boson_spectral(xv, cfg, pot, policy, collapse_coincident)
+        return n_boson_spectral(xv, cfg, pot, policy)
     if route == "integral":
-        return n_boson_integral(xv, cfg, pot, policy, quad_tol,
-                                collapse_coincident)
+        return n_boson_integral(xv, cfg, pot, policy, quad_tol)
     if route != "both":
         raise ValueError(f"unknown route {route!r}")
-    total, tail, n_k, ok = _sum_over_support(
-        xv, cfg, pot, policy, quad_tol, collapse_coincident, True, True)
+    total, tail, n_k, ok = _sum_over_support(xv, cfg, pot, policy, quad_tol,
+                                             True, True)
     return MomentumBreakdown(
         xi=xv, n_b=total.nb_spectral, n_ex=total.n_ex, route="both",
         quad_error=total.quad_error, tail_estimate=tail, k_modes_used=n_k,
@@ -463,6 +384,9 @@ class Observable:
 
     def __post_init__(self):
         for xi, val in self.values.items():
+            if not np.isfinite(val):
+                raise ValueError(f"observable weight at {xi} must be finite, "
+                                 f"got {val}")
             mirror = self.values.get(neg(xi))
             if mirror is None or mirror != val:
                 raise ValueError(

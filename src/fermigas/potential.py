@@ -8,7 +8,9 @@ All of them vanish at k = 0 and are expected to be even and nonnegative;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,6 +24,15 @@ class Potential:
     g: float = 0.0
     mu: float = 0.0
     table: Mapping[Vec3, float] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not math.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite, got {self.g}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"screening mu must be finite, got {self.mu}")
+        for k, v in (self.table or {}).items():
+            if not math.isfinite(v):
+                raise ValueError(f"table value at {k} must be finite, got {v}")
 
     @property
     def is_radial(self) -> bool:
@@ -49,13 +60,42 @@ class Potential:
     def from_norm2(self, n2) -> np.ndarray:
         """Vectorized evaluation from integer squared norms (radial kinds only)."""
         n2 = np.asarray(n2, dtype=float)
+        safe = np.where(n2 > 0, n2, 1.0)
         if self.kind == "coulomb":
-            return np.where(n2 > 0, self.g / np.where(n2 > 0, n2, 1.0), 0.0)
+            return np.where(n2 > 0, self.g / safe, 0.0)
         if self.kind == "yukawa":
-            return np.where(n2 > 0, self.g / (n2 + self.mu**2), 0.0)
+            return np.where(n2 > 0, self.g / (safe + self.mu**2), 0.0)
         if self.kind == "zero":
             return np.zeros_like(n2)
         raise ValueError(f"potential kind {self.kind!r} is not radial")
+
+    @cached_property
+    def _lookup(self):
+        """(r, digits, sorted codes, values) of the table keys plus a sentinel.
+
+        Balanced base-(2r+1) digits code the box |k_i| <= r injectively
+        and in lex order, as in ``LatticeConfig.ball_index``.
+        """
+        keys = np.array(list(self.table), dtype=np.int64).reshape(-1, 3)
+        r = int(np.abs(keys).max(initial=0))
+        digits = (2 * r + 1) ** np.arange(2, -1, -1)
+        codes = np.append(keys @ digits, np.iinfo(np.int64).max)
+        order = np.argsort(codes)
+        vals = np.append(np.fromiter(self.table.values(), dtype=float), 0.0)
+        return r, digits, codes[order], vals[order]
+
+    def at(self, pts) -> np.ndarray:
+        """Vectorized ``evaluate`` on an (..., 3) integer array."""
+        pts = np.asarray(pts, dtype=np.int64)
+        n2 = np.einsum("...i,...i->...", pts, pts)
+        if self.kind != "table":
+            return self.from_norm2(n2)
+        r, digits, codes, vals = self._lookup
+        code = pts @ digits
+        rows = np.searchsorted(codes, code)
+        # off the key box the codes alias, and evaluate reads 0 at k = 0
+        hit = (np.abs(pts).max(axis=-1) <= r) & (n2 > 0) & (codes[rows] == code)
+        return np.where(hit, vals[rows], 0.0)
 
     def spec_string(self) -> str:
         if self.kind == "coulomb":
@@ -121,7 +161,9 @@ def load_table(path) -> Potential:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 'kx ky kz value', got {raw!r}")
             kx, ky, kz = (int(p) for p in parts[:3])
-            table[(kx, ky, kz)] = float(parts[3])
+            if not math.isfinite(value := float(parts[3])):
+                raise ValueError(f"{path}:{lineno}: value must be finite, got {parts[3]!r}")
+            table[(kx, ky, kz)] = value
     return Potential(kind="table", table=table)
 
 

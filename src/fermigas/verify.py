@@ -17,10 +17,11 @@ import numpy as np
 
 from .lattice import (LatticeConfig, Vec3, ball_points, d_intersection,
                       lambda_of, lune, neg, nonzero_k_vectors, norm2, sub)
-from .momentum import _exchange_term, _integral_term
-from .numerics import rank1_resolvent_diag, sym_matrix_function
+from .momentum import EIGHT_PI4
+from .numerics import (integrate_semi_infinite, rank1_resolvent_diag,
+                       sym_matrix_function)
 from .potential import Potential, evaluate
-from .quasiboson import (TWO_PI_6, build_K, build_mode,
+from .quasiboson import (TWO_PI_6, Mode, build_K, build_mode,
                          cosh2k_minus_one_diag, csk_pair, q_of_s,
                          sandwich_bounds)
 
@@ -328,6 +329,45 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
 
 # ---------------------------------------------------------------------------
 # cross-route checks
+
+
+def _integral_term(mode: Mode, zetas: Counter,
+                   quad_tol: float) -> tuple[float, float, bool]:
+    """Screened-quadrature route for one mode's hits, one scalar integral each."""
+    if mode.vhat == 0.0 or not zetas:
+        return 0.0, 0.0, True
+    pref = mode.vhat / (EIGHT_PI4 * mode.k_f)
+    total = 0.0
+    err = 0.0
+    ok = True
+    for z, mult in sorted(zetas.items()):
+        lam = mode.lune.lambdas[mode.lune.index_of(z)]
+
+        def integrand(s, lam=lam):
+            s2 = s * s
+            return (s2 - lam * lam) / (s2 + lam * lam) ** 2 / (1.0 + q_of_s(mode, s))
+
+        res = integrate_semi_infinite(integrand, tol=quad_tol,
+                                      seeds=(lam, 10.0 * lam))
+        total += mult * pref * res.value
+        err += mult * pref * res.abs_error_estimate
+        ok = ok and res.converged
+    return total, err, ok
+
+
+def _exchange_term(mode: Mode, zetas: Counter, pot: Potential) -> float:
+    """-V_k / (8 (2pi)^6 k_F^2) * sum_zeta sum_p V_{p+zeta-k} / (lam_p + lam_zeta)^2."""
+    if mode.vhat == 0.0 or not zetas or mode.dim == 0:
+        return 0.0
+    pts = np.array(mode.lune.points, dtype=np.int64)
+    lam = mode.lune.lambdas
+    kv = np.array(mode.k, dtype=np.int64)
+    total = 0.0
+    for z, mult in sorted(zetas.items()):
+        zi = mode.lune.index_of(z)
+        vhat2 = pot.at(pts + (np.array(z, dtype=np.int64) - kv))
+        total += mult * float(np.sum(vhat2 / (lam + lam[zi]) ** 2))
+    return -mode.vhat * total / (8.0 * TWO_PI_6 * mode.k_f**2)
 
 
 def _brute_force_pair_sum(k, cfg: LatticeConfig, pot: Potential) -> float:

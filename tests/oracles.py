@@ -2,23 +2,27 @@
 
 Each function here is the straightforward per-point form of a hot-path
 kernel in ``fermigas``: a Python loop over the ball, a dense pair sum
-over the lune, one integrand built from the full lune.  Tests compare
-the fast kernels against them.
+over the lune, one integrand built from the full lune, one mode at a
+time.  Tests compare the fast kernels against them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from fermigas.energy import stable_log1p_minus_x
-from fermigas.lattice import (add, as_vec3, lambda_of, neg, nonzero_k_vectors,
-                              norm2, stabilizer_group)
+from fermigas.lattice import (add, as_vec3, d_intersection, lambda_of, neg,
+                              nonzero_k_vectors, norm2, stabilizer_group)
+from fermigas.momentum import _PerK
 from fermigas.numerics import (integrate_semi_infinite,
                                integrate_semi_infinite_batch)
 from fermigas.potential import evaluate
-from fermigas.quasiboson import TWO_PI_6, TWO_PI_CUBED, build_mode, q_of_s
+from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_mode,
+                                 cosh2k_minus_one_diag, q_of_s)
+from fermigas.verify import _exchange_term, _integral_term
 
 EIGHT_PI4 = 8.0 * np.pi**4
 
@@ -169,3 +173,34 @@ def bulk_exchange(ks, xi, cfg, pot, signs):
         v2 = pot.from_norm2(arg_n2)
         total += mask * np.sum(v2 / (lam + lam[:, idx, None]) ** 2, axis=1)
     return -float(np.sum(vhat * total)) / (8.0 * TWO_PI_6 * cfg.k_f**2)
+
+
+def spectral_term(mode, zetas: Counter) -> float:
+    """Sum over lune hits of the full-lune diagonal of cosh(-2K) - 1."""
+    if mode.vhat == 0.0 or not zetas:
+        return 0.0
+    diag = cosh2k_minus_one_diag(mode)
+    return float(sum(mult * diag[mode.lune.index_of(z)]
+                     for z, mult in zetas.items()))
+
+
+def per_k(k, xi, cfg, pot, quad_tol) -> _PerK:
+    """One mode's momentum contributions at xi from its full lune.
+
+    Builds the mode, takes its hits from ``d_intersection``, and runs
+    one scalar quadrature per hit and a point-by-point exchange sum.
+    """
+    zetas = Counter(d_intersection(k, xi, cfg))
+    if not zetas or evaluate(pot, k) == 0.0:
+        return _PerK()
+    mode = build_mode(k, cfg, pot)
+    out = _PerK(nb_spectral=spectral_term(mode, zetas),
+                n_ex=_exchange_term(mode, zetas, pot))
+    out.nb_integral, out.quad_error, out.converged = _integral_term(
+        mode, zetas, quad_tol)
+    return out
+
+
+def per_k_sum(ks, xi, cfg, pot, quad_tol=1e-9) -> _PerK:
+    """``per_k`` summed over a k-list, both routes."""
+    return sum((per_k(k, xi, cfg, pot, quad_tol) for k in ks), _PerK())

@@ -150,6 +150,29 @@ def test_every_subcommand_rejects_negative_potential_table(capsys, tmp_path):
         assert "violates the hypotheses" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("energy", "--potential", "coulomb:g=inf"), "coupling g must be finite"),
+    (("momentum", "--xi", "2,0,0", "--potential", "coulomb:g=nan"),
+     "coupling g must be finite"),
+    (("energy", "--potential", "yukawa:g=1,mu=inf"),
+     "screening mu must be finite"),
+])
+def test_non_finite_potential_exit_2(capsys, argv, message):
+    assert main([*argv, "--kf", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_finite_tables_exit_2(capsys, tmp_path):
+    path = tmp_path / "inf.txt"
+    path.write_text("1 0 0 inf\n-1 0 0 inf\n")
+    for argv in (("momentum", "--xi", "2,0,0", "--potential", f"table:{path}"),
+                 ("energy", "--potential", f"table:{path}"),
+                 ("momentum-sum", "--observable", f"table:{path}")):
+        assert main([*argv, "--kf", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{path}:1: value must be finite" in err
+
+
 def test_nonconvergence_flag_exit_3(capsys):
     # one doubling from a tiny cutoff cannot reach the default tail target
     code, out = run_cli(capsys, "momentum", "--kf", "1", "--xi", "0,0,0",

@@ -65,6 +65,15 @@ def _unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
             for name in _private_definitions(tree) if name not in refs]
 
 
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from another module of the package."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("fermigas"))
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
@@ -90,3 +99,18 @@ def test_unreferenced_private_definition_is_found():
              "b.py": ast.parse("from .a import _f\n")}
     assert _unreferenced_private(trees) == ["a.py:_DEAD", "a.py:_T",
                                             "a.py:_Gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_imports_across_modules(path):
+    assert _private_imports(ast.parse(path.read_text())) == []
+
+
+def test_private_import_is_found():
+    tree = ast.parse("from .momentum import _exchange_term, n_point\n"
+                     "from fermigas.lattice import _OCTAHEDRAL_PERMS\n"
+                     "from . import __version__\n"
+                     "from numpy.linalg import _umath_linalg\n"
+                     "from __future__ import annotations\n")
+    assert _private_imports(tree) == ["_exchange_term (line 1)",
+                                      "_OCTAHEDRAL_PERMS (line 2)"]

@@ -175,8 +175,6 @@ def test_d_intersection_examples():
     # xi = 0: +-xi and k+-xi coincide pairwise, multiplicity 2 kept
     assert d_intersection((2, 0, 0), (0, 0, 0), cfg) == [(2, 0, 0), (2, 0, 0)]
     assert d_intersection((1, 0, 0), (0, 0, 0), cfg) == []
-    assert d_intersection((2, 0, 0), (0, 0, 0), cfg,
-                          collapse_coincident=True) == [(2, 0, 0)]
     # xi inside, both k+-xi inside the ball: nothing clears |zeta| > k_F
     assert d_intersection((1, 0, 0), (0, 0, 1), fermi_ball(2.0)) == []
 

@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -12,20 +14,39 @@ from fermigas.lattice import (TailPolicy, d_intersection, fermi_ball,
                               k_support, lambda_of, lune, lune_kernel,
                               nonzero_k_vectors, norm2, signed_perm_group,
                               truncated_k_vectors)
-from fermigas.momentum import (MomentumBreakdown, Observable, _PerK,
+from fermigas.momentum import (MomentumBreakdown, Observable,
                                _cosh_minus_one_per_gap, _eval_k_block,
-                               _exchange_term, _gap_counts, _integral_term,
-                               _mode_chunk, _orbit_key, _per_k, _spectral_term,
+                               _gap_counts, _mode_chunk, _orbit_key,
                                n_boson_integral, n_boson_spectral, n_exchange,
                                n_point, n_weighted)
-from fermigas.potential import coulomb, evaluate, yukawa, zero
+from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from fermigas.quasiboson import (TWO_PI_CUBED, build_mode,
                                  cosh2k_minus_one_diag, q_of_s)
+from fermigas.verify import _exchange_term, _integral_term
 
-from oracles import bulk_chunk, bulk_exchange
+from oracles import bulk_chunk, bulk_exchange, per_k_sum, spectral_term
 
 TWO_PI_6 = (2.0 * np.pi) ** 6
 FAST = TailPolicy(k_max=4, tail_tol=1e-3, max_doublings=2)
+
+
+@lru_cache(maxsize=None)
+def _table(kind: str, radius: int):
+    """Table potential on 0 < |k| <= radius: Coulomb's values, or uneven ones."""
+    if kind == "table_even":
+        return from_table({k: 1.0 / norm2(k) for k in nonzero_k_vectors(radius)})
+    return from_table({k: 1.0 / (norm2(k) + 0.3 * k[0] + 0.2 * k[1]
+                                 + 0.1 * k[2] + 1.0)
+                       for k in nonzero_k_vectors(radius)})
+
+
+def _potential(name: str, radius: int):
+    """A named potential; tables cover |k| <= radius."""
+    if name == "coulomb":
+        return coulomb(1.0)
+    if name == "yukawa":
+        return yukawa(2.0, 0.5)
+    return _table(name, radius)
 
 
 def test_zero_potential_gives_exact_zero():
@@ -37,7 +58,6 @@ def test_zero_potential_gives_exact_zero():
 
 def test_dim1_synthetic_mode_contribution():
     # lam = 1, v^2 = 1: the per-hit spectral weight is cosh(-2K) - 1 at K = -log(3)/4
-    from fermigas.potential import from_table
     cfg = fermi_ball(0.5)
     vhat = 2.0 * (2.0 * np.pi) ** 3 * cfg.k_f
     mode = build_mode((1, 1, 0), cfg,
@@ -48,7 +68,7 @@ def test_dim1_synthetic_mode_contribution():
     assert diag[0] == pytest.approx(expected, rel=1e-13)
     assert diag[0] == pytest.approx(0.154701, abs=1e-6)
     zeta = mode.lune.points[0]
-    assert _spectral_term(mode, Counter([zeta])) == pytest.approx(expected, rel=1e-13)
+    assert spectral_term(mode, Counter([zeta])) == pytest.approx(expected, rel=1e-13)
     # the screened quadrature gives the same per-hit weight
     integ, err, ok = _integral_term(mode, Counter([zeta]), 1e-11)
     assert ok and integ == pytest.approx(expected, abs=max(1e-10, 10 * err))
@@ -58,7 +78,7 @@ def test_single_mode_cross_route():
     cfg = fermi_ball(1.0)
     mode = build_mode((1, 0, 0), cfg, coulomb(1.0))
     zetas = Counter(d_intersection((1, 0, 0), (1, 1, 0), cfg))
-    spec = _spectral_term(mode, zetas)
+    spec = spectral_term(mode, zetas)
     integ, err, ok = _integral_term(mode, zetas, 1e-10)
     assert ok
     assert abs(spec - integ) <= 1e-6 * abs(spec)
@@ -146,24 +166,13 @@ def test_inside_point_truncation_robustness():
     assert abs(b.n_b - a.n_b) <= a.tail_estimate
 
 
-def test_collapse_flag_halves_origin():
-    cfg = fermi_ball(1.0)
-    pot = coulomb(1.0)
-    pol = TailPolicy(k_max=4, tail_tol=1e-4, max_doublings=1)
-    full = n_boson_spectral((0, 0, 0), cfg, pot, pol)
-    collapsed = n_boson_spectral((0, 0, 0), cfg, pot, pol,
-                                 collapse_coincident=True)
-    assert collapsed.n_b == pytest.approx(0.5 * full.n_b, rel=1e-12)
-
-
 def test_orbit_and_bulk_path_match_plain_per_k():
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
     xi = (1, 0, 0)
     ks = truncated_k_vectors(xi, cfg, 5)
-    plain = sum((_per_k(k, xi, cfg, pot, 1e-9, False, True, True) for k in ks),
-                _PerK())
-    fast = _eval_k_block(ks, xi, cfg, pot, 1e-9, False, True, True)
+    plain = per_k_sum(ks, xi, cfg, pot)
+    fast = _eval_k_block(ks, xi, cfg, pot, 1e-9, True, True)
     assert fast.nb_spectral == pytest.approx(plain.nb_spectral, rel=1e-10)
     assert fast.nb_integral == pytest.approx(plain.nb_integral, rel=1e-10)
     assert fast.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
@@ -223,16 +232,20 @@ def test_gap_histogram_is_point_group_invariant(k, kf):
     assert np.all(_orbit_key(images) == _orbit_key(images)[0])
 
 
-@pytest.mark.parametrize("xi, collapse", [
-    ((0, 0, 0), False), ((1, 0, 0), False), ((1, 1, 0), False),
-    ((2, 0, 0), False), ((0, 0, 0), True)])
-def test_mode_block_matches_plain_per_k_kf2(xi, collapse):
+@pytest.mark.parametrize("xi, pot_name", [
+    ((0, 0, 0), "coulomb"), ((1, 0, 0), "coulomb"), ((1, 1, 0), "coulomb"),
+    ((2, 0, 0), "coulomb"),
+    ((0, 0, 0), "table_even"), ((1, 0, 0), "table_even"),
+    ((1, 1, 0), "table_even"),
+    ((0, 0, 0), "table_uneven"), ((1, 0, 0), "table_uneven"),
+    ((1, 1, 0), "table_uneven")])
+def test_mode_block_matches_plain_per_k_kf2(xi, pot_name):
     cfg = fermi_ball(2.0)
-    pot = coulomb(1.0)
+    # exchange arguments k + q + q_z reach |k| + 2 k_F <= 9
+    pot = _potential(pot_name, 10)
     ks = truncated_k_vectors(xi, cfg, 5)
-    plain = sum((_per_k(k, xi, cfg, pot, 1e-9, collapse, True, True)
-                 for k in ks), _PerK())
-    fast = _eval_k_block(ks, xi, cfg, pot, 1e-9, collapse, True, True)
+    plain = per_k_sum(ks, xi, cfg, pot)
+    fast = _eval_k_block(ks, xi, cfg, pot, 1e-9, True, True)
     assert fast.nb_spectral == pytest.approx(plain.nb_spectral, rel=1e-10)
     assert fast.nb_integral == pytest.approx(plain.nb_integral, rel=1e-10)
     assert fast.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
@@ -257,23 +270,19 @@ def test_mode_chunk_matches_full_lune_bulk_oracle(xi):
     assert fast.converged and ok
 
 
-def _no_per_k(*args, **kwargs):
-    raise AssertionError("per-k path taken")
-
-
 OUTSIDE = [(1.0, (1, 1, 0)), (1.0, (2, 0, 0)), (1.0, (9, 9, 9)),
            (2.0, (3, 0, 0)), (2.0, (2, 2, 1)), (3.0, (3, 1, 0)), (3.0, (4, 1, 1))]
 
 
-@pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(2.0, 0.5)],
-                         ids=["coulomb", "yukawa"])
+@pytest.mark.parametrize("pot_name", ["coulomb", "yukawa", "table_even",
+                                      "table_uneven"])
 @pytest.mark.parametrize("kf, xi", OUTSIDE)
-def test_outside_block_matches_plain_per_k(kf, xi, pot, monkeypatch):
+def test_outside_block_matches_plain_per_k(kf, xi, pot_name):
     cfg = fermi_ball(kf)
+    # exchange arguments k + q + q_z, k in +-xi + B, reach |xi| + 3 k_F
+    pot = _potential(pot_name, math.isqrt(norm2(xi)) + 1 + 3 * math.ceil(kf))
     ks = k_support(xi, cfg).finite_part
-    plain = sum((_per_k(k, xi, cfg, pot, 1e-9, False, True, True) for k in ks),
-                _PerK())
-    monkeypatch.setattr(momentum, "_per_k", _no_per_k)
+    plain = per_k_sum(ks, xi, cfg, pot)
     row = n_point(xi, cfg, pot, route="both")
     assert row.k_modes_used == len(ks) and row.tail_estimate == 0.0
     assert row.converged and plain.converged
@@ -283,27 +292,33 @@ def test_outside_block_matches_plain_per_k(kf, xi, pot, monkeypatch):
     floor = len(ks) * cfg.n_particles * np.finfo(float).eps
     assert row.n_b_spectral == pytest.approx(plain.nb_spectral, rel=1e-9,
                                              abs=floor)
-    # only +-xi can hit, one per k, so deduplicating candidates changes nothing
-    collapsed = n_point(xi, cfg, pot, route="both", collapse_coincident=True)
-    assert collapsed.to_json_dict() == row.to_json_dict()
 
 
-def test_table_potential_outside_point_takes_per_k(monkeypatch):
-    from fermigas.potential import from_table
+def test_table_potential_outside_point_runs_block(monkeypatch):
     cfg = fermi_ball(1.0)
-    pot_t = from_table({k: 1.0 / norm2(k) for k in nonzero_k_vectors(11)})
+    pot_t = _table("table_even", 11)
     xi = (1, 1, 0)
     ks = k_support(xi, cfg).finite_part
-    plain = sum((_per_k(k, xi, cfg, pot_t, 1e-9, False, True, True)
-                 for k in ks), _PerK())
-    monkeypatch.setattr(momentum, "_mode_chunk", _no_per_k)
+    plain = per_k_sum(ks, xi, cfg, pot_t)
+    # frozen from this per-k sum when it was the library's table path
+    assert plain.nb_spectral == pytest.approx(1.5225653274120177e-04, rel=1e-12)
+    assert plain.nb_integral == pytest.approx(1.5225653274261963e-04, rel=1e-12)
+    assert plain.n_ex == pytest.approx(-2.541346328525346e-05, rel=1e-12)
+    chunks = []
+    mode_chunk = momentum._mode_chunk
+    monkeypatch.setattr(momentum, "_mode_chunk",
+                        lambda *args: chunks.append(args) or mode_chunk(*args))
     row = n_point(xi, cfg, pot_t, route="both")
-    assert (row.n_b_spectral, row.n_b_integral, row.n_ex, row.quad_error) == (
-        plain.nb_spectral, plain.nb_integral, plain.n_ex, plain.quad_error)
-    # frozen from the per-k sum before outside points moved to mode blocks
-    assert row.n_b_spectral == pytest.approx(1.5225653274120177e-04, rel=1e-12)
-    assert row.n_b_integral == pytest.approx(1.5225653274261963e-04, rel=1e-12)
-    assert row.n_ex == pytest.approx(-2.541346328525346e-05, rel=1e-12)
+    assert len(chunks) == 1 and len(chunks[0][0]) == len(ks)
+    assert row.n_b_integral == pytest.approx(plain.nb_integral, rel=1e-10)
+    assert row.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
+    # the full-lune spectral form sits 9.3e-12 below the integral route
+    floor = len(ks) * cfg.n_particles * np.finfo(float).eps
+    assert row.n_b_spectral == pytest.approx(plain.nb_spectral, rel=1e-9,
+                                             abs=floor)
+    # a table of Coulomb's values on every argument reached is Coulomb
+    assert row.to_json_dict() == n_point(xi, cfg, coulomb(1.0),
+                                         route="both").to_json_dict()
 
 
 def _cosh_minus_one_mp(lam, m, vsq):
@@ -356,31 +371,29 @@ def test_deflated_hit_value_against_mpmath_kf3():
         assert abs(got - want) <= 1e-5 * want
 
 
-def test_table_potential_inside_point_uses_generic_path():
-    # non-radial potentials skip the orbit/bulk shortcuts but must agree
-    # with an equivalent radial potential
-    from fermigas.potential import from_table
+def test_table_potential_inside_point_matches_coulomb():
+    # an even table is orbit-reduced by k -> -k only, Coulomb by the
+    # whole stabilizer: the two agree up to summation order
     cfg = fermi_ball(1.0)
     # cover every argument the exchange sum can reach: |k + q +- xi| <= 10
-    table = {}
-    for k in nonzero_k_vectors(11):
-        table[k] = 1.0 / norm2(k)
-    pot_t = from_table(table)
+    pot_t = _table("table_even", 11)
     assert not pot_t.is_radial and pot_t.is_even
     pol = TailPolicy(k_max=4, tail_tol=1e-3, max_doublings=1)
     a = n_point((0, 0, 0), cfg, pot_t, pol, route="spectral")
     b = n_point((0, 0, 0), cfg, coulomb(1.0), pol, route="spectral")
     assert a.k_modes_used == b.k_modes_used
-    assert a.n_b == pytest.approx(b.n_b, rel=1e-8)
-    assert a.n_ex == pytest.approx(b.n_ex, rel=1e-8)
+    assert a.n_b == pytest.approx(b.n_b, rel=1e-12)
+    assert a.n_ex == pytest.approx(b.n_ex, rel=1e-12)
 
 
 def test_uneven_table_potential_not_pair_reduced():
-    from fermigas.potential import from_table
     uneven = from_table({(1, 0, 0): 1.0, (-1, 0, 0): 2.0})
     assert uneven.symmetry == "none"
     even = from_table({(1, 0, 0): 1.0, (-1, 0, 0): 1.0})
     assert even.symmetry == "even"
+    # the tables of the block-vs-oracle tests
+    assert _table("table_even", 3).symmetry == "even"
+    assert _table("table_uneven", 3).symmetry == "none"
 
 
 def test_coupling_monotonicity_of_spectral_summand():
@@ -407,6 +420,12 @@ def test_observable_symmetry_enforced():
     with pytest.raises(ValueError):
         Observable(values={(1, 0, 0): 1.0, (-1, 0, 0): 2.0})
     Observable(values={(1, 0, 0): 1.0, (-1, 0, 0): 1.0})
+
+
+def test_observable_rejects_non_finite_weights():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            Observable(values={(1, 0, 0): bad, (-1, 0, 0): bad})
 
 
 def test_observable_presets():

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fermigas.lattice import ball_points, norm2
 from fermigas.potential import (coulomb, evaluate, from_table, load_table,
@@ -96,3 +101,55 @@ def test_vectorized_norm_evaluation_matches_scalar():
         n2 = np.array([norm2(k) for k in ks], dtype=float)
         vec = pot.from_norm2(n2)
         assert vec == pytest.approx([evaluate(pot, k) for k in ks], abs=0.0)
+
+
+_small = st.integers(-3, 3)
+_potentials = st.one_of(
+    st.floats(0.0, 10.0).map(coulomb),
+    st.tuples(st.floats(0.0, 10.0), st.floats(-3.0, 3.0)).map(
+        lambda gm: yukawa(*gm)),
+    st.just(zero()),
+    # keys in a small box, so queries below fall on it, beside it and beyond it
+    st.dictionaries(st.tuples(_small, _small, _small),
+                    st.floats(-5.0, 5.0), max_size=40).map(from_table))
+_shapes = st.one_of(st.just(()), st.tuples(st.integers(0, 6)),
+                    st.tuples(st.integers(1, 3), st.integers(0, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pot=_potentials,
+       pts=_shapes.flatmap(lambda shape: arrays(np.int64, shape + (3,),
+                                                elements=st.integers(-5, 5))))
+def test_at_matches_evaluate(pot, pts):
+    got = pot.at(pts)
+    assert got.shape == pts.shape[:-1]
+    want = [evaluate(pot, p) for p in pts.reshape(-1, 3).tolist()]
+    assert got.ravel().tolist() == want
+
+
+def test_at_beyond_the_key_range_reads_zero():
+    # with keys in |k_i| <= 3 the digit code of (0, 0, 4) is that of (0, 1, -3)
+    pot = from_table({(0, 1, -3): 1.0, (0, -1, 3): 1.0, (0, 0, 0): 5.0})
+    assert pot.at([[0, 0, 4], [0, 1, -3], [0, 0, 0], [0, 0, 3]]).tolist() == [
+        0.0, 1.0, 0.0, 0.0]
+    assert from_table({}).at([[1, 0, 0]]).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: coulomb(math.inf), "coupling g must be finite, got inf"),
+    (lambda: coulomb(math.nan), "coupling g must be finite, got nan"),
+    (lambda: yukawa(math.inf, 1.0), "coupling g must be finite"),
+    (lambda: yukawa(1.0, math.nan), "screening mu must be finite"),
+    (lambda: from_table({(1, 0, 0): math.inf, (-1, 0, 0): 1.0}),
+     r"table value at \(1, 0, 0\) must be finite"),
+])
+def test_non_finite_parameters_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_load_table_rejects_non_finite_with_line(tmp_path):
+    path = tmp_path / "inf.txt"
+    path.write_text("# header\n1 0 0 1.0\n-1 0 0 nan\n")
+    with pytest.raises(ValueError, match=f"{path}:3: value must be finite"):
+        load_table(path)
