@@ -27,6 +27,26 @@ with gaps lam = (|k|^2 + 2 k.q)/2 (``lattice.lune_kernel``):
       V_k sum_{t in B+B} c(t) V(k + t) / (|k|^2 + k.t),
 
   with c(t) = #{(a, b) in B^2 : a + b = t} the ball autocorrelation.
+
+Both sums run each shell in chunks of orbit representatives, one
+``lune_kernel`` per chunk, as the momentum mode block does:
+
+* E_corr,bos orders the shell by |k|^2 and orbit key, drops V_k = 0
+  and cuts it into chunks of ``_BOS_CHUNK`` rows.  A chunk's gap
+  histograms give the (m, G) response C[k, g] = 2 v_k^2 m_g g on the
+  chunk's distinct gaps g, and F(q_k(s)) of all its rows is one batched
+  quadrature family.  Its panels are seeded at s = seed and 10 seed,
+  seed the geometric mean of the rows' smallest gaps, and refined until
+  every member meets ``quad_tol``.
+* E_corr,ex runs the full-lune rows of a radial V as one (m, |B+B|)
+  kernel; near rows (|k| <= 2 k_F) and table rows keep the masked pair
+  sum.  The chunk size is taken from |B+B| (829 at k_F = 3, growing as
+  k_F^3), so that the kernel's temporaries stay near 1 MB each.  Its
+  per-k terms are summed one k at a time in shell order, so the result
+  is the same float as the plain per-k sum's.
+
+The plain per-k forms, one scalar quadrature and one pair sum per k,
+live on as test oracles.
 """
 
 from __future__ import annotations
@@ -37,11 +57,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (LatticeConfig, TailPolicy, ball_array, lune_kernel,
-                      orbit_reduce)
-from .numerics import integrate_semi_infinite
+from .lattice import (LatticeConfig, TailPolicy, ball_array, gap_counts,
+                      lune_kernel, orbit_key, orbit_reduce)
+from .numerics import check_tol, integrate_semi_infinite_batch
 from .potential import Potential, evaluate
 from .quasiboson import TWO_PI_6, TWO_PI_CUBED
+
+_BOS_CHUNK = 128
 
 
 def stable_log1p_minus_x(x):
@@ -99,26 +121,35 @@ def e_fs(cfg: LatticeConfig, pot: Potential) -> tuple[float, float]:
     return kinetic, interaction / (2.0 * TWO_PI_CUBED)
 
 
-def _bos_term(k, cfg: LatticeConfig, pot: Potential,
-              quad_tol: float) -> tuple[float, float, bool]:
-    """(1/pi) int_0^inf F(q_k(s)) ds for one k, with error and flag."""
-    vhat = evaluate(pot, k)
-    if vhat == 0.0:
-        return 0.0, 0.0, True
-    mask, gaps = lune_kernel(k, cfg)
-    lam, mult = np.unique(gaps[mask], return_counts=True)
-    vsq = vhat / (2.0 * TWO_PI_CUBED * cfg.k_f)
-    weight = (mult * lam)[:, None]
-    lam_sq = lam[:, None] ** 2
+def _bos_blocks(reps, cfg: LatticeConfig, pot: Potential, quad_tol: float):
+    """Yield (rows, values, errors, converged) per chunk of a shell.
 
-    def integrand(s):
-        q = 2.0 * vsq * np.sum(weight / (s**2 + lam_sq), axis=0)
-        return stable_log1p_minus_x(q)
+    ``rows`` index ``reps``; ``values`` and ``errors`` hold
+    int_0^inf F(q_k(s)) ds of each of those rows, all integrated as one
+    batched family, each member to ``quad_tol``.  Rows with V_k = 0 are
+    left out.
+    """
+    vhat = pot.at(reps)
+    # rows of one chunk share panels, so keep nearby gaps together
+    order = np.lexsort((orbit_key(reps), np.einsum("mi,mi->m", reps, reps)))
+    order = order[vhat[order] != 0.0]
+    for start in range(0, order.size, _BOS_CHUNK):
+        rows = order[start:start + _BOS_CHUNK]
+        mask, lam = lune_kernel(reps[rows], cfg)
+        g, counts = gap_counts(mask, lam)
+        # q_k(s) = sum_g C[k, g] / (s^2 + g^2) with C[k, g] = 2 v_k^2 m_g g
+        vsq = vhat[rows] / (2.0 * TWO_PI_CUBED * cfg.k_f)
+        resp = 2.0 * vsq[:, None] * counts * g
 
-    lam_min = float(lam[0])
-    res = integrate_semi_infinite(integrand, tol=quad_tol,
-                                  seeds=(lam_min, 10.0 * lam_min))
-    return res.value / np.pi, res.abs_error_estimate / np.pi, res.converged
+        def family(s):
+            return stable_log1p_minus_x(
+                resp @ (1.0 / (s[None, :] ** 2 + g[:, None] ** 2)))
+
+        lam_min = g[np.argmax(counts > 0, axis=1)]     # g is ascending
+        seed = float(np.exp(np.mean(np.log(lam_min))))
+        vals, errs, _, ok = integrate_semi_infinite_batch(
+            family, rows.size, tol=quad_tol, seeds=(seed, 10.0 * seed))
+        yield rows, vals, errs, ok
 
 
 def _ball_pair_sums(cfg: LatticeConfig):
@@ -137,74 +168,71 @@ def _ball_pair_sums(cfg: LatticeConfig):
     return t, counts[bins].astype(float), np.einsum("ij,ij->i", t, t)
 
 
-def _ex_term(k, cfg: LatticeConfig, pot: Potential, pair_sums) -> float:
-    """Exact pair sum V_k V_{p+q-k} / (lam_p + lam_q) over one lune squared.
+def _ex_terms(arr, vhat, cfg: LatticeConfig, pot: Potential,
+              pair_sums) -> np.ndarray:
+    """Pair sums V_k V_{p+q-k} / (lam_p + lam_q) over the lune of each row.
 
-    ``pair_sums`` is ``_ball_pair_sums(cfg)``: for a radial V and a lune
-    that is the whole shifted ball the sum runs over t in B + B.
+    ``pair_sums`` is ``_ball_pair_sums(cfg)``.  For a radial V the rows
+    whose lune is the whole shifted ball run as one (m, |B+B|) kernel
+    over t in B + B; the other rows take the masked pair sum.
     """
-    vhat = evaluate(pot, k)
-    if vhat == 0.0:
-        return 0.0
-    mask, gaps = lune_kernel(k, cfg)
-    kv = np.array(k, dtype=np.int64)
-    if pot.is_radial and mask.all():
+    mask, gaps = lune_kernel(arr, cfg)
+    out = np.zeros(arr.shape[0])
+    full = mask.all(axis=1) & pot.is_radial
+    if np.any(full):
         t, count, tn2 = pair_sums
-        kn2 = int(kv @ kv)
-        kt = t @ kv
-        return vhat * float(np.sum(count * pot.from_norm2(kn2 + 2 * kt + tn2)
-                                   / (kn2 + kt)))
-    a = cfg.ball_arr[mask]
-    vmat = pot.at(kv + a[:, None, :] + a[None, :, :])   # V(p + q - k)
-    lam = gaps[mask]
-    return vhat * float(np.sum(vmat / (lam[:, None] + lam[None, :])))
+        kn2 = np.einsum("mi,mi->m", arr[full], arr[full])[:, None]
+        kt = arr[full] @ t.T
+        out[full] = np.sum(count * pot.from_norm2(kn2 + 2 * kt + tn2)
+                           / (kn2 + kt), axis=1)
+    for i in np.flatnonzero(~full):
+        a = cfg.ball_arr[mask[i]]
+        vmat = pot.at(arr[i] + a[:, None, :] + a[None, :, :])   # V(p + q - k)
+        lam = gaps[i, mask[i]]
+        out[i] = np.sum(vmat / (lam[:, None] + lam[None, :]))
+    return vhat * out
 
 
 @lru_cache(maxsize=16)
-def _k_shell(k_hi: int, k_lo: int, symmetry: str) -> tuple:
-    """Orbit representatives and weights of k_lo < |k| <= k_hi (both sums)."""
-    return tuple(orbit_reduce(ball_array(k_hi * k_hi, k_lo * k_lo),
-                              (0, 0, 0), symmetry))
+def _k_shell(k_hi: int, k_lo: int, symmetry: str):
+    """(reps, weights) arrays of the orbit representatives of k_lo < |k| <= k_hi."""
+    pairs = orbit_reduce(ball_array(k_hi * k_hi, k_lo * k_lo), (0, 0, 0),
+                         symmetry)
+    reps = np.array([k for k, _ in pairs], dtype=np.int64).reshape(-1, 3)
+    weights = np.array([w for _, w in pairs], dtype=float)
+    reps.flags.writeable = weights.flags.writeable = False
+    return reps, weights
 
 
-def _truncated_k_sum(term_fn, cfg: LatticeConfig, pot: Potential,
+def _truncated_k_sum(shell_fn, cfg: LatticeConfig, pot: Potential,
                      policy: TailPolicy, symmetry: str | None = None):
-    """Cutoff-doubled sum of a per-k scalar (plus diagnostics) over k != 0.
+    """Cutoff-doubled sum over k != 0, one shell of k at a time.
 
-    term_fn(k) must return (value, quad_err, converged).  The
+    shell_fn(reps, weights) must return (value, quad_err, converged) of
+    the weighted sum over the shell's orbit representatives.  The
     enumeration collapses to orbit representatives with multiplicity
     weights, exact because every per-k summand here is invariant under
     the potential's symmetry class (full point group for radial
-    potentials, k -> -k for merely even ones).
+    potentials, k -> -k for merely even ones).  Returns (total, tail,
+    quad_err, k_cutoff, converged).
     """
     symmetry = pot.symmetry if symmetry is None else symmetry
-
-    def shell(k_hi, k_lo):
-        items = _k_shell(k_hi, k_lo, symmetry)
-        results = [term_fn(k) for k, _ in items]
-        val = sum(w * r[0] for (_, w), r in zip(items, results))
-        qerr = sum(w * r[1] for (_, w), r in zip(items, results))
-        ok = all(r[2] for r in results)
-        count = sum(w for _, w in items)
-        return val, qerr, ok, count
-
     k_cut = policy.initial_k_max(cfg)
-    total, qerr, ok, n_k = shell(k_cut, 0)
+    total, qerr, ok = shell_fn(*_k_shell(k_cut, 0, symmetry))
     tail = np.inf
     converged = False
     for _ in range(policy.max_doublings):
         new_cut = 2 * k_cut
-        inc, inc_err, inc_ok, inc_n = shell(new_cut, k_cut)
+        inc, inc_err, inc_ok = shell_fn(*_k_shell(new_cut, k_cut, symmetry))
         total += inc
         qerr += inc_err
         ok = ok and inc_ok
-        n_k += inc_n
         k_cut = new_cut
         tail = abs(inc)
         if tail <= policy.tail_tol * max(abs(total), 1e-300):
             converged = True
             break
-    return total, tail, qerr, k_cut, n_k, converged and ok
+    return total, tail, qerr, k_cut, converged and ok
 
 
 def e_corr_bos(cfg: LatticeConfig, pot: Potential,
@@ -213,10 +241,19 @@ def e_corr_bos(cfg: LatticeConfig, pot: Potential,
 
     Returns (value, tail_estimate, quad_error, k_cutoff, converged).
     """
+    check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
-    total, tail, qerr, k_cut, _, ok = _truncated_k_sum(
-        lambda k: _bos_term(k, cfg, pot, quad_tol), cfg, pot, policy)
-    return total, tail, qerr, k_cut, ok
+
+    def shell(reps, weights):
+        value = qerr = 0.0
+        ok = True
+        for rows, vals, errs, conv in _bos_blocks(reps, cfg, pot, quad_tol):
+            value += float(weights[rows] @ vals) / np.pi
+            qerr += float(weights[rows] @ errs) / np.pi
+            ok = ok and conv
+        return value, qerr, ok
+
+    return _truncated_k_sum(shell, cfg, pot, policy)
 
 
 def e_corr_ex(cfg: LatticeConfig, pot: Potential,
@@ -228,21 +265,27 @@ def e_corr_ex(cfg: LatticeConfig, pot: Potential,
     policy = policy or TailPolicy()
     pref = 1.0 / (4.0 * TWO_PI_6 * cfg.k_f**2)
     pair_sums = _ball_pair_sums(cfg)
-    total, tail, _, k_cut, _, ok = _truncated_k_sum(
-        lambda k: (_ex_term(k, cfg, pot, pair_sums), 0.0, True), cfg, pot,
-        policy)
+    # (chunk, |B+B|) temporaries of about 1 MB each
+    chunk = max(1, (1 << 17) // pair_sums[0].shape[0])
+
+    def shell(reps, weights):
+        vhat = pot.at(reps)
+        terms = np.zeros(vhat.shape)
+        nonzero = np.flatnonzero(vhat)
+        for start in range(0, nonzero.size, chunk):
+            sel = nonzero[start:start + chunk]
+            terms[sel] = _ex_terms(reps[sel], vhat[sel], cfg, pot, pair_sums)
+        # one k at a time in shell order, the order of the per-k form
+        return sum((weights * terms).tolist()), 0.0, True
+
+    total, tail, _, k_cut, ok = _truncated_k_sum(shell, cfg, pot, policy)
     return pref * total, pref * tail, k_cut, ok
-
-
-def single_k_exchange_term(k, cfg: LatticeConfig, pot: Potential) -> float:
-    """One k-term of E_corr,ex including its prefactor (for diagnostics)."""
-    return (_ex_term(k, cfg, pot, _ball_pair_sums(cfg))
-            / (4.0 * TWO_PI_6 * cfg.k_f**2))
 
 
 def energy_report(cfg: LatticeConfig, pot: Potential,
                   policy: TailPolicy | None = None,
                   quad_tol: float = 1e-9) -> EnergyReport:
+    check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
     kin, inter = e_fs(cfg, pot)
     bos, bos_tail, bos_qerr, bos_cut, bos_ok = e_corr_bos(

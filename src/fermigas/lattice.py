@@ -189,6 +189,26 @@ def lune_kernel(k, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     return shift + np.einsum("ij,ij->i", ball, ball) > cfg.r2, shift / 2.0
 
 
+def gap_counts(mask: np.ndarray, lam: np.ndarray):
+    """Gap histograms of a block of modes on one shared gap axis.
+
+    ``mask`` and ``lam`` are the (m, N) output of ``lune_kernel``.
+    Returns the distinct lune gaps g of the whole block, ascending, and
+    the (m, G) counts of lune points of each mode at each gap.
+    """
+    g, col = np.unique(lam[mask], return_inverse=True)
+    counts = np.bincount(np.nonzero(mask)[0] * g.size + col,
+                         minlength=mask.shape[0] * g.size)
+    return g, counts.reshape(-1, g.size)
+
+
+def orbit_key(arr: np.ndarray) -> np.ndarray:
+    """Sorted |k| components as one integer, equal on each 48-element orbit."""
+    srt = np.sort(np.abs(arr), axis=1)
+    base = int(srt.max(initial=0)) + 1
+    return (srt[:, 2] * base + srt[:, 1]) * base + srt[:, 0]
+
+
 def lune(k: Sequence[int], cfg: LatticeConfig) -> LuneBasis:
     """Enumerate the lune of k: the slab of the shifted ball poking out.
 
@@ -240,10 +260,11 @@ def kappa_and_weight(p: Sequence[int], cfg: LatticeConfig) -> tuple[float, float
 class TailPolicy:
     """Truncation policy for lattice sums without finite support.
 
-    ``k_max`` is the starting cutoff radius (None picks ceil(2 k_F) + 2);
-    the cutoff is doubled until the relative change of the sum drops
-    below ``tail_tol`` or ``max_doublings`` is exhausted.  The reported
-    tail estimate is the last observed increment.
+    ``k_max`` is the starting cutoff radius, at least 1 (None picks
+    ceil(2 k_F) + 2); the cutoff is doubled until the relative change of
+    the sum drops below the positive, finite ``tail_tol`` or
+    ``max_doublings`` is exhausted.  The reported tail estimate is the
+    last observed increment.
     """
 
     k_max: int | None = None
@@ -251,14 +272,16 @@ class TailPolicy:
     max_doublings: int = 5
 
     def __post_init__(self):
-        if not (self.tail_tol > 0 and self.max_doublings >= 0):
-            raise ValueError(f"tail_tol must be positive and max_doublings "
-                             f"nonnegative, got {self.tail_tol}, "
+        if not (0 < self.tail_tol < math.inf and self.max_doublings >= 0):
+            raise ValueError(f"tail_tol must be positive and finite and "
+                             f"max_doublings nonnegative, got {self.tail_tol}, "
                              f"{self.max_doublings}")
+        if self.k_max is not None and not self.k_max >= 1:
+            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
 
     def initial_k_max(self, cfg: LatticeConfig) -> int:
         if self.k_max is not None:
-            return max(1, int(self.k_max))
+            return int(self.k_max)
         return int(math.ceil(2.0 * cfg.k_f)) + 2
 
 

@@ -47,10 +47,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, k_support,
-                      lune_kernel, neg, norm2, orbit_reduce,
-                      truncated_k_vectors)
-from .numerics import integrate_semi_infinite_batch
+from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, gap_counts,
+                      k_support, lune_kernel, neg, norm2, orbit_key,
+                      orbit_reduce, truncated_k_vectors)
+from .numerics import check_tol, integrate_semi_infinite_batch
 from .potential import Potential, load_table
 from .quasiboson import TWO_PI_6, TWO_PI_CUBED
 
@@ -114,25 +114,6 @@ class _PerK:
                      self.converged and other.converged)
 
 
-def _orbit_key(arr: np.ndarray) -> np.ndarray:
-    """Sorted |k| components as one integer, equal on each 48-element orbit."""
-    srt = np.sort(np.abs(arr), axis=1)
-    base = int(srt.max(initial=0)) + 1
-    return (srt[:, 2] * base + srt[:, 1]) * base + srt[:, 0]
-
-
-def _gap_counts(mask: np.ndarray, lam: np.ndarray):
-    """Gap histograms of a block of modes on one shared gap axis.
-
-    Returns the distinct lune gaps g of the whole block, ascending, and
-    the (m, G) counts of lune points of each mode at each gap.
-    """
-    g, col = np.unique(lam[mask], return_inverse=True)
-    counts = np.bincount(np.nonzero(mask)[0] * g.size + col,
-                         minlength=mask.shape[0] * g.size)
-    return g, counts.reshape(-1, g.size)
-
-
 def _cosh_minus_one_per_gap(g: np.ndarray, counts: np.ndarray,
                             vsq: np.ndarray) -> np.ndarray:
     """(cosh(-2K) - 1)_pp at a lune point p of each gap, on the gap axis g.
@@ -171,7 +152,7 @@ def _mode_chunk(arr, wts, vhat, cols, cfg: LatticeConfig, pot: Potential,
     """
     out = _PerK()
     mask, lam = lune_kernel(arr, cfg)
-    g, counts = _gap_counts(mask, lam)
+    g, counts = gap_counts(mask, lam)
     vsq = vhat / (2.0 * TWO_PI_CUBED * cfg.k_f)
     rows = np.arange(arr.shape[0])
     hits = [(col, (col >= 0) & mask[rows, col], lam[rows, col])
@@ -180,7 +161,7 @@ def _mode_chunk(arr, wts, vhat, cols, cfg: LatticeConfig, pot: Potential,
         # the eigensolve depends on k through the gap histogram, fixed by
         # the orbit key, and through V_k, fixed by it too when V is radial
         _, vcode = np.unique(vhat, return_inverse=True)
-        key = _orbit_key(arr) * (vcode.max(initial=0) + 1) + vcode
+        key = orbit_key(arr) * (vcode.max(initial=0) + 1) + vcode
         _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
         per_gap = _cosh_minus_one_per_gap(g, counts[rep], vsq[rep])
         for _, hit, lz in hits:
@@ -255,7 +236,7 @@ def _eval_k_block(ks: Sequence[Vec3], xi: Vec3, cfg: LatticeConfig,
     cols = cfg.ball_index(np.array([xi, neg(xi)])
                           - (0 if inside else arr[:, None]))
     cols = np.broadcast_to(cols, (arr.shape[0], 2))
-    order = (np.lexsort((_orbit_key(arr), kn2)) if inside
+    order = (np.lexsort((orbit_key(arr), kn2)) if inside
              else np.arange(arr.shape[0]))
     order = order[vhat[order] != 0.0]
     total = _PerK()
@@ -326,6 +307,7 @@ def n_boson_integral(xi, cfg: LatticeConfig, pot: Potential,
                      policy: TailPolicy | None = None,
                      quad_tol: float = 1e-9) -> MomentumBreakdown:
     """Pair-excitation occupancy at xi by the screened-quadrature route."""
+    check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
     xv = as_vec3(xi)
     total, tail, n_k, ok = _sum_over_support(xv, cfg, pot, policy, quad_tol,
@@ -356,6 +338,7 @@ def n_point(xi, cfg: LatticeConfig, pot: Potential,
     from the spectral route.  The trial-state error term is not
     computable in closed form and is dropped throughout.
     """
+    check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
     xv = as_vec3(xi)
     if route == "auto":
@@ -424,6 +407,7 @@ def n_weighted(f: Observable, cfg: LatticeConfig, pot: Potential,
     The sum runs in sorted-xi order.  Returns the total and the
     per-point records.
     """
+    check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
     support = f.support()
     rows = [n_point(xi, cfg, pot, policy, route=route, quad_tol=quad_tol)

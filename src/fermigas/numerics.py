@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -62,6 +63,12 @@ class QuadratureResult:
         assert self.evaluations >= 1
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError unless the tolerance ``tol`` is positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
+
+
 def _gauss_kronrod(g: Callable[[np.ndarray], np.ndarray],
                    edges: Iterable[float], tol: float,
                    max_subdivisions: int):
@@ -81,8 +88,7 @@ def _gauss_kronrod(g: Callable[[np.ndarray], np.ndarray],
     Sharing panels is conservative: each member's error estimate is a
     valid Kronrod-Gauss bound on its own panel sums.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     edges = sorted(set(float(e) for e in edges))
     if len(edges) < 2:
         raise ValueError("need at least two panel edges")

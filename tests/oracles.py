@@ -14,8 +14,9 @@ from collections import Counter
 import numpy as np
 
 from fermigas.energy import stable_log1p_minus_x
-from fermigas.lattice import (add, as_vec3, d_intersection, lambda_of, neg,
-                              nonzero_k_vectors, norm2, stabilizer_group)
+from fermigas.lattice import (add, as_vec3, d_intersection, lambda_of,
+                              lune_kernel, neg, nonzero_k_vectors, norm2,
+                              stabilizer_group)
 from fermigas.momentum import _PerK
 from fermigas.numerics import (integrate_semi_infinite,
                                integrate_semi_infinite_batch)
@@ -69,6 +70,40 @@ def ex_term_dense(k, cfg, pot):
         for j in range(len(pts)):
             vmat[i, j] = evaluate(pot, tuple(int(c) for c in arr[i] + arr[j] - kv))
     return vhat * float(np.sum(vmat / (lam[:, None] + lam[None, :])))
+
+
+def single_k_exchange_term(k, cfg, pot):
+    """One k-term of E_corr,ex with its prefactor: the masked pair sum over the lune."""
+    vhat = evaluate(pot, k)
+    if vhat == 0.0:
+        return 0.0
+    mask, gaps = lune_kernel(k, cfg)
+    a = cfg.ball_arr[mask]
+    vmat = pot.at(np.asarray(k) + a[:, None, :] + a[None, :, :])   # V(p + q - k)
+    lam = gaps[mask]
+    return (vhat * float(np.sum(vmat / (lam[:, None] + lam[None, :])))
+            / (4.0 * TWO_PI_6 * cfg.k_f**2))
+
+
+def bos_term(k, cfg, pot, quad_tol):
+    """(1/pi) int F(q_k(s)) ds for one k from its gap histogram, one scalar quadrature."""
+    vhat = evaluate(pot, k)
+    if vhat == 0.0:
+        return 0.0, 0.0, True
+    mask, gaps = lune_kernel(k, cfg)
+    lam, mult = np.unique(gaps[mask], return_counts=True)
+    vsq = vhat / (2.0 * TWO_PI_CUBED * cfg.k_f)
+    weight = (mult * lam)[:, None]
+    lam_sq = lam[:, None] ** 2
+
+    def integrand(s):
+        q = 2.0 * vsq * np.sum(weight / (s**2 + lam_sq), axis=0)
+        return stable_log1p_minus_x(q)
+
+    lam_min = float(lam[0])
+    res = integrate_semi_infinite(integrand, tol=quad_tol,
+                                  seeds=(lam_min, 10.0 * lam_min))
+    return res.value / np.pi, res.abs_error_estimate / np.pi, res.converged
 
 
 def bos_term_mode(k, cfg, pot, quad_tol):

@@ -128,6 +128,17 @@ def test_non_finite_kf_exit_2(capsys):
     (("momentum", "--xi", "0,0,0", "--tail-tol", "nan"),
      "tail_tol must be positive"),
     (("energy", "--max-doublings", "-2"), "max_doublings nonnegative"),
+    (("energy", "--quad-tol", "0", "--potential", "zero"),
+     "quad_tol must be positive and finite"),
+    (("energy", "--quad-tol", "inf"), "quad_tol must be positive and finite"),
+    (("energy", "--tail-tol", "inf"), "tail_tol must be positive and finite"),
+    (("energy", "--k-max", "0"), "k_max must be at least 1"),
+    (("momentum", "--xi", "0,0,0", "--k-max", "-3"),
+     "k_max must be at least 1"),
+    (("momentum", "--xi", "2,0,0", "--quad-tol", "0"),
+     "quad_tol must be positive and finite"),
+    (("momentum-sum", "--observable", "delta:2,0,0", "--route", "spectral",
+      "--quad-tol", "-1"), "quad_tol must be positive and finite"),
 ])
 def test_bad_numeric_options_exit_2(capsys, argv, message):
     assert main([*argv, "--kf", "1"]) == 2

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fermigas.energy import (_ball_pair_sums, _bos_term, _ex_term, e_corr_bos,
+from fermigas.energy import (_ball_pair_sums, _bos_blocks, _ex_terms,
+                             _k_shell, _truncated_k_sum, e_corr_bos,
                              e_corr_ex, e_fs, energy_report,
-                             single_k_exchange_term, stable_log1p_minus_x)
+                             stable_log1p_minus_x)
 from fermigas.lattice import (TailPolicy, ball_points, fermi_ball, lambda_of,
-                              lune, lune_kernel, neg, norm2)
+                              lune, lune_kernel, neg, nonzero_k_vectors, norm2)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
-from oracles import bos_term_mode, e_fs_interaction_loop, ex_term_dense
+from oracles import (bos_term, bos_term_mode, e_fs_interaction_loop,
+                     ex_term_dense, single_k_exchange_term)
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 TWO_PI_6 = (2.0 * np.pi) ** 6
@@ -83,6 +85,14 @@ def test_e_corr_bos_zero_potential():
     assert val == 0.0 and qerr == 0.0 and ok
 
 
+@pytest.mark.parametrize("quad_tol", [0.0, np.inf, np.nan])
+def test_energy_entry_points_reject_bad_quad_tol(quad_tol):
+    cfg = fermi_ball(1.0)
+    for call in (e_corr_bos, energy_report):
+        with pytest.raises(ValueError, match="quad_tol must be positive"):
+            call(cfg, zero(), FAST, quad_tol=quad_tol)
+
+
 def test_e_corr_bos_negative_for_coulomb():
     val, _, _, _, ok = e_corr_bos(fermi_ball(1.0), coulomb(1.0),
                                   TailPolicy(k_max=4, tail_tol=1e-3,
@@ -103,6 +113,13 @@ def test_e_corr_ex_zero_potential():
     assert val == 0.0 and ok
 
 
+def _ex_block(ks, cfg, pot):
+    """Per-k E_corr,ex terms of the block, prefactor included."""
+    arr = np.array(ks, dtype=np.int64)
+    return (_ex_terms(arr, pot.at(arr), cfg, pot, _ball_pair_sums(cfg))
+            / (4.0 * TWO_PI_6 * cfg.k_f**2))
+
+
 def test_e_corr_ex_single_k_brute_force():
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
@@ -115,7 +132,9 @@ def test_e_corr_ex_single_k_brute_force():
             expected += evaluate(pot, k) * evaluate(pot, arg) / (
                 lambda_of(k, p) + lambda_of(k, q))
     expected /= 4.0 * TWO_PI_6 * cfg.k_f**2
-    assert single_k_exchange_term(k, cfg, pot) == pytest.approx(expected, rel=1e-13)
+    assert _ex_block([k], cfg, pot)[0] == pytest.approx(expected, rel=1e-13)
+    assert single_k_exchange_term(k, cfg, pot) == pytest.approx(expected,
+                                                                rel=1e-13)
 
 
 def _table_potential(radius):
@@ -134,14 +153,13 @@ EX_KS = ((1, 0, 0), (2, 1, 0), (5, 0, 0), (3, 3, 1))
                          ids=["coulomb", "yukawa", "table"])
 def test_ex_term_matches_dense_pair_sum(pot):
     cfg = fermi_ball(2.0)
-    pair_sums = _ball_pair_sums(cfg)
     assert [bool(lune_kernel(k, cfg)[0].all()) for k in EX_KS] == [
         False, False, True, True]
-    for k in EX_KS:
+    prefactor = 4.0 * TWO_PI_6 * cfg.k_f**2
+    for k, term in zip(EX_KS, _ex_block(EX_KS, cfg, pot) * prefactor):
         expected = ex_term_dense(k, cfg, pot)
         assert expected > 0.0
-        assert _ex_term(k, cfg, pot, pair_sums) == pytest.approx(expected,
-                                                                 rel=1e-13)
+        assert term == pytest.approx(expected, rel=1e-13)
 
 
 def test_ball_pair_sums_is_the_autocorrelation():
@@ -162,21 +180,25 @@ def test_ball_pair_sums_is_the_autocorrelation():
                          ids=["coulomb", "yukawa"])
 def test_bos_term_gap_histogram_matches_full_lune(pot):
     cfg = fermi_ball(2.0)
-    for k in EX_KS + ((1, 1, 1), (12, 7, 3)):
-        value, err, ok = _bos_term(k, cfg, pot, 1e-9)
-        ref_value, ref_err, ref_ok = bos_term_mode(k, cfg, pot, 1e-9)
-        assert value < 0.0 and ok == ref_ok
-        assert value == pytest.approx(ref_value, rel=1e-12)
-        assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-12 * abs(value))
+    ks = EX_KS + ((1, 1, 1), (12, 7, 3))
+    [(rows, values, errors, ok)] = _bos_blocks(np.array(ks), cfg, pot, 1e-9)
+    assert ok and sorted(rows.tolist()) == list(range(len(ks)))
+    for row, value, err in zip(rows, values / np.pi, errors / np.pi):
+        ref_value, ref_err, ref_ok = bos_term(ks[row], cfg, pot, 1e-9)
+        mode_value, mode_err, mode_ok = bos_term_mode(ks[row], cfg, pot, 1e-9)
+        assert value < 0.0 and ref_ok and mode_ok
+        assert ref_value == pytest.approx(mode_value, rel=1e-12)
+        assert abs(value - ref_value) <= err + ref_err
+        assert abs(value - mode_value) <= err + mode_err
 
 
 def test_e_corr_ex_reflection_symmetry():
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
-    for k in ((1, 0, 0), (1, 1, 0), (2, 1, 0)):
-        a = single_k_exchange_term(k, cfg, pot)
-        b = single_k_exchange_term(neg(k), cfg, pot)
-        assert a == pytest.approx(b, rel=1e-12)
+    ks = ((1, 0, 0), (1, 1, 0), (2, 1, 0))
+    a = _ex_block(ks, cfg, pot)
+    b = _ex_block([neg(k) for k in ks], cfg, pot)
+    np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_e_corr_ex_positive_and_cutoff_stable():
@@ -191,17 +213,66 @@ def test_e_corr_ex_positive_and_cutoff_stable():
 
 
 def test_orbit_reduction_matches_full_enumeration():
-    from fermigas.energy import _truncated_k_sum
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
     pol = TailPolicy(k_max=3, max_doublings=1)
     pair_sums = _ball_pair_sums(cfg)
-    term = lambda k: (_ex_term(k, cfg, pot, pair_sums), 0.0, True)
-    reduced = _truncated_k_sum(term, cfg, pot, pol)
-    paired = _truncated_k_sum(term, cfg, pot, pol, symmetry="even")
-    full = _truncated_k_sum(term, cfg, pot, pol, symmetry="none")
+
+    def shell(reps, weights):
+        terms = _ex_terms(reps, pot.at(reps), cfg, pot, pair_sums)
+        return float(weights @ terms), 0.0, True
+
+    reduced = _truncated_k_sum(shell, cfg, pot, pol)
+    paired = _truncated_k_sum(shell, cfg, pot, pol, symmetry="even")
+    full = _truncated_k_sum(shell, cfg, pot, pol, symmetry="none")
     assert reduced[0] == pytest.approx(full[0], rel=1e-12)
     assert paired[0] == pytest.approx(full[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("k_f", [1.0, 2.0])
+@pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(0.7, 1.3),
+                                 _table_potential(10)],
+                         ids=["coulomb", "yukawa", "table"])
+def test_block_sign_laws_per_term(k_f, pot):
+    # F <= 0 makes every E_corr,bos member <= 0; V >= 0 and positive
+    # gaps make every E_corr,ex term >= 0
+    cfg = fermi_ball(k_f)
+    reps, _ = _k_shell(8, 0, pot.symmetry)
+    members = 0
+    for rows, values, _, _ in _bos_blocks(reps, cfg, pot, 1e-8):
+        assert np.all(values <= 0.0)
+        members += rows.size
+    assert members == np.count_nonzero(pot.at(reps))
+    terms = _ex_terms(reps, pot.at(reps), cfg, pot, _ball_pair_sums(cfg))
+    assert np.all(terms >= 0.0) and np.any(terms > 0.0)
+
+
+def _coulomb_tables(radius):
+    """Coulomb's values on 0 < |k| <= radius (even), and uneven ones."""
+    ks = nonzero_k_vectors(radius)
+    return (from_table({k: 1.0 / norm2(k) for k in ks}),
+            from_table({k: 1.0 / (norm2(k) + 0.3 * k[0] + 0.2 * k[1]
+                                  + 0.1 * k[2] + 1.0) for k in ks}))
+
+
+def test_energy_block_runs_tables():
+    cfg = fermi_ball(1.5)
+    pol = TailPolicy(k_max=2, tail_tol=1e-3, max_doublings=1)
+    even, uneven = _coulomb_tables(4)
+    assert (even.symmetry, uneven.symmetry) == ("even", "none")
+    bos = []
+    for pot in (even, uneven):
+        value, _, qerr, k_cut, _ = e_corr_bos(cfg, pot, pol, quad_tol=1e-10)
+        bos.append(value)
+        ex, _, ex_cut, _ = e_corr_ex(cfg, pot, pol)
+        assert k_cut == ex_cut == 4
+        ks = nonzero_k_vectors(k_cut)
+        ex_ref = sum(single_k_exchange_term(k, cfg, pot) for k in ks)
+        assert ex == pytest.approx(ex_ref, rel=1e-13)
+        bos_ref = sum(bos_term(k, cfg, pot, 1e-10)[0] for k in ks)
+        assert abs(value - bos_ref) <= qerr
+    coulomb_bos = e_corr_bos(cfg, coulomb(1.0), pol, quad_tol=1e-10)[0]
+    assert bos[0] == pytest.approx(coulomb_bos, rel=1e-12)
 
 
 def test_energy_report_fields_and_signs():

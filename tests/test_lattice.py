@@ -303,3 +303,10 @@ def test_lattice_sum_trend_bounded():
         assert np.isfinite(c) and c > 0
         # single fitted constant works across the whole swept set
         assert all(r <= c for r in ratios)
+
+
+def test_tail_policy_rejects_bad_numbers():
+    for kwargs in ({"tail_tol": np.inf}, {"tail_tol": 0.0}, {"k_max": 0},
+                   {"k_max": -3}):
+        with pytest.raises(ValueError):
+            TailPolicy(**kwargs)

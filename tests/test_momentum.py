@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, d_intersection, fermi_ball,
-                              k_support, lambda_of, lune, lune_kernel,
-                              nonzero_k_vectors, norm2, signed_perm_group,
+                              gap_counts, k_support, lambda_of, lune,
+                              lune_kernel, nonzero_k_vectors, norm2,
+                              orbit_key, signed_perm_group,
                               truncated_k_vectors)
 from fermigas.momentum import (MomentumBreakdown, Observable,
                                _cosh_minus_one_per_gap, _eval_k_block,
-                               _gap_counts, _mode_chunk, _orbit_key,
-                               n_boson_integral, n_boson_spectral, n_exchange,
-                               n_point, n_weighted)
+                               _mode_chunk, n_boson_integral,
+                               n_boson_spectral, n_exchange, n_point,
+                               n_weighted)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from fermigas.quasiboson import (TWO_PI_CUBED, build_mode,
                                  cosh2k_minus_one_diag, q_of_s)
@@ -191,7 +192,7 @@ BLOCK_KS = {
 def test_deflated_diag_matches_full_lune(kf):
     cfg = fermi_ball(kf)
     modes = [build_mode(k, cfg, coulomb(1.0)) for k in BLOCK_KS[kf]]
-    g, counts = _gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
+    g, counts = gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
     per_gap = _cosh_minus_one_per_gap(g, counts,
                                       np.array([m.vsq for m in modes]))
     for row, mode in enumerate(modes):
@@ -210,7 +211,7 @@ def test_gap_table_response_matches_q_of_s():
     for kf, pot in ((2.0, coulomb(1.0)), (3.0, yukawa(2.0, 0.5))):
         cfg = fermi_ball(kf)
         modes = [build_mode(k, cfg, pot) for k in BLOCK_KS[kf]]
-        g, counts = _gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
+        g, counts = gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
         vsq = np.array([m.vsq for m in modes])
         q = (2.0 * vsq[:, None] * counts * g) @ (
             1.0 / (s[None, :] ** 2 + g[:, None] ** 2))
@@ -225,11 +226,11 @@ def test_gap_table_response_matches_q_of_s():
 def test_gap_histogram_is_point_group_invariant(k, kf):
     cfg = fermi_ball(kf)
     images = signed_perm_group() @ np.array(k)
-    g, counts = _gap_counts(*lune_kernel(images, cfg))
+    g, counts = gap_counts(*lune_kernel(images, cfg))
     lam_d, m_d = np.unique(lune(k, cfg).lambdas, return_counts=True)
     assert np.array_equal(g, lam_d)
     assert np.array_equal(counts, np.broadcast_to(m_d, (48, lam_d.size)))
-    assert np.all(_orbit_key(images) == _orbit_key(images)[0])
+    assert np.all(orbit_key(images) == orbit_key(images)[0])
 
 
 @pytest.mark.parametrize("xi, pot_name", [
@@ -358,7 +359,7 @@ def test_deflated_hit_value_against_mpmath_kf3():
     vsq = coulomb(1.0).from_norm2(np.einsum("mi,mi->m", ks, ks)) / (
         2.0 * TWO_PI_CUBED * cfg.k_f)
     mask, lam = lune_kernel(ks, cfg)
-    g, counts = _gap_counts(mask, lam)
+    g, counts = gap_counts(mask, lam)
     per_gap = _cosh_minus_one_per_gap(g, counts, vsq)
     for row, k in enumerate(ks):
         # the hit is s xi with s xi - k in the ball
@@ -420,6 +421,20 @@ def test_observable_symmetry_enforced():
     with pytest.raises(ValueError):
         Observable(values={(1, 0, 0): 1.0, (-1, 0, 0): 2.0})
     Observable(values={(1, 0, 0): 1.0, (-1, 0, 0): 1.0})
+
+
+@pytest.mark.parametrize("quad_tol", [0.0, -1e-9, np.inf, np.nan])
+def test_entry_points_reject_bad_quad_tol(quad_tol):
+    # checked up front: none of these calls would reach the engine
+    cfg = fermi_ball(1.0)
+    calls = (lambda: n_boson_integral((0, 0, 0), cfg, zero(), FAST, quad_tol),
+             lambda: n_point((2, 0, 0), cfg, coulomb(1.0), FAST,
+                             route="spectral", quad_tol=quad_tol),
+             lambda: n_weighted(Observable(values={}), cfg, coulomb(1.0),
+                                FAST, quad_tol=quad_tol))
+    for call in calls:
+        with pytest.raises(ValueError, match="quad_tol must be positive"):
+            call()
 
 
 def test_observable_rejects_non_finite_weights():
