@@ -7,9 +7,10 @@ pieces are
     E_corr,ex  = 1 / (4 (2pi)^6 k_F^2)
                  * sum_k sum_{p,q in lune(k)} V_k V_{p+q-k} / (lam_p + lam_q),
 
-with the k-sums truncated by cutoff doubling.  For radial potentials the
-k-sum is reduced to octahedral orbit representatives, which is exact;
-both sums walk the same shells.
+with the k-sums truncated by cutoff doubling (``lattice.doubled_sum``).
+Each shell k_lo < |k| <= k_hi is one ``orbit_reduce`` of its points to
+(reps, weights) arrays, exact under the potential's symmetry class;
+both sums walk the same shells and share each through ``_k_shell``.
 
 The lune of k enters only through the points k + q, q in the ball B,
 with gaps lam = (|k|^2 + 2 k.q)/2 (``lattice.lune_kernel``):
@@ -38,12 +39,13 @@ Both sums run each shell in chunks of orbit representatives, one
   quadrature family.  Its panels are seeded at s = seed and 10 seed,
   seed the geometric mean of the rows' smallest gaps, and refined until
   every member meets ``quad_tol``.
-* E_corr,ex runs the full-lune rows of a radial V as one (m, |B+B|)
-  kernel; near rows (|k| <= 2 k_F) and table rows keep the masked pair
-  sum.  The chunk size is taken from |B+B| (829 at k_F = 3, growing as
-  k_F^3), so that the kernel's temporaries stay near 1 MB each.  Its
-  per-k terms are summed one k at a time in shell order, so the result
-  is the same float as the plain per-k sum's.
+* E_corr,ex runs the full-lune rows as one (m, |B+B|) kernel, V(k + t)
+  read off the integer norm for a radial V and by ``Potential.at`` for a
+  table; near rows (|k| <= 2 k_F) keep the masked pair sum.  The chunk
+  size is taken from |B+B| (829 at k_F = 3, growing as k_F^3), so that
+  the kernel's temporaries stay near 1 MB each.  Its per-k terms are
+  summed one k at a time in shell order, so the result is the same
+  float as the plain per-k sum's.
 
 The plain per-k forms, one scalar quadrature and one pair sum per k,
 live on as test oracles.
@@ -57,8 +59,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (LatticeConfig, TailPolicy, ball_array, gap_counts,
-                      lune_kernel, orbit_key, orbit_reduce)
+from .lattice import (LatticeConfig, TailPolicy, ball_array, doubled_sum,
+                      gap_counts, lune_kernel, orbit_key, orbit_reduce)
 from .numerics import check_tol, integrate_semi_infinite_batch
 from .potential import Potential, evaluate
 from .quasiboson import TWO_PI_6, TWO_PI_CUBED
@@ -172,19 +174,22 @@ def _ex_terms(arr, vhat, cfg: LatticeConfig, pot: Potential,
               pair_sums) -> np.ndarray:
     """Pair sums V_k V_{p+q-k} / (lam_p + lam_q) over the lune of each row.
 
-    ``pair_sums`` is ``_ball_pair_sums(cfg)``.  For a radial V the rows
-    whose lune is the whole shifted ball run as one (m, |B+B|) kernel
-    over t in B + B; the other rows take the masked pair sum.
+    ``pair_sums`` is ``_ball_pair_sums(cfg)``.  The rows whose lune is
+    the whole shifted ball run as one (m, |B+B|) kernel over t in B + B;
+    the other rows take the masked pair sum.
     """
     mask, gaps = lune_kernel(arr, cfg)
     out = np.zeros(arr.shape[0])
-    full = mask.all(axis=1) & pot.is_radial
+    full = mask.all(axis=1)
     if np.any(full):
         t, count, tn2 = pair_sums
         kn2 = np.einsum("mi,mi->m", arr[full], arr[full])[:, None]
         kt = arr[full] @ t.T
-        out[full] = np.sum(count * pot.from_norm2(kn2 + 2 * kt + tn2)
-                           / (kn2 + kt), axis=1)
+        if pot.is_radial:
+            vt = pot.from_norm2(kn2 + 2 * kt + tn2)
+        else:
+            vt = pot.at(arr[full, None] + t)                    # V(k + t)
+        out[full] = np.sum(count * vt / (kn2 + kt), axis=1)
     for i in np.flatnonzero(~full):
         a = cfg.ball_arr[mask[i]]
         vmat = pot.at(arr[i] + a[:, None, :] + a[None, :, :])   # V(p + q - k)
@@ -196,43 +201,10 @@ def _ex_terms(arr, vhat, cfg: LatticeConfig, pot: Potential,
 @lru_cache(maxsize=16)
 def _k_shell(k_hi: int, k_lo: int, symmetry: str):
     """(reps, weights) arrays of the orbit representatives of k_lo < |k| <= k_hi."""
-    pairs = orbit_reduce(ball_array(k_hi * k_hi, k_lo * k_lo), (0, 0, 0),
-                         symmetry)
-    reps = np.array([k for k, _ in pairs], dtype=np.int64).reshape(-1, 3)
-    weights = np.array([w for _, w in pairs], dtype=float)
+    reps, weights = orbit_reduce(ball_array(k_hi * k_hi, k_lo * k_lo),
+                                 (0, 0, 0), symmetry)
     reps.flags.writeable = weights.flags.writeable = False
     return reps, weights
-
-
-def _truncated_k_sum(shell_fn, cfg: LatticeConfig, pot: Potential,
-                     policy: TailPolicy, symmetry: str | None = None):
-    """Cutoff-doubled sum over k != 0, one shell of k at a time.
-
-    shell_fn(reps, weights) must return (value, quad_err, converged) of
-    the weighted sum over the shell's orbit representatives.  The
-    enumeration collapses to orbit representatives with multiplicity
-    weights, exact because every per-k summand here is invariant under
-    the potential's symmetry class (full point group for radial
-    potentials, k -> -k for merely even ones).  Returns (total, tail,
-    quad_err, k_cutoff, converged).
-    """
-    symmetry = pot.symmetry if symmetry is None else symmetry
-    k_cut = policy.initial_k_max(cfg)
-    total, qerr, ok = shell_fn(*_k_shell(k_cut, 0, symmetry))
-    tail = np.inf
-    converged = False
-    for _ in range(policy.max_doublings):
-        new_cut = 2 * k_cut
-        inc, inc_err, inc_ok = shell_fn(*_k_shell(new_cut, k_cut, symmetry))
-        total += inc
-        qerr += inc_err
-        ok = ok and inc_ok
-        k_cut = new_cut
-        tail = abs(inc)
-        if tail <= policy.tail_tol * max(abs(total), 1e-300):
-            converged = True
-            break
-    return total, tail, qerr, k_cut, converged and ok
 
 
 def e_corr_bos(cfg: LatticeConfig, pot: Potential,
@@ -244,16 +216,18 @@ def e_corr_bos(cfg: LatticeConfig, pot: Potential,
     check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
 
-    def shell(reps, weights):
+    def shell(k_lo, k_hi):
+        reps, weights = _k_shell(k_hi, k_lo, pot.symmetry)
         value = qerr = 0.0
         ok = True
         for rows, vals, errs, conv in _bos_blocks(reps, cfg, pot, quad_tol):
             value += float(weights[rows] @ vals) / np.pi
             qerr += float(weights[rows] @ errs) / np.pi
             ok = ok and conv
-        return value, qerr, ok
+        return np.array([value]), qerr, ok, int(weights.sum())
 
-    return _truncated_k_sum(shell, cfg, pot, policy)
+    total, tail, qerr, _, k_cut, ok = doubled_sum(shell, cfg, policy)
+    return float(total[0]), tail, qerr, k_cut, ok
 
 
 def e_corr_ex(cfg: LatticeConfig, pot: Potential,
@@ -268,7 +242,8 @@ def e_corr_ex(cfg: LatticeConfig, pot: Potential,
     # (chunk, |B+B|) temporaries of about 1 MB each
     chunk = max(1, (1 << 17) // pair_sums[0].shape[0])
 
-    def shell(reps, weights):
+    def shell(k_lo, k_hi):
+        reps, weights = _k_shell(k_hi, k_lo, pot.symmetry)
         vhat = pot.at(reps)
         terms = np.zeros(vhat.shape)
         nonzero = np.flatnonzero(vhat)
@@ -276,10 +251,11 @@ def e_corr_ex(cfg: LatticeConfig, pot: Potential,
             sel = nonzero[start:start + chunk]
             terms[sel] = _ex_terms(reps[sel], vhat[sel], cfg, pot, pair_sums)
         # one k at a time in shell order, the order of the per-k form
-        return sum((weights * terms).tolist()), 0.0, True
+        return (np.array([sum((weights * terms).tolist())]), 0.0, True,
+                int(weights.sum()))
 
-    total, tail, _, k_cut, ok = _truncated_k_sum(shell, cfg, pot, policy)
-    return pref * total, pref * tail, k_cut, ok
+    total, tail, _, _, k_cut, ok = doubled_sum(shell, cfg, policy)
+    return pref * float(total[0]), pref * tail, k_cut, ok
 
 
 def energy_report(cfg: LatticeConfig, pot: Potential,

@@ -262,9 +262,10 @@ class TailPolicy:
 
     ``k_max`` is the starting cutoff radius, at least 1 (None picks
     ceil(2 k_F) + 2); the cutoff is doubled until the relative change of
-    the sum drops below the positive, finite ``tail_tol`` or
-    ``max_doublings`` is exhausted.  The reported tail estimate is the
-    last observed increment.
+    every tracked part of the sum drops below the positive, finite
+    ``tail_tol`` or ``max_doublings`` is exhausted (``doubled_sum``).
+    The reported tail estimate is the largest last increment over the
+    tracked parts.
     """
 
     k_max: int | None = None
@@ -285,58 +286,70 @@ class TailPolicy:
         return int(math.ceil(2.0 * cfg.k_f)) + 2
 
 
+def doubled_sum(shell, cfg: LatticeConfig, policy: TailPolicy):
+    """Cutoff-doubled lattice sum over k != 0, one shell of k at a time.
+
+    ``shell(k_lo, k_hi)`` sums over k_lo < |k| <= k_hi and returns
+    (parts, quad_err, ok, n_k): a float array of the tracked parts, the
+    quadrature error, whether the shell converged and its count of k.
+    The cutoff starts at ``policy.initial_k_max`` and doubles until every
+    part's increment is at most ``tail_tol`` times its running total.
+    Returns (total, tail, quad_err, n_k, k_cutoff, converged), with the
+    tail the largest last increment and ``converged`` true when the rule
+    was met and every shell was ok.
+    """
+    k_cut = policy.initial_k_max(cfg)
+    total, qerr, ok, n_k = shell(0, k_cut)
+    tail = math.inf
+    converged = False
+    for _ in range(policy.max_doublings):
+        inc, inc_err, inc_ok, inc_n = shell(k_cut, 2 * k_cut)
+        total = total + inc
+        qerr += inc_err
+        ok = ok and inc_ok
+        n_k += inc_n
+        k_cut *= 2
+        tail = float(np.max(np.abs(inc)))
+        if np.all(np.abs(inc)
+                  <= policy.tail_tol * np.maximum(np.abs(total), 1e-300)):
+            converged = True
+            break
+    return total, tail, qerr, n_k, k_cut, converged and ok
+
+
 @dataclass(frozen=True)
 class KSupport:
     """Split of the k-sum for one observable point xi.
 
     For xi outside the Fermi ball only the candidates +-xi can sit in a
     lune, which confines k to the two shifted balls +-xi + B_F: the
-    support is exactly finite and ``finite_part`` lists it.  For xi
-    inside the ball the hits are k +- xi and the support is infinite;
-    ``finite_part`` is empty and shells must be enumerated up to a
-    cutoff.
+    support is exactly finite and ``finite_part`` holds it as a
+    read-only lex-sorted (n, 3) int64 array.  For xi inside the ball the
+    hits are k +- xi and the support is infinite; ``finite_part`` is
+    empty and shells must be enumerated up to a cutoff.
     """
 
     xi: Vec3
     exact: bool
-    finite_part: tuple[Vec3, ...]
-    policy: TailPolicy
+    finite_part: np.ndarray
 
     @property
     def truncated(self) -> bool:
         return not self.exact
 
 
-def k_support(xi: Sequence[int], cfg: LatticeConfig,
-              policy: TailPolicy | None = None) -> KSupport:
+def k_support(xi: Sequence[int], cfg: LatticeConfig) -> KSupport:
     """Classify the k-support of the point xi (exact outside, cut inside)."""
-    policy = policy or TailPolicy()
     xv = as_vec3(xi)
-    if norm2(xv) > cfg.r2:
+    exact = norm2(xv) > cfg.r2
+    ks = np.zeros((0, 3), dtype=np.int64)
+    if exact:
         # xi sits in the lune of k iff k is in xi + B_F, and -xi iff k is
         # in -xi + B_F; the two balls are disjoint and miss 0 as |xi| > k_F
         ks = np.concatenate([cfg.ball_arr + xv, cfg.ball_arr - xv])
-        ks = map(tuple, ks[np.lexsort(ks.T[::-1])].tolist())
-        return KSupport(xi=xv, exact=True, finite_part=tuple(ks), policy=policy)
-    return KSupport(xi=xv, exact=False, finite_part=(), policy=policy)
-
-
-def truncated_k_vectors(xi: Vec3, cfg: LatticeConfig, k_max: int,
-                        k_min_excl: int = 0) -> list[Vec3]:
-    """k with k_min_excl < |k| <= k_max whose lune meets {k+xi, k-xi}.
-
-    Used to enumerate truncated supports shell by shell; results are
-    lexicographically sorted.
-    """
-    ks = ball_array(k_max * k_max, max(0, k_min_excl * k_min_excl))
-    if norm2(xi) > cfg.r2:
-        return []
-    xv = np.asarray(xi, dtype=np.int64)
-    keep = np.zeros(ks.shape[0], dtype=bool)
-    for sign in (1, -1):
-        zeta = ks + sign * xv
-        keep |= np.einsum("ij,ij->i", zeta, zeta) > cfg.r2
-    return list(map(tuple, ks[keep].tolist()))
+        ks = ks[np.lexsort(ks.T[::-1])]
+    ks.flags.writeable = False
+    return KSupport(xi=xv, exact=exact, finite_part=ks)
 
 
 def nonzero_k_vectors(k_max: int, k_min_excl: int = 0) -> list[Vec3]:
@@ -386,38 +399,36 @@ def stabilizer_group(xi: Vec3, symmetry: str) -> np.ndarray:
     return group[keep]
 
 
-def orbit_reduce(ks: list[Vec3] | np.ndarray, xi: Vec3,
-                 symmetry: str) -> list[tuple[Vec3, int]]:
-    """Collapse a k-list to stabilizer-orbit representatives with weights.
+def orbit_reduce(ks: np.ndarray, xi: Vec3,
+                 symmetry: str) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse (n, 3) int k-vectors to stabilizer-orbit representatives.
 
-    Summing weight * f(rep) equals summing f(k) over the full list for
-    any f invariant under the stabilizer of xi (all per-mode observables
-    at the point xi are, when the potential has the matching symmetry
-    class).  The input list must itself be stabilizer-invariant as a
-    set.  ``ks`` may also be an (n, 3) integer array.
+    Returns the (m, 3) representatives, in the order of ``ks``, and
+    their (m,) int64 orbit sizes as weights.  Summing weight * f(rep)
+    equals summing f(k) over ``ks`` for any f invariant under the
+    stabilizer of xi (all per-mode observables at the point xi are, when
+    the potential has the matching symmetry class).  ``ks`` must itself
+    be stabilizer-invariant as a set.
     """
-    arr_all = np.asarray(ks, dtype=np.int64).reshape(-1, 3)
-    if arr_all.shape[0] == 0:
-        return []
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1, 3)
     group = stabilizer_group(xi, symmetry)
-    if group.shape[0] == 1:
-        return [(k, 1) for k in map(tuple, arr_all.tolist())]
-    base = 2 * int(np.max(np.abs(arr_all))) + 1
+    if group.shape[0] == 1 or ks.shape[0] == 0:
+        return ks, np.ones(ks.shape[0], dtype=np.int64)
+    base = 2 * int(np.max(np.abs(ks))) + 1
     # p . digits is injective on the images (balanced digits below
     # base/2), so the key of R k for every R at once is k @ codes with
     # codes[:, g] = R_g^T digits
     digits = np.array([base * base, base, 1])
     codes = (group.transpose(0, 2, 1) @ digits).T
 
-    out = []
+    reps, weights = [], []
     # canonicality and weight are per-element, so chunking is exact
-    for start in range(0, arr_all.shape[0], 8192):
-        arr = arr_all[start:start + 8192]
+    for start in range(0, ks.shape[0], 8192):
+        arr = ks[start:start + 8192]
         keys = arr @ codes                 # (m, g)
         keep = arr @ digits == keys.min(axis=1)
         sorted_keys = np.sort(keys[keep], axis=1)
-        distinct = 1 + np.count_nonzero(np.diff(sorted_keys, axis=1) != 0,
-                                        axis=1)
-        out.extend((tuple(int(c) for c in k), int(w))
-                   for k, w in zip(arr[keep].tolist(), distinct.tolist()))
-    return out
+        reps.append(arr[keep])
+        weights.append(1 + np.count_nonzero(np.diff(sorted_keys, axis=1),
+                                            axis=1))
+    return np.concatenate(reps), np.concatenate(weights)

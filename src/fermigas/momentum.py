@@ -17,9 +17,13 @@ exactly that screened integral (scalar case: both sides reduce to
 c^2 lam / ((sqrt(M) + lam)^2 sqrt(M)) / 2 with c = 2 v^2 and
 M = lam^2 + c lam).
 
-Outside the Fermi ball the k-support is exactly finite; inside it the
-k-sum is truncated with a cutoff-doubling policy and the last increment
-is reported as the tail estimate.
+Outside the Fermi ball the k-support is exactly finite: one lex-sorted
+(n, 3) array from ``k_support``, weight 1 per k.  Inside it the k-sum
+runs over shells k_lo < |k| <= k_hi doubled by ``lattice.doubled_sum``,
+and the largest last increment of n_b and n_ex is the tail estimate.
+A shell is the ``orbit_reduce`` of its points under the stabilizer of
+xi, less the representatives whose lune misses k +- xi; no shell is
+kept across points.
 
 The k-sum of every potential runs over masked mode blocks: one (m, N)
 lune mask and gap table per chunk, with per mode and sign s one ball
@@ -47,9 +51,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, gap_counts,
-                      k_support, lune_kernel, neg, norm2, orbit_key,
-                      orbit_reduce, truncated_k_vectors)
+from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, ball_array,
+                      doubled_sum, gap_counts, k_support, lune_kernel, neg,
+                      norm2, orbit_key, orbit_reduce)
 from .numerics import check_tol, integrate_semi_infinite_batch
 from .potential import Potential, load_table
 from .quasiboson import TWO_PI_6, TWO_PI_CUBED
@@ -211,24 +215,17 @@ def _mode_chunk(arr, wts, vhat, cols, cfg: LatticeConfig, pot: Potential,
     return out
 
 
-def _eval_k_block(ks: Sequence[Vec3], xi: Vec3, cfg: LatticeConfig,
-                  pot: Potential, quad_tol: float, want_spectral: bool,
-                  want_integral: bool) -> _PerK:
-    """Evaluate a block of k vectors at xi, for every potential kind.
+def _eval_k_block(arr: np.ndarray, wts: np.ndarray, xi: Vec3,
+                  cfg: LatticeConfig, pot: Potential, quad_tol: float,
+                  want_spectral: bool, want_integral: bool) -> _PerK:
+    """Evaluate (m, 3) k vectors of weights ``wts`` at xi, for every potential.
 
-    Inside the ball the block is orbit-reduced under the stabilizer of
-    xi, which is exact for the potential's symmetry class, and the hits
-    are k + s xi; outside it every k has weight 1 and the hits are s xi.
-    The modes run in chunks, inside sorted by |k|^2 and orbit key so
-    modes sharing a gap histogram sit together, outside in the order of
-    ``ks``.
+    Inside the ball the hits are k + s xi and the modes run in chunks
+    sorted by |k|^2 and orbit key, so modes sharing a gap histogram sit
+    together; outside it the hits are s xi and the chunks keep the order
+    of ``arr``.
     """
-    if not ks:
-        return _PerK()
     inside = norm2(xi) <= cfg.r2
-    pairs = orbit_reduce(ks, xi, pot.symmetry) if inside else [(k, 1) for k in ks]
-    arr = np.array([k for k, _ in pairs], dtype=np.int64)
-    wts = np.array([w for _, w in pairs], dtype=float)
     kn2 = np.einsum("mi,mi->m", arr, arr)
     vhat = pot.at(arr)
     # ball column of zeta - k per sign s = +-1: k + s xi - k inside,
@@ -248,47 +245,50 @@ def _eval_k_block(ks: Sequence[Vec3], xi: Vec3, cfg: LatticeConfig,
     return total
 
 
+def _inside_shell(xi: Vec3, cfg: LatticeConfig, symmetry: str, k_lo: int,
+                  k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, weights) of the k, k_lo < |k| <= k_hi, whose lune meets k +- xi.
+
+    The shell is orbit-reduced under the stabilizer of xi first; the
+    lune test is invariant under it, so it keeps or drops whole orbits.
+    """
+    reps, wts = orbit_reduce(ball_array(k_hi * k_hi, k_lo * k_lo), xi,
+                             symmetry)
+    keep = np.zeros(reps.shape[0], dtype=bool)
+    for zeta in (reps + xi, reps - xi):
+        keep |= np.einsum("ij,ij->i", zeta, zeta) > cfg.r2
+    return reps[keep], wts[keep]
+
+
 def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
                       policy: TailPolicy, quad_tol: float,
                       want_spectral: bool, want_integral: bool):
     """Accumulate per-k contributions over the k-support of xi.
 
     Exact supports (xi outside the ball) are one block in the support's
-    lex order (tail 0); truncated supports are doubled until every
-    tracked component moves by less than the relative tail tolerance.
-    Reduction order is fixed by the k-list.
+    lex order (tail 0); truncated supports are orbit-reduced shells,
+    doubled until n_b and n_ex each move by less than the relative tail
+    tolerance.  Returns (total, tail, n_k, converged).
     """
-    support = k_support(xi, cfg, policy)
-    if support.exact:
-        total = _eval_k_block(support.finite_part, xi, cfg, pot, quad_tol,
-                              want_spectral, want_integral)
-        return total, 0.0, len(support.finite_part), total.converged
+    def block(arr, wts):
+        return _eval_k_block(arr, wts, xi, cfg, pot, quad_tol, want_spectral,
+                             want_integral)
 
-    k_cut = policy.initial_k_max(cfg)
-    ks = truncated_k_vectors(xi, cfg, k_cut)
-    total = _eval_k_block(ks, xi, cfg, pot, quad_tol, want_spectral,
-                          want_integral)
-    n_k = len(ks)
-    tracked = [name for name, on in (("nb_spectral", want_spectral),
-                                     ("nb_integral", want_integral),
-                                     ("n_ex", True)) if on]
-    tail = np.inf
-    converged = False
-    for _ in range(policy.max_doublings):
-        new_cut = 2 * k_cut
-        shell = truncated_k_vectors(xi, cfg, new_cut, k_min_excl=k_cut)
-        inc = _eval_k_block(shell, xi, cfg, pot, quad_tol, want_spectral,
-                            want_integral)
-        new_total = total + inc
-        n_k += len(shell)
-        deltas = [(abs(getattr(inc, name)), abs(getattr(new_total, name)))
-                  for name in tracked]
-        tail = max(d for d, _ in deltas)
-        total, k_cut = new_total, new_cut
-        if all(d <= policy.tail_tol * max(v, 1e-300) for d, v in deltas):
-            converged = True
-            break
-    return total, float(tail), n_k, converged and total.converged
+    support = k_support(xi, cfg)
+    if support.exact:
+        ks = support.finite_part
+        total = block(ks, np.ones(ks.shape[0]))
+        return total, 0.0, ks.shape[0], total.converged
+
+    def shell(k_lo, k_hi):
+        reps, wts = _inside_shell(xi, cfg, pot.symmetry, k_lo, k_hi)
+        t = block(reps, wts)
+        return (np.array([t.nb_spectral, t.nb_integral, t.n_ex]),
+                t.quad_error, t.converged, int(wts.sum()))
+
+    # a part the route leaves at 0 meets the stopping rule at every shell
+    parts, tail, qerr, n_k, _, ok = doubled_sum(shell, cfg, policy)
+    return _PerK(*parts.tolist(), qerr, ok), tail, n_k, ok
 
 
 def n_boson_spectral(xi, cfg: LatticeConfig, pot: Potential,

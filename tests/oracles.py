@@ -14,9 +14,9 @@ from collections import Counter
 import numpy as np
 
 from fermigas.energy import stable_log1p_minus_x
-from fermigas.lattice import (add, as_vec3, d_intersection, lambda_of,
-                              lune_kernel, neg, nonzero_k_vectors, norm2,
-                              stabilizer_group)
+from fermigas.lattice import (add, as_vec3, ball_array, d_intersection,
+                              lambda_of, lune_kernel, neg, nonzero_k_vectors,
+                              norm2, stabilizer_group)
 from fermigas.momentum import _PerK
 from fermigas.numerics import (integrate_semi_infinite,
                                integrate_semi_infinite_batch)
@@ -42,6 +42,23 @@ def k_support_loop(xi, cfg):
     ks.discard((0, 0, 0))
     return tuple(k for k in sorted(ks)
                  if cfg.in_lune(k, xv) or cfg.in_lune(k, neg(xv)))
+
+
+def truncated_k_vectors(xi, cfg, k_max, k_min_excl=0):
+    """k with k_min_excl < |k| <= k_max whose lune meets {k+xi, k-xi}, as sorted tuples.
+
+    The full enumeration of an inside shell, before any orbit reduction;
+    empty for xi outside the ball.
+    """
+    if norm2(xi) > cfg.r2:
+        return []
+    ks = ball_array(k_max * k_max, max(0, k_min_excl * k_min_excl))
+    xv = np.asarray(xi, dtype=np.int64)
+    keep = np.zeros(ks.shape[0], dtype=bool)
+    for sign in (1, -1):
+        zeta = ks + sign * xv
+        keep |= np.einsum("ij,ij->i", zeta, zeta) > cfg.r2
+    return list(map(tuple, ks[keep].tolist()))
 
 
 def e_fs_interaction_loop(cfg, pot):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fermigas.energy import (_ball_pair_sums, _bos_blocks, _ex_terms,
-                             _k_shell, _truncated_k_sum, e_corr_bos,
-                             e_corr_ex, e_fs, energy_report,
-                             stable_log1p_minus_x)
-from fermigas.lattice import (TailPolicy, ball_points, fermi_ball, lambda_of,
-                              lune, lune_kernel, neg, nonzero_k_vectors, norm2)
+                             _k_shell, e_corr_bos, e_corr_ex, e_fs,
+                             energy_report, stable_log1p_minus_x)
+from fermigas.lattice import (TailPolicy, ball_points, doubled_sum, fermi_ball,
+                              lambda_of, lune, lune_kernel, neg,
+                              nonzero_k_vectors, norm2)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from oracles import (bos_term, bos_term_mode, e_fs_interaction_loop,
                      ex_term_dense, single_k_exchange_term)
@@ -218,15 +218,18 @@ def test_orbit_reduction_matches_full_enumeration():
     pol = TailPolicy(k_max=3, max_doublings=1)
     pair_sums = _ball_pair_sums(cfg)
 
-    def shell(reps, weights):
-        terms = _ex_terms(reps, pot.at(reps), cfg, pot, pair_sums)
-        return float(weights @ terms), 0.0, True
+    def summed(symmetry):
+        def shell(k_lo, k_hi):
+            reps, weights = _k_shell(k_hi, k_lo, symmetry)
+            terms = _ex_terms(reps, pot.at(reps), cfg, pot, pair_sums)
+            return np.array([weights @ terms]), 0.0, True, weights.sum()
+        return doubled_sum(shell, cfg, pol)
 
-    reduced = _truncated_k_sum(shell, cfg, pot, pol)
-    paired = _truncated_k_sum(shell, cfg, pot, pol, symmetry="even")
-    full = _truncated_k_sum(shell, cfg, pot, pol, symmetry="none")
+    reduced, paired, full = (summed(sym) for sym in ("radial", "even", "none"))
     assert reduced[0] == pytest.approx(full[0], rel=1e-12)
     assert paired[0] == pytest.approx(full[0], rel=1e-12)
+    # every shell counts its k with multiplicity, up to the cutoff 6
+    assert reduced[3] == paired[3] == full[3] == len(nonzero_k_vectors(6))
 
 
 @pytest.mark.parametrize("k_f", [1.0, 2.0])

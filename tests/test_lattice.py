@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigas.lattice import (TailPolicy, ball_points, d_intersection,
-                              fermi_ball, is_sum_of_three_squares, k_support,
-                              kappa_and_weight, lambda_of, lune, lune_kernel,
-                              neg, nonzero_k_vectors, norm2, orbit_reduce,
-                              signed_perm_group, truncated_k_vectors)
-from oracles import k_support_loop, lune_loop, orbit_reduce_einsum
+                              doubled_sum, fermi_ball, is_sum_of_three_squares,
+                              k_support, kappa_and_weight, lambda_of, lune,
+                              lune_kernel, neg, nonzero_k_vectors, norm2,
+                              orbit_reduce, signed_perm_group)
+from fermigas.momentum import _inside_shell
+from oracles import (k_support_loop, lune_loop, orbit_reduce_einsum,
+                     truncated_k_vectors)
 
 
 def brute_ball(r2):
@@ -196,11 +200,10 @@ def test_k_support_outside_is_exactly_finite():
     sup = k_support((2, 0, 0), cfg)
     assert sup.exact
     assert len(sup.finite_part) == 14
+    assert sup.finite_part.dtype == np.int64
+    assert not sup.finite_part.flags.writeable
     for k in sup.finite_part:
         assert cfg.in_lune(k, (2, 0, 0)) or cfg.in_lune(k, (-2, 0, 0))
-    # support does not depend on the policy cutoff
-    sup2 = k_support((2, 0, 0), cfg, TailPolicy(k_max=50))
-    assert sup2.finite_part == sup.finite_part
 
 
 @pytest.mark.parametrize("k_f", [0.5, 1.0, 2**0.5, 2.0, 3.0])
@@ -209,7 +212,8 @@ def test_k_support_outside_matches_loop_oracle(k_f):
     r = math.isqrt(cfg.r2)
     for xi in ((r + 1, 0, 0), (r, 1, 0), (-r, r, 1), (0, -r - 2, 3), (9, 9, 9)):
         if norm2(xi) > cfg.r2:
-            assert k_support(xi, cfg).finite_part == k_support_loop(xi, cfg)
+            got = k_support(xi, cfg).finite_part.tolist()
+            assert tuple(map(tuple, got)) == k_support_loop(xi, cfg)
 
 
 def test_ball_index_matches_tuple_index():
@@ -228,7 +232,7 @@ def test_ball_index_matches_tuple_index():
 def test_k_support_inside_is_truncated():
     cfg = fermi_ball(1.0)
     sup = k_support((0, 0, 0), cfg)
-    assert not sup.exact and sup.finite_part == ()
+    assert not sup.exact and sup.finite_part.shape == (0, 3)
     ks = truncated_k_vectors((0, 0, 0), cfg, 3)
     assert ks == [k for k in nonzero_k_vectors(3) if norm2(k) > 1]
     # shell split covers the ball exactly once
@@ -257,16 +261,18 @@ def test_kappa_and_weight_examples():
 
 def test_orbit_reduce_reconstructs_full_sum():
     cfg = fermi_ball(1.0)
-    ks = truncated_k_vectors((1, 0, 0), cfg, 4)
+    ks = np.array(truncated_k_vectors((1, 0, 0), cfg, 4))
     for symmetry in ("radial", "even", "none"):
-        pairs = orbit_reduce(ks, (1, 0, 0), symmetry)
-        assert sum(w for _, w in pairs) == len(ks)
+        reps, weights = orbit_reduce(ks, (1, 0, 0), symmetry)
+        assert weights.dtype == np.int64 and weights.sum() == len(ks)
         # weighted sum of an invariant function matches the plain sum
         def f(k):
-            return norm2(k) ** -1.5
-        assert sum(w * f(k) for k, w in pairs) == pytest.approx(
-            sum(f(k) for k in ks), rel=1e-13)
-    assert len(orbit_reduce(ks, (1, 0, 0), "none")) == len(ks)
+            return np.einsum("mi,mi->m", k, k) ** -1.5
+        assert float(weights @ f(reps)) == pytest.approx(float(np.sum(f(ks))),
+                                                         rel=1e-13)
+    assert np.array_equal(orbit_reduce(ks, (1, 0, 0), "none")[0], ks)
+    empty = orbit_reduce(np.zeros((0, 3), dtype=np.int64), (1, 0, 0), "radial")
+    assert empty[0].shape == (0, 3) and empty[1].shape == (0,)
     with pytest.raises(ValueError):
         orbit_reduce(ks, (1, 0, 0), "bogus")
 
@@ -276,8 +282,91 @@ def test_orbit_reduce_matches_explicit_images():
     for xi in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0)):
         ks = truncated_k_vectors(xi, cfg, 9, k_min_excl=2)
         for symmetry in ("radial", "even"):
-            assert orbit_reduce(ks, xi, symmetry) == orbit_reduce_einsum(
-                ks, xi, symmetry)
+            reps, weights = orbit_reduce(np.array(ks), xi, symmetry)
+            assert (list(zip(map(tuple, reps.tolist()), weights.tolist()))
+                    == orbit_reduce_einsum(ks, xi, symmetry))
+
+
+# one inside point per stabilizer type: the pattern of zero and equal |xi_i|
+_STABILIZER_TYPES = ((0, 0, 0), (0, -2, 0), (1, 1, 0), (-1, 1, 1),
+                     (2, 0, -1), (1, 2, 2), (3, -2, 1))
+
+
+def _check_inside_shell(xi, symmetry, k_lo, k_hi):
+    # k_F = 4 holds an inside xi of every type, |(3, 2, 1)|^2 = 14 <= 16
+    cfg = fermi_ball(4.0)
+    ks = truncated_k_vectors(xi, cfg, k_hi, k_min_excl=k_lo)
+    reps, weights = _inside_shell(xi, cfg, symmetry, k_lo, k_hi)
+    want = orbit_reduce_einsum(ks, xi, symmetry) if ks else []
+    assert list(zip(map(tuple, reps.tolist()), weights.tolist())) == want
+    assert int(weights.sum()) == len(ks)
+
+
+@pytest.mark.parametrize("symmetry", ["radial", "even", "none"])
+@pytest.mark.parametrize("xi", _STABILIZER_TYPES)
+def test_inside_shell_every_stabilizer_type(xi, symmetry):
+    assert norm2(xi) <= 16
+    for k_lo, k_hi in ((0, 5), (5, 10)):
+        _check_inside_shell(xi, symmetry, k_lo, k_hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(xi=st.tuples(*[st.integers(-3, 3)] * 3)
+       .filter(lambda xi: norm2(xi) <= 16),
+       symmetry=st.sampled_from(["radial", "even", "none"]),
+       k_lo=st.integers(0, 5), width=st.integers(1, 5))
+def test_inside_shell_matches_filtered_full_enumeration(xi, symmetry, k_lo,
+                                                        width):
+    _check_inside_shell(xi, symmetry, k_lo, k_lo + width)
+
+
+def _synthetic_shells(incs, ok=None):
+    """A shell function whose j-th call returns incs[j], counting its calls."""
+    calls = []
+
+    def shell(k_lo, k_hi):
+        j = len(calls)
+        calls.append((k_lo, k_hi))
+        good = True if ok is None else ok[j]
+        return np.array(incs[j], dtype=float), 0.5 * j, good, 10 * (j + 1)
+    return shell, calls
+
+
+def test_doubled_sum_stops_when_every_part_settles():
+    cfg = fermi_ball(1.0)
+    pol = TailPolicy(k_max=3, tail_tol=1e-2, max_doublings=5)
+    # part 0 settles at the first doubling, part 1 only at the third
+    incs = [[1.0, 1.0], [1e-3, 0.5], [1e-4, 0.1], [-2e-3, 5e-3], [9.0, 9.0]]
+    shell, calls = _synthetic_shells(incs)
+    total, tail, qerr, n_k, k_cut, converged = doubled_sum(shell, cfg, pol)
+    assert calls == [(0, 3), (3, 6), (6, 12), (12, 24)]
+    assert total.tolist() == pytest.approx([1.0 + 1e-3 + 1e-4 - 2e-3,
+                                            1.0 + 0.5 + 0.1 + 5e-3])
+    assert tail == 5e-3                 # the largest last increment
+    assert qerr == 0.0 + 0.5 + 1.0 + 1.5
+    assert n_k == 10 + 20 + 30 + 40
+    assert k_cut == 24 and converged
+
+
+def test_doubled_sum_flags_exhausted_or_failed_shells():
+    cfg = fermi_ball(1.0)
+    incs = [[1.0, 1.0], [0.5, 1e-3], [0.2, 1e-4]]
+    shell, calls = _synthetic_shells(incs)
+    total, tail, _, n_k, k_cut, converged = doubled_sum(
+        shell, cfg, TailPolicy(k_max=2, tail_tol=1e-2, max_doublings=2))
+    assert len(calls) == 3 and k_cut == 8 and n_k == 60
+    assert tail == 0.2 and not converged
+    # the rule is met, but one shell did not converge
+    shell, _ = _synthetic_shells([[1.0], [1e-4]], ok=[False, True])
+    assert not doubled_sum(shell, cfg, TailPolicy(k_max=2, tail_tol=1e-2))[5]
+    shell, _ = _synthetic_shells([[1.0], [1e-4]], ok=[True, False])
+    assert not doubled_sum(shell, cfg, TailPolicy(k_max=2, tail_tol=1e-2))[5]
+    # no doubling: no tail is observed, and the default start is ceil(2 k_F) + 2
+    shell, calls = _synthetic_shells([[1.0]])
+    total, tail, _, n_k, k_cut, converged = doubled_sum(
+        shell, cfg, TailPolicy(tail_tol=1e-2, max_doublings=0))
+    assert calls == [(0, 4)] and k_cut == 4 and n_k == 10
+    assert tail == math.inf and not converged and total.tolist() == [1.0]
 
 
 def test_signed_perm_group_is_the_48_element_point_group():

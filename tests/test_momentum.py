@@ -13,8 +13,7 @@ import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, d_intersection, fermi_ball,
                               gap_counts, k_support, lambda_of, lune,
                               lune_kernel, nonzero_k_vectors, norm2,
-                              orbit_key, signed_perm_group,
-                              truncated_k_vectors)
+                              orbit_key, orbit_reduce, signed_perm_group)
 from fermigas.momentum import (MomentumBreakdown, Observable,
                                _cosh_minus_one_per_gap, _eval_k_block,
                                _mode_chunk, n_boson_integral,
@@ -25,7 +24,8 @@ from fermigas.quasiboson import (TWO_PI_CUBED, build_mode,
                                  cosh2k_minus_one_diag, q_of_s)
 from fermigas.verify import _exchange_term, _integral_term
 
-from oracles import bulk_chunk, bulk_exchange, per_k_sum, spectral_term
+from oracles import (bulk_chunk, bulk_exchange, per_k_sum, spectral_term,
+                     truncated_k_vectors)
 
 TWO_PI_6 = (2.0 * np.pi) ** 6
 FAST = TailPolicy(k_max=4, tail_tol=1e-3, max_doublings=2)
@@ -173,7 +173,8 @@ def test_orbit_and_bulk_path_match_plain_per_k():
     xi = (1, 0, 0)
     ks = truncated_k_vectors(xi, cfg, 5)
     plain = per_k_sum(ks, xi, cfg, pot)
-    fast = _eval_k_block(ks, xi, cfg, pot, 1e-9, True, True)
+    fast = _eval_k_block(*orbit_reduce(np.array(ks), xi, pot.symmetry), xi,
+                         cfg, pot, 1e-9, True, True)
     assert fast.nb_spectral == pytest.approx(plain.nb_spectral, rel=1e-10)
     assert fast.nb_integral == pytest.approx(plain.nb_integral, rel=1e-10)
     assert fast.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
@@ -246,7 +247,8 @@ def test_mode_block_matches_plain_per_k_kf2(xi, pot_name):
     pot = _potential(pot_name, 10)
     ks = truncated_k_vectors(xi, cfg, 5)
     plain = per_k_sum(ks, xi, cfg, pot)
-    fast = _eval_k_block(ks, xi, cfg, pot, 1e-9, True, True)
+    fast = _eval_k_block(*orbit_reduce(np.array(ks), xi, pot.symmetry), xi,
+                         cfg, pot, 1e-9, True, True)
     assert fast.nb_spectral == pytest.approx(plain.nb_spectral, rel=1e-10)
     assert fast.nb_integral == pytest.approx(plain.nb_integral, rel=1e-10)
     assert fast.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
