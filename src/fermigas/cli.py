@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Subcommands: lattice-info, lune, momentum, momentum-sum, energy,
-dv-compare, verify.  JSON is the canonical output; CSV is available for
-table-shaped results.  Numeric output is deterministic for a given
-command line (fixed reduction order, seeded Monte Carlo).
+dv-compare, verify.  Each takes only the options it reads.  JSON is the
+canonical output; lune and dv-compare also print CSV.  Numeric output is
+deterministic for a given command line (fixed reduction order, seeded
+Monte Carlo).
 
 Exit codes: 0 success, 1 verify failure, 2 configuration error,
 3 flagged non-convergence.
@@ -160,8 +161,8 @@ def cmd_dv_compare(args) -> int:
     for xi in xi_list:
         if norm2(xi) <= cfg.r2:
             raise ConfigError(f"comparison point {xi} lies inside the Fermi ball")
-    rows = dvlimit.compare_table(cfg, pot, xi_list, _policy(args),
-                                 samples=args.samples, seed=args.seed)
+    rows = dvlimit.compare_table(cfg, pot, xi_list, samples=args.samples,
+                                 seed=args.seed)
     if args.format == "json":
         _emit([{"xi": list(r.xi), "n_b_disc": r.n_b_disc, "n_ex_disc": r.n_ex_disc,
                 "n_b_dv": r.n_b_dv, "n_ex_dv": r.n_ex_dv,
@@ -185,38 +186,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "correlation energies, and identity checks.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, potential=True):
+    def common(p, potential=True, sums=False, fmt=False):
         p.add_argument("--kf", type=float, required=True, help="Fermi momentum")
         if potential:
             p.add_argument("--potential", default="coulomb:g=1",
                            help="coulomb:g=G | yukawa:g=G,mu=M | table:PATH | zero")
-        p.add_argument("--quad-tol", type=float, default=1e-9, dest="quad_tol")
-        p.add_argument("--k-max", type=int, default=None, dest="k_max",
-                       help="starting cutoff for truncated lattice sums")
-        p.add_argument("--tail-tol", type=float, default=1e-6, dest="tail_tol")
-        p.add_argument("--max-doublings", type=int, default=5,
-                       dest="max_doublings")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if sums:
+            p.add_argument("--quad-tol", type=float, default=1e-9)
+            p.add_argument("--k-max", type=int, default=None,
+                           help="starting cutoff for truncated lattice sums")
+            p.add_argument("--tail-tol", type=float, default=1e-6)
+            p.add_argument("--max-doublings", type=int, default=5)
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("lattice-info", help="ball count and spectral midpoint")
     common(p, potential=False)
     p.set_defaults(fn=cmd_lattice_info)
 
     p = sub.add_parser("lune", help="points and gaps of one excitation lune")
-    common(p, potential=False)
+    common(p, potential=False, fmt=True)
     p.add_argument("--k", required=True, help="momentum transfer, e.g. 1,0,0")
     p.set_defaults(fn=cmd_lune)
 
     p = sub.add_parser("momentum", help="occupancy record at one point")
-    common(p)
+    common(p, sums=True)
     p.add_argument("--xi", required=True, help="observable point, e.g. 1,1,0")
     p.add_argument("--route", choices=("auto", "spectral", "integral", "both"),
                    default="auto")
     p.set_defaults(fn=cmd_momentum)
 
     p = sub.add_parser("momentum-sum", help="weighted sum over an observable")
-    common(p)
+    common(p, sums=True)
     p.add_argument("--observable", default="ball",
                    help="ball | delta:X,Y,Z | table:PATH")
     p.add_argument("--route", choices=("auto", "spectral", "integral", "both"),
@@ -224,14 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_momentum_sum)
 
     p = sub.add_parser("energy", help="Fermi-state and correlation energies")
-    common(p)
+    common(p, sums=True)
     p.set_defaults(fn=cmd_energy)
 
+    # outside the ball the k-sum is finite: no cutoff options
     p = sub.add_parser("dv-compare", help="discrete vs continuum table")
-    common(p)
-    p.add_argument("--xi-list", required=True, dest="xi_list",
+    common(p, fmt=True)
+    p.add_argument("--xi-list", required=True,
                    help="semicolon-separated points, e.g. 2,0,0;0,3,0")
     p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_dv_compare)
 
     p = sub.add_parser("verify", help="run the identity and bound checks")

@@ -12,43 +12,31 @@ Each shell k_lo < |k| <= k_hi is one ``orbit_reduce`` of its points to
 (reps, weights) arrays, exact under the potential's symmetry class;
 both sums walk the same shells and share each through ``_k_shell``.
 
-The lune of k enters only through the points k + q, q in the ball B,
-with gaps lam = (|k|^2 + 2 k.q)/2 (``lattice.lune_kernel``):
+Both sums, and the interaction part of the Fermi-state energy, run on
+the mode blocks of ``quasiboson``, whose module docstring states the
+gap-histogram and response identities:
 
-* the response depends on the gap histogram alone, the distinct gaps
-  lam_d and their multiplicities m_d:
-
-      q_k(s) = 2 v^2 sum_d m_d lam_d / (s^2 + lam_d^2);
-
-* with p = k + a and q = k + b the exchange summand depends on the
-  pair through t = a + b alone: p + q - k = k + t and
+* E_corr,bos integrates F(q_k(s)) of every row of a chunk of
+  ``_CHUNK`` modes as one batched family on the chunk's response
+  table, seeded at the rows' smallest gaps.
+* E_corr,ex: with p = k + a and q = k + b the exchange summand depends
+  on the pair through t = a + b alone: p + q - k = k + t and
   lam_p + lam_q = |k|^2 + k.t.  When the lune is the whole shifted
   ball the pair sum is therefore
 
       V_k sum_{t in B+B} c(t) V(k + t) / (|k|^2 + k.t),
 
-  with c(t) = #{(a, b) in B^2 : a + b = t} the ball autocorrelation.
+  with c(t) = #{(a, b) in B^2 : a + b = t} the ball autocorrelation,
+  one (m, |B+B|) kernel for the full-lune rows; V(k + t) is read off
+  the integer norm for a radial V and by ``Potential.at`` for a table.
+  Near rows (|k| <= 2 k_F) keep the masked pair sum.  The chunk size
+  is taken from |B+B| (829 at k_F = 3, growing as k_F^3), so that the
+  kernel's temporaries stay near 1 MB each.
 
-Both sums run each shell in chunks of orbit representatives, one
-``lune_kernel`` per chunk, as the momentum mode block does:
-
-* E_corr,bos orders the shell by |k|^2 and orbit key, drops V_k = 0
-  and cuts it into chunks of ``_BOS_CHUNK`` rows.  A chunk's gap
-  histograms give the (m, G) response C[k, g] = 2 v_k^2 m_g g on the
-  chunk's distinct gaps g, and F(q_k(s)) of all its rows is one batched
-  quadrature family.  Its panels are seeded at s = seed and 10 seed,
-  seed the geometric mean of the rows' smallest gaps, and refined until
-  every member meets ``quad_tol``.
-* E_corr,ex runs the full-lune rows as one (m, |B+B|) kernel, V(k + t)
-  read off the integer norm for a radial V and by ``Potential.at`` for a
-  table; near rows (|k| <= 2 k_F) keep the masked pair sum.  The chunk
-  size is taken from |B+B| (829 at k_F = 3, growing as k_F^3), so that
-  the kernel's temporaries stay near 1 MB each.  Its per-k terms are
-  summed one k at a time in shell order, so the result is the same
-  float as the plain per-k sum's.
-
-The plain per-k forms, one scalar quadrature and one pair sum per k,
-live on as test oracles.
+E_corr,ex and the Fermi-state interaction put their per-k terms back in
+shell order and sum them one k at a time, so each is the same float as
+its plain per-k sum.  The plain per-k forms, one scalar quadrature and
+one pair sum per k, live on as test oracles.
 """
 
 from __future__ import annotations
@@ -60,12 +48,13 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (LatticeConfig, TailPolicy, ball_array, doubled_sum,
-                      gap_counts, lune_kernel, orbit_key, orbit_reduce)
-from .numerics import check_tol, integrate_semi_infinite_batch
-from .potential import Potential, evaluate
-from .quasiboson import TWO_PI_6, TWO_PI_CUBED
+                      orbit_reduce)
+from .numerics import check_tol
+from .potential import Potential
+from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, coupling_sq, gap_response,
+                         mode_chunks, response_integrals)
 
-_BOS_CHUNK = 128
+_CHUNK = 128
 
 
 def stable_log1p_minus_x(x):
@@ -112,46 +101,32 @@ def e_fs(cfg: LatticeConfig, pot: Potential) -> tuple[float, float]:
     """
     ball = cfg.ball_arr
     kinetic = float(np.einsum("ij,ij->", ball, ball))
-    interaction = 0.0
     # |k|^2 > 4 r2 puts every k + q with |q|^2 <= r2 outside the ball
-    for k in ball_array(4 * cfg.r2, 0).tolist():
-        vhat = evaluate(pot, k)
-        if vhat == 0.0:
-            continue
-        lune_size = int(np.count_nonzero(lune_kernel(k, cfg)[0]))
-        interaction += vhat * (lune_size - cfg.n_particles)
-    return kinetic, interaction / (2.0 * TWO_PI_CUBED)
+    ks = ball_array(4 * cfg.r2, 0)
+    vhat = pot.at(ks)
+    terms = np.zeros(vhat.shape)
+    for rows, mask, _ in mode_chunks(ks, vhat, cfg, _CHUNK):
+        terms[rows] = vhat[rows] * (np.count_nonzero(mask, axis=1)
+                                    - cfg.n_particles)
+    # one k at a time in lex order, the order of the per-k form
+    return kinetic, sum(terms.tolist()) / (2.0 * TWO_PI_CUBED)
 
 
-def _bos_blocks(reps, cfg: LatticeConfig, pot: Potential, quad_tol: float):
-    """Yield (rows, values, errors, converged) per chunk of a shell.
+def _bos_chunks(ks, cfg: LatticeConfig, pot: Potential, quad_tol: float):
+    """Yield (rows, values, errors, converged) per mode chunk of ``ks``.
 
-    ``rows`` index ``reps``; ``values`` and ``errors`` hold
+    ``rows`` index ``ks``; ``values`` and ``errors`` hold
     int_0^inf F(q_k(s)) ds of each of those rows, all integrated as one
     batched family, each member to ``quad_tol``.  Rows with V_k = 0 are
     left out.
     """
-    vhat = pot.at(reps)
-    # rows of one chunk share panels, so keep nearby gaps together
-    order = np.lexsort((orbit_key(reps), np.einsum("mi,mi->m", reps, reps)))
-    order = order[vhat[order] != 0.0]
-    for start in range(0, order.size, _BOS_CHUNK):
-        rows = order[start:start + _BOS_CHUNK]
-        mask, lam = lune_kernel(reps[rows], cfg)
-        g, counts = gap_counts(mask, lam)
-        # q_k(s) = sum_g C[k, g] / (s^2 + g^2) with C[k, g] = 2 v_k^2 m_g g
-        vsq = vhat[rows] / (2.0 * TWO_PI_CUBED * cfg.k_f)
-        resp = 2.0 * vsq[:, None] * counts * g
-
-        def family(s):
-            return stable_log1p_minus_x(
-                resp @ (1.0 / (s[None, :] ** 2 + g[:, None] ** 2)))
-
+    vhat = pot.at(ks)
+    vsq = coupling_sq(vhat, cfg.k_f)
+    for rows, mask, lam in mode_chunks(ks, vhat, cfg, _CHUNK):
+        g, counts, resp = gap_response(mask, lam, vsq[rows])
         lam_min = g[np.argmax(counts > 0, axis=1)]     # g is ascending
-        seed = float(np.exp(np.mean(np.log(lam_min))))
-        vals, errs, _, ok = integrate_semi_infinite_batch(
-            family, rows.size, tol=quad_tol, seeds=(seed, 10.0 * seed))
-        yield rows, vals, errs, ok
+        yield (rows, *response_integrals(
+            lambda q, s2: stable_log1p_minus_x(q), resp, g, lam_min, quad_tol))
 
 
 def _ball_pair_sums(cfg: LatticeConfig):
@@ -170,31 +145,36 @@ def _ball_pair_sums(cfg: LatticeConfig):
     return t, counts[bins].astype(float), np.einsum("ij,ij->i", t, t)
 
 
-def _ex_terms(arr, vhat, cfg: LatticeConfig, pot: Potential,
+def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,
               pair_sums) -> np.ndarray:
     """Pair sums V_k V_{p+q-k} / (lam_p + lam_q) over the lune of each row.
 
-    ``pair_sums`` is ``_ball_pair_sums(cfg)``.  The rows whose lune is
-    the whole shifted ball run as one (m, |B+B|) kernel over t in B + B;
-    the other rows take the masked pair sum.
+    ``pair_sums`` is ``_ball_pair_sums(cfg)``.  Per mode chunk, the rows
+    whose lune is the whole shifted ball run as one (m, |B+B|) kernel
+    over t in B + B; the other rows take the masked pair sum.  Rows with
+    V_k = 0 are 0.
     """
-    mask, gaps = lune_kernel(arr, cfg)
-    out = np.zeros(arr.shape[0])
-    full = mask.all(axis=1)
-    if np.any(full):
-        t, count, tn2 = pair_sums
-        kn2 = np.einsum("mi,mi->m", arr[full], arr[full])[:, None]
-        kt = arr[full] @ t.T
-        if pot.is_radial:
-            vt = pot.from_norm2(kn2 + 2 * kt + tn2)
-        else:
-            vt = pot.at(arr[full, None] + t)                    # V(k + t)
-        out[full] = np.sum(count * vt / (kn2 + kt), axis=1)
-    for i in np.flatnonzero(~full):
-        a = cfg.ball_arr[mask[i]]
-        vmat = pot.at(arr[i] + a[:, None, :] + a[None, :, :])   # V(p + q - k)
-        lam = gaps[i, mask[i]]
-        out[i] = np.sum(vmat / (lam[:, None] + lam[None, :]))
+    t, count, tn2 = pair_sums
+    vhat = pot.at(ks)
+    out = np.zeros(vhat.shape)
+    # (chunk, |B+B|) temporaries of about 1 MB each
+    for rows, mask, gaps in mode_chunks(ks, vhat, cfg,
+                                        max(1, (1 << 17) // t.shape[0])):
+        full = mask.all(axis=1)
+        if np.any(full):
+            kfull = ks[rows[full]]
+            kn2 = np.einsum("mi,mi->m", kfull, kfull)[:, None]
+            kt = kfull @ t.T
+            if pot.is_radial:
+                vt = pot.from_norm2(kn2 + 2 * kt + tn2)
+            else:
+                vt = pot.at(kfull[:, None] + t)                    # V(k + t)
+            out[rows[full]] = np.sum(count * vt / (kn2 + kt), axis=1)
+        for i in np.flatnonzero(~full):
+            a = cfg.ball_arr[mask[i]]
+            vmat = pot.at(ks[rows[i]] + a[:, None, :] + a[None, :, :])  # V(p + q - k)
+            lam = gaps[i, mask[i]]
+            out[rows[i]] = np.sum(vmat / (lam[:, None] + lam[None, :]))
     return vhat * out
 
 
@@ -220,7 +200,7 @@ def e_corr_bos(cfg: LatticeConfig, pot: Potential,
         reps, weights = _k_shell(k_hi, k_lo, pot.symmetry)
         value = qerr = 0.0
         ok = True
-        for rows, vals, errs, conv in _bos_blocks(reps, cfg, pot, quad_tol):
+        for rows, vals, errs, conv in _bos_chunks(reps, cfg, pot, quad_tol):
             value += float(weights[rows] @ vals) / np.pi
             qerr += float(weights[rows] @ errs) / np.pi
             ok = ok and conv
@@ -239,17 +219,10 @@ def e_corr_ex(cfg: LatticeConfig, pot: Potential,
     policy = policy or TailPolicy()
     pref = 1.0 / (4.0 * TWO_PI_6 * cfg.k_f**2)
     pair_sums = _ball_pair_sums(cfg)
-    # (chunk, |B+B|) temporaries of about 1 MB each
-    chunk = max(1, (1 << 17) // pair_sums[0].shape[0])
 
     def shell(k_lo, k_hi):
         reps, weights = _k_shell(k_hi, k_lo, pot.symmetry)
-        vhat = pot.at(reps)
-        terms = np.zeros(vhat.shape)
-        nonzero = np.flatnonzero(vhat)
-        for start in range(0, nonzero.size, chunk):
-            sel = nonzero[start:start + chunk]
-            terms[sel] = _ex_terms(reps[sel], vhat[sel], cfg, pot, pair_sums)
+        terms = _ex_terms(reps, cfg, pot, pair_sums)
         # one k at a time in shell order, the order of the per-k form
         return (np.array([sum((weights * terms).tolist())]), 0.0, True,
                 int(weights.sum()))

@@ -25,23 +25,19 @@ A shell is the ``orbit_reduce`` of its points under the stabilizer of
 xi, less the representatives whose lune misses k +- xi; no shell is
 kept across points.
 
-The k-sum of every potential runs over masked mode blocks: one (m, N)
-lune mask and gap table per chunk, with per mode and sign s one ball
-column q_z of the candidate hit zeta = k + q_z.  Inside the ball the
-hits are k +- xi, at the fixed columns +-xi, and near and full lunes
-share the block; outside it they are +-xi, at the column of s xi - k
-where that point is in the ball, and each support k hits one.  n_b
-sees a lune only through its gap histogram (gaps lam_d, multiplicities
-m_d).  Spectral: the core h^2 + 2 u u^T deflates exactly to
-diag(lam_d^2) + 2 w w^T, w_d^2 = m_d lam_d v^2 (Golub 1973), and
-cosh(-2K) - 1 at a point of gap d is c_d / m_d, c the deflated diagonal;
-the histogram is invariant under the 48 signed permutations of k, as
-the ball is, so modes with equal sorted |k| and equal V_k share one
-eigensolve.  Integral: q_k(s) = sum_g C[k, g] / (s^2 + g^2) is one
-matmul over the block's distinct gaps g, with C[k, g] = 2 v^2 m_g g.
-The exchange part is no histogram function and stays a masked pair
-sum.  The plain per-k form, one full lune and one scalar quadrature per
-hit, lives on as a test oracle.
+Every k-sum runs on the mode blocks of ``quasiboson`` (its module
+docstring states the gap-histogram, deflation and response identities),
+chunks of up to ``_CHUNK`` modes in (|k|^2, orbit key) order.  Per mode
+and sign s the candidate hit zeta = k + q_z has one ball column q_z:
+inside the ball the hits are k +- xi, at the fixed columns +-xi, and
+near and full lunes share the block; outside it they are +-xi, at the
+column of s xi - k where that point is in the ball, and each support k
+hits one.  Spectral: the deflated value at the hit's gap, one
+eigensolve per orbit key and V_k in a chunk.  Integral: one batched
+family per sign and chunk on the response table.  The exchange part is
+no histogram function and stays a masked pair sum.  The plain per-k
+form, one full lune and one scalar quadrature per hit, lives on as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -52,11 +48,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, ball_array,
-                      doubled_sum, gap_counts, k_support, lune_kernel, neg,
-                      norm2, orbit_key, orbit_reduce)
-from .numerics import check_tol, integrate_semi_infinite_batch
+                      doubled_sum, k_support, neg, norm2, orbit_key,
+                      orbit_reduce)
+from .numerics import check_tol
 from .potential import Potential, load_table
-from .quasiboson import TWO_PI_6, TWO_PI_CUBED
+from .quasiboson import (TWO_PI_6, coupling_sq, cosh_minus_one_per_gap,
+                         gap_response, mode_chunks, response_integrals)
 
 _CHUNK = 384
 
@@ -102,147 +99,78 @@ class MomentumBreakdown:
         return out
 
 
-@dataclass
-class _PerK:
-    nb_spectral: float = 0.0
-    nb_integral: float = 0.0
-    n_ex: float = 0.0
-    quad_error: float = 0.0
-    converged: bool = True
+def _block_parts(ks: np.ndarray, wts: np.ndarray, xi: Vec3,
+                 cfg: LatticeConfig, pot: Potential, quad_tol: float,
+                 want_spectral: bool, want_integral: bool):
+    """[n_b spectral, n_b integral, n_ex], quad error and ok over k rows.
 
-    def __add__(self, other):
-        return _PerK(self.nb_spectral + other.nb_spectral,
-                     self.nb_integral + other.nb_integral,
-                     self.n_ex + other.n_ex,
-                     self.quad_error + other.quad_error,
-                     self.converged and other.converged)
-
-
-def _cosh_minus_one_per_gap(g: np.ndarray, counts: np.ndarray,
-                            vsq: np.ndarray) -> np.ndarray:
-    """(cosh(-2K) - 1)_pp at a lune point p of each gap, on the gap axis g.
-
-    Deflated to the gap histogram (module docstring): one batched eigh
-    per histogram size D.
-    """
-    out = np.zeros(counts.shape)
-    sizes = np.count_nonzero(counts, axis=1)
-    # not np.unique: without extra outputs it imports numpy.ma (~1 MB)
-    for d in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == d)
-        nz = np.nonzero(counts[rows])
-        m = counts[rows][nz].reshape(-1, d)
-        lam = g[nz[1]].reshape(-1, d)
-        w = np.sqrt(m * lam * vsq[rows, None])
-        core = 2.0 * w[:, :, None] * w[:, None, :]
-        step = np.arange(d)
-        core[:, step, step] += lam**2
-        ev, vec = np.linalg.eigh(core)
-        sw = np.sqrt(ev)[:, None, :]
-        a = np.sum(vec**2 * sw, axis=2) / lam
-        ainv = np.sum(vec**2 / sw, axis=2) * lam
-        out[rows[nz[0]], nz[1]] = ((0.5 * (a + ainv) - 1.0) / m).ravel()
-    return out
-
-
-def _mode_chunk(arr, wts, vhat, cols, cfg: LatticeConfig, pot: Potential,
-                quad_tol: float, want_spectral: bool,
-                want_integral: bool) -> _PerK:
-    """Spectral, integral and exchange sums over one chunk of modes.
-
-    ``cols`` is (m, channels): per mode and channel the ball column q of
-    the candidate hit zeta = k + q, -1 for none; the lune mask at that
-    column says whether zeta hits.
-    """
-    out = _PerK()
-    mask, lam = lune_kernel(arr, cfg)
-    g, counts = gap_counts(mask, lam)
-    vsq = vhat / (2.0 * TWO_PI_CUBED * cfg.k_f)
-    rows = np.arange(arr.shape[0])
-    hits = [(col, (col >= 0) & mask[rows, col], lam[rows, col])
-            for col in cols.T]
-    if want_spectral:
-        # the eigensolve depends on k through the gap histogram, fixed by
-        # the orbit key, and through V_k, fixed by it too when V is radial
-        _, vcode = np.unique(vhat, return_inverse=True)
-        key = orbit_key(arr) * (vcode.max(initial=0) + 1) + vcode
-        _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
-        per_gap = _cosh_minus_one_per_gap(g, counts[rep], vsq[rep])
-        for _, hit, lz in hits:
-            val = per_gap[inv[hit], np.searchsorted(g, lz[hit])]
-            out.nb_spectral += float(wts[hit] @ val)
-    if want_integral:
-        # q_k(s) = sum_g C[k, g] / (s^2 + g^2) with C[k, g] = 2 v_k^2 m_g g
-        resp = 2.0 * vsq[:, None] * counts * g
-        pref = vhat / (EIGHT_PI4 * cfg.k_f)
-        for _, hit, lz in hits:
-            if not np.any(hit):
-                continue
-            resp_h, lz2 = resp[hit], lz[hit, None] ** 2
-
-            def family(s):
-                s2 = s * s
-                q = resp_h @ (1.0 / (s2[None, :] + g[:, None] ** 2))
-                return (s2 - lz2) / (s2 + lz2) ** 2 / (1.0 + q)
-
-            seed = float(np.exp(np.mean(np.log(lz[hit]))))
-            vals, errs, _, ok = integrate_semi_infinite_batch(
-                family, int(np.count_nonzero(hit)), tol=quad_tol,
-                seeds=(seed, 10.0 * seed))
-            out.nb_integral += float(np.sum((wts * pref)[hit] * vals))
-            out.quad_error += float(np.sum((wts * pref)[hit] * errs))
-            out.converged = out.converged and ok
-    # exchange: sum over p = k + q in the lune of V(p + zeta - k) / t^2
-    # with t = lam_p + lam_zeta, zeta = k + q_z, and p + zeta - k =
-    # k + q + q_z; a radial V reads |k + q + q_z|^2 = 2 t - |k|^2 +
-    # |q + q_z|^2 (exact in integers)
-    ex = 0.0
-    kn2 = np.einsum("mi,mi->m", arr, arr)
-    ball = cfg.ball_arr
-    for col, hit, lz in hits:
-        qz = ball[col[hit]]
-        t = lam[hit] + lz[hit, None]
-        if pot.is_radial:
-            v2 = pot.from_norm2(2.0 * t - kn2[hit, None]
-                                + (np.einsum("ni,ni->n", ball, ball)
-                                   + np.einsum("hi,hi->h", qz, qz)[:, None]
-                                   + 2 * qz @ ball.T))
-        else:
-            v2 = pot.at(arr[hit, None] + ball + qz[:, None])
-        terms = np.divide(v2, t**2, out=np.zeros(t.shape), where=mask[hit])
-        ex += float((vhat * wts)[hit] @ np.sum(terms, axis=1))
-    out.n_ex = -ex / (8.0 * TWO_PI_6 * cfg.k_f**2)
-    return out
-
-
-def _eval_k_block(arr: np.ndarray, wts: np.ndarray, xi: Vec3,
-                  cfg: LatticeConfig, pot: Potential, quad_tol: float,
-                  want_spectral: bool, want_integral: bool) -> _PerK:
-    """Evaluate (m, 3) k vectors of weights ``wts`` at xi, for every potential.
-
-    Inside the ball the hits are k + s xi and the modes run in chunks
-    sorted by |k|^2 and orbit key, so modes sharing a gap histogram sit
-    together; outside it the hits are s xi and the chunks keep the order
-    of ``arr``.
+    ``ks`` is (m, 3) with weights ``wts``; a route left out stays 0.
+    Per mode and sign s = +-1 the candidate hit zeta = k + q_z has one
+    ball column q_z, -1 for none: s xi inside the ball, s xi - k outside
+    it where that point is in the ball.  The lune mask at that column
+    says whether zeta hits.
     """
     inside = norm2(xi) <= cfg.r2
-    kn2 = np.einsum("mi,mi->m", arr, arr)
-    vhat = pot.at(arr)
-    # ball column of zeta - k per sign s = +-1: k + s xi - k inside,
-    # s xi - k outside (off the ball, -1, where s xi misses the lune of k)
-    cols = cfg.ball_index(np.array([xi, neg(xi)])
-                          - (0 if inside else arr[:, None]))
-    cols = np.broadcast_to(cols, (arr.shape[0], 2))
-    order = (np.lexsort((orbit_key(arr), kn2)) if inside
-             else np.arange(arr.shape[0]))
-    order = order[vhat[order] != 0.0]
-    total = _PerK()
-    for start in range(0, order.size, _CHUNK):
-        sel = order[start:start + _CHUNK]
-        total = total + _mode_chunk(arr[sel], wts[sel], vhat[sel], cols[sel],
-                                    cfg, pot, quad_tol, want_spectral,
-                                    want_integral)
-    return total
+    vhat = pot.at(ks)
+    vsq = coupling_sq(vhat, cfg.k_f)
+    pref = vhat / (EIGHT_PI4 * cfg.k_f)
+    cols = np.broadcast_to(cfg.ball_index(np.array([xi, neg(xi)])
+                                          - (0 if inside else ks[:, None])),
+                           (ks.shape[0], 2))
+    ball = cfg.ball_arr
+    parts, qerr, ok = np.zeros(3), 0.0, True
+    for rows, mask, lam in mode_chunks(ks, vhat, cfg, _CHUNK):
+        at = np.arange(rows.size)
+        hits = [(col, (col >= 0) & mask[at, col], lam[at, col])
+                for col in cols[rows].T]
+        chunk, chunk_err = np.zeros(3), 0.0
+        if want_spectral or want_integral:
+            g, counts, resp = gap_response(mask, lam, vsq[rows])
+        if want_spectral:
+            # the eigensolve depends on k through the gap histogram, fixed
+            # by the orbit key, and through V_k, fixed by it too when V is
+            # radial
+            _, vcode = np.unique(vhat[rows], return_inverse=True)
+            key = orbit_key(ks[rows]) * (vcode.max(initial=0) + 1) + vcode
+            _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
+            per_gap = cosh_minus_one_per_gap(g, counts[rep], vsq[rows][rep])
+            for _, hit, lz in hits:
+                val = per_gap[inv[hit], np.searchsorted(g, lz[hit])]
+                chunk[0] += float(wts[rows][hit] @ val)
+        if want_integral:
+            for _, hit, lz in hits:
+                if not np.any(hit):
+                    continue
+                lz2 = lz[hit, None] ** 2
+                vals, errs, conv = response_integrals(
+                    lambda q, s2: (s2 - lz2) / (s2 + lz2) ** 2 / (1.0 + q),
+                    resp[hit], g, lz[hit], quad_tol)
+                chunk[1] += float(np.sum((wts * pref)[rows][hit] * vals))
+                chunk_err += float(np.sum((wts * pref)[rows][hit] * errs))
+                ok = ok and conv
+        # exchange: sum over p = k + q in the lune of V(p + zeta - k) / t^2
+        # with t = lam_p + lam_zeta, zeta = k + q_z, and p + zeta - k =
+        # k + q + q_z; a radial V reads |k + q + q_z|^2 = 2 t - |k|^2 +
+        # |q + q_z|^2 (exact in integers)
+        ex = 0.0
+        kc = ks[rows]
+        kn2 = np.einsum("mi,mi->m", kc, kc)
+        for col, hit, lz in hits:
+            qz = ball[col[hit]]
+            t = lam[hit] + lz[hit, None]
+            if pot.is_radial:
+                v2 = pot.from_norm2(2.0 * t - kn2[hit, None]
+                                    + (np.einsum("ni,ni->n", ball, ball)
+                                       + np.einsum("hi,hi->h", qz, qz)[:, None]
+                                       + 2 * qz @ ball.T))
+            else:
+                v2 = pot.at(kc[hit, None] + ball + qz[:, None])
+            terms = np.divide(v2, t**2, out=np.zeros(t.shape), where=mask[hit])
+            ex += float((vhat * wts)[rows][hit] @ np.sum(terms, axis=1))
+        chunk[2] = -ex / (8.0 * TWO_PI_6 * cfg.k_f**2)
+        parts += chunk
+        qerr += chunk_err
+    return parts, qerr, ok
 
 
 def _inside_shell(xi: Vec3, cfg: LatticeConfig, symmetry: str, k_lo: int,
@@ -265,65 +193,51 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
                       want_spectral: bool, want_integral: bool):
     """Accumulate per-k contributions over the k-support of xi.
 
-    Exact supports (xi outside the ball) are one block in the support's
-    lex order (tail 0); truncated supports are orbit-reduced shells,
-    doubled until n_b and n_ex each move by less than the relative tail
-    tolerance.  Returns (total, tail, n_k, converged).
+    Exact supports (xi outside the ball) are one block (tail 0);
+    truncated supports are orbit-reduced shells, doubled until n_b and
+    n_ex each move by less than the relative tail tolerance.  Returns
+    (parts, tail, quad_err, n_k, converged), parts as ``_block_parts``.
     """
-    def block(arr, wts):
-        return _eval_k_block(arr, wts, xi, cfg, pot, quad_tol, want_spectral,
-                             want_integral)
-
     support = k_support(xi, cfg)
     if support.exact:
         ks = support.finite_part
-        total = block(ks, np.ones(ks.shape[0]))
-        return total, 0.0, ks.shape[0], total.converged
+        parts, qerr, ok = _block_parts(ks, np.ones(ks.shape[0]), xi, cfg, pot,
+                                       quad_tol, want_spectral, want_integral)
+        return parts, 0.0, qerr, ks.shape[0], ok
 
     def shell(k_lo, k_hi):
         reps, wts = _inside_shell(xi, cfg, pot.symmetry, k_lo, k_hi)
-        t = block(reps, wts)
-        return (np.array([t.nb_spectral, t.nb_integral, t.n_ex]),
-                t.quad_error, t.converged, int(wts.sum()))
+        return (*_block_parts(reps, wts, xi, cfg, pot, quad_tol, want_spectral,
+                              want_integral), int(wts.sum()))
 
     # a part the route leaves at 0 meets the stopping rule at every shell
     parts, tail, qerr, n_k, _, ok = doubled_sum(shell, cfg, policy)
-    return _PerK(*parts.tolist(), qerr, ok), tail, n_k, ok
+    return parts, tail, qerr, n_k, ok
 
 
 def n_boson_spectral(xi, cfg: LatticeConfig, pot: Potential,
                      policy: TailPolicy | None = None) -> MomentumBreakdown:
     """Pair-excitation occupancy at xi by the spectral route."""
-    policy = policy or TailPolicy()
-    xv = as_vec3(xi)
-    total, tail, n_k, ok = _sum_over_support(xv, cfg, pot, policy, 1e-9,
-                                             True, False)
-    return MomentumBreakdown(xi=xv, n_b=total.nb_spectral, n_ex=total.n_ex,
-                             route="spectral", tail_estimate=tail,
-                             k_modes_used=n_k, converged=ok)
+    return n_point(xi, cfg, pot, policy, route="spectral")
 
 
 def n_boson_integral(xi, cfg: LatticeConfig, pot: Potential,
                      policy: TailPolicy | None = None,
                      quad_tol: float = 1e-9) -> MomentumBreakdown:
     """Pair-excitation occupancy at xi by the screened-quadrature route."""
-    check_tol(quad_tol, "quad_tol")
-    policy = policy or TailPolicy()
-    xv = as_vec3(xi)
-    total, tail, n_k, ok = _sum_over_support(xv, cfg, pot, policy, quad_tol,
-                                             False, True)
-    return MomentumBreakdown(xi=xv, n_b=total.nb_integral, n_ex=total.n_ex,
-                             route="integral", quad_error=total.quad_error,
-                             tail_estimate=tail, k_modes_used=n_k, converged=ok)
+    return n_point(xi, cfg, pot, policy, route="integral", quad_tol=quad_tol)
 
 
 def n_exchange(xi, cfg: LatticeConfig, pot: Potential,
                policy: TailPolicy | None = None) -> float:
     """Exchange correction at xi (always <= 0 for nonnegative potentials)."""
-    policy = policy or TailPolicy()
-    total, _, _, _ = _sum_over_support(as_vec3(xi), cfg, pot, policy, 1e-9,
-                                       False, False)
-    return total.n_ex
+    parts = _sum_over_support(as_vec3(xi), cfg, pot, policy or TailPolicy(),
+                              1e-9, False, False)[0]
+    return float(parts[2])
+
+
+_ROUTES = {"spectral": (True, False), "integral": (False, True),
+           "both": (True, True)}
 
 
 def n_point(xi, cfg: LatticeConfig, pot: Potential,
@@ -339,24 +253,20 @@ def n_point(xi, cfg: LatticeConfig, pot: Potential,
     computable in closed form and is dropped throughout.
     """
     check_tol(quad_tol, "quad_tol")
-    policy = policy or TailPolicy()
     xv = as_vec3(xi)
     if route == "auto":
         route = "spectral" if norm2(xv) > cfg.r2 else "integral"
-    if route == "spectral":
-        return n_boson_spectral(xv, cfg, pot, policy)
-    if route == "integral":
-        return n_boson_integral(xv, cfg, pot, policy, quad_tol)
-    if route != "both":
+    if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    total, tail, n_k, ok = _sum_over_support(xv, cfg, pot, policy, quad_tol,
-                                             True, True)
+    parts, tail, qerr, n_k, ok = _sum_over_support(
+        xv, cfg, pot, policy or TailPolicy(), quad_tol, *_ROUTES[route])
+    spectral, integral, n_ex = parts.tolist()
+    both = {"n_b_spectral": spectral, "n_b_integral": integral,
+            "discrepancy": abs(spectral - integral)} if route == "both" else {}
     return MomentumBreakdown(
-        xi=xv, n_b=total.nb_spectral, n_ex=total.n_ex, route="both",
-        quad_error=total.quad_error, tail_estimate=tail, k_modes_used=n_k,
-        converged=ok, n_b_spectral=total.nb_spectral,
-        n_b_integral=total.nb_integral,
-        discrepancy=abs(total.nb_spectral - total.nb_integral))
+        xi=xv, n_b=integral if route == "integral" else spectral, n_ex=n_ex,
+        route=route, quad_error=qerr, tail_estimate=tail, k_modes_used=n_k,
+        converged=ok, **both)
 
 
 @dataclass(frozen=True)

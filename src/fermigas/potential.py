@@ -42,17 +42,19 @@ class Potential:
     @property
     def is_even(self) -> bool:
         """True when V(-k) = V(k) holds exactly (checked for tables)."""
-        if self.is_radial:
-            return True
-        return all(self.table.get(neg(k), 0.0) == v
-                   for k, v in self.table.items())
+        return self.symmetry != "none"
 
-    @property
+    @cached_property
     def symmetry(self) -> str:
-        """Symmetry class for lattice-sum reduction: radial, even, or none."""
+        """Symmetry class for lattice-sum reduction: radial, even, or none.
+
+        A table is checked for evenness entry by entry, once per potential.
+        """
         if self.is_radial:
             return "radial"
-        return "even" if self.is_even else "none"
+        even = all(self.table.get(neg(k), 0.0) == v
+                   for k, v in self.table.items())
+        return "even" if even else "none"
 
     def __call__(self, k: Sequence[int]) -> float:
         return evaluate(self, k)

@@ -16,6 +16,28 @@ closed forms
 which are built directly (no log/exp round trip).  The response function
 q(s) = 2 <u, (h^2 + s^2)^{-1} u> is the lattice analogue of the Lindhard
 function and equals the screening denominator minus one.
+
+Every lattice sum over k (momentum and energies alike) runs on mode
+blocks: ``mode_chunks`` orders the k rows by |k|^2 and orbit key, drops
+V_k = 0, and hands out chunks with one (m, N) ``lune_kernel`` mask and
+gap table, the lune of k being the points k + q, q in the ball, whose
+gaps lam = (|k|^2 + 2 k.q)/2 are exact half-integers.  The per-mode
+objects then see a lune only through its gap histogram, the distinct
+gaps lam_d and their multiplicities m_d:
+
+* response: q_k(s) = 2 v^2 sum_d m_d lam_d / (s^2 + lam_d^2), so on a
+  chunk's shared gap axis g it is one matmul with the table
+  C[k, g] = 2 v_k^2 m_g g (``gap_response``), and integrals of
+  f(q_k(s), s^2) over s run as one batched family
+  (``response_integrals``);
+* deflation (Golub 1973): the core h^2 + 2 u u^T acts as lam_d^2 on
+  every vector of a gap class orthogonal to u, so it deflates exactly
+  to diag(lam_d^2) + 2 w w^T with w_d^2 = m_d lam_d v^2, and
+  cosh(-2K) - 1 is the same at every point of one gap
+  (``cosh_minus_one_core``, ``cosh_minus_one_per_gap``);
+* the histogram is invariant under the 48 signed permutations of k, as
+  the ball is, so modes of equal sorted |k| and equal V_k share one
+  deflated eigensolve.
 """
 
 from __future__ import annotations
@@ -24,8 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeConfig, LuneBasis, Vec3, as_vec3, lune
-from .numerics import sym_eig, sym_matrix_function
+from .lattice import (LatticeConfig, LuneBasis, Vec3, as_vec3, gap_counts,
+                      lune, lune_kernel, orbit_key)
+from .numerics import (integrate_semi_infinite_batch, sym_eig,
+                       sym_matrix_function)
 from .potential import Potential, evaluate
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
@@ -67,8 +91,13 @@ class Mode:
 def build_mode(k, cfg: LatticeConfig, pot: Potential) -> Mode:
     kv = as_vec3(k)
     vhat = evaluate(pot, kv)
-    vsq = vhat / (2.0 * TWO_PI_CUBED * cfg.k_f)
-    return Mode(lune=lune(kv, cfg), vhat=vhat, vsq=vsq, k_f=cfg.k_f)
+    return Mode(lune=lune(kv, cfg), vhat=vhat, vsq=coupling_sq(vhat, cfg.k_f),
+                k_f=cfg.k_f)
+
+
+def coupling_sq(vhat, k_f: float):
+    """v^2 = V_k / (2 (2pi)^3 k_F), elementwise in V_k."""
+    return vhat / (2.0 * TWO_PI_CUBED * k_f)
 
 
 def _core_matrix(mode: Mode) -> np.ndarray:
@@ -115,13 +144,47 @@ def cosh2k_minus_one_diag(mode: Mode) -> np.ndarray:
     n = mode.dim
     if n == 0 or mode.vhat == 0.0:
         return np.zeros(n)
-    w, uvec = sym_eig(_core_matrix(mode))
-    usq = uvec**2
-    sw = np.sqrt(w)
-    lam = mode.h
-    a_diag = (usq @ sw) / lam
-    ainv_diag = (usq @ (1.0 / sw)) * lam
-    return 0.5 * (a_diag + ainv_diag) - 1.0
+    # the full lune is the core with every multiplicity 1, so w = u
+    return cosh_minus_one_core(mode.h[None], np.ones((1, n)),
+                               np.array([mode.vsq]))[0]
+
+
+def cosh_minus_one_core(lam: np.ndarray, m: np.ndarray,
+                        vsq: np.ndarray) -> np.ndarray:
+    """cosh(-2K) - 1 at a point of each gap, for a batch of deflated cores.
+
+    ``lam`` and ``m`` are (B, D) gaps and multiplicities, ``vsq`` the
+    (B,) couplings; core b is diag(lam_b^2) + 2 w w^T with
+    w_d^2 = m_d lam_d v_b^2 (module docstring).  One batched eigh.
+    """
+    w = np.sqrt(m * lam * vsq[:, None])
+    core = 2.0 * w[:, :, None] * w[:, None, :]
+    step = np.arange(lam.shape[1])
+    core[:, step, step] += lam**2
+    ev, vec = np.linalg.eigh(core)
+    sw = np.sqrt(ev)[:, None, :]
+    a = np.sum(vec**2 * sw, axis=2) / lam
+    ainv = np.sum(vec**2 / sw, axis=2) * lam
+    return (0.5 * (a + ainv) - 1.0) / m
+
+
+def cosh_minus_one_per_gap(g: np.ndarray, counts: np.ndarray,
+                           vsq: np.ndarray) -> np.ndarray:
+    """(m, G) cosh(-2K) - 1 at a lune point of each gap, on the gap axis g.
+
+    ``g`` and ``counts`` are a chunk's ``gap_counts``; entries at gaps a
+    mode lacks are 0.  One ``cosh_minus_one_core`` per histogram size D.
+    """
+    out = np.zeros(counts.shape)
+    sizes = np.count_nonzero(counts, axis=1)
+    # not np.unique: without extra outputs it imports numpy.ma (~1 MB)
+    for d in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == d)
+        nz = np.nonzero(counts[rows])
+        out[rows[nz[0]], nz[1]] = cosh_minus_one_core(
+            g[nz[1]].reshape(-1, d), counts[rows][nz].reshape(-1, d),
+            vsq[rows]).ravel()
+    return out
 
 
 def csk_pair(k_matrix: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -165,3 +228,50 @@ def sandwich_bounds(mode: Mode) -> tuple[np.ndarray, np.ndarray, float]:
     upper = mode.vsq / denom
     screening = 1.0 / (1.0 + 2.0 * mode.vsq * float(np.sum(1.0 / lam)))
     return screening * upper, upper, screening
+
+
+def mode_chunks(ks: np.ndarray, vhat: np.ndarray, cfg: LatticeConfig,
+                size: int):
+    """Yield (rows, mask, lam) over the k rows of ``ks`` with V_k != 0.
+
+    ``rows`` index ``ks``, at most ``size`` per chunk, in (|k|^2, orbit
+    key) order: modes sharing a gap histogram sit together and a
+    chunk's gaps stay close.  ``mask`` and ``lam`` are the chunk's (m, N)
+    ``lune_kernel``.
+    """
+    order = np.lexsort((orbit_key(ks), np.einsum("mi,mi->m", ks, ks)))
+    order = order[vhat[order] != 0.0]
+    for start in range(0, order.size, size):
+        rows = order[start:start + size]
+        yield (rows, *lune_kernel(ks[rows], cfg))
+
+
+def gap_response(mask: np.ndarray, lam: np.ndarray, vsq: np.ndarray):
+    """(g, counts, C) of a chunk of modes of couplings ``vsq``.
+
+    g holds the chunk's distinct lune gaps, ascending, counts the (m, G)
+    multiplicities m_g, and C[k, g] = 2 v_k^2 m_g g, so that
+    q_k(s) = sum_g C[k, g] / (s^2 + g^2).
+    """
+    g, counts = gap_counts(mask, lam)
+    return g, counts, 2.0 * vsq[:, None] * counts * g
+
+
+def response_integrals(f, resp: np.ndarray, g: np.ndarray, scales,
+                       tol: float):
+    """int_0^inf f(q_k(s), s^2) ds for every row of the response table.
+
+    ``resp`` and ``g`` are from ``gap_response``; f maps the (n, nodes)
+    responses and the (nodes,) values s^2 to (n, nodes) integrands.  All
+    rows are one batched family, each member refined to ``tol``, with
+    panels seeded at s = seed and 10 seed, seed the geometric mean of
+    the gap ``scales``.  Returns (values, errors, converged).
+    """
+    def family(s):
+        s2 = s * s
+        return f(resp @ (1.0 / (s2[None, :] + g[:, None] ** 2)), s2)
+
+    seed = float(np.exp(np.mean(np.log(scales))))
+    vals, errs, _, ok = integrate_semi_infinite_batch(
+        family, resp.shape[0], tol=tol, seeds=(seed, 10.0 * seed))
+    return vals, errs, ok

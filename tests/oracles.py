@@ -17,7 +17,6 @@ from fermigas.energy import stable_log1p_minus_x
 from fermigas.lattice import (add, as_vec3, ball_array, d_intersection,
                               lambda_of, lune_kernel, neg, nonzero_k_vectors,
                               norm2, stabilizer_group)
-from fermigas.momentum import _PerK
 from fermigas.numerics import (integrate_semi_infinite,
                                integrate_semi_infinite_batch)
 from fermigas.potential import evaluate
@@ -236,23 +235,26 @@ def spectral_term(mode, zetas: Counter) -> float:
                      for z, mult in zetas.items()))
 
 
-def per_k(k, xi, cfg, pot, quad_tol) -> _PerK:
+def per_k(k, xi, cfg, pot, quad_tol):
     """One mode's momentum contributions at xi from its full lune.
 
     Builds the mode, takes its hits from ``d_intersection``, and runs
     one scalar quadrature per hit and a point-by-point exchange sum.
+    Returns ([n_b spectral, n_b integral, n_ex], quad error, converged).
     """
     zetas = Counter(d_intersection(k, xi, cfg))
     if not zetas or evaluate(pot, k) == 0.0:
-        return _PerK()
+        return np.zeros(3), 0.0, True
     mode = build_mode(k, cfg, pot)
-    out = _PerK(nb_spectral=spectral_term(mode, zetas),
-                n_ex=_exchange_term(mode, zetas, pot))
-    out.nb_integral, out.quad_error, out.converged = _integral_term(
-        mode, zetas, quad_tol)
-    return out
+    integral, err, ok = _integral_term(mode, zetas, quad_tol)
+    return (np.array([spectral_term(mode, zetas), integral,
+                      _exchange_term(mode, zetas, pot)]), err, ok)
 
 
-def per_k_sum(ks, xi, cfg, pot, quad_tol=1e-9) -> _PerK:
-    """``per_k`` summed over a k-list, both routes."""
-    return sum((per_k(k, xi, cfg, pot, quad_tol) for k in ks), _PerK())
+def per_k_sum(ks, xi, cfg, pot, quad_tol=1e-9):
+    """``per_k`` summed over a k-list, in the shape ``momentum._block_parts`` returns."""
+    parts, qerr, ok = np.zeros(3), 0.0, True
+    for k in ks:
+        term, err, conv = per_k(k, xi, cfg, pot, quad_tol)
+        parts, qerr, ok = parts + term, qerr + err, ok and conv
+    return parts, qerr, ok

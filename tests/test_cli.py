@@ -1,8 +1,14 @@
+import importlib.util
 import json
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
-from fermigas.cli import main, parse_potential, parse_vec
+from fermigas.cli import build_parser, main, parse_potential, parse_vec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -192,3 +198,47 @@ def test_nonconvergence_flag_exit_3(capsys):
                         "--max-doublings", "1")
     assert code == 3
     assert not json.loads(out)["converged"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--tail-tol", "1e-3"),
+    ("lattice-info", "--quad-tol", "1"),
+    ("lune", "--k", "1,0,0", "--potential", "zero"),
+    ("momentum", "--xi", "1,1,0", "--format", "csv"),
+    ("momentum-sum", "--seed", "3"),
+    ("energy", "--format", "csv"),
+    ("dv-compare", "--xi-list", "2,0,0", "--quad-tol", "1e-9"),
+    ("dv-compare", "--xi-list", "2,0,0", "--k-max", "4"),
+])
+def test_dropped_options_exit_2(capsys, argv):
+    # each subcommand takes only the options it reads
+    assert main([*argv, "--kf", "1"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_commands():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("fermigas ")]
+
+
+def _bench_commands(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [argv for workload in workloads.WORKLOADS.values()
+            for seed in (0, 1, 2) for _, argv in workload.round(seed)]
+
+
+def test_readme_and_benchmark_commands_parse(monkeypatch):
+    assert len(_readme_commands()) == 7
+    bench = _bench_commands(monkeypatch)
+    assert {argv[0] for argv in bench} == {"energy", "momentum", "dv-compare",
+                                           "momentum-sum", "verify"}
+    parser = build_parser()
+    for argv in _readme_commands() + bench:
+        parser.parse_args(argv)
+

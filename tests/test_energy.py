@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fermigas.energy import (_ball_pair_sums, _bos_blocks, _ex_terms,
+from fermigas.energy import (_ball_pair_sums, _bos_chunks, _ex_terms,
                              _k_shell, e_corr_bos, e_corr_ex, e_fs,
                              energy_report, stable_log1p_minus_x)
 from fermigas.lattice import (TailPolicy, ball_points, doubled_sum, fermi_ball,
@@ -116,7 +116,7 @@ def test_e_corr_ex_zero_potential():
 def _ex_block(ks, cfg, pot):
     """Per-k E_corr,ex terms of the block, prefactor included."""
     arr = np.array(ks, dtype=np.int64)
-    return (_ex_terms(arr, pot.at(arr), cfg, pot, _ball_pair_sums(cfg))
+    return (_ex_terms(arr, cfg, pot, _ball_pair_sums(cfg))
             / (4.0 * TWO_PI_6 * cfg.k_f**2))
 
 
@@ -181,7 +181,7 @@ def test_ball_pair_sums_is_the_autocorrelation():
 def test_bos_term_gap_histogram_matches_full_lune(pot):
     cfg = fermi_ball(2.0)
     ks = EX_KS + ((1, 1, 1), (12, 7, 3))
-    [(rows, values, errors, ok)] = _bos_blocks(np.array(ks), cfg, pot, 1e-9)
+    [(rows, values, errors, ok)] = _bos_chunks(np.array(ks), cfg, pot, 1e-9)
     assert ok and sorted(rows.tolist()) == list(range(len(ks)))
     for row, value, err in zip(rows, values / np.pi, errors / np.pi):
         ref_value, ref_err, ref_ok = bos_term(ks[row], cfg, pot, 1e-9)
@@ -221,7 +221,7 @@ def test_orbit_reduction_matches_full_enumeration():
     def summed(symmetry):
         def shell(k_lo, k_hi):
             reps, weights = _k_shell(k_hi, k_lo, symmetry)
-            terms = _ex_terms(reps, pot.at(reps), cfg, pot, pair_sums)
+            terms = _ex_terms(reps, cfg, pot, pair_sums)
             return np.array([weights @ terms]), 0.0, True, weights.sum()
         return doubled_sum(shell, cfg, pol)
 
@@ -242,11 +242,11 @@ def test_block_sign_laws_per_term(k_f, pot):
     cfg = fermi_ball(k_f)
     reps, _ = _k_shell(8, 0, pot.symmetry)
     members = 0
-    for rows, values, _, _ in _bos_blocks(reps, cfg, pot, 1e-8):
+    for rows, values, _, _ in _bos_chunks(reps, cfg, pot, 1e-8):
         assert np.all(values <= 0.0)
         members += rows.size
     assert members == np.count_nonzero(pot.at(reps))
-    terms = _ex_terms(reps, pot.at(reps), cfg, pot, _ball_pair_sums(cfg))
+    terms = _ex_terms(reps, cfg, pot, _ball_pair_sums(cfg))
     assert np.all(terms >= 0.0) and np.any(terms > 0.0)
 
 

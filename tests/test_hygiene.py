@@ -114,3 +114,33 @@ def test_private_import_is_found():
                      "from __future__ import annotations\n")
     assert _private_imports(tree) == ["_exchange_term (line 1)",
                                       "_OCTAHEDRAL_PERMS (line 2)"]
+
+
+# the lune mask, its gaps and the gap histogram are built only by the
+# lattice and by the mode-block layer that every k-sum runs on
+BLOCK_OWNERS = {"lattice.py", "quasiboson.py"}
+
+
+def _block_calls(tree: ast.Module) -> list[str]:
+    """Calls of lune_kernel or gap_counts, by name or as an attribute."""
+    calls = [(node.lineno, name) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (name := getattr(node.func, "id",
+                                  getattr(node.func, "attr", None)))
+             in ("lune_kernel", "gap_counts")]
+    return [f"{name} (line {line})" for line, name in sorted(calls)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_lune_kernel_only_in_block_layer(path):
+    if path.name not in BLOCK_OWNERS:
+        assert _block_calls(ast.parse(path.read_text())) == []
+
+
+def test_block_call_is_found():
+    tree = ast.parse("from .lattice import lune_kernel\n"
+                     "mask, lam = lune_kernel(k, cfg)\n"
+                     "g, counts = lattice.gap_counts(mask, lam)\n"
+                     "print(lune_kernel, gap_counts_of(mask))\n")
+    assert _block_calls(tree) == ["lune_kernel (line 2)",
+                                  "gap_counts (line 3)"]

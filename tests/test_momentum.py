@@ -10,18 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermigas.momentum as momentum
-from fermigas.lattice import (TailPolicy, d_intersection, fermi_ball,
-                              gap_counts, k_support, lambda_of, lune,
-                              lune_kernel, nonzero_k_vectors, norm2,
+from fermigas.lattice import (TailPolicy, ball_array, d_intersection,
+                              fermi_ball, gap_counts, k_support, lambda_of,
+                              lune, lune_kernel, nonzero_k_vectors, norm2,
                               orbit_key, orbit_reduce, signed_perm_group)
-from fermigas.momentum import (MomentumBreakdown, Observable,
-                               _cosh_minus_one_per_gap, _eval_k_block,
-                               _mode_chunk, n_boson_integral,
-                               n_boson_spectral, n_exchange, n_point,
-                               n_weighted)
+from fermigas.momentum import (MomentumBreakdown, Observable, _block_parts,
+                               n_boson_integral, n_boson_spectral, n_exchange,
+                               n_point, n_weighted)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from fermigas.quasiboson import (TWO_PI_CUBED, build_mode,
-                                 cosh2k_minus_one_diag, q_of_s)
+                                 cosh2k_minus_one_diag, cosh_minus_one_per_gap,
+                                 gap_response, mode_chunks, q_of_s)
 from fermigas.verify import _exchange_term, _integral_term
 
 from oracles import (bulk_chunk, bulk_exchange, per_k_sum, spectral_term,
@@ -172,12 +171,12 @@ def test_orbit_and_bulk_path_match_plain_per_k():
     pot = coulomb(1.0)
     xi = (1, 0, 0)
     ks = truncated_k_vectors(xi, cfg, 5)
-    plain = per_k_sum(ks, xi, cfg, pot)
-    fast = _eval_k_block(*orbit_reduce(np.array(ks), xi, pot.symmetry), xi,
-                         cfg, pot, 1e-9, True, True)
-    assert fast.nb_spectral == pytest.approx(plain.nb_spectral, rel=1e-10)
-    assert fast.nb_integral == pytest.approx(plain.nb_integral, rel=1e-10)
-    assert fast.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
+    plain, _, _ = per_k_sum(ks, xi, cfg, pot)
+    fast, _, _ = _block_parts(*orbit_reduce(np.array(ks), xi, pot.symmetry),
+                              xi, cfg, pot, 1e-9, True, True)
+    assert fast[0] == pytest.approx(plain[0], rel=1e-10)
+    assert fast[1] == pytest.approx(plain[1], rel=1e-10)
+    assert fast[2] == pytest.approx(plain[2], rel=1e-12)
 
 
 # near (partial-lune, |k| <= 2 k_F) and far (full-lune) transfers
@@ -194,8 +193,8 @@ def test_deflated_diag_matches_full_lune(kf):
     cfg = fermi_ball(kf)
     modes = [build_mode(k, cfg, coulomb(1.0)) for k in BLOCK_KS[kf]]
     g, counts = gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
-    per_gap = _cosh_minus_one_per_gap(g, counts,
-                                      np.array([m.vsq for m in modes]))
+    per_gap = cosh_minus_one_per_gap(g, counts,
+                                     np.array([m.vsq for m in modes]))
     for row, mode in enumerate(modes):
         col = np.searchsorted(g, mode.h)
         assert np.array_equal(g[col], mode.h)
@@ -212,10 +211,10 @@ def test_gap_table_response_matches_q_of_s():
     for kf, pot in ((2.0, coulomb(1.0)), (3.0, yukawa(2.0, 0.5))):
         cfg = fermi_ball(kf)
         modes = [build_mode(k, cfg, pot) for k in BLOCK_KS[kf]]
-        g, counts = gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
         vsq = np.array([m.vsq for m in modes])
-        q = (2.0 * vsq[:, None] * counts * g) @ (
-            1.0 / (s[None, :] ** 2 + g[:, None] ** 2))
+        g, _, resp = gap_response(*lune_kernel(np.array(BLOCK_KS[kf]), cfg),
+                                  vsq)
+        q = resp @ (1.0 / (s[None, :] ** 2 + g[:, None] ** 2))
         for row, mode in zip(q, modes):
             np.testing.assert_allclose(row, q_of_s(mode, s), rtol=1e-13)
 
@@ -234,6 +233,30 @@ def test_gap_histogram_is_point_group_invariant(k, kf):
     assert np.all(orbit_key(images) == orbit_key(images)[0])
 
 
+@pytest.mark.parametrize("pot_name", ["coulomb", "yukawa", "table_even",
+                                      "table_uneven"])
+def test_mode_chunks_cover_nonzero_rows_in_order(pot_name):
+    cfg = fermi_ball(2.0)
+    # the tables stop at |k| = 5, so the rows out to 7 include V_k = 0
+    pot = _potential(pot_name, 5)
+    ks = ball_array(49, 0)
+    ks = ks[np.random.default_rng(7).permutation(len(ks))]
+    vhat = pot.at(ks)
+    chunks = list(mode_chunks(ks, vhat, cfg, 50))
+    assert [len(rows) for rows, _, _ in chunks[:-1]] == [50] * (len(chunks) - 1)
+    rows = np.concatenate([rows for rows, _, _ in chunks])
+    assert sorted(rows.tolist()) == np.flatnonzero(vhat).tolist()
+    # (|k|^2, sorted |k_i| from the largest) ascending is the orbit-key order
+    keys = [(norm2(k), sorted(map(abs, k), reverse=True))
+            for k in ks[rows].tolist()]
+    assert keys == sorted(keys)
+    for rows, mask, lam in chunks:
+        for row, mask_k, lam_k in zip(rows, mask, lam):
+            want_mask, want_lam = lune_kernel(tuple(ks[row]), cfg)
+            assert np.array_equal(mask_k, want_mask)
+            assert np.array_equal(lam_k, want_lam)
+
+
 @pytest.mark.parametrize("xi, pot_name", [
     ((0, 0, 0), "coulomb"), ((1, 0, 0), "coulomb"), ((1, 1, 0), "coulomb"),
     ((2, 0, 0), "coulomb"),
@@ -246,13 +269,13 @@ def test_mode_block_matches_plain_per_k_kf2(xi, pot_name):
     # exchange arguments k + q + q_z reach |k| + 2 k_F <= 9
     pot = _potential(pot_name, 10)
     ks = truncated_k_vectors(xi, cfg, 5)
-    plain = per_k_sum(ks, xi, cfg, pot)
-    fast = _eval_k_block(*orbit_reduce(np.array(ks), xi, pot.symmetry), xi,
-                         cfg, pot, 1e-9, True, True)
-    assert fast.nb_spectral == pytest.approx(plain.nb_spectral, rel=1e-10)
-    assert fast.nb_integral == pytest.approx(plain.nb_integral, rel=1e-10)
-    assert fast.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
-    assert fast.converged and plain.converged
+    plain, _, plain_ok = per_k_sum(ks, xi, cfg, pot)
+    fast, _, ok = _block_parts(*orbit_reduce(np.array(ks), xi, pot.symmetry),
+                               xi, cfg, pot, 1e-9, True, True)
+    assert fast[0] == pytest.approx(plain[0], rel=1e-10)
+    assert fast[1] == pytest.approx(plain[1], rel=1e-10)
+    assert fast[2] == pytest.approx(plain[2], rel=1e-12)
+    assert ok and plain_ok
 
 
 @pytest.mark.parametrize("xi", [(0, 0, 0), (1, 0, 0), (1, 1, 1)])
@@ -260,17 +283,14 @@ def test_mode_chunk_matches_full_lune_bulk_oracle(xi):
     cfg = fermi_ball(2.0)
     pot = coulomb(1.0)
     ks = truncated_k_vectors(xi, cfg, 7, k_min_excl=4)
-    arr = np.array(ks)
-    vhat = pot.from_norm2(np.einsum("mi,mi->m", arr, arr))
-    cols = np.broadcast_to(cfg.ball_index([xi, [-c for c in xi]]), (len(ks), 2))
-    fast = _mode_chunk(arr, np.ones(len(ks)), vhat, cols, cfg, pot,
-                       1e-9, True, True)
+    fast, _, fast_ok = _block_parts(np.array(ks), np.ones(len(ks)), xi, cfg,
+                                    pot, 1e-9, True, True)
     spectral, integral, _, ok = bulk_chunk(ks, xi, cfg, pot, (1, -1), 1e-9)
-    assert fast.nb_spectral == pytest.approx(spectral, rel=1e-9)
-    assert fast.nb_integral == pytest.approx(integral, rel=1e-9)
-    assert fast.n_ex == pytest.approx(bulk_exchange(ks, xi, cfg, pot, (1, -1)),
-                                      rel=1e-12)
-    assert fast.converged and ok
+    assert fast[0] == pytest.approx(spectral, rel=1e-9)
+    assert fast[1] == pytest.approx(integral, rel=1e-9)
+    assert fast[2] == pytest.approx(bulk_exchange(ks, xi, cfg, pot, (1, -1)),
+                                    rel=1e-12)
+    assert fast_ok and ok
 
 
 OUTSIDE = [(1.0, (1, 1, 0)), (1.0, (2, 0, 0)), (1.0, (9, 9, 9)),
@@ -285,16 +305,15 @@ def test_outside_block_matches_plain_per_k(kf, xi, pot_name):
     # exchange arguments k + q + q_z, k in +-xi + B, reach |xi| + 3 k_F
     pot = _potential(pot_name, math.isqrt(norm2(xi)) + 1 + 3 * math.ceil(kf))
     ks = k_support(xi, cfg).finite_part
-    plain = per_k_sum(ks, xi, cfg, pot)
+    plain, _, plain_ok = per_k_sum(ks, xi, cfg, pot)
     row = n_point(xi, cfg, pot, route="both")
     assert row.k_modes_used == len(ks) and row.tail_estimate == 0.0
-    assert row.converged and plain.converged
-    assert row.n_b_integral == pytest.approx(plain.nb_integral, rel=1e-10)
-    assert row.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
+    assert row.converged and plain_ok
+    assert row.n_b_integral == pytest.approx(plain[1], rel=1e-10)
+    assert row.n_ex == pytest.approx(plain[2], rel=1e-12)
     # both spectral forms cancel O(1) terms: N eps per mode (ROADMAP item 3)
     floor = len(ks) * cfg.n_particles * np.finfo(float).eps
-    assert row.n_b_spectral == pytest.approx(plain.nb_spectral, rel=1e-9,
-                                             abs=floor)
+    assert row.n_b_spectral == pytest.approx(plain[0], rel=1e-9, abs=floor)
 
 
 def test_table_potential_outside_point_runs_block(monkeypatch):
@@ -302,23 +321,22 @@ def test_table_potential_outside_point_runs_block(monkeypatch):
     pot_t = _table("table_even", 11)
     xi = (1, 1, 0)
     ks = k_support(xi, cfg).finite_part
-    plain = per_k_sum(ks, xi, cfg, pot_t)
+    plain, _, _ = per_k_sum(ks, xi, cfg, pot_t)
     # frozen from this per-k sum when it was the library's table path
-    assert plain.nb_spectral == pytest.approx(1.5225653274120177e-04, rel=1e-12)
-    assert plain.nb_integral == pytest.approx(1.5225653274261963e-04, rel=1e-12)
-    assert plain.n_ex == pytest.approx(-2.541346328525346e-05, rel=1e-12)
+    assert plain[0] == pytest.approx(1.5225653274120177e-04, rel=1e-12)
+    assert plain[1] == pytest.approx(1.5225653274261963e-04, rel=1e-12)
+    assert plain[2] == pytest.approx(-2.541346328525346e-05, rel=1e-12)
     chunks = []
-    mode_chunk = momentum._mode_chunk
-    monkeypatch.setattr(momentum, "_mode_chunk",
-                        lambda *args: chunks.append(args) or mode_chunk(*args))
+    driver = momentum.mode_chunks
+    monkeypatch.setattr(momentum, "mode_chunks", lambda *args: (
+        chunks.append(chunk) or chunk for chunk in driver(*args)))
     row = n_point(xi, cfg, pot_t, route="both")
     assert len(chunks) == 1 and len(chunks[0][0]) == len(ks)
-    assert row.n_b_integral == pytest.approx(plain.nb_integral, rel=1e-10)
-    assert row.n_ex == pytest.approx(plain.n_ex, rel=1e-12)
+    assert row.n_b_integral == pytest.approx(plain[1], rel=1e-10)
+    assert row.n_ex == pytest.approx(plain[2], rel=1e-12)
     # the full-lune spectral form sits 9.3e-12 below the integral route
     floor = len(ks) * cfg.n_particles * np.finfo(float).eps
-    assert row.n_b_spectral == pytest.approx(plain.nb_spectral, rel=1e-9,
-                                             abs=floor)
+    assert row.n_b_spectral == pytest.approx(plain[0], rel=1e-9, abs=floor)
     # a table of Coulomb's values on every argument reached is Coulomb
     assert row.to_json_dict() == n_point(xi, cfg, coulomb(1.0),
                                          route="both").to_json_dict()
@@ -362,7 +380,7 @@ def test_deflated_hit_value_against_mpmath_kf3():
         2.0 * TWO_PI_CUBED * cfg.k_f)
     mask, lam = lune_kernel(ks, cfg)
     g, counts = gap_counts(mask, lam)
-    per_gap = _cosh_minus_one_per_gap(g, counts, vsq)
+    per_gap = cosh_minus_one_per_gap(g, counts, vsq)
     for row, k in enumerate(ks):
         # the hit is s xi with s xi - k in the ball
         s = 1 if norm2(xi - k) <= cfg.r2 else -1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fermigas.potential as potential
 from fermigas.lattice import ball_points, norm2
 from fermigas.potential import (coulomb, evaluate, from_table, load_table,
                                 validate, yukawa, zero)
@@ -153,3 +154,22 @@ def test_load_table_rejects_non_finite_with_line(tmp_path):
     path.write_text("# header\n1 0 0 1.0\n-1 0 0 nan\n")
     with pytest.raises(ValueError, match=f"{path}:3: value must be finite"):
         load_table(path)
+
+
+def test_table_symmetry_class_is_computed_once(monkeypatch):
+    # the evenness scan calls neg once per entry it checks
+    scanned = []
+    neg = potential.neg
+    monkeypatch.setattr(potential, "neg",
+                        lambda k: scanned.append(k) or neg(k))
+    even = from_table({(1, 0, 0): 1.0, (-1, 0, 0): 1.0, (0, 2, 1): 0.5,
+                       (0, -2, -1): 0.5})
+    uneven = from_table({(1, 0, 0): 1.0, (-1, 0, 0): 2.0})
+    for _ in range(3):
+        assert (even.symmetry, even.is_even) == ("even", True)
+        assert (uneven.symmetry, uneven.is_even) == ("none", False)
+        assert (coulomb(1.0).symmetry, coulomb(1.0).is_even) == ("radial", True)
+    # one full scan of the even table, and the uneven one stops at its
+    # first entry
+    assert len(scanned) == 4 + 1
+
