@@ -199,11 +199,10 @@ def test_deflated_diag_matches_full_lune(kf):
         col = np.searchsorted(g, mode.h)
         assert np.array_equal(g[col], mode.h)
         assert counts[row].sum() == mode.dim
-        # both routes form (A + A^-1)/2 - 1 from O(1) terms, so each
-        # carries an absolute error of order N eps (N <= 123 here)
+        # both sum positive terms, so they agree in relative terms even on
+        # far modes (measured: 2.6e-14 at most)
         np.testing.assert_allclose(per_gap[row, col],
-                                   cosh2k_minus_one_diag(mode),
-                                   rtol=1e-9, atol=123 * 2.3e-16)
+                                   cosh2k_minus_one_diag(mode), rtol=1e-13)
 
 
 def test_gap_table_response_matches_q_of_s():
@@ -311,9 +310,8 @@ def test_outside_block_matches_plain_per_k(kf, xi, pot_name):
     assert row.converged and plain_ok
     assert row.n_b_integral == pytest.approx(plain[1], rel=1e-10)
     assert row.n_ex == pytest.approx(plain[2], rel=1e-12)
-    # both spectral forms cancel O(1) terms: N eps per mode (ROADMAP item 3)
-    floor = len(ks) * cfg.n_particles * np.finfo(float).eps
-    assert row.n_b_spectral == pytest.approx(plain[0], rel=1e-9, abs=floor)
+    # the deflated and the full-lune spectral sums, both exact on far modes
+    assert row.n_b_spectral == pytest.approx(plain[0], rel=1e-13)
 
 
 def test_table_potential_outside_point_runs_block(monkeypatch):
@@ -334,9 +332,7 @@ def test_table_potential_outside_point_runs_block(monkeypatch):
     assert len(chunks) == 1 and len(chunks[0][0]) == len(ks)
     assert row.n_b_integral == pytest.approx(plain[1], rel=1e-10)
     assert row.n_ex == pytest.approx(plain[2], rel=1e-12)
-    # the full-lune spectral form sits 9.3e-12 below the integral route
-    floor = len(ks) * cfg.n_particles * np.finfo(float).eps
-    assert row.n_b_spectral == pytest.approx(plain[0], rel=1e-9, abs=floor)
+    assert row.n_b_spectral == pytest.approx(plain[0], rel=1e-13)
     # a table of Coulomb's values on every argument reached is Coulomb
     assert row.to_json_dict() == n_point(xi, cfg, coulomb(1.0),
                                          route="both").to_json_dict()
@@ -361,14 +357,13 @@ def _cosh_minus_one_mp(lam, m, vsq):
 def test_deflated_hit_value_against_mpmath_kf3():
     """Per-mode spectral value at k_F = 3, xi = (4, 0, 0) against 40 digits.
 
-    There the summed deflated values sit about 1e-14 below the integral
-    route and the full-lune cosh2k_minus_one_diag sum as far above it.
     Summing the 40-digit value over all 246 support modes (one solve per
-    orbit key) gives 2.77162373083240e-06: the integral route agrees to
-    1e-13 relative, and both spectral sums are 3.7e-9 off, in opposite
-    directions.  Neither is right; both carry the far-mode cancellation
-    of ROADMAP item 3.  Per mode the deflated value at the hit was
-    measured 1.3e-6 off at k = (6, 2, 1) and 2.1e-6 at k = (+-7, 0, 0).
+    orbit key) gives 2.77162373083240e-06.  The spectral route, a sum of
+    positive terms per gap, is 9.2e-16 relative off it and the integral
+    route 7.8e-14.  Per mode the value at the hit was measured 3.1e-15
+    off at k = (6, 2, 1) and 1.1e-15 at k = (+-7, 0, 0); the earlier
+    form (A + A^-1)/2 - 1 was 1.3e-6 and 2.1e-6 off there, and its
+    spectral total 3.7e-9.
     """
     cfg = fermi_ball(3.0)
     xi = np.array((4, 0, 0))
@@ -389,7 +384,28 @@ def test_deflated_hit_value_against_mpmath_kf3():
         exact = _cosh_minus_one_mp(g[nz], counts[row, nz], vsq[row])
         got = per_gap[row, np.searchsorted(g, lz)]
         want = exact[int(np.searchsorted(g[nz], lz))]
-        assert abs(got - want) <= 1e-5 * want
+        assert abs(got - want) <= 1e-13 * want
+    row_total = n_point(tuple(xi), cfg, coulomb(1.0), route="spectral")
+    assert row_total.n_b == pytest.approx(2.77162373083240e-06, rel=1e-13)
+
+
+def test_deflated_far_modes_against_mpmath_kf2():
+    """Every per-gap value of near and far modes at k_F = 2 against 40 digits.
+
+    The earlier form (A + A^-1)/2 - 1 was 4.4e-8, 9.4e-4, 1.2e-2 and
+    1.7e2 relative off at these k, and went negative at (40, 11, 5);
+    the sum of positive terms is within 1.2e-15 at each.
+    """
+    cfg = fermi_ball(2.0)
+    ks = np.array([(2, 1, 0), (8, 3, 2), (11, 4, 1), (40, 11, 5)])
+    vsq = coulomb(1.0).at(ks) / (2.0 * TWO_PI_CUBED * cfg.k_f)
+    g, counts = gap_counts(*lune_kernel(ks, cfg))
+    per_gap = cosh_minus_one_per_gap(g, counts, vsq)
+    for row in range(len(ks)):
+        nz = np.flatnonzero(counts[row])
+        exact = np.array(_cosh_minus_one_mp(g[nz], counts[row, nz], vsq[row]))
+        assert np.all(per_gap[row, nz] >= 0.0)
+        np.testing.assert_allclose(per_gap[row, nz], exact, rtol=1e-13)
 
 
 def test_table_potential_inside_point_matches_coulomb():
@@ -432,7 +448,7 @@ def test_positivity_of_spectral_diag():
     cfg = fermi_ball(2.0)
     for k in nonzero_k_vectors(4):
         diag = cosh2k_minus_one_diag(build_mode(k, cfg, coulomb(1.0)))
-        assert np.all(diag >= -1e-10)
+        assert np.all(diag > 0.0)
 
 
 def test_observable_symmetry_enforced():
