@@ -104,11 +104,9 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, xi: Vec3,
                  want_spectral: bool, want_integral: bool):
     """[n_b spectral, n_b integral, n_ex], quad error and ok over k rows.
 
-    ``ks`` is (m, 3) with weights ``wts``; a route left out stays 0.
-    Per mode and sign s = +-1 the candidate hit zeta = k + q_z has one
-    ball column q_z, -1 for none: s xi inside the ball, s xi - k outside
-    it where that point is in the ball.  The lune mask at that column
-    says whether zeta hits.
+    ``ks`` is (m, 3) with weights ``wts``; a route left out stays 0.  The
+    lune mask at the ball column of each candidate hit (module docstring;
+    -1 for none) says whether it hits.
     """
     inside = norm2(xi) <= cfg.r2
     vhat = pot.at(ks)
@@ -120,18 +118,15 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, xi: Vec3,
     ball = cfg.ball_arr
     parts, qerr, ok = np.zeros(3), 0.0, True
     for rows, mask, lam in mode_chunks(ks, vhat, cfg, _CHUNK):
-        at = np.arange(rows.size)
+        kc, at = ks[rows], np.arange(rows.size)
         hits = [(col, (col >= 0) & mask[at, col], lam[at, col])
                 for col in cols[rows].T]
         chunk, chunk_err = np.zeros(3), 0.0
-        if want_spectral or want_integral:
-            g, counts, resp = gap_response(mask, lam, vsq[rows])
+        g, counts, resp = gap_response(mask, lam, vsq[rows])
         if want_spectral:
-            # the eigensolve depends on k through the gap histogram, fixed
-            # by the orbit key, and through V_k, fixed by it too when V is
-            # radial
+            # one eigensolve per gap histogram (fixed by the orbit key) and V_k
             _, vcode = np.unique(vhat[rows], return_inverse=True)
-            key = orbit_key(ks[rows]) * (vcode.max(initial=0) + 1) + vcode
+            key = orbit_key(kc) * (vcode.max(initial=0) + 1) + vcode
             _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
             per_gap = cosh_minus_one_per_gap(g, counts[rep], vsq[rows][rep])
             for _, hit, lz in hits:
@@ -153,7 +148,6 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, xi: Vec3,
         # k + q + q_z; a radial V reads |k + q + q_z|^2 = 2 t - |k|^2 +
         # |q + q_z|^2 (exact in integers)
         ex = 0.0
-        kc = ks[rows]
         kn2 = np.einsum("mi,mi->m", kc, kc)
         for col, hit, lz in hits:
             qz = ball[col[hit]]

@@ -153,17 +153,12 @@ def cosh_minus_one_core(lam: np.ndarray, m: np.ndarray,
                         vsq: np.ndarray) -> np.ndarray:
     """cosh(-2K) - 1 at a point of each gap, for a batch of deflated cores.
 
-    ``lam`` and ``m`` are (B, D) gaps and multiplicities, ``vsq`` the
-    (B,) couplings; core b is M = diag(lam^2) + 2 w w^T with
-    w_d^2 = m_d lam_d v^2 (module docstring).  For each eigenpair
-    (mu_j, e_j) of M, row d of M e_j = mu_j e_j reads
-    (sqrt(mu_j) - lam_d) e_j[d] = 2 w_d (e_j . w) / (sqrt(mu_j) + lam_d),
-    so the value at a point of gap lam_d is a sum of positive terms,
-
-        2 v^2 sum_j (e_j . w)^2 / (sqrt(mu_j) (sqrt(mu_j) + lam_d)^2),
-
-    free of the cancellation of (A + A^-1)/2 - 1 on far modes.  One
-    batched eigh.
+    ``lam`` and ``m`` are (B, D) gaps and multiplicities, ``vsq`` the (B,)
+    couplings: core b is diag(lam^2) + 2 w w^T, w_d^2 = m_d lam_d v^2.
+    Row d of its eigen-equation gives (sqrt(mu_j) - lam_d) e_j[d] =
+    2 w_d (e_j.w) / (sqrt(mu_j) + lam_d), so the value at gap lam_d is
+    2 v^2 sum_j (e_j.w)^2 / (sqrt(mu_j) (sqrt(mu_j) + lam_d)^2), a sum of
+    positive terms that does not cancel on far modes.  One batched eigh.
     """
     w = np.sqrt(m * lam * vsq[:, None])
     core = 2.0 * w[:, :, None] * w[:, None, :]
@@ -171,9 +166,9 @@ def cosh_minus_one_core(lam: np.ndarray, m: np.ndarray,
     core[:, step, step] += lam**2
     mu, vec = np.linalg.eigh(core)
     root = np.sqrt(mu)[:, None, :]
-    proj = np.einsum("bdj,bd->bj", vec, w)[:, None, :] ** 2
+    weight = np.einsum("bdj,bd->bj", vec, w)[:, None, :] ** 2 / root
     return 2.0 * vsq[:, None] * np.sum(
-        proj / (root * (root + lam[:, :, None]) ** 2), axis=2)
+        weight / (root + lam[:, :, None]) ** 2, axis=2)
 
 
 def cosh_minus_one_per_gap(g: np.ndarray, counts: np.ndarray,
