@@ -111,7 +111,7 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, xi: Vec3,
     inside = norm2(xi) <= cfg.r2
     vhat = pot.at(ks)
     vsq = coupling_sq(vhat, cfg.k_f)
-    pref = vhat / (EIGHT_PI4 * cfg.k_f)
+    wpref, wvhat = wts * (vhat / (EIGHT_PI4 * cfg.k_f)), wts * vhat
     cols = np.broadcast_to(cfg.ball_index(np.array([xi, neg(xi)])
                                           - (0 if inside else ks[:, None])),
                            (ks.shape[0], 2))
@@ -140,8 +140,8 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, xi: Vec3,
                 vals, errs, conv = response_integrals(
                     lambda q, s2: (s2 - lz2) / (s2 + lz2) ** 2 / (1.0 + q),
                     resp[hit], g, lz[hit], quad_tol)
-                chunk[1] += float(np.sum((wts * pref)[rows][hit] * vals))
-                chunk_err += float(np.sum((wts * pref)[rows][hit] * errs))
+                chunk[1] += float(np.sum(wpref[rows][hit] * vals))
+                chunk_err += float(np.sum(wpref[rows][hit] * errs))
                 ok = ok and conv
         # exchange: sum over p = k + q in the lune of V(p + zeta - k) / t^2
         # with t = lam_p + lam_zeta, zeta = k + q_z, and p + zeta - k =
@@ -160,7 +160,7 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, xi: Vec3,
             else:
                 v2 = pot.at(kc[hit, None] + ball + qz[:, None])
             terms = np.divide(v2, t**2, out=np.zeros(t.shape), where=mask[hit])
-            ex += float((vhat * wts)[rows][hit] @ np.sum(terms, axis=1))
+            ex += float(wvhat[rows][hit] @ np.sum(terms, axis=1))
         chunk[2] = -ex / (8.0 * TWO_PI_6 * cfg.k_f**2)
         parts += chunk
         qerr += chunk_err
