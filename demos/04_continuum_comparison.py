@@ -41,6 +41,5 @@ print(f"alpha-scaling check: 4 x value(0.2) = {4 * va:.6e} "
 # --- the comparison table ----------------------------------------------------
 cfg = fg.fermi_ball(1.0)
 rows = compare_table(cfg, fg.coulomb(1.0), [(2, 0, 0), (2, 1, 0), (0, 0, 3)],
-                     fg.TailPolicy(k_max=4), quad_tol=1e-6,
-                     samples=50_000, seed=0)
+                     quad_tol=1e-6, samples=50_000, seed=0)
 print("\n" + rows_to_csv(rows))

@@ -202,7 +202,7 @@ class CompareRow:
 CSV_HEADER = "xi,n_b_disc,n_ex_disc,n_b_dv,n_ex_dv,ratio_b,ratio_ex"
 
 
-def compare_table(cfg, pot, xi_list, policy=None, quad_tol: float = 1e-7,
+def compare_table(cfg, pot, xi_list, quad_tol: float = 1e-7,
                   samples: int = 100_000, seed: int = 0) -> list[CompareRow]:
     """Discrete vs continuum rows for points outside the Fermi ball.
 
@@ -222,7 +222,7 @@ def compare_table(cfg, pot, xi_list, policy=None, quad_tol: float = 1e-7,
         xv = as_vec3(xi)
         if norm2(xv) <= cfg.r2:
             raise ValueError(f"comparison point {xv} must lie outside the Fermi ball")
-        disc = n_point(xv, cfg, pot, policy, route="spectral")
+        disc = n_point(xv, cfg, pot, route="spectral")
         ex_disc = disc.n_ex
         params = DVParams(k_f=cfg.k_f, alpha=alpha, xi_norm=math.sqrt(norm2(xv)))
         nb_dv = n_b_dv(params, quad_tol=quad_tol).value

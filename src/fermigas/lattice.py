@@ -399,6 +399,22 @@ def stabilizer_group(xi: Vec3, symmetry: str) -> np.ndarray:
     return group[keep]
 
 
+def image_keys(ks: np.ndarray,
+               group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer keys of R k for every row k of ``ks`` and R in ``group``.
+
+    Returns the (n, g) image keys and the (n,) keys of the rows
+    themselves.  Keys are p . digits in balanced base-(2 max|k| + 1)
+    digits, injective on the images and ordered as their lex order, so
+    two images are equal iff their keys are, and a row's minimum is a
+    canonical key of its orbit.  Keys compare across the rows of one call.
+    """
+    base = 2 * int(np.max(np.abs(ks), initial=0)) + 1
+    digits = np.array([base * base, base, 1])
+    # the key of R k for every R at once is k @ codes, codes[:, g] = R_g^T digits
+    return ks @ (group.transpose(0, 2, 1) @ digits).T, ks @ digits
+
+
 def orbit_reduce(ks: np.ndarray, xi: Vec3,
                  symmetry: str) -> tuple[np.ndarray, np.ndarray]:
     """Collapse (n, 3) int k-vectors to stabilizer-orbit representatives.
@@ -414,19 +430,12 @@ def orbit_reduce(ks: np.ndarray, xi: Vec3,
     group = stabilizer_group(xi, symmetry)
     if group.shape[0] == 1 or ks.shape[0] == 0:
         return ks, np.ones(ks.shape[0], dtype=np.int64)
-    base = 2 * int(np.max(np.abs(ks))) + 1
-    # p . digits is injective on the images (balanced digits below
-    # base/2), so the key of R k for every R at once is k @ codes with
-    # codes[:, g] = R_g^T digits
-    digits = np.array([base * base, base, 1])
-    codes = (group.transpose(0, 2, 1) @ digits).T
-
     reps, weights = [], []
     # canonicality and weight are per-element, so chunking is exact
     for start in range(0, ks.shape[0], 8192):
         arr = ks[start:start + 8192]
-        keys = arr @ codes                 # (m, g)
-        keep = arr @ digits == keys.min(axis=1)
+        keys, own = image_keys(arr, group)  # (m, g), (m,)
+        keep = own == keys.min(axis=1)
         sorted_keys = np.sort(keys[keep], axis=1)
         reps.append(arr[keep])
         weights.append(1 + np.count_nonzero(np.diff(sorted_keys, axis=1),

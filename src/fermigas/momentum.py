@@ -23,7 +23,8 @@ runs over shells k_lo < |k| <= k_hi doubled by ``lattice.doubled_sum``,
 and the largest last increment of n_b and n_ex is the tail estimate.
 A shell is the ``orbit_reduce`` of its points under the stabilizer of
 xi, less the representatives whose lune misses k +- xi; no shell is
-kept across points.
+kept across points.  A weighted sum over an observable (``n_weighted``)
+runs one point per orbit of its support under the potential's group.
 
 Every k-sum runs on the mode blocks of ``quasiboson`` (its module
 docstring states the gap-histogram, deflation and response identities),
@@ -42,14 +43,14 @@ test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, ball_array,
-                      doubled_sum, k_support, neg, norm2, orbit_key,
-                      orbit_reduce)
+                      doubled_sum, image_keys, k_support, neg, norm2,
+                      orbit_key, orbit_reduce, stabilizer_group)
 from .numerics import check_tol
 from .potential import Potential, load_table
 from .quasiboson import (TWO_PI_6, coupling_sq, cosh_minus_one_per_gap,
@@ -308,13 +309,29 @@ def n_weighted(f: Observable, cfg: LatticeConfig, pot: Potential,
                quad_tol: float = 1e-9) -> tuple[float, list[MomentumBreakdown]]:
     """Weighted sum over the support of f of f(xi) * (n_b + n_ex)(xi).
 
-    The sum runs in sorted-xi order.  Returns the total and the
-    per-point records.
+    One ``n_point`` runs per orbit of the support under the potential's
+    group (``stabilizer_group`` of 0: the 48 signed permutations when
+    radial, +-1 when even, the identity otherwise), at the orbit's first
+    point in sorted order; its other points reuse that record with their
+    own xi.  The reuse is exact for every truncated sum, not only in the
+    limit: the ball, each shell k_lo < |k| <= k_hi, the lune test and V
+    are invariant under the group, so an orbit's points share the same
+    terms, summed in another order (they differ at rounding level, up
+    to the quadrature tolerance for the integral route).  The sum runs
+    in sorted-xi order.  Returns the total and the per-point records.
     """
     check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
     support = f.support()
-    rows = [n_point(xi, cfg, pot, policy, route=route, quad_tol=quad_tol)
-            for xi in support]
+    keys, _ = image_keys(np.array(support, dtype=np.int64).reshape(-1, 3),
+                         stabilizer_group((0, 0, 0), pot.symmetry))
+    by_orbit: dict[int, MomentumBreakdown] = {}
+    rows = []
+    for xi, key in zip(support, keys.min(axis=1).tolist()):
+        row = by_orbit.get(key)
+        if row is None:
+            row = by_orbit[key] = n_point(xi, cfg, pot, policy, route=route,
+                                          quad_tol=quad_tol)
+        rows.append(replace(row, xi=xi))
     total = sum(f.values[xi] * row.n_total for xi, row in zip(support, rows))
     return total, rows

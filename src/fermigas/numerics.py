@@ -265,14 +265,3 @@ def rank1_resolvent_diag(h_diag: np.ndarray, u: np.ndarray, s: float,
     w = r * u
     denom = 1.0 + 2.0 * float(np.dot(u, w))
     return float(r[index] - 2.0 * w[index] ** 2 / denom)
-
-
-def rank1_resolvent_diag_all(h_diag: np.ndarray, u: np.ndarray,
-                             s: float) -> np.ndarray:
-    """Full diagonal of (diag(h)^2 + 2 u u^T + s^2)^-1 in one pass."""
-    h = np.asarray(h_diag, dtype=float)
-    u = np.asarray(u, dtype=float)
-    r = 1.0 / (h**2 + s * s)
-    w = r * u
-    denom = 1.0 + 2.0 * float(np.dot(u, w))
-    return r - 2.0 * w**2 / denom

@@ -4,7 +4,7 @@ from scipy import integrate
 
 from fermigas.dvlimit import (CSV_HEADER, DVParams, compare_table, n_b_dv,
                               n_ex_dv, q_dv, rows_to_csv)
-from fermigas.lattice import TailPolicy, fermi_ball
+from fermigas.lattice import fermi_ball
 from fermigas.potential import coulomb
 
 
@@ -156,8 +156,7 @@ def test_n_ex_dv_against_cartesian_sampler():
 def test_compare_table_rows_and_csv():
     cfg = fermi_ball(1.0)
     rows = compare_table(cfg, coulomb(1.0), [(2, 0, 0), (2, 1, 0)],
-                         TailPolicy(k_max=4), quad_tol=1e-6,
-                         samples=20_000, seed=0)
+                         quad_tol=1e-6, samples=20_000, seed=0)
     assert len(rows) == 2
     for r in rows:
         assert np.isfinite(r.ratio_b) and r.ratio_b > 0.0
@@ -167,8 +166,7 @@ def test_compare_table_rows_and_csv():
     assert len(csv.splitlines()) == 3
     # deterministic given fixed seed and tolerances
     again = compare_table(cfg, coulomb(1.0), [(2, 0, 0), (2, 1, 0)],
-                          TailPolicy(k_max=4), quad_tol=1e-6,
-                          samples=20_000, seed=0)
+                          quad_tol=1e-6, samples=20_000, seed=0)
     assert rows_to_csv(again) == csv
 
 

@@ -101,6 +101,38 @@ def test_unreferenced_private_definition_is_found():
                                             "a.py:_Gone"]
 
 
+def _unreferenced_public(trees: dict[str, ast.Module],
+                         exported: set[str]) -> list[str]:
+    """Public top-level functions and classes that no module of the package
+    refers to outside their own definition, and that it does not export."""
+    parts = [(mod, node, _references(node))
+             for mod, tree in sorted(trees.items()) for node in tree.body]
+    return [f"{mod}:{node.name}" for mod, node, _ in parts
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in exported
+            and not any(node.name in refs for _, other, refs in parts
+                        if other is not node)]
+
+
+def test_no_unreferenced_public_definitions():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    assert _unreferenced_public(trees, set(fermigas.__all__)) == []
+
+
+def test_unreferenced_public_definition_is_found():
+    trees = {"a.py": ast.parse("def used():\n    pass\n"
+                               "def dead(n):\n    return dead(n - 1)\n"
+                               "class Exported:\n    pass\n"
+                               "class Gone:\n    pass\n"
+                               "def _private():\n    pass\n"
+                               "def local():\n    pass\n"
+                               "TABLE = {'f': local}\n"),
+             "b.py": ast.parse("from .a import used\n")}
+    assert _unreferenced_public(trees, {"Exported"}) == ["a.py:dead",
+                                                         "a.py:Gone"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_private_imports_across_modules(path):
     assert _private_imports(ast.parse(path.read_text())) == []

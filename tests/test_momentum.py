@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import mpmath
@@ -519,6 +520,72 @@ def test_weighted_ball_indicator_positive():
                              FAST, route="spectral")
     assert np.isfinite(total) and total > 0.0
     assert len(rows) == 7
+
+
+def _count_n_point(monkeypatch) -> Counter:
+    """Count the n_point calls that n_weighted makes."""
+    count = Counter()
+
+    def counted(xi, *args, **kwargs):
+        count["n_point"] += 1
+        return n_point(xi, *args, **kwargs)
+
+    monkeypatch.setattr(momentum, "n_point", counted)
+    return count
+
+
+@pytest.mark.parametrize("pot_name, calls", [
+    ("coulomb", 5), ("yukawa", 5), ("table_even", 17), ("table_uneven", 33)])
+def test_weighted_ball_runs_one_point_per_orbit(monkeypatch, pot_name, calls):
+    # the 33 ball points at k_F = 2 fall into 5 orbits of the 48 signed
+    # permutations, 17 of +-1 ({0} and 16 pairs) and 33 of the identity
+    cfg = fermi_ball(2.0)
+    pot = _potential(pot_name, 6)
+    obs = Observable.ball_indicator(cfg)
+    count = _count_n_point(monkeypatch)
+    total, rows = n_weighted(obs, cfg, pot, FAST, route="both")
+    assert count["n_point"] == calls
+    assert [row.xi for row in rows] == obs.support()
+    assert total == sum(row.n_total for row in rows)
+    for row in rows:
+        want = n_point(row.xi, cfg, pot, FAST, route="both")
+        assert row.n_b == pytest.approx(want.n_b, rel=1e-12)
+        assert row.n_ex == pytest.approx(want.n_ex, rel=1e-12)
+        assert row.n_b_integral == pytest.approx(want.n_b_integral, rel=1e-11)
+        assert row.k_modes_used == want.k_modes_used
+        assert row.converged == want.converged
+
+
+def test_weighted_delta_outside_shares_its_row(monkeypatch):
+    cfg = fermi_ball(2.0)
+    count = _count_n_point(monkeypatch)
+    _, (minus, plus) = n_weighted(Observable.delta((2, 1, 0)), cfg,
+                                  coulomb(1.0), route="both")
+    assert count["n_point"] == 1
+    assert (minus.xi, plus.xi) == ((-2, -1, 0), (2, 1, 0))
+    assert replace(minus, xi=plus.xi) == plus
+
+
+@pytest.mark.parametrize("pot_name", ["coulomb", "yukawa"])
+@pytest.mark.parametrize("xi", [(1, 0, 0), (2, 1, 0)], ids=["inside", "outside"])
+def test_block_sign_laws_per_mode(xi, pot_name):
+    # every k row of the first shell on its own: spectral n_b >= 0,
+    # n_ex <= 0, and the integral n_b >= 0 up to its quadrature error
+    cfg = fermi_ball(2.0)
+    pot = _potential(pot_name, 6)
+    support = k_support(xi, cfg)
+    if support.exact:
+        ks, wts = support.finite_part, np.ones(support.finite_part.shape[0])
+    else:
+        ks, wts = momentum._inside_shell(xi, cfg, pot.symmetry, 0,
+                                         FAST.initial_k_max(cfg))
+    assert ks.shape[0] > 0
+    for i in range(ks.shape[0]):
+        parts, qerr, _ = _block_parts(ks[i:i + 1], wts[i:i + 1], xi, cfg, pot,
+                                      1e-9, True, True)
+        assert parts[0] >= 0.0, ks[i]
+        assert parts[2] <= 0.0, ks[i]
+        assert parts[1] >= -qerr, ks[i]
 
 
 def test_cross_route_desk_scale_boundary():
