@@ -8,9 +8,10 @@ pieces are
                  * sum_k sum_{p,q in lune(k)} V_k V_{p+q-k} / (lam_p + lam_q),
 
 with the k-sums truncated by cutoff doubling (``lattice.doubled_sum``).
-Each shell k_lo < |k| <= k_hi is one ``orbit_reduce`` of its points to
-(reps, weights) arrays, exact under the potential's symmetry class;
-both sums walk the same shells and share each through ``_k_shell``.
+Each shell k_lo < |k| <= k_hi is enumerated in the fundamental domain of
+the potential's group by ``lattice.k_shell``, as (reps, weights) arrays
+exact under its symmetry class; both sums walk the same shells and
+share each through ``_k_shell``.
 
 Both sums, and the interaction part of the Fermi-state energy, run on
 the mode blocks of ``quasiboson``, whose module docstring states the
@@ -48,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (LatticeConfig, TailPolicy, ball_array, doubled_sum,
-                      orbit_reduce)
+                      k_shell)
 from .numerics import check_tol
 from .potential import Potential
 from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, coupling_sq, gap_response,
@@ -180,9 +181,8 @@ def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,
 
 @lru_cache(maxsize=16)
 def _k_shell(k_hi: int, k_lo: int, symmetry: str):
-    """(reps, weights) arrays of the orbit representatives of k_lo < |k| <= k_hi."""
-    reps, weights = orbit_reduce(ball_array(k_hi * k_hi, k_lo * k_lo),
-                                 (0, 0, 0), symmetry)
+    """Read-only ``lattice.k_shell`` of k_lo < |k| <= k_hi, shared by both sums."""
+    reps, weights = k_shell(k_lo, k_hi, symmetry)
     reps.flags.writeable = weights.flags.writeable = False
     return reps, weights
 

@@ -53,18 +53,62 @@ def ball_points(r2: int) -> tuple[Vec3, ...]:
     return tuple(map(tuple, ball_array(r2).tolist()))
 
 
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(n)) of a nonnegative int64 array, exact."""
+    s = np.sqrt(n).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of the runs starts[j], starts[j] + 1, ... of lengths[j]."""
+    ends = np.cumsum(lengths)
+    out = np.arange(int(ends[-1]), dtype=np.int64)
+    out += np.repeat(starts - (ends - lengths), lengths)
+    return out
+
+
+def _column_points(x: np.ndarray, y: np.ndarray, z_starts: np.ndarray,
+                   lengths: np.ndarray) -> np.ndarray:
+    """(n, 3) points of the z-runs z_starts[j], ... of lengths[j] at (x[j], y[j])."""
+    out = np.empty((int(lengths.sum()), 3), dtype=np.int64)
+    out[:, 0] = np.repeat(x, lengths)
+    out[:, 1] = np.repeat(y, lengths)
+    out[:, 2] = _runs(z_starts, lengths)
+    return out
+
+
+def _z_range(n2_xy: np.ndarray, r2: int, r2_min_excl: int):
+    """(z_lo, z_hi): r2_min_excl < n2_xy + z^2 <= r2 iff z_lo <= |z| <= z_hi.
+
+    An empty range has z_hi < z_lo.
+    """
+    z_hi = _isqrt(r2 - n2_xy)
+    below = r2_min_excl - n2_xy
+    z_lo = np.where(below >= 0, _isqrt(np.maximum(below, 0)) + 1, 0)
+    return z_lo, z_hi
+
+
 def ball_array(r2: int, r2_min_excl: int = -1) -> np.ndarray:
-    """Integer points with r2_min_excl < |p|^2 <= r2 as a lex-sorted (n, 3) array."""
+    """Integer points with r2_min_excl < |p|^2 <= r2 as a lex-sorted (n, 3) array.
+
+    Built from one z-run per sign and (x, y) column, so no array is
+    larger than the output (the cube |p_i| <= isqrt(r2) never is).
+    """
     if r2 < 0:
         return np.zeros((0, 3), dtype=np.int64)
     r = math.isqrt(r2)
     axis = np.arange(-r, r + 1, dtype=np.int64)
-    x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-    n2 = np.einsum("ij,ij->i", pts, pts)
-    pts = pts[(n2 <= r2) & (n2 > r2_min_excl)]
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    return pts[order]
+    y_max = _isqrt(r2 - axis * axis)
+    x = np.repeat(axis, 2 * y_max + 1)
+    y = _runs(-y_max, 2 * y_max + 1)
+    z_lo, z_hi = _z_range(x * x + y * y, r2, r2_min_excl)
+    # per column the run -z_hi..-max(z_lo, 1), then z_lo..z_hi
+    starts = np.column_stack([-z_hi, z_lo]).ravel()
+    lengths = np.maximum(np.column_stack([z_hi - np.maximum(z_lo, 1) + 1,
+                                          z_hi - z_lo + 1]), 0).ravel()
+    return _column_points(np.repeat(x, 2), np.repeat(y, 2), starts, lengths)
 
 
 @dataclass(frozen=True)
@@ -408,6 +452,8 @@ def image_keys(ks: np.ndarray,
     digits, injective on the images and ordered as their lex order, so
     two images are equal iff their keys are, and a row's minimum is a
     canonical key of its orbit.  Keys compare across the rows of one call.
+    It serves ``orbit_reduce`` and the orbit grouping of an observable's
+    support in ``momentum.n_weighted``.
     """
     base = 2 * int(np.max(np.abs(ks), initial=0)) + 1
     digits = np.array([base * base, base, 1])
@@ -424,7 +470,9 @@ def orbit_reduce(ks: np.ndarray, xi: Vec3,
     equals summing f(k) over ``ks`` for any f invariant under the
     stabilizer of xi (all per-mode observables at the point xi are, when
     the potential has the matching symmetry class).  ``ks`` must itself
-    be stabilizer-invariant as a set.
+    be stabilizer-invariant as a set.  It serves momentum's shells under
+    the stabilizer of xi; the energy shells, at xi = 0, come from
+    ``k_shell`` without a reduction.
     """
     ks = np.asarray(ks, dtype=np.int64).reshape(-1, 3)
     group = stabilizer_group(xi, symmetry)
@@ -441,3 +489,42 @@ def orbit_reduce(ks: np.ndarray, xi: Vec3,
         weights.append(1 + np.count_nonzero(np.diff(sorted_keys, axis=1),
                                             axis=1))
     return np.concatenate(reps), np.concatenate(weights)
+
+
+def k_shell(k_lo: int, k_hi: int,
+            symmetry: str) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit representatives and weights of the shell 0 <= k_lo < |k| <= k_hi.
+
+    The same (m, 3) representatives, (m,) int64 weights and order as
+    ``orbit_reduce(ball_array(k_hi^2, k_lo^2), (0, 0, 0), symmetry)``,
+    built in the fundamental domain of the group instead of reduced from
+    the shell:
+
+    * "radial": one (-a, -b, -c) per a >= b >= c >= 0, the lex-least
+      image of its orbit, with weight 48 / |Stab k| = (distinct
+      permutations of (a, b, c)) * 2^(nonzero components);
+    * "even": the lex-first half of the shell, the k whose first nonzero
+      component is negative (the shell is symmetric and misses 0), each
+      paired with -k: weight 2;
+    * "none": the shell itself, weight 1.
+    """
+    r2, r2_min_excl = k_hi * k_hi, k_lo * k_lo
+    if symmetry in ("even", "none"):
+        ks = ball_array(r2, r2_min_excl)
+        if symmetry == "even":
+            ks = ks[:ks.shape[0] // 2].copy()
+        return ks, np.full(ks.shape[0], 1 if symmetry == "none" else 2,
+                           dtype=np.int64)
+    if symmetry != "radial":
+        raise ValueError(f"unknown symmetry class {symmetry!r}")
+    # columns (x, y) = (-a, -b) in lex order, then z = -c from -c_hi up
+    a = np.arange(math.isqrt(r2), -1, -1, dtype=np.int64)
+    b_max = np.minimum(a, _isqrt(r2 - a * a))
+    x = np.repeat(-a, b_max + 1)
+    y = _runs(-b_max, b_max + 1)
+    c_lo, c_hi = _z_range(x * x + y * y, r2, r2_min_excl)
+    c_hi = np.minimum(c_hi, -y)                                     # c <= b
+    reps = _column_points(x, y, -c_hi, np.maximum(c_hi - c_lo + 1, 0))
+    x, y, z = reps.T
+    perms = np.where(x == z, 1, np.where((x == y) | (y == z), 3, 6))
+    return reps, perms << np.count_nonzero(reps, axis=1)

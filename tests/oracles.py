@@ -16,7 +16,7 @@ import numpy as np
 from fermigas.energy import stable_log1p_minus_x
 from fermigas.lattice import (add, as_vec3, ball_array, d_intersection,
                               lambda_of, lune_kernel, neg, nonzero_k_vectors,
-                              norm2, stabilizer_group)
+                              norm2, orbit_reduce, stabilizer_group)
 from fermigas.numerics import (integrate_semi_infinite,
                                integrate_semi_infinite_batch)
 from fermigas.potential import evaluate
@@ -25,6 +25,26 @@ from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_mode,
 from fermigas.verify import _exchange_term, _integral_term
 
 EIGHT_PI4 = 8.0 * np.pi**4
+
+
+def ball_array_cube(r2, r2_min_excl=-1):
+    """Points with r2_min_excl < |p|^2 <= r2, lex-sorted, filtered from the full cube."""
+    if r2 < 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    r = math.isqrt(r2)
+    axis = np.arange(-r, r + 1, dtype=np.int64)
+    x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
+    pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    n2 = np.einsum("ij,ij->i", pts, pts)
+    pts = pts[(n2 <= r2) & (n2 > r2_min_excl)]
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+    return pts[order]
+
+
+def k_shell_reduced(k_lo, k_hi, symmetry):
+    """(reps, weights) of k_lo < |k| <= k_hi: the cube-filtered shell, orbit-reduced at xi = 0."""
+    return orbit_reduce(ball_array_cube(k_hi * k_hi, k_lo * k_lo), (0, 0, 0),
+                        symmetry)
 
 
 def lune_loop(k, cfg):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fermigas import energy
 from fermigas.energy import (_ball_pair_sums, _bos_chunks, _ex_terms,
                              _k_shell, e_corr_bos, e_corr_ex, e_fs,
                              energy_report, stable_log1p_minus_x)
@@ -11,7 +12,7 @@ from fermigas.lattice import (TailPolicy, ball_points, doubled_sum, fermi_ball,
                               nonzero_k_vectors, norm2)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from oracles import (bos_term, bos_term_mode, e_fs_interaction_loop,
-                     ex_term_dense, single_k_exchange_term)
+                     ex_term_dense, k_shell_reduced, single_k_exchange_term)
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 TWO_PI_6 = (2.0 * np.pi) ** 6
@@ -276,6 +277,22 @@ def test_energy_block_runs_tables():
         assert abs(value - bos_ref) <= qerr
     coulomb_bos = e_corr_bos(cfg, coulomb(1.0), pol, quad_tol=1e-10)[0]
     assert bos[0] == pytest.approx(coulomb_bos, rel=1e-12)
+
+
+@pytest.mark.parametrize("k_f", [1.0, 2.0, 3.0])
+def test_energy_report_bit_identical_on_reduced_shells(k_f, monkeypatch):
+    # the fundamental-domain shells give the very floats of the
+    # orbit-reduced cube shells: same representatives, weights and order
+    cfg = fermi_ball(k_f)
+    pol = TailPolicy(k_max=3, tail_tol=1e-12, max_doublings=1)
+    pots = (coulomb(1.0), yukawa(0.7, 1.3), *_coulomb_tables(6))
+    fast = [energy_report(cfg, pot, pol, quad_tol=1e-8).to_json_dict()
+            for pot in pots]
+    monkeypatch.setattr(energy, "_k_shell",
+                        lambda k_hi, k_lo, symmetry:
+                        k_shell_reduced(k_lo, k_hi, symmetry))
+    for pot, got in zip(pots, fast):
+        assert got == energy_report(cfg, pot, pol, quad_tol=1e-8).to_json_dict()
 
 
 def test_energy_report_fields_and_signs():

@@ -1,18 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigas.lattice import (TailPolicy, ball_points, d_intersection,
-                              doubled_sum, fermi_ball, is_sum_of_three_squares,
-                              k_support, kappa_and_weight, lambda_of, lune,
-                              lune_kernel, neg, nonzero_k_vectors, norm2,
-                              orbit_reduce, signed_perm_group)
+from fermigas.lattice import (TailPolicy, ball_array, ball_points,
+                              d_intersection, doubled_sum, fermi_ball,
+                              is_sum_of_three_squares, k_shell, k_support,
+                              kappa_and_weight, lambda_of, lune, lune_kernel,
+                              neg, nonzero_k_vectors, norm2, orbit_reduce,
+                              signed_perm_group)
 from fermigas.momentum import _inside_shell
-from oracles import (k_support_loop, lune_loop, orbit_reduce_einsum,
-                     truncated_k_vectors)
+from oracles import (ball_array_cube, k_shell_reduced, k_support_loop,
+                     lune_loop, orbit_reduce_einsum, truncated_k_vectors)
 
 
 def brute_ball(r2):
@@ -318,6 +320,51 @@ def test_inside_shell_every_stabilizer_type(xi, symmetry):
 def test_inside_shell_matches_filtered_full_enumeration(xi, symmetry, k_lo,
                                                         width):
     _check_inside_shell(xi, symmetry, k_lo, k_lo + width)
+
+
+def test_ball_array_matches_cube_filter():
+    for r2 in range(-2, 61):
+        for r2_min_excl in {-5, -1, 0, 1, 2, 3, 8, r2 // 2, r2 - 1, r2, r2 + 4}:
+            got = ball_array(r2, r2_min_excl)
+            want = ball_array_cube(r2, r2_min_excl)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetry=st.sampled_from(["radial", "even", "none"]),
+       k_lo=st.integers(0, 8), width=st.integers(0, 5))
+def test_k_shell_matches_orbit_reduced_shell(symmetry, k_lo, width):
+    reps, weights = k_shell(k_lo, k_lo + width, symmetry)
+    want_reps, want_weights = k_shell_reduced(k_lo, k_lo + width, symmetry)
+    assert reps.dtype == weights.dtype == np.int64
+    assert reps.shape == want_reps.shape and np.array_equal(reps, want_reps)
+    assert (weights.shape == want_weights.shape
+            and np.array_equal(weights, want_weights))
+
+
+def test_k_shell_radial_weights_closed_form():
+    # 48 / |Stab k| by the pattern of zero and equal components
+    reps, weights = k_shell(0, 8, "radial")
+    weight_of = dict(zip(map(tuple, reps.tolist()), weights.tolist()))
+    for k, w in (((-3, 0, 0), 6), ((-3, -3, 0), 12), ((-3, -3, -3), 8),
+                 ((-3, -1, 0), 24), ((-3, -3, -1), 24), ((-3, -1, -1), 24),
+                 ((-4, -2, -1), 48)):
+        assert weight_of[k] == w
+    assert weights.sum() == len(nonzero_k_vectors(8))
+    with pytest.raises(ValueError):
+        k_shell(0, 3, "bogus")
+
+
+def test_k_shell_memory_stays_near_its_output():
+    # a cube-then-reduce shell peaks at about 220x its output here
+    tracemalloc.start()
+    try:
+        reps, weights = k_shell(32, 64, "radial")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (reps.nbytes + weights.nbytes)
 
 
 def _synthetic_shells(incs, ok=None):
