@@ -8,7 +8,9 @@ and ordered lexicographically so repeated builds are bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -304,10 +306,11 @@ def kappa_and_weight(p: Sequence[int], cfg: LatticeConfig) -> tuple[float, float
 class TailPolicy:
     """Truncation policy for lattice sums without finite support.
 
-    ``k_max`` is the starting cutoff radius, at least 1 (None picks
-    ceil(2 k_F) + 2); the cutoff is doubled until the relative change of
-    every tracked part of the sum drops below the positive, finite
-    ``tail_tol`` or ``max_doublings`` is exhausted (``doubled_sum``).
+    ``k_max`` is the starting cutoff radius, an integer of at least 1
+    (None picks ceil(2 k_F) + 2); the cutoff is doubled until the
+    relative change of every tracked part of the sum drops below the
+    positive, finite ``tail_tol`` or the integer ``max_doublings`` is
+    exhausted (``doubled_sum``).
     The reported tail estimate is the largest last increment over the
     tracked parts.
     """
@@ -317,12 +320,15 @@ class TailPolicy:
     max_doublings: int = 5
 
     def __post_init__(self):
-        if not (0 < self.tail_tol < math.inf and self.max_doublings >= 0):
+        if not (0 < self.tail_tol < math.inf and self.max_doublings >= 0
+                and isinstance(self.max_doublings, numbers.Integral)):
             raise ValueError(f"tail_tol must be positive and finite and "
-                             f"max_doublings nonnegative, got {self.tail_tol}, "
-                             f"{self.max_doublings}")
-        if self.k_max is not None and not self.k_max >= 1:
-            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+                             f"max_doublings nonnegative integer, got "
+                             f"{self.tail_tol}, {self.max_doublings}")
+        if self.k_max is not None and not (
+                isinstance(self.k_max, numbers.Integral) and self.k_max >= 1):
+            raise ValueError(f"k_max must be at least 1 and an integer, got "
+                             f"{self.k_max}")
 
     def initial_k_max(self, cfg: LatticeConfig) -> int:
         if self.k_max is not None:
@@ -402,32 +408,14 @@ def nonzero_k_vectors(k_max: int, k_min_excl: int = 0) -> list[Vec3]:
     return list(map(tuple, ks.tolist()))
 
 
-_OCTAHEDRAL_PERMS = (
-    (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-)
+def point_group(symmetry: str) -> np.ndarray:
+    """The group G under which a potential's per-mode summands are invariant.
 
-
-def signed_perm_group() -> np.ndarray:
-    """The 48 signed permutation matrices, the point group of Z^3."""
-    mats = []
-    for perm in _OCTAHEDRAL_PERMS:
-        for sx in (1, -1):
-            for sy in (1, -1):
-                for sz in (1, -1):
-                    m = np.zeros((3, 3), dtype=np.int64)
-                    for row, (col, sign) in enumerate(zip(perm, (sx, sy, sz))):
-                        m[row, col] = sign
-                    mats.append(m)
-    return np.array(mats)
-
-
-def stabilizer_group(xi: Vec3, symmetry: str) -> np.ndarray:
-    """Point-group elements usable for orbit reduction of k-sums at xi.
-
-    ``symmetry`` names the invariance class of the per-mode summand:
-    "radial" allows the full stabilizer {R : R xi = +-xi} of the point
-    group, "even" only the pair {1, -1} (an even potential guarantees
-    the k -> -k pairing and nothing more), "none" just the identity.
+    ``symmetry`` names the potential's invariance class: "radial" gives
+    the 48 signed permutation matrices, the point group of Z^3, "even"
+    the pair {1, -1} (an even potential guarantees the k -> -k pairing
+    and nothing more), "none" just the identity.  Returns (|G|, 3, 3)
+    int64 matrices.
     """
     eye = np.eye(3, dtype=np.int64)
     if symmetry == "none":
@@ -436,69 +424,31 @@ def stabilizer_group(xi: Vec3, symmetry: str) -> np.ndarray:
         return np.array([eye, -eye])
     if symmetry != "radial":
         raise ValueError(f"unknown symmetry class {symmetry!r}")
-    group = signed_perm_group()
-    xv = np.array(xi, dtype=np.int64)
-    images = group @ xv
-    keep = np.all(images == xv, axis=1) | np.all(images == -xv, axis=1)
-    return group[keep]
+    perms = eye[list(itertools.permutations(range(3)))]            # (6, 3, 3)
+    signs = np.array(list(itertools.product((1, -1), repeat=3)))   # (8, 3)
+    # row i of a signed permutation is sign_i times row i of a permutation
+    return (perms[:, None] * signs[None, :, :, None]).reshape(48, 3, 3)
 
 
-def image_keys(ks: np.ndarray,
-               group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer keys of R k for every row k of ``ks`` and R in ``group``.
+def orbit(xi: Sequence[int], symmetry: str) -> np.ndarray:
+    """The distinct images of xi under ``point_group(symmetry)``, lex-sorted.
 
-    Returns the (n, g) image keys and the (n,) keys of the rows
-    themselves.  Keys are p . digits in balanced base-(2 max|k| + 1)
-    digits, injective on the images and ordered as their lex order, so
-    two images are equal iff their keys are, and a row's minimum is a
-    canonical key of its orbit.  Keys compare across the rows of one call.
-    It serves ``orbit_reduce`` and the orbit grouping of an observable's
-    support in ``momentum.n_weighted``.
+    Returns an (n, 3) int64 array; its first row is a canonical point of
+    the orbit.
     """
-    base = 2 * int(np.max(np.abs(ks), initial=0)) + 1
-    digits = np.array([base * base, base, 1])
-    # the key of R k for every R at once is k @ codes, codes[:, g] = R_g^T digits
-    return ks @ (group.transpose(0, 2, 1) @ digits).T, ks @ digits
-
-
-def orbit_reduce(ks: np.ndarray, xi: Vec3,
-                 symmetry: str) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse (n, 3) int k-vectors to stabilizer-orbit representatives.
-
-    Returns the (m, 3) representatives, in the order of ``ks``, and
-    their (m,) int64 orbit sizes as weights.  Summing weight * f(rep)
-    equals summing f(k) over ``ks`` for any f invariant under the
-    stabilizer of xi (all per-mode observables at the point xi are, when
-    the potential has the matching symmetry class).  ``ks`` must itself
-    be stabilizer-invariant as a set.  It serves momentum's shells under
-    the stabilizer of xi; the energy shells, at xi = 0, come from
-    ``k_shell`` without a reduction.
-    """
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1, 3)
-    group = stabilizer_group(xi, symmetry)
-    if group.shape[0] == 1 or ks.shape[0] == 0:
-        return ks, np.ones(ks.shape[0], dtype=np.int64)
-    reps, weights = [], []
-    # canonicality and weight are per-element, so chunking is exact
-    for start in range(0, ks.shape[0], 8192):
-        arr = ks[start:start + 8192]
-        keys, own = image_keys(arr, group)  # (m, g), (m,)
-        keep = own == keys.min(axis=1)
-        sorted_keys = np.sort(keys[keep], axis=1)
-        reps.append(arr[keep])
-        weights.append(1 + np.count_nonzero(np.diff(sorted_keys, axis=1),
-                                            axis=1))
-    return np.concatenate(reps), np.concatenate(weights)
+    images = point_group(symmetry) @ np.asarray(xi, dtype=np.int64)
+    return np.array(sorted(set(map(tuple, images.tolist()))), dtype=np.int64)
 
 
 def k_shell(k_lo: int, k_hi: int,
             symmetry: str) -> tuple[np.ndarray, np.ndarray]:
     """Orbit representatives and weights of the shell 0 <= k_lo < |k| <= k_hi.
 
-    The same (m, 3) representatives, (m,) int64 weights and order as
-    ``orbit_reduce(ball_array(k_hi^2, k_lo^2), (0, 0, 0), symmetry)``,
-    built in the fundamental domain of the group instead of reduced from
-    the shell:
+    One (m, 3) representative per orbit under ``point_group(symmetry)``
+    and its (m,) int64 orbit size as weight, so that weight * f(rep)
+    sums f over the shell for every group-invariant f.  The energy and
+    the inside-momentum sums run on these shells, which are built in the
+    fundamental domain of the group:
 
     * "radial": one (-a, -b, -c) per a >= b >= c >= 0, the lex-least
       image of its orbit, with weight 48 / |Stab k| = (distinct

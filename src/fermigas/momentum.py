@@ -21,36 +21,39 @@ Outside the Fermi ball the k-support is exactly finite: one lex-sorted
 (n, 3) array from ``k_support``, weight 1 per k.  Inside it the k-sum
 runs over shells k_lo < |k| <= k_hi doubled by ``lattice.doubled_sum``,
 and the largest last increment of n_b and n_ex is the tail estimate.
-A shell is the ``orbit_reduce`` of its points under the stabilizer of
-xi, less the representatives whose lune misses k +- xi; no shell is
-kept across points.  A weighted sum over an observable (``n_weighted``)
-runs one point per orbit of its support under the potential's group.
+A shell is ``lattice.k_shell`` under the potential's group G, less the
+representatives whose lune meets no hit column: with O the orbit of xi,
+
+    n(xi) = sum_{reps k} (w_k / |O|) sum_{x' in O + (-O)} h(k, k + x')
+
+for the G-invariant summand h at a hit, O + (-O) the multiset union.
+So the points of an orbit share every term, and a weighted sum over an
+observable (``n_weighted``) runs one point per orbit of its support.
 
 Every k-sum runs on the mode blocks of ``quasiboson`` (its module
 docstring states the gap-histogram, deflation and response identities),
-chunks of up to ``_CHUNK`` modes in (|k|^2, orbit key) order.  Per mode
-and sign s the candidate hit zeta = k + q_z has one ball column q_z:
-inside the ball the hits are k +- xi, at the fixed columns +-xi, and
-near and full lunes share the block; outside it they are +-xi, at the
-column of s xi - k where that point is in the ball, and each support k
-hits one.  Spectral: the deflated value at the hit's gap, one
-eigensolve per orbit key and V_k in a chunk.  Integral: one batched
-family per sign and chunk on the response table.  The exchange part is
-no histogram function and stays a masked pair sum.  The plain per-k
-form, one full lune and one scalar quadrature per hit, lives on as a
-test oracle.
+chunks in (|k|^2, orbit key) order of at most ``_CHUNK`` candidate hits.
+Per mode the candidate hit zeta = k + q_z has one ball column q_z:
+inside the ball the columns are the points of O + (-O), and near and
+full lunes share the block; outside it they are +-xi, at the column of
+s xi - k where that point is in the ball, and each support k hits one.
+All hits of a chunk share one spectral lookup (the deflated value at
+the hit's gap, one eigensolve per orbit key and V_k), one batched
+integral family on the response table and one masked exchange pair
+sum.  The plain per-k form, one full lune and one scalar quadrature per
+hit, lives on as a test oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, ball_array,
-                      doubled_sum, image_keys, k_support, neg, norm2,
-                      orbit_key, orbit_reduce, stabilizer_group)
+from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, doubled_sum,
+                      k_shell, k_support, neg, norm2, orbit, orbit_key)
 from .numerics import check_tol
 from .potential import Potential, load_table
 from .quasiboson import (TWO_PI_6, coupling_sq, cosh_minus_one_per_gap,
@@ -100,29 +103,32 @@ class MomentumBreakdown:
         return out
 
 
-def _block_parts(ks: np.ndarray, wts: np.ndarray, xi: Vec3,
-                 cfg: LatticeConfig, pot: Potential, quad_tol: float,
-                 want_spectral: bool, want_integral: bool):
+def _block_parts(ks: np.ndarray, wts: np.ndarray, cols: np.ndarray,
+                 colw: np.ndarray, cfg: LatticeConfig, pot: Potential,
+                 quad_tol: float, want_spectral: bool, want_integral: bool):
     """[n_b spectral, n_b integral, n_ex], quad error and ok over k rows.
 
-    ``ks`` is (m, 3) with weights ``wts``; a route left out stays 0.  The
-    lune mask at the ball column of each candidate hit (module docstring;
-    -1 for none) says whether it hits.
+    ``ks`` is (m, 3) with weights ``wts``; ``cols`` holds the ball row of
+    each candidate hit's column (module docstring; -1 for none), (m, c)
+    or (c,) for all rows, and ``colw`` the (c,) column weights.  A route
+    left out stays 0.
     """
-    inside = norm2(xi) <= cfg.r2
     vhat = pot.at(ks)
     vsq = coupling_sq(vhat, cfg.k_f)
-    wpref, wvhat = wts * (vhat / (EIGHT_PI4 * cfg.k_f)), wts * vhat
-    cols = np.broadcast_to(cfg.ball_index(np.array([xi, neg(xi)])
-                                          - (0 if inside else ks[:, None])),
-                           (ks.shape[0], 2))
+    cols = np.broadcast_to(cols, (ks.shape[0], colw.size))
     ball = cfg.ball_arr
+    ball_n2 = np.einsum("ni,ni->n", ball, ball)
     parts, qerr, ok = np.zeros(3), 0.0, True
-    for rows, mask, lam in mode_chunks(ks, vhat, cfg, _CHUNK):
-        kc, at = ks[rows], np.arange(rows.size)
-        hits = [(col, (col >= 0) & mask[at, col], lam[at, col])
-                for col in cols[rows].T]
-        chunk, chunk_err = np.zeros(3), 0.0
+    # at most _CHUNK candidate hits (columns in the ball) per chunk
+    per_row = int(np.max(np.count_nonzero(cols >= 0, axis=1), initial=1))
+    for rows, mask, lam in mode_chunks(ks, vhat, cfg, _CHUNK // per_row):
+        kc, col = ks[rows], cols[rows]
+        r, j = np.nonzero((col >= 0)
+                          & mask[np.arange(rows.size)[:, None], col])
+        qrow = col[r, j]
+        lz = lam[r, qrow]
+        w = wts[rows][r] * colw[j]
+        wv = w * vhat[rows][r]
         g, counts, resp = gap_response(mask, lam, vsq[rows])
         if want_spectral:
             # one eigensolve per gap histogram (fixed by the orbit key) and V_k
@@ -130,57 +136,66 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, xi: Vec3,
             key = orbit_key(kc) * (vcode.max(initial=0) + 1) + vcode
             _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
             per_gap = cosh_minus_one_per_gap(g, counts[rep], vsq[rows][rep])
-            for _, hit, lz in hits:
-                val = per_gap[inv[hit], np.searchsorted(g, lz[hit])]
-                chunk[0] += float(wts[rows][hit] @ val)
-        if want_integral:
-            for _, hit, lz in hits:
-                if not np.any(hit):
-                    continue
-                lz2 = lz[hit, None] ** 2
-                vals, errs, conv = response_integrals(
-                    lambda q, s2: (s2 - lz2) / (s2 + lz2) ** 2 / (1.0 + q),
-                    resp[hit], g, lz[hit], quad_tol)
-                chunk[1] += float(np.sum(wpref[rows][hit] * vals))
-                chunk_err += float(np.sum(wpref[rows][hit] * errs))
-                ok = ok and conv
+            parts[0] += float(w @ per_gap[inv[r], np.searchsorted(g, lz)])
+        if want_integral and r.size:
+            lz2 = lz[:, None] ** 2
+            vals, errs, conv = response_integrals(
+                lambda q, s2: (s2 - lz2) / (s2 + lz2) ** 2 / (1.0 + q[r]),
+                resp, g, lz, quad_tol)
+            parts[1] += float(wv @ vals) / (EIGHT_PI4 * cfg.k_f)
+            qerr += float(wv @ errs) / (EIGHT_PI4 * cfg.k_f)
+            ok = ok and conv
         # exchange: sum over p = k + q in the lune of V(p + zeta - k) / t^2
         # with t = lam_p + lam_zeta, zeta = k + q_z, and p + zeta - k =
         # k + q + q_z; a radial V reads |k + q + q_z|^2 = 2 t - |k|^2 +
         # |q + q_z|^2 (exact in integers)
-        ex = 0.0
-        kn2 = np.einsum("mi,mi->m", kc, kc)
-        for col, hit, lz in hits:
-            qz = ball[col[hit]]
-            t = lam[hit] + lz[hit, None]
-            if pot.is_radial:
-                v2 = pot.from_norm2(2.0 * t - kn2[hit, None]
-                                    + (np.einsum("ni,ni->n", ball, ball)
-                                       + np.einsum("hi,hi->h", qz, qz)[:, None]
-                                       + 2 * qz @ ball.T))
-            else:
-                v2 = pot.at(kc[hit, None] + ball + qz[:, None])
-            terms = np.divide(v2, t**2, out=np.zeros(t.shape), where=mask[hit])
-            ex += float(wvhat[rows][hit] @ np.sum(terms, axis=1))
-        chunk[2] = -ex / (8.0 * TWO_PI_6 * cfg.k_f**2)
-        parts += chunk
-        qerr += chunk_err
+        qz = ball[qrow]
+        t = lam[r] + lz[:, None]
+        if pot.is_radial:
+            kn2 = np.einsum("mi,mi->m", kc, kc)
+            v2 = pot.from_norm2(2.0 * t - kn2[r, None]
+                                + (ball_n2 + np.einsum("hi,hi->h", qz, qz)[:, None]
+                                   + 2 * qz @ ball.T))
+        else:
+            v2 = pot.at(kc[r, None] + ball + qz[:, None])
+        terms = np.divide(v2, t**2, out=np.zeros(t.shape), where=mask[r])
+        parts[2] -= float(wv @ np.sum(terms, axis=1)) / (8.0 * TWO_PI_6
+                                                         * cfg.k_f**2)
     return parts, qerr, ok
 
 
-def _inside_shell(xi: Vec3, cfg: LatticeConfig, symmetry: str, k_lo: int,
-                  k_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, weights) of the k, k_lo < |k| <= k_hi, whose lune meets k +- xi.
+def _columns(xi: Vec3, symmetry: str) -> tuple[np.ndarray, np.ndarray]:
+    """Hit columns of an inside point: the points x' of O + (-O), O the orbit of xi.
 
-    The shell is orbit-reduced under the stabilizer of xi first; the
-    lune test is invariant under it, so it keeps or drops whole orbits.
+    Returns the distinct x' as an (c, 3) array and their (c,) weights
+    mult / |O|, mult the multiplicity of x' in the multiset union.
     """
-    reps, wts = orbit_reduce(ball_array(k_hi * k_hi, k_lo * k_lo), xi,
-                             symmetry)
-    keep = np.zeros(reps.shape[0], dtype=bool)
-    for zeta in (reps + xi, reps - xi):
-        keep |= np.einsum("ij,ij->i", zeta, zeta) > cfg.r2
-    return reps[keep], wts[keep]
+    orb = orbit(xi, symmetry)
+    both = Counter(map(tuple, np.concatenate([orb, -orb]).tolist()))
+    return (np.array(list(both), dtype=np.int64).reshape(-1, 3),
+            np.array(list(both.values())) / orb.shape[0])
+
+
+def _hit_shell(xi: Vec3, cfg: LatticeConfig, symmetry: str, k_lo: int,
+               k_hi: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``k_shell`` of k_lo < |k| <= k_hi less the k whose lune misses O + (-O).
+
+    Returns the kept representatives, their weights and the number of
+    shell k whose lune meets k +- xi: a representative of weight w whose
+    lune meets k +- x' at h of the x' in O counts w h / |O| of them.
+    """
+    reps, wts = k_shell(k_lo, k_hi, symmetry)
+    orb = orbit(xi, symmetry)
+    kn2 = np.einsum("mi,mi->m", reps, reps)
+    # |k + x'|^2 + |k - x'|^2 = 2 |k|^2 + 2 |xi|^2 > 2 r2 once |k|^2 > r2,
+    # so each x' in O then hits at x' or at -x'
+    near = np.flatnonzero(kn2 <= cfg.r2)
+    hits = np.full(reps.shape[0], orb.shape[0])
+    hits[near] = np.count_nonzero(
+        kn2[near, None] + 2 * np.abs(reps[near] @ orb.T) > cfg.r2 - norm2(xi),
+        axis=1)
+    keep = hits > 0
+    return reps[keep], wts[keep], int(np.sum(wts * hits // orb.shape[0]))
 
 
 def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
@@ -189,21 +204,26 @@ def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
     """Accumulate per-k contributions over the k-support of xi.
 
     Exact supports (xi outside the ball) are one block (tail 0);
-    truncated supports are orbit-reduced shells, doubled until n_b and
-    n_ex each move by less than the relative tail tolerance.  Returns
-    (parts, tail, quad_err, n_k, converged), parts as ``_block_parts``.
+    truncated supports are ``_hit_shell`` shells at the columns
+    ``_columns``, doubled until n_b and n_ex each move by less than the
+    relative tail tolerance.  Returns (parts, tail, quad_err, n_k,
+    converged), parts as ``_block_parts``.
     """
     support = k_support(xi, cfg)
     if support.exact:
         ks = support.finite_part
-        parts, qerr, ok = _block_parts(ks, np.ones(ks.shape[0]), xi, cfg, pot,
-                                       quad_tol, want_spectral, want_integral)
+        cols = cfg.ball_index(np.array([xi, neg(xi)]) - ks[:, None])
+        parts, qerr, ok = _block_parts(ks, np.ones(ks.shape[0]), cols,
+                                       np.ones(2), cfg, pot, quad_tol,
+                                       want_spectral, want_integral)
         return parts, 0.0, qerr, ks.shape[0], ok
+    pts, colw = _columns(xi, pot.symmetry)
+    cols = cfg.ball_index(pts)
 
     def shell(k_lo, k_hi):
-        reps, wts = _inside_shell(xi, cfg, pot.symmetry, k_lo, k_hi)
-        return (*_block_parts(reps, wts, xi, cfg, pot, quad_tol, want_spectral,
-                              want_integral), int(wts.sum()))
+        reps, wts, n_k = _hit_shell(xi, cfg, pot.symmetry, k_lo, k_hi)
+        return (*_block_parts(reps, wts, cols, colw, cfg, pot, quad_tol,
+                              want_spectral, want_integral), n_k)
 
     # a part the route leaves at 0 meets the stopping rule at every shell
     parts, tail, qerr, n_k, _, ok = doubled_sum(shell, cfg, policy)
@@ -310,24 +330,22 @@ def n_weighted(f: Observable, cfg: LatticeConfig, pot: Potential,
     """Weighted sum over the support of f of f(xi) * (n_b + n_ex)(xi).
 
     One ``n_point`` runs per orbit of the support under the potential's
-    group (``stabilizer_group`` of 0: the 48 signed permutations when
+    group (``lattice.point_group``: the 48 signed permutations when
     radial, +-1 when even, the identity otherwise), at the orbit's first
     point in sorted order; its other points reuse that record with their
-    own xi.  The reuse is exact for every truncated sum, not only in the
-    limit: the ball, each shell k_lo < |k| <= k_hi, the lune test and V
-    are invariant under the group, so an orbit's points share the same
-    terms, summed in another order (they differ at rounding level, up
-    to the quadrature tolerance for the integral route).  The sum runs
-    in sorted-xi order.  Returns the total and the per-point records.
+    own xi.  Points are keyed by the first point of their ``orbit``.  The
+    reuse is exact for every truncated sum, not only in the limit: every
+    point of an orbit sums the same shells over the same hit columns.
+    The sum runs in sorted-xi order.  Returns the total and the
+    per-point records.
     """
     check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
     support = f.support()
-    keys, _ = image_keys(np.array(support, dtype=np.int64).reshape(-1, 3),
-                         stabilizer_group((0, 0, 0), pot.symmetry))
-    by_orbit: dict[int, MomentumBreakdown] = {}
+    by_orbit: dict[Vec3, MomentumBreakdown] = {}
     rows = []
-    for xi, key in zip(support, keys.min(axis=1).tolist()):
+    for xi in support:
+        key = tuple(orbit(xi, pot.symmetry)[0].tolist())
         row = by_orbit.get(key)
         if row is None:
             row = by_orbit[key] = n_point(xi, cfg, pot, policy, route=route,

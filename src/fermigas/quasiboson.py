@@ -262,11 +262,11 @@ def gap_response(mask: np.ndarray, lam: np.ndarray, vsq: np.ndarray):
 
 def response_integrals(f, resp: np.ndarray, g: np.ndarray, scales,
                        tol: float):
-    """int_0^inf f(q_k(s), s^2) ds for every row of the response table.
+    """int_0^inf f(q_k(s), s^2) ds for each of the ``len(scales)`` members.
 
-    ``resp`` and ``g`` are from ``gap_response``; f maps the (n, nodes)
-    responses and the (nodes,) values s^2 to (n, nodes) integrands.  All
-    rows are one batched family, each member refined to ``tol``, with
+    ``resp`` and ``g`` are from ``gap_response``; f maps the (rows, nodes)
+    responses and the (nodes,) values s^2 to (members, nodes) integrands.
+    All members are one batched family, each refined to ``tol``, with
     panels seeded at s = seed and 10 seed, seed the geometric mean of
     the gap ``scales``.  Returns (values, errors, converged).
     """
@@ -276,5 +276,5 @@ def response_integrals(f, resp: np.ndarray, g: np.ndarray, scales,
 
     seed = float(np.exp(np.mean(np.log(scales))))
     vals, errs, _, ok = integrate_semi_infinite_batch(
-        family, resp.shape[0], tol=tol, seeds=(seed, 10.0 * seed))
+        family, len(scales), tol=tol, seeds=(seed, 10.0 * seed))
     return vals, errs, ok

@@ -16,7 +16,7 @@ import numpy as np
 from fermigas.energy import stable_log1p_minus_x
 from fermigas.lattice import (add, as_vec3, ball_array, d_intersection,
                               lambda_of, lune_kernel, neg, nonzero_k_vectors,
-                              norm2, orbit_reduce, stabilizer_group)
+                              norm2, point_group)
 from fermigas.numerics import (integrate_semi_infinite,
                                integrate_semi_infinite_batch)
 from fermigas.potential import evaluate
@@ -39,6 +39,47 @@ def ball_array_cube(r2, r2_min_excl=-1):
     pts = pts[(n2 <= r2) & (n2 > r2_min_excl)]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     return pts[order]
+
+
+def stabilizer_group(xi, symmetry):
+    """The elements R of ``point_group(symmetry)`` with R xi = +-xi."""
+    group = point_group(symmetry)
+    xv = np.array(xi, dtype=np.int64)
+    images = group @ xv
+    keep = np.all(images == xv, axis=1) | np.all(images == -xv, axis=1)
+    return group[keep]
+
+
+def image_keys(ks, group):
+    """(n, g) integer keys of R k for every row k of ``ks`` and R in ``group``, and the (n,) row keys.
+
+    Keys are p . digits in balanced base-(2 max|k| + 1) digits, injective
+    on the images and ordered as their lex order, so a row's minimum is a
+    canonical key of its orbit.
+    """
+    base = 2 * int(np.max(np.abs(ks), initial=0)) + 1
+    digits = np.array([base * base, base, 1])
+    # the key of R k for every R at once is k @ codes, codes[:, g] = R_g^T digits
+    return ks @ (group.transpose(0, 2, 1) @ digits).T, ks @ digits
+
+
+def orbit_reduce(ks, xi, symmetry):
+    """(reps, weights) of (n, 3) int k-vectors under the stabilizer of xi, by keying every image.
+
+    Representatives keep the order of ``ks``; the int64 weights are the
+    orbit sizes, so summing weight * f(rep) equals summing f(k) over
+    ``ks`` for every f invariant under the stabilizer, when ``ks`` is
+    itself a union of orbits.
+    """
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1, 3)
+    group = stabilizer_group(xi, symmetry)
+    if group.shape[0] == 1 or ks.shape[0] == 0:
+        return ks, np.ones(ks.shape[0], dtype=np.int64)
+    keys, own = image_keys(ks, group)
+    keep = own == keys.min(axis=1)
+    weights = 1 + np.count_nonzero(np.diff(np.sort(keys[keep], axis=1),
+                                           axis=1), axis=1)
+    return ks[keep], weights
 
 
 def k_shell_reduced(k_lo, k_hi, symmetry):

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, ball_array, ball_points,
                               d_intersection, doubled_sum, fermi_ball,
                               is_sum_of_three_squares, k_shell, k_support,
                               kappa_and_weight, lambda_of, lune, lune_kernel,
-                              neg, nonzero_k_vectors, norm2, orbit_reduce,
-                              signed_perm_group)
-from fermigas.momentum import _inside_shell
+                              neg, nonzero_k_vectors, norm2, orbit,
+                              point_group)
 from oracles import (ball_array_cube, k_shell_reduced, k_support_loop,
-                     lune_loop, orbit_reduce_einsum, truncated_k_vectors)
+                     lune_loop, orbit_reduce, orbit_reduce_einsum,
+                     truncated_k_vectors)
 
 
 def brute_ball(r2):
@@ -294,14 +295,41 @@ _STABILIZER_TYPES = ((0, 0, 0), (0, -2, 0), (1, 1, 0), (-1, 1, 1),
                      (2, 0, -1), (1, 2, 2), (3, -2, 1))
 
 
+def _summand(symmetry):
+    """A test summand f(k, zeta) invariant under ``point_group(symmetry)`` only."""
+    a = np.array([3, 2, 1])
+
+    def f(k, z):
+        kk, zz = np.sum(k * k, axis=-1), np.sum(z * z, axis=-1)
+        out = 1.0 / (1.0 + kk + 2 * zz + np.sum(k * z, axis=-1))
+        if symmetry != "radial":
+            out = out + (k @ a) * (z @ a) / (1.0 + kk * zz)
+        if symmetry == "none":
+            out = out + (k @ a + 2 * (z @ a)) / (1.0 + kk * zz)
+        return out
+    return f
+
+
 def _check_inside_shell(xi, symmetry, k_lo, k_hi):
     # k_F = 4 holds an inside xi of every type, |(3, 2, 1)|^2 = 14 <= 16
     cfg = fermi_ball(4.0)
-    ks = truncated_k_vectors(xi, cfg, k_hi, k_min_excl=k_lo)
-    reps, weights = _inside_shell(xi, cfg, symmetry, k_lo, k_hi)
-    want = orbit_reduce_einsum(ks, xi, symmetry) if ks else []
-    assert list(zip(map(tuple, reps.tolist()), weights.tolist())) == want
-    assert int(weights.sum()) == len(ks)
+    f = _summand(symmetry)
+    ks = np.array(truncated_k_vectors(xi, cfg, k_hi, k_min_excl=k_lo),
+                  dtype=np.int64).reshape(-1, 1, 3)
+    zeta = ks + np.array([xi, neg(xi)])
+    want = np.sum(np.where(np.sum(zeta * zeta, axis=-1) > cfg.r2,
+                           f(ks, zeta), 0.0))
+    # the weighted sum over G-representatives and the columns O + (-O)
+    reps, weights, n_k = momentum._hit_shell(xi, cfg, symmetry, k_lo, k_hi)
+    pts, colw = momentum._columns(xi, symmetry)
+    reps = reps[:, None]
+    zeta = reps + pts
+    got = np.sum(weights[:, None] * colw
+                 * np.where(np.sum(zeta * zeta, axis=-1) > cfg.r2,
+                            f(reps, zeta), 0.0))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert n_k == ks.shape[0]
+    assert weights.dtype == np.int64
 
 
 @pytest.mark.parametrize("symmetry", ["radial", "even", "none"])
@@ -417,11 +445,29 @@ def test_doubled_sum_flags_exhausted_or_failed_shells():
 
 
 def test_signed_perm_group_is_the_48_element_point_group():
-    g = signed_perm_group()
-    assert g.shape == (48, 3, 3)
+    g = point_group("radial")
+    assert g.shape == (48, 3, 3) and g.dtype == np.int64
     assert len({m.tobytes() for m in g}) == 48
     for m in g:
         assert abs(round(float(np.linalg.det(m)))) == 1
+        # one entry +-1 in each row and each column
+        assert np.all(np.abs(m).sum(axis=0) == 1)
+        assert np.all(np.abs(m).sum(axis=1) == 1)
+
+
+def test_point_group_and_orbit_sizes():
+    assert [point_group(s).shape[0] for s in ("radial", "even", "none")] \
+        == [48, 2, 1]
+    with pytest.raises(ValueError):
+        point_group("bogus")
+    # |O| = 48 / |Stab xi| by the pattern of zero and equal |xi_i|
+    for xi, size in zip(_STABILIZER_TYPES, (1, 6, 12, 8, 24, 24, 48)):
+        for symmetry, want in (("radial", size), ("even", 1 + (size > 1)),
+                               ("none", 1)):
+            orb = orbit(xi, symmetry)
+            assert orb.shape == (want, 3) and orb.dtype == np.int64
+            assert orb.tolist() == sorted(orb.tolist())
+            assert xi in map(tuple, orb.tolist())
 
 
 def test_lattice_sum_trend_bounded():
@@ -443,6 +489,9 @@ def test_lattice_sum_trend_bounded():
 
 def test_tail_policy_rejects_bad_numbers():
     for kwargs in ({"tail_tol": np.inf}, {"tail_tol": 0.0}, {"k_max": 0},
-                   {"k_max": -3}):
+                   {"k_max": -3}, {"k_max": math.inf}, {"k_max": 2.5},
+                   {"max_doublings": 2.5}, {"max_doublings": -1}):
         with pytest.raises(ValueError):
             TailPolicy(**kwargs)
+    policy = TailPolicy(k_max=np.int64(3), max_doublings=np.int32(1))
+    assert policy.initial_k_max(fermi_ball(1.0)) == 3

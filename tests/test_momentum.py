@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, ball_array, d_intersection,
                               fermi_ball, gap_counts, k_support, lambda_of,
-                              lune, lune_kernel, nonzero_k_vectors, norm2,
-                              orbit_key, orbit_reduce, signed_perm_group)
+                              lune, lune_kernel, neg, nonzero_k_vectors,
+                              norm2, orbit_key, point_group)
 from fermigas.momentum import (MomentumBreakdown, Observable, _block_parts,
                                n_boson_integral, n_boson_spectral, n_exchange,
                                n_point, n_weighted)
@@ -48,6 +48,24 @@ def _potential(name: str, radius: int):
     if name == "yukawa":
         return yukawa(2.0, 0.5)
     return _table(name, radius)
+
+
+def _block_inputs(xi, cfg, pot, k_hi):
+    """``_block_parts``'s k rows, weights, columns and column weights at xi.
+
+    Outside the ball the exact support; inside the shell 0 < |k| <= k_hi
+    on the potential's group with the hit columns of xi's orbit.  Also
+    returns the mode count.
+    """
+    support = k_support(xi, cfg)
+    if support.exact:
+        ks = support.finite_part
+        return (ks, np.ones(ks.shape[0]),
+                cfg.ball_index(np.array([xi, neg(xi)]) - ks[:, None]),
+                np.ones(2), ks.shape[0])
+    reps, wts, n_k = momentum._hit_shell(xi, cfg, pot.symmetry, 0, k_hi)
+    pts, colw = momentum._columns(xi, pot.symmetry)
+    return reps, wts, cfg.ball_index(pts), colw, n_k
 
 
 def test_zero_potential_gives_exact_zero():
@@ -173,8 +191,9 @@ def test_orbit_and_bulk_path_match_plain_per_k():
     xi = (1, 0, 0)
     ks = truncated_k_vectors(xi, cfg, 5)
     plain, _, _ = per_k_sum(ks, xi, cfg, pot)
-    fast, _, _ = _block_parts(*orbit_reduce(np.array(ks), xi, pot.symmetry),
-                              xi, cfg, pot, 1e-9, True, True)
+    *inputs, n_k = _block_inputs(xi, cfg, pot, 5)
+    fast, _, _ = _block_parts(*inputs, cfg, pot, 1e-9, True, True)
+    assert n_k == len(ks)
     assert fast[0] == pytest.approx(plain[0], rel=1e-10)
     assert fast[1] == pytest.approx(plain[1], rel=1e-10)
     assert fast[2] == pytest.approx(plain[2], rel=1e-12)
@@ -225,7 +244,7 @@ def test_gap_table_response_matches_q_of_s():
        kf=st.sampled_from([1.0, 2**0.5, 2.0, 2.5, 3.0]))
 def test_gap_histogram_is_point_group_invariant(k, kf):
     cfg = fermi_ball(kf)
-    images = signed_perm_group() @ np.array(k)
+    images = point_group("radial") @ np.array(k)
     g, counts = gap_counts(*lune_kernel(images, cfg))
     lam_d, m_d = np.unique(lune(k, cfg).lambdas, return_counts=True)
     assert np.array_equal(g, lam_d)
@@ -270,8 +289,9 @@ def test_mode_block_matches_plain_per_k_kf2(xi, pot_name):
     pot = _potential(pot_name, 10)
     ks = truncated_k_vectors(xi, cfg, 5)
     plain, _, plain_ok = per_k_sum(ks, xi, cfg, pot)
-    fast, _, ok = _block_parts(*orbit_reduce(np.array(ks), xi, pot.symmetry),
-                               xi, cfg, pot, 1e-9, True, True)
+    *inputs, n_k = _block_inputs(xi, cfg, pot, 5)
+    fast, _, ok = _block_parts(*inputs, cfg, pot, 1e-9, True, True)
+    assert n_k == len(ks)
     assert fast[0] == pytest.approx(plain[0], rel=1e-10)
     assert fast[1] == pytest.approx(plain[1], rel=1e-10)
     assert fast[2] == pytest.approx(plain[2], rel=1e-12)
@@ -283,8 +303,10 @@ def test_mode_chunk_matches_full_lune_bulk_oracle(xi):
     cfg = fermi_ball(2.0)
     pot = coulomb(1.0)
     ks = truncated_k_vectors(xi, cfg, 7, k_min_excl=4)
-    fast, _, fast_ok = _block_parts(np.array(ks), np.ones(len(ks)), xi, cfg,
-                                    pot, 1e-9, True, True)
+    # the plain k list at the columns +-xi, each of weight 1
+    fast, _, fast_ok = _block_parts(np.array(ks), np.ones(len(ks)),
+                                    cfg.ball_index(np.array([xi, neg(xi)])),
+                                    np.ones(2), cfg, pot, 1e-9, True, True)
     spectral, integral, _, ok = bulk_chunk(ks, xi, cfg, pot, (1, -1), 1e-9)
     assert fast[0] == pytest.approx(spectral, rel=1e-9)
     assert fast[1] == pytest.approx(integral, rel=1e-9)
@@ -410,8 +432,8 @@ def test_deflated_far_modes_against_mpmath_kf2():
 
 
 def test_table_potential_inside_point_matches_coulomb():
-    # an even table is orbit-reduced by k -> -k only, Coulomb by the
-    # whole stabilizer: the two agree up to summation order
+    # an even table is orbit-reduced by k -> -k only, Coulomb by all 48
+    # signed permutations: the two agree up to summation order
     cfg = fermi_ball(1.0)
     # cover every argument the exchange sum can reach: |k + q +- xi| <= 10
     pot_t = _table("table_even", 11)
@@ -573,19 +595,35 @@ def test_block_sign_laws_per_mode(xi, pot_name):
     # n_ex <= 0, and the integral n_b >= 0 up to its quadrature error
     cfg = fermi_ball(2.0)
     pot = _potential(pot_name, 6)
-    support = k_support(xi, cfg)
-    if support.exact:
-        ks, wts = support.finite_part, np.ones(support.finite_part.shape[0])
-    else:
-        ks, wts = momentum._inside_shell(xi, cfg, pot.symmetry, 0,
-                                         FAST.initial_k_max(cfg))
+    ks, wts, cols, colw, _ = _block_inputs(xi, cfg, pot,
+                                           FAST.initial_k_max(cfg))
+    cols = np.broadcast_to(cols, (ks.shape[0], colw.size))
     assert ks.shape[0] > 0
     for i in range(ks.shape[0]):
-        parts, qerr, _ = _block_parts(ks[i:i + 1], wts[i:i + 1], xi, cfg, pot,
-                                      1e-9, True, True)
+        parts, qerr, _ = _block_parts(ks[i:i + 1], wts[i:i + 1],
+                                      cols[i:i + 1], colw, cfg, pot, 1e-9,
+                                      True, True)
         assert parts[0] >= 0.0, ks[i]
         assert parts[2] <= 0.0, ks[i]
         assert parts[1] >= -qerr, ks[i]
+
+
+def test_chunks_bound_candidate_hits(monkeypatch):
+    # xi = (3, 2, 1) has 48 hit columns; chunks of _CHUNK rows would hold
+    # 48x the hits of an outside chunk, whose k each hit one column (at
+    # k_F = 5 with one doubling: 561 MB peak RSS, against 45 MB bounded)
+    cfg = fermi_ball(4.0)
+    xi = (3, 2, 1)
+    pts, _ = momentum._columns(xi, "radial")
+    assert pts.shape[0] == 48
+    sizes = []
+    driver = momentum.mode_chunks
+    monkeypatch.setattr(momentum, "mode_chunks", lambda *args: (
+        sizes.append(len(chunk[0])) or chunk for chunk in driver(*args)))
+    row = n_point(xi, cfg, coulomb(1.0), TailPolicy(max_doublings=0),
+                  route="both")
+    assert row.k_modes_used > 0 and len(sizes) > 1
+    assert max(sizes) * pts.shape[0] <= momentum._CHUNK
 
 
 def test_cross_route_desk_scale_boundary():
