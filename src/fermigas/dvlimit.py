@@ -3,8 +3,9 @@
 These are the thermodynamic-limit counterparts of the discrete results,
 for side-by-side tables at momenta outside the Fermi ball: a
 Lindhard-type response q_dv in closed form, the screened two-variable
-quadrature n_b_dv, and the second-order exchange integral n_ex_dv done
-by importance-sampled Monte Carlo.
+quadrature n_b_dv (one shared-panel family of inner s-integrals per outer
+panel), and the second-order exchange integral n_ex_dv done by
+importance-sampled Monte Carlo.
 
 The exchange integral
 
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import QuadratureResult, integrate_interval, integrate_semi_infinite
+from .numerics import (QuadratureResult, check_tol, integrate_interval,
+                       integrate_semi_infinite_batch)
 
 
 @dataclass(frozen=True)
@@ -42,40 +44,40 @@ class DVParams:
     xi_norm: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.k_f, self.alpha, self.xi_norm))):
+            raise ValueError("k_f, alpha and xi_norm must be finite")
         if self.k_f <= 0:
             raise ValueError("k_f must be positive")
         if self.xi_norm <= self.k_f:
             raise ValueError("the comparison formulas require |xi| > k_F")
 
 
-def q_dv(k_norm: float, s, k_f: float):
-    """Closed-form Lindhard-type response, vectorized over s.
+def q_dv(k_norm, s, k_f: float):
+    """Closed-form Lindhard-type response, broadcast over k_norm and s.
 
     q_dv = 2 pi [ 1 + (k_F^2 - k^2/4 + s^2)/(2 k k_F)
                       * ln( ((k_F + k/2)^2 + s^2) / ((k_F - k/2)^2 + s^2) )
                   - (s/k_F) (arctan((k_F + k/2)/s) + arctan((k_F - k/2)/s)) ]
 
-    The s = 0 limit is handled by the arctan(inf) = pi/2 branch; the
+    The s = 0 limit takes arctan(inf) = pi/2 through arctan2; the
     0 * log(0) product at k = 2 k_F, s = 0 is removable and evaluates
-    to 0.
+    to 0.  Scalar k_norm and s give a float.
     """
-    k = float(k_norm)
-    if k <= 0:
+    k = np.asarray(k_norm, dtype=float)
+    if not np.all(k > 0.0):
         raise ValueError("k_norm must be positive")
     s = np.asarray(s, dtype=float)
     a = k_f + 0.5 * k
     b = k_f - 0.5 * k
     w = k_f * k_f - 0.25 * k * k + s * s
-    num = a * a + s * s
     den = b * b + s * s
+    # ln(num/den) with num - den = 2 k k_F exact: at large s num/den rounds to 1
     log_term = np.where(den > 0.0,
-                        np.log(num / np.where(den > 0.0, den, 1.0)),
+                        np.log1p(2.0 * k * k_f / np.where(den > 0.0, den, 1.0)),
                         0.0)  # w vanishes with den, removable
     bracket = 1.0 + w * log_term / (2.0 * k * k_f)
-    pos = s > 0.0
-    s_safe = np.where(pos, s, 1.0)
-    at = np.arctan(a / s_safe) + np.arctan(b / s_safe)
-    bracket = bracket - np.where(pos, s * at / k_f, 0.0)
+    at = np.arctan2(a, s) + np.arctan2(b, s)  # finite at s = 0, where s * at = 0
+    bracket = bracket - s * at / k_f
     out = 2.0 * np.pi * bracket
     return out if out.shape else float(out)
 
@@ -84,48 +86,47 @@ def n_b_dv(params: DVParams, quad_tol: float = 1e-7) -> QuadratureResult:
     """Screened bosonization quadrature over |k| in [|xi|-k_F, |xi|+k_F], s in [0, inf).
 
     The integrand bracket has two Lorentzian-type poles; it vanishes at
-    both radial endpoints.  Inner s-integrals run at a tighter tolerance
-    so the reported error is dominated by the outer estimate.
+    both radial endpoints.  The inner s-integrals at the nodes of one
+    outer panel run as one family on shared panels, each member at a
+    tighter tolerance, so the reported error is dominated by the outer
+    estimate.  ``evaluations`` counts outer nodes and inner values per member.
     """
+    check_tol(quad_tol, "quad_tol")
     kf, alpha, xi = params.k_f, params.alpha, params.xi_norm
     if alpha == 0.0:
         return QuadratureResult(value=0.0, abs_error_estimate=0.0,
                                 evaluations=1, converged=True)
     lo, hi = xi - kf, xi + kf
     inner_tol = quad_tol / (10.0 * (hi - lo))
-    inner_errs = [0.0]
-    evals = [0]
-    all_ok = [True]
+    inner_err, inner_evals, inner_ok = 0.0, 0, True
 
-    def inner(k):
-        a = xi - 0.5 * k
+    def outer(k):
+        nonlocal inner_err, inner_evals, inner_ok
+        a = xi - 0.5 * k  # a, b > 0, as k < |xi| + k_F < 2 |xi|
         b = (xi * xi - kf * kf) / (2.0 * k)
+        ac, bc, kc = a[:, None], b[:, None], k[:, None]
 
-        def integrand(s):
+        def family(s):
             s2 = s * s
-            first = np.where(a != 0.0, a / (a * a + s2), 0.0)
-            bracket = first - b / (b * b + s2)
-            screen = k * k + alpha * kf * kf * q_dv(k, s, kf)
-            return bracket / screen
+            bracket = ac / (ac * ac + s2) - bc / (bc * bc + s2)
+            return bracket / (kc * kc + alpha * kf * kf * q_dv(kc, s, kf))
 
-        scale = max(abs(a), 1e-3)
-        res = integrate_semi_infinite(integrand, tol=inner_tol,
-                                      seeds=(scale, abs(b), 10.0 * max(abs(a), abs(b))))
-        inner_errs[0] += res.abs_error_estimate
-        evals[0] += res.evaluations
-        all_ok[0] = all_ok[0] and res.converged
-        return res.value
-
-    def outer(karr):
-        return np.array([k * inner(k) for k in np.atleast_1d(karr)])
+        scales = [np.maximum(a, 1e-3), b, 10.0 * np.maximum(a, b)]
+        values, errors, nev, ok = integrate_semi_infinite_batch(
+            family, k.size, tol=inner_tol,
+            seeds=np.exp(np.mean(np.log(scales), axis=1)))  # geometric means
+        inner_err += float(np.sum(errors))
+        inner_evals += nev * k.size
+        inner_ok = inner_ok and ok
+        return k * values
 
     out = integrate_interval(outer, lo, hi, tol=quad_tol,
                              seeds=(0.5 * (lo + hi),))
     pref = kf * alpha / xi
-    err = abs(pref) * (out.abs_error_estimate + inner_errs[0] * (hi - lo))
+    err = abs(pref) * (out.abs_error_estimate + inner_err * (hi - lo))
     return QuadratureResult(value=pref * out.value, abs_error_estimate=err,
-                            evaluations=out.evaluations + evals[0],
-                            converged=out.converged and all_ok[0])
+                            evaluations=out.evaluations + inner_evals,
+                            converged=out.converged and inner_ok)
 
 
 def _ex_shard(params: DVParams, n: int, key: int) -> tuple[float, float, int]:
@@ -136,28 +137,26 @@ def _ex_shard(params: DVParams, n: int, key: int) -> tuple[float, float, int]:
 
     r = rng.uniform(r_lo, r_hi, size=n)
     u_min = (r * r + xi * xi - kf * kf) / (2.0 * r * xi)
-    u = rng.uniform(u_min, 1.0)
-    # k in the plane of zero azimuth; xi along z
-    k = np.column_stack([r * np.sqrt(np.maximum(0.0, 1.0 - u * u)),
-                         np.zeros(n), r * u])
+    u = u_min + (1.0 - u_min) * rng.random(n)  # uniform on [u_min, 1)
+    # k in the plane of zero azimuth (k_y = 0); xi along z
+    kx = r * np.sqrt(np.maximum(0.0, 1.0 - u * u))
+    kz = r * u
     rho = kf * np.cbrt(rng.uniform(0.0, 1.0, size=n))
     z = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
     sxy = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    p = np.column_stack([rho * sxy * np.cos(phi), rho * sxy * np.sin(phi), rho * z])
+    px, py, pz = rho * sxy * np.cos(phi), rho * sxy * np.sin(phi), rho * z
+    wz = pz - xi  # p - xi differs from p only in z
 
-    xi_vec = np.array([0.0, 0.0, xi])
-    w = p - xi_vec
-    kw = np.einsum("ij,ij->i", k, w)
-    wn2 = np.einsum("ij,ij->i", w, w)
-    pk = p + k
-    outside = np.einsum("ij,ij->i", pk, pk) > kf * kf
+    # sums in numpy einsum's order x, z, y: bit-identical to the (n, 3) form
+    kw = kx * px + kz * wz
+    wn2 = px * px + wz * wz + py * py
+    outside = (px + kx) ** 2 + (pz + kz) ** 2 + py * py > kf * kf
 
     vol_ball = (4.0 / 3.0) * np.pi * kf**3
     weight = 2.0 * np.pi * (r_hi - r_lo) * (1.0 - u_min) * vol_ball
-    x = np.zeros(n)
     # on the accepted set |k.(p-xi)| >= (xi^2 - k_F^2)/2 > 0
-    x[outside] = weight[outside] / (kw[outside] ** 2 * wn2[outside])
+    x = np.divide(weight, kw * kw * wn2, out=np.zeros(n), where=outside)
     return float(np.sum(x)), float(np.sum(x * x)), n
 
 
@@ -166,21 +165,21 @@ def n_ex_dv(params: DVParams, samples: int = 100_000, seed: int = 0,
     """Monte-Carlo value and standard error of the exchange integral.
 
     Exactly quadratic in alpha (the samples do not depend on it), never
-    positive, and reproducible: the shard keys derive from ``seed`` and
-    the reduction order is fixed by shard index.
+    positive, and reproducible: the shard keys (seed << 8) + i derive
+    from ``seed`` and the reduction order is fixed by shard index.
     """
     if samples < 10_000:
         raise ValueError("use at least 10^4 samples")
+    if shards < 1:
+        raise ValueError("shards must be at least 1")
+    if seed < 0 or (seed << 8) + shards - 1 >= 2**128:
+        raise ValueError(f"seed must be >= 0 with shard keys (seed << 8) + i "
+                         f"below 2**128, got seed={seed}")
     if params.alpha == 0.0:
         return 0.0, 0.0
-    base = samples // shards
-    sizes = [base + (1 if i < samples % shards else 0) for i in range(shards)]
-
-    parts = [_ex_shard(params, n, key=(seed << 8) + i)
-             for i, n in enumerate(sizes)]
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    count = sum(p[2] for p in parts)
+    parts = [_ex_shard(params, samples // shards + (i < samples % shards),
+                       key=(seed << 8) + i) for i in range(shards)]
+    total, total_sq, count = map(sum, zip(*parts))
     mean = total / count
     var = max(0.0, total_sq / count - mean * mean)
     stderr = math.sqrt(var / count)

@@ -1,9 +1,10 @@
-"""Plain-loop reference implementations of the vectorized lattice, energy and momentum kernels.
+"""Plain-loop reference implementations of the vectorized lattice, energy, momentum and continuum kernels.
 
 Each function here is the straightforward per-point form of a hot-path
 kernel in ``fermigas``: a Python loop over the ball, a dense pair sum
 over the lune, one integrand built from the full lune, one mode at a
-time.  Tests compare the fast kernels against them.
+time, one scalar inner integral per outer node.  Tests compare the fast
+kernels against them.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from collections import Counter
 
 import numpy as np
 
+from fermigas.dvlimit import q_dv
 from fermigas.energy import stable_log1p_minus_x
 from fermigas.lattice import (add, as_vec3, ball_array, d_intersection,
                               lambda_of, lune_kernel, neg, nonzero_k_vectors,
                               norm2, point_group)
-from fermigas.numerics import (integrate_semi_infinite,
+from fermigas.numerics import (QuadratureResult, integrate_interval,
+                               integrate_semi_infinite,
                                integrate_semi_infinite_batch)
 from fermigas.potential import evaluate
 from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_mode,
@@ -319,3 +322,78 @@ def per_k_sum(ks, xi, cfg, pot, quad_tol=1e-9):
         term, err, conv = per_k(k, xi, cfg, pot, quad_tol)
         parts, qerr, ok = parts + term, qerr + err, ok and conv
     return parts, qerr, ok
+
+
+def n_b_dv_nested(params, quad_tol=1e-7):
+    """``dvlimit.n_b_dv`` as nested scalar quadratures: one inner s-integral per outer node."""
+    kf, alpha, xi = params.k_f, params.alpha, params.xi_norm
+    if alpha == 0.0:
+        return QuadratureResult(value=0.0, abs_error_estimate=0.0,
+                                evaluations=1, converged=True)
+    lo, hi = xi - kf, xi + kf
+    inner_tol = quad_tol / (10.0 * (hi - lo))
+    inner_errs = [0.0]
+    evals = [0]
+    all_ok = [True]
+
+    def inner(k):
+        a = xi - 0.5 * k
+        b = (xi * xi - kf * kf) / (2.0 * k)
+
+        def integrand(s):
+            s2 = s * s
+            first = np.where(a != 0.0, a / (a * a + s2), 0.0)
+            bracket = first - b / (b * b + s2)
+            screen = k * k + alpha * kf * kf * q_dv(k, s, kf)
+            return bracket / screen
+
+        scale = max(abs(a), 1e-3)
+        res = integrate_semi_infinite(integrand, tol=inner_tol,
+                                      seeds=(scale, abs(b), 10.0 * max(abs(a), abs(b))))
+        inner_errs[0] += res.abs_error_estimate
+        evals[0] += res.evaluations
+        all_ok[0] = all_ok[0] and res.converged
+        return res.value
+
+    def outer(karr):
+        return np.array([k * inner(k) for k in np.atleast_1d(karr)])
+
+    out = integrate_interval(outer, lo, hi, tol=quad_tol,
+                             seeds=(0.5 * (lo + hi),))
+    pref = kf * alpha / xi
+    err = abs(pref) * (out.abs_error_estimate + inner_errs[0] * (hi - lo))
+    return QuadratureResult(value=pref * out.value, abs_error_estimate=err,
+                            evaluations=out.evaluations + evals[0],
+                            converged=out.converged and all_ok[0])
+
+
+def ex_shard_columns(params, n, key):
+    """``dvlimit._ex_shard`` with (n, 3) vectors and einsum dot products."""
+    kf, xi = params.k_f, params.xi_norm
+    rng = np.random.Generator(np.random.Philox(key=key))
+    r_lo, r_hi = xi - kf, xi + kf
+
+    r = rng.uniform(r_lo, r_hi, size=n)
+    u_min = (r * r + xi * xi - kf * kf) / (2.0 * r * xi)
+    u = rng.uniform(u_min, 1.0)
+    # k in the plane of zero azimuth; xi along z
+    k = np.column_stack([r * np.sqrt(np.maximum(0.0, 1.0 - u * u)),
+                         np.zeros(n), r * u])
+    rho = kf * np.cbrt(rng.uniform(0.0, 1.0, size=n))
+    z = rng.uniform(-1.0, 1.0, size=n)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    sxy = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    p = np.column_stack([rho * sxy * np.cos(phi), rho * sxy * np.sin(phi), rho * z])
+
+    xi_vec = np.array([0.0, 0.0, xi])
+    w = p - xi_vec
+    kw = np.einsum("ij,ij->i", k, w)
+    wn2 = np.einsum("ij,ij->i", w, w)
+    pk = p + k
+    outside = np.einsum("ij,ij->i", pk, pk) > kf * kf
+
+    vol_ball = (4.0 / 3.0) * np.pi * kf**3
+    weight = 2.0 * np.pi * (r_hi - r_lo) * (1.0 - u_min) * vol_ball
+    x = np.zeros(n)
+    x[outside] = weight[outside] / (kw[outside] ** 2 * wn2[outside])
+    return float(np.sum(x)), float(np.sum(x * x)), n

@@ -145,6 +145,10 @@ def test_non_finite_kf_exit_2(capsys):
      "quad_tol must be positive and finite"),
     (("momentum-sum", "--observable", "delta:2,0,0", "--route", "spectral",
       "--quad-tol", "-1"), "quad_tol must be positive and finite"),
+    (("dv-compare", "--xi-list", "2,0,0", "--seed", "-1"),
+     "seed must be >= 0 with shard keys (seed << 8) + i below 2**128"),
+    (("dv-compare", "--xi-list", "2,0,0", "--seed", str(2**120)),
+     "seed must be >= 0 with shard keys (seed << 8) + i below 2**128"),
 ])
 def test_bad_numeric_options_exit_2(capsys, argv, message):
     assert main([*argv, "--kf", "1"]) == 2

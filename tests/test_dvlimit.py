@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from fermigas import dvlimit, numerics
 from fermigas.dvlimit import (CSV_HEADER, DVParams, compare_table, n_b_dv,
                               n_ex_dv, q_dv, rows_to_csv)
 from fermigas.lattice import fermi_ball
 from fermigas.potential import coulomb
+from oracles import ex_shard_columns, n_b_dv_nested
 
 
 def q_dv_oracle(k, s, kf):
@@ -57,11 +61,66 @@ def test_q_dv_nonnegative_on_grid():
         assert np.all(q_dv(float(k), s, kf) >= -1e-12)
 
 
+def test_q_dv_broadcasts_over_k():
+    kf = 1.5
+    k = np.array([0.2, 1.0, 2.0 * kf, 4.5])
+    s = np.array([0.0, 0.3, 1.0, 7.0, 1e3])
+    got = q_dv(k[:, None], s[None, :], kf)
+    assert got.shape == (k.size, s.size)
+    for i, ki in enumerate(k):
+        assert np.array_equal(got[i], q_dv(float(ki), s, kf))
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="k_norm must be positive"):
+            q_dv(np.array([[1.0], [bad], [2.0]]), s, kf)
+    assert type(q_dv(1.0, 0.5, kf)) is float
+
+
+def test_q_dv_large_s_limit():
+    # q(s) -> (1/k_F) int 2 a dp / (s^2 |k|^2) = 4 pi k_F^2 / (3 s^2)
+    for kf in (1.0, 3.0):
+        for k in (0.01, 0.5, 2.0 * kf, 5.0):
+            for s in (1e3, 1e4, 1e5):
+                limit = 4.0 * np.pi * kf**2 / (3.0 * s * s)
+                assert q_dv(k, s, kf) == pytest.approx(limit, rel=1e-4), (kf, k, s)
+
+
 def test_dv_params_validation():
     with pytest.raises(ValueError):
         DVParams(k_f=1.0, alpha=0.1, xi_norm=0.9)
     with pytest.raises(ValueError):
         DVParams(k_f=-1.0, alpha=0.1, xi_norm=2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for kwargs in (dict(k_f=bad, alpha=0.1, xi_norm=2.0),
+                       dict(k_f=1.0, alpha=bad, xi_norm=2.0),
+                       dict(k_f=1.0, alpha=0.1, xi_norm=bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                DVParams(**kwargs)
+
+
+@pytest.mark.parametrize("quad_tol", [0.0, -1e-7, math.inf, math.nan])
+def test_n_b_dv_rejects_bad_quad_tol(quad_tol):
+    with pytest.raises(ValueError, match="quad_tol must be positive and finite"):
+        n_b_dv(DVParams(k_f=1.0, alpha=0.4, xi_norm=1.5), quad_tol=quad_tol)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(seed=-1), "seed must be >= 0"),
+    (dict(seed=2**120), "seed must be >= 0"),
+    (dict(seed=2**120 - 1, shards=257), "seed must be >= 0"),
+    (dict(shards=0), "shards must be at least 1"),
+])
+def test_n_ex_dv_rejects_bad_seed_and_shards(kwargs, message):
+    for alpha in (0.0, 0.1):
+        with pytest.raises(ValueError, match=message):
+            n_ex_dv(DVParams(k_f=1.0, alpha=alpha, xi_norm=1.5),
+                    **{"samples": 10_000, **kwargs})
+
+
+def test_n_ex_dv_largest_seed():
+    # the last shard key is (seed << 8) + 15 = 2**128 - 1
+    val, se = n_ex_dv(DVParams(k_f=1.0, alpha=0.1, xi_norm=1.5),
+                      samples=10_000, seed=2**120 - 1)
+    assert val < 0.0 and se > 0.0
 
 
 def test_n_b_dv_finite_and_tolerance_contract():
@@ -90,6 +149,79 @@ def test_n_b_dv_alpha_zero_and_small_coupling_law():
                 quad_tol=1e-10).value / 1e-12
     assert c1 == pytest.approx(c2, rel=1e-3)
     assert c2 == pytest.approx(1.1656430, rel=1e-5)
+
+
+def test_n_b_dv_matches_nested_oracle():
+    # The two forms evaluate the same outer nodes; they differ only in
+    # the panels of the inner s-integrals, each within its per-member
+    # tolerance.
+    for kf in (1.0, 2.0, 3.0):
+        for alpha in (0.05, 0.4, 1.0 / (4.0 * np.pi * kf)):
+            for ratio in (1.05, 1.7, 2.35, 3.0):
+                for quad_tol in (1e-5, 1e-7):
+                    p = DVParams(k_f=kf, alpha=alpha, xi_norm=ratio * kf)
+                    got = n_b_dv(p, quad_tol=quad_tol)
+                    want = n_b_dv_nested(p, quad_tol=quad_tol)
+                    case = (kf, alpha, ratio, quad_tol)
+                    assert got.converged and want.converged, case
+                    assert got.value == pytest.approx(want.value, rel=1e-8), case
+                    assert (abs(got.value - want.value)
+                            <= got.abs_error_estimate + want.abs_error_estimate), case
+
+
+def test_n_b_dv_runs_one_family_per_outer_panel(monkeypatch):
+    counts = {"outer": 0, "families": 0}
+    interval, batch = numerics.integrate_interval, numerics.integrate_semi_infinite_batch
+
+    def outer_quadrature(f, *args, **kwargs):
+        def counted(k):
+            counts["outer"] += 1
+            return f(k)
+        return interval(counted, *args, **kwargs)
+
+    def family(*args, **kwargs):
+        counts["families"] += 1
+        return batch(*args, **kwargs)
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("n_b_dv ran a scalar inner quadrature")
+
+    monkeypatch.setattr(dvlimit, "integrate_interval", outer_quadrature)
+    monkeypatch.setattr(dvlimit, "integrate_semi_infinite_batch", family)
+    monkeypatch.setattr(numerics, "integrate_semi_infinite", scalar)
+    monkeypatch.setattr(dvlimit, "integrate_semi_infinite", scalar, raising=False)
+    res = n_b_dv(DVParams(k_f=3.0, alpha=0.4, xi_norm=3.5))
+    assert res.converged
+    assert counts["outer"] > 1
+    assert counts["families"] == counts["outer"]
+
+
+SHARD_SEEDS = (0, 5, 2**20)
+
+
+def test_ex_shard_matches_column_oracle():
+    p = DVParams(k_f=3.0, alpha=0.1, xi_norm=math.sqrt(10.0))
+    for seed in SHARD_SEEDS:
+        for i, n in ((0, 1), (3, 7), (7, 1000), (15, 12_500)):
+            key = (seed << 8) + i
+            got = dvlimit._ex_shard(p, n, key)
+            want = ex_shard_columns(p, n, key)
+            assert got[0] == want[0], (seed, i, n)
+            assert got[1] == pytest.approx(want[1], rel=1e-13), (seed, i, n)
+            assert got[2] == want[2] == n
+
+
+def test_n_ex_dv_matches_column_oracle(monkeypatch):
+    cases = [(DVParams(k_f=1.0, alpha=0.4, xi_norm=1.5), 20_000, 16),
+             (DVParams(k_f=3.0, alpha=0.03, xi_norm=4.0), 50_001, 7)]
+    got = [n_ex_dv(p, samples=n, seed=seed, shards=shards)
+           for p, n, shards in cases for seed in SHARD_SEEDS]
+    monkeypatch.setattr(dvlimit, "_ex_shard", ex_shard_columns)
+    want = [n_ex_dv(p, samples=n, seed=seed, shards=shards)
+            for p, n, shards in cases for seed in SHARD_SEEDS]
+    for (v, se), (v0, se0) in zip(got, want):
+        assert v == pytest.approx(v0, rel=1e-13)
+        assert se == pytest.approx(se0, rel=1e-13)
 
 
 def test_n_ex_dv_alpha_zero():
