@@ -8,8 +8,7 @@ spectral routes, with an executable suite of the underlying identities.
 from .lattice import (KSupport, LatticeConfig, LuneBasis, TailPolicy,
                       d_intersection, fermi_ball, k_support, kappa_and_weight,
                       lambda_of, lune)
-from .momentum import (MomentumBreakdown, Observable, n_boson_integral,
-                       n_boson_spectral, n_exchange, n_point, n_weighted)
+from .momentum import MomentumBreakdown, Observable, n_point, n_weighted
 from .energy import EnergyReport, e_corr_bos, e_corr_ex, e_fs, energy_report
 from .numerics import (QuadratureResult, integrate_interval,
                        integrate_semi_infinite, rank1_resolvent_diag,
@@ -30,7 +29,7 @@ __all__ = [
     "e_corr_ex", "e_fs", "energy_report", "exp_pm2K", "fermi_ball",
     "from_table", "integrate_interval", "integrate_semi_infinite",
     "k_support", "kappa_and_weight", "lambda_of", "load_table", "lune",
-    "n_b_dv", "n_boson_integral", "n_boson_spectral", "n_ex_dv", "n_exchange",
-    "n_point", "n_weighted", "q_dv", "q_of_s", "rank1_resolvent_diag",
-    "sym_matrix_function", "validate", "yukawa", "zero",
+    "n_b_dv", "n_ex_dv", "n_point", "n_weighted", "q_dv", "q_of_s",
+    "rank1_resolvent_diag", "sym_matrix_function", "validate", "yukawa",
+    "zero",
 ]

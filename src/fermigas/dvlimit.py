@@ -13,11 +13,10 @@ The exchange integral
         [k.(p-xi)]^-2 |p-xi|^-2   over |p+k| > k_F
 
 is taken over the k-region |k - xi| <= k_F carried over from the
-discrete support; there the energy denominator k.(xi-p) is bounded below
-by (|xi|^2 - k_F^2)/2 > 0, so the integrand is bounded and the
-Monte-Carlo variance is finite.  Dropping that region constraint (as the
-bare continuum formula suggests) would expose the non-integrable sheet
-k.(p-xi) = 0.
+discrete support.  That region does not keep k.(p-xi) from 0: the sheet
+k.(p-xi) = 0 meets it, so the integrand is unbounded, the sampled weight
+heavy-tailed, and neither the estimate nor its standard error is to be
+trusted (nor is the integral shown to be finite).
 
 Sampling reduces the six dimensions analytically by the common azimuth
 about xi (a factor 2pi); |k| is drawn uniformly on its interval, which
@@ -155,7 +154,7 @@ def _ex_shard(params: DVParams, n: int, key: int) -> tuple[float, float, int]:
 
     vol_ball = (4.0 / 3.0) * np.pi * kf**3
     weight = 2.0 * np.pi * (r_hi - r_lo) * (1.0 - u_min) * vol_ball
-    # on the accepted set |k.(p-xi)| >= (xi^2 - k_F^2)/2 > 0
+    # the accepted set meets the sheet k.(p-xi) = 0, so x is unbounded there
     x = np.divide(weight, kw * kw * wn2, out=np.zeros(n), where=outside)
     return float(np.sum(x)), float(np.sum(x * x)), n
 

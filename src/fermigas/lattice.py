@@ -341,30 +341,32 @@ def doubled_sum(shell, cfg: LatticeConfig, policy: TailPolicy):
 
     ``shell(k_lo, k_hi)`` sums over k_lo < |k| <= k_hi and returns
     (parts, quad_err, ok, n_k): a float array of the tracked parts, the
-    quadrature error, whether the shell converged and its count of k.
-    The cutoff starts at ``policy.initial_k_max`` and doubles until every
-    part's increment is at most ``tail_tol`` times its running total.
-    Returns (total, tail, quad_err, n_k, k_cutoff, converged), with the
-    tail the largest last increment and ``converged`` true when the rule
-    was met and every shell was ok.
+    quadrature error, whether the shell converged and its count of k;
+    (rows, n_parts) parts are several sums, with the other three per row.
+    The cutoff starts at ``policy.initial_k_max`` and doubles until in
+    every row each part's increment is at most ``tail_tol`` times its
+    running total.  Returns (total, tail, quad_err, n_k, k_cutoff,
+    converged), per row the tail its largest last increment and
+    ``converged`` true when the row met the rule at the last shell and
+    all its shells were ok (lists for rows).
     """
     k_cut = policy.initial_k_max(cfg)
     total, qerr, ok, n_k = shell(0, k_cut)
-    tail = math.inf
-    converged = False
+    tail = np.full(np.shape(total)[:-1], math.inf)
+    met = np.zeros(tail.shape, dtype=bool)
     for _ in range(policy.max_doublings):
         inc, inc_err, inc_ok, inc_n = shell(k_cut, 2 * k_cut)
         total = total + inc
-        qerr += inc_err
-        ok = ok and inc_ok
-        n_k += inc_n
+        qerr = qerr + inc_err
+        ok = ok & inc_ok
+        n_k = n_k + inc_n
         k_cut *= 2
-        tail = float(np.max(np.abs(inc)))
-        if np.all(np.abs(inc)
-                  <= policy.tail_tol * np.maximum(np.abs(total), 1e-300)):
-            converged = True
+        tail = np.max(np.abs(inc), axis=-1)
+        met = np.all(np.abs(inc) <= policy.tail_tol
+                     * np.maximum(np.abs(total), 1e-300), axis=-1)
+        if np.all(met):
             break
-    return total, tail, qerr, n_k, k_cut, converged and ok
+    return total, tail.tolist(), qerr, n_k, k_cut, (met & ok).tolist()
 
 
 @dataclass(frozen=True)

@@ -27,26 +27,27 @@ representatives whose lune meets no hit column: with O the orbit of xi,
     n(xi) = sum_{reps k} (w_k / |O|) sum_{x' in O + (-O)} h(k, k + x')
 
 for the G-invariant summand h at a hit, O + (-O) the multiset union.
-So the points of an orbit share every term, and a weighted sum over an
-observable (``n_weighted``) runs one point per orbit of its support.
+So the points of an orbit share every term, and as h does not depend
+on xi, ``n_weighted`` runs all inside orbits as the rows of one doubled
+sum (an inside ``n_point`` is its one-row case).
 
 Every k-sum runs on the mode blocks of ``quasiboson`` (its module
 docstring states the gap-histogram, deflation and response identities),
-chunks in (|k|^2, orbit key) order of at most ``_CHUNK`` candidate hits.
-Per mode the candidate hit zeta = k + q_z has one ball column q_z:
-inside the ball the columns are the points of O + (-O), and near and
-full lunes share the block; outside it they are +-xi, at the column of
-s xi - k where that point is in the ball, and each support k hits one.
-All hits of a chunk share one spectral lookup (the deflated value at
-the hit's gap, one eigensolve per orbit key and V_k), one batched
-integral family on the response table and one masked exchange pair
-sum.  The plain per-k form, one full lune and one scalar quadrature per
-hit, lives on as a test oracle.
+chunks in (|k|^2, orbit key) order of at most ``_CHUNK`` candidate hits
+over all points (or one row).  Per mode the candidate hit zeta = k + q_z
+has one ball column q_z: inside the ball the columns are the points of
+every O + (-O), and near and full lunes share the block; outside it
+they are +-xi, at the column of s xi - k where that point is in the
+ball, and each support k hits one.  All hits of a chunk share one
+spectral lookup (the deflated value at the hit's gap, one eigensolve
+per orbit key and V_k), one batched integral family on the response
+table and one masked exchange pair sum, each hit once for all points.
+The plain per-k form, one full lune and one scalar quadrature per hit,
+lives on as a test oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -106,28 +107,32 @@ class MomentumBreakdown:
 def _block_parts(ks: np.ndarray, wts: np.ndarray, cols: np.ndarray,
                  colw: np.ndarray, cfg: LatticeConfig, pot: Potential,
                  quad_tol: float, want_spectral: bool, want_integral: bool):
-    """[n_b spectral, n_b integral, n_ex], quad error and ok over k rows.
+    """(P, 3) [n_b spectral, n_b integral, n_ex], (P,) quad errors and ok.
 
     ``ks`` is (m, 3) with weights ``wts``; ``cols`` holds the ball row of
     each candidate hit's column (module docstring; -1 for none), (m, c)
-    or (c,) for all rows, and ``colw`` the (c,) column weights.  A route
+    or (c,) for all rows, and ``colw`` the (P, c) column weights of P
+    points.  A hit's values do not depend on the point, so each is
+    computed once and the point weights are applied after.  A route
     left out stays 0.
     """
     vhat = pot.at(ks)
     vsq = coupling_sq(vhat, cfg.k_f)
-    cols = np.broadcast_to(cols, (ks.shape[0], colw.size))
+    cols = np.broadcast_to(cols, (ks.shape[0], colw.shape[1]))
     ball = cfg.ball_arr
     ball_n2 = np.einsum("ni,ni->n", ball, ball)
-    parts, qerr, ok = np.zeros(3), 0.0, True
-    # at most _CHUNK candidate hits (columns in the ball) per chunk
+    parts, qerr = np.zeros((colw.shape[0], 3)), np.zeros(colw.shape[0])
+    ok = np.ones(colw.shape[0], dtype=bool)
+    # at most _CHUNK candidate hits (columns in the ball) per chunk, or one row
     per_row = int(np.max(np.count_nonzero(cols >= 0, axis=1), initial=1))
-    for rows, mask, lam in mode_chunks(ks, vhat, cfg, _CHUNK // per_row):
+    for rows, mask, lam in mode_chunks(ks, vhat, cfg,
+                                       max(1, _CHUNK // per_row)):
         kc, col = ks[rows], cols[rows]
         r, j = np.nonzero((col >= 0)
                           & mask[np.arange(rows.size)[:, None], col])
         qrow = col[r, j]
         lz = lam[r, qrow]
-        w = wts[rows][r] * colw[j]
+        w = wts[rows][r] * colw[:, j]
         wv = w * vhat[rows][r]
         g, counts, resp = gap_response(mask, lam, vsq[rows])
         if want_spectral:
@@ -136,15 +141,15 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, cols: np.ndarray,
             key = orbit_key(kc) * (vcode.max(initial=0) + 1) + vcode
             _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
             per_gap = cosh_minus_one_per_gap(g, counts[rep], vsq[rows][rep])
-            parts[0] += float(w @ per_gap[inv[r], np.searchsorted(g, lz)])
+            parts[:, 0] += w @ per_gap[inv[r], np.searchsorted(g, lz)]
         if want_integral and r.size:
             lz2 = lz[:, None] ** 2
             vals, errs, conv = response_integrals(
                 lambda q, s2: (s2 - lz2) / (s2 + lz2) ** 2 / (1.0 + q[r]),
                 resp, g, lz, quad_tol)
-            parts[1] += float(wv @ vals) / (EIGHT_PI4 * cfg.k_f)
-            qerr += float(wv @ errs) / (EIGHT_PI4 * cfg.k_f)
-            ok = ok and conv
+            parts[:, 1] += wv @ vals / (EIGHT_PI4 * cfg.k_f)
+            qerr += wv @ errs / (EIGHT_PI4 * cfg.k_f)
+            ok &= conv | ~np.any(w, axis=1)
         # exchange: sum over p = k + q in the lune of V(p + zeta - k) / t^2
         # with t = lam_p + lam_zeta, zeta = k + q_z, and p + zeta - k =
         # k + q + q_z; a radial V reads |k + q + q_z|^2 = 2 t - |k|^2 +
@@ -159,100 +164,97 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, cols: np.ndarray,
         else:
             v2 = pot.at(kc[r, None] + ball + qz[:, None])
         terms = np.divide(v2, t**2, out=np.zeros(t.shape), where=mask[r])
-        parts[2] -= float(wv @ np.sum(terms, axis=1)) / (8.0 * TWO_PI_6
-                                                         * cfg.k_f**2)
+        parts[:, 2] -= wv @ np.sum(terms, axis=1) / (8.0 * TWO_PI_6
+                                                      * cfg.k_f**2)
     return parts, qerr, ok
 
 
-def _columns(xi: Vec3, symmetry: str) -> tuple[np.ndarray, np.ndarray]:
-    """Hit columns of an inside point: the points x' of O + (-O), O the orbit of xi.
+def _columns(orbs: list[np.ndarray],
+             cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Hit columns of inside points: the x' of O + (-O), O each point's orbit.
 
-    Returns the distinct x' as an (c, 3) array and their (c,) weights
-    mult / |O|, mult the multiplicity of x' in the multiset union.
+    Returns the ball rows of the distinct x' of all points, ascending,
+    as a (c,) array, and the (P, c) weights mult / |O| of each point,
+    mult the multiplicity of x' in its multiset union (0 off it).
     """
-    orb = orbit(xi, symmetry)
-    both = Counter(map(tuple, np.concatenate([orb, -orb]).tolist()))
-    return (np.array(list(both), dtype=np.int64).reshape(-1, 3),
-            np.array(list(both.values())) / orb.shape[0])
+    sizes = np.array([orb.shape[0] for orb in orbs])
+    both = cfg.ball_index(np.concatenate([np.concatenate([orb, -orb])
+                                          for orb in orbs]))
+    cols, col = np.unique(both, return_inverse=True)
+    owner = np.repeat(np.arange(len(orbs)), 2 * sizes)
+    mult = np.bincount(owner * cols.size + col,
+                       minlength=len(orbs) * cols.size)
+    return cols, mult.reshape(len(orbs), cols.size) / sizes[:, None]
 
 
-def _hit_shell(xi: Vec3, cfg: LatticeConfig, symmetry: str, k_lo: int,
-               k_hi: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """``k_shell`` of k_lo < |k| <= k_hi less the k whose lune misses O + (-O).
+def _hit_shell(orbs: list[np.ndarray], cfg: LatticeConfig, symmetry: str,
+               k_lo: int, k_hi: int):
+    """``k_shell`` of k_lo < |k| <= k_hi less the k whose lune misses every O + (-O).
 
-    Returns the kept representatives, their weights and the number of
-    shell k whose lune meets k +- xi: a representative of weight w whose
-    lune meets k +- x' at h of the x' in O counts w h / |O| of them.
+    ``orbs`` are the orbits O of P inside points.  Returns the kept
+    representatives, their weights and the (P,) number of shell k whose
+    lune meets k +- xi: a representative of weight w whose lune meets
+    k +- x' at h of the x' in O counts w h / |O| of them.
     """
     reps, wts = k_shell(k_lo, k_hi, symmetry)
-    orb = orbit(xi, symmetry)
+    sizes = np.array([orb.shape[0] for orb in orbs])
+    every = np.concatenate(orbs)
     kn2 = np.einsum("mi,mi->m", reps, reps)
     # |k + x'|^2 + |k - x'|^2 = 2 |k|^2 + 2 |xi|^2 > 2 r2 once |k|^2 > r2,
     # so each x' in O then hits at x' or at -x'
     near = np.flatnonzero(kn2 <= cfg.r2)
-    hits = np.full(reps.shape[0], orb.shape[0])
-    hits[near] = np.count_nonzero(
-        kn2[near, None] + 2 * np.abs(reps[near] @ orb.T) > cfg.r2 - norm2(xi),
-        axis=1)
-    keep = hits > 0
-    return reps[keep], wts[keep], int(np.sum(wts * hits // orb.shape[0]))
-
-
-def _sum_over_support(xi: Vec3, cfg: LatticeConfig, pot: Potential,
-                      policy: TailPolicy, quad_tol: float,
-                      want_spectral: bool, want_integral: bool):
-    """Accumulate per-k contributions over the k-support of xi.
-
-    Exact supports (xi outside the ball) are one block (tail 0);
-    truncated supports are ``_hit_shell`` shells at the columns
-    ``_columns``, doubled until n_b and n_ex each move by less than the
-    relative tail tolerance.  Returns (parts, tail, quad_err, n_k,
-    converged), parts as ``_block_parts``.
-    """
-    support = k_support(xi, cfg)
-    if support.exact:
-        ks = support.finite_part
-        cols = cfg.ball_index(np.array([xi, neg(xi)]) - ks[:, None])
-        parts, qerr, ok = _block_parts(ks, np.ones(ks.shape[0]), cols,
-                                       np.ones(2), cfg, pot, quad_tol,
-                                       want_spectral, want_integral)
-        return parts, 0.0, qerr, ks.shape[0], ok
-    pts, colw = _columns(xi, pot.symmetry)
-    cols = cfg.ball_index(pts)
-
-    def shell(k_lo, k_hi):
-        reps, wts, n_k = _hit_shell(xi, cfg, pot.symmetry, k_lo, k_hi)
-        return (*_block_parts(reps, wts, cols, colw, cfg, pot, quad_tol,
-                              want_spectral, want_integral), n_k)
-
-    # a part the route leaves at 0 meets the stopping rule at every shell
-    parts, tail, qerr, n_k, _, ok = doubled_sum(shell, cfg, policy)
-    return parts, tail, qerr, n_k, ok
-
-
-def n_boson_spectral(xi, cfg: LatticeConfig, pot: Potential,
-                     policy: TailPolicy | None = None) -> MomentumBreakdown:
-    """Pair-excitation occupancy at xi by the spectral route."""
-    return n_point(xi, cfg, pot, policy, route="spectral")
-
-
-def n_boson_integral(xi, cfg: LatticeConfig, pot: Potential,
-                     policy: TailPolicy | None = None,
-                     quad_tol: float = 1e-9) -> MomentumBreakdown:
-    """Pair-excitation occupancy at xi by the screened-quadrature route."""
-    return n_point(xi, cfg, pot, policy, route="integral", quad_tol=quad_tol)
-
-
-def n_exchange(xi, cfg: LatticeConfig, pot: Potential,
-               policy: TailPolicy | None = None) -> float:
-    """Exchange correction at xi (always <= 0 for nonnegative potentials)."""
-    parts = _sum_over_support(as_vec3(xi), cfg, pot, policy or TailPolicy(),
-                              1e-9, False, False)[0]
-    return float(parts[2])
+    hits = np.repeat(sizes[:, None], reps.shape[0], axis=1)
+    meet = (kn2[near, None] + 2 * np.abs(reps[near] @ every.T)
+            > cfg.r2 - np.einsum("ni,ni->n", every, every))
+    hits[:, near] = np.add.reduceat(meet.astype(np.int64),
+                                    np.cumsum(sizes) - sizes, axis=1).T
+    keep = np.any(hits > 0, axis=0)
+    return reps[keep], wts[keep], np.sum(wts * hits // sizes[:, None], axis=1)
 
 
 _ROUTES = {"spectral": (True, False), "integral": (False, True),
            "both": (True, True)}
+
+
+def _record(xi: Vec3, route: str, parts, tail, qerr, n_k,
+            ok) -> MomentumBreakdown:
+    """A point's record from its [n_b spectral, n_b integral, n_ex] parts."""
+    spectral, integral, n_ex = map(float, parts)
+    both = {"n_b_spectral": spectral, "n_b_integral": integral,
+            "discrepancy": abs(spectral - integral)} if route == "both" else {}
+    return MomentumBreakdown(
+        xi=xi, n_b=integral if route == "integral" else spectral, n_ex=n_ex,
+        route=route, quad_error=float(qerr), tail_estimate=float(tail),
+        k_modes_used=int(n_k), converged=bool(ok), **both)
+
+
+def _inside_rows(xis: list[Vec3], cfg: LatticeConfig, pot: Potential,
+                 policy: TailPolicy, route: str,
+                 quad_tol: float) -> list[MomentumBreakdown]:
+    """Records of the inside points ``xis``: the rows of one doubled sum.
+
+    Each shell and chunk is built once for all points (module docstring).
+    """
+    orbs = [orbit(xi, pot.symmetry) for xi in xis]
+    cols, colw = _columns(orbs, cfg)
+
+    def shell(k_lo, k_hi):
+        reps, wts, n_k = _hit_shell(orbs, cfg, pot.symmetry, k_lo, k_hi)
+        return (*_block_parts(reps, wts, cols, colw, cfg, pot, quad_tol,
+                              *_ROUTES[route]), n_k)
+
+    # a part the route leaves at 0 meets the stopping rule at every shell
+    parts, tail, qerr, n_k, _, ok = doubled_sum(shell, cfg, policy)
+    return [_record(xi, route, *row)
+            for xi, *row in zip(xis, parts, tail, qerr, n_k, ok)]
+
+
+def _route(route: str, outside: bool) -> str:
+    """``route`` with "auto" resolved; ValueError on an unknown one."""
+    route = {"auto": "spectral" if outside else "integral"}.get(route, route)
+    if route not in _ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+    return route
 
 
 def n_point(xi, cfg: LatticeConfig, pot: Potential,
@@ -269,19 +271,17 @@ def n_point(xi, cfg: LatticeConfig, pot: Potential,
     """
     check_tol(quad_tol, "quad_tol")
     xv = as_vec3(xi)
-    if route == "auto":
-        route = "spectral" if norm2(xv) > cfg.r2 else "integral"
-    if route not in _ROUTES:
-        raise ValueError(f"unknown route {route!r}")
-    parts, tail, qerr, n_k, ok = _sum_over_support(
-        xv, cfg, pot, policy or TailPolicy(), quad_tol, *_ROUTES[route])
-    spectral, integral, n_ex = parts.tolist()
-    both = {"n_b_spectral": spectral, "n_b_integral": integral,
-            "discrepancy": abs(spectral - integral)} if route == "both" else {}
-    return MomentumBreakdown(
-        xi=xv, n_b=integral if route == "integral" else spectral, n_ex=n_ex,
-        route=route, quad_error=qerr, tail_estimate=tail, k_modes_used=n_k,
-        converged=ok, **both)
+    route = _route(route, norm2(xv) > cfg.r2)
+    if norm2(xv) <= cfg.r2:
+        return _inside_rows([xv], cfg, pot, policy or TailPolicy(), route,
+                            quad_tol)[0]
+    # the exact support is one block, each k hitting +-xi at its own column
+    ks = k_support(xv, cfg).finite_part
+    cols = cfg.ball_index(np.array([xv, neg(xv)]) - ks[:, None])
+    parts, qerr, ok = _block_parts(ks, np.ones(ks.shape[0]), cols,
+                                   np.ones((1, 2)), cfg, pot, quad_tol,
+                                   *_ROUTES[route])
+    return _record(xv, route, parts[0], 0.0, qerr[0], ks.shape[0], ok[0])
 
 
 @dataclass(frozen=True)
@@ -329,27 +329,27 @@ def n_weighted(f: Observable, cfg: LatticeConfig, pot: Potential,
                quad_tol: float = 1e-9) -> tuple[float, list[MomentumBreakdown]]:
     """Weighted sum over the support of f of f(xi) * (n_b + n_ex)(xi).
 
-    One ``n_point`` runs per orbit of the support under the potential's
-    group (``lattice.point_group``: the 48 signed permutations when
-    radial, +-1 when even, the identity otherwise), at the orbit's first
-    point in sorted order; its other points reuse that record with their
-    own xi.  Points are keyed by the first point of their ``orbit``.  The
-    reuse is exact for every truncated sum, not only in the limit: every
-    point of an orbit sums the same shells over the same hit columns.
-    The sum runs in sorted-xi order.  Returns the total and the
-    per-point records.
+    One record serves each orbit of the support under the potential's
+    group (``lattice.point_group``), keyed by the first point of its
+    ``orbit``: its points sum the same shells at the same hit columns,
+    exactly at every cutoff.  All inside orbits run as the rows of one
+    ``_inside_rows`` pass, each outside orbit as one ``n_point`` at its
+    first point in sorted order.  The sum runs in sorted-xi order.
+    Returns the total and the per-point records, each with its own xi.
     """
     check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
     support = f.support()
-    by_orbit: dict[Vec3, MomentumBreakdown] = {}
-    rows = []
-    for xi in support:
-        key = tuple(orbit(xi, pot.symmetry)[0].tolist())
-        row = by_orbit.get(key)
-        if row is None:
-            row = by_orbit[key] = n_point(xi, cfg, pot, policy, route=route,
-                                          quad_tol=quad_tol)
-        rows.append(replace(row, xi=xi))
+    keys = [tuple(orbit(xi, pot.symmetry)[0].tolist()) for xi in support]
+    first = dict(zip(keys[::-1], support[::-1]))   # orbit key -> first point
+    by_point = {xi: n_point(xi, cfg, pot, policy, route=route,
+                            quad_tol=quad_tol)
+                for xi in first.values() if norm2(xi) > cfg.r2}
+    inside = [xi for xi in first.values() if xi not in by_point]
+    if inside:
+        by_point.update(zip(inside, _inside_rows(
+            inside, cfg, pot, policy, _route(route, False), quad_tol)))
+    rows = [replace(by_point[first[key]], xi=xi)
+            for xi, key in zip(support, keys)]
     total = sum(f.values[xi] * row.n_total for xi, row in zip(support, rows))
     return total, rows

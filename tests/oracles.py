@@ -4,7 +4,8 @@ Each function here is the straightforward per-point form of a hot-path
 kernel in ``fermigas``: a Python loop over the ball, a dense pair sum
 over the lune, one integrand built from the full lune, one mode at a
 time, one scalar inner integral per outer node.  Tests compare the fast
-kernels against them.
+kernels against them.  The thin single-route wrappers of ``n_point``
+that only tests read live here too.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from fermigas.energy import stable_log1p_minus_x
 from fermigas.lattice import (add, as_vec3, ball_array, d_intersection,
                               lambda_of, lune_kernel, neg, nonzero_k_vectors,
                               norm2, point_group)
+from fermigas.momentum import n_point
 from fermigas.numerics import (QuadratureResult, integrate_interval,
                                integrate_semi_infinite,
                                integrate_semi_infinite_batch)
 from fermigas.potential import evaluate
 from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_mode,
-                                 cosh2k_minus_one_diag, q_of_s)
+                                 cosh2k_minus_one_diag, cosh_minus_one_per_gap,
+                                 coupling_sq, gap_response, mode_chunks, q_of_s)
 from fermigas.verify import _exchange_term, _integral_term
 
 EIGHT_PI4 = 8.0 * np.pi**4
@@ -397,3 +400,54 @@ def ex_shard_columns(params, n, key):
     x = np.zeros(n)
     x[outside] = weight[outside] / (kw[outside] ** 2 * wn2[outside])
     return float(np.sum(x)), float(np.sum(x * x)), n
+
+
+def n_boson_spectral(xi, cfg, pot, policy=None):
+    """Pair-excitation occupancy record at xi by the spectral route."""
+    return n_point(xi, cfg, pot, policy, route="spectral")
+
+
+def n_boson_integral(xi, cfg, pot, policy=None, quad_tol=1e-9):
+    """Pair-excitation occupancy record at xi by the screened-quadrature route."""
+    return n_point(xi, cfg, pot, policy, route="integral", quad_tol=quad_tol)
+
+
+def n_exchange(xi, cfg, pot, policy=None):
+    """Exchange correction at xi (<= 0 for nonnegative potentials)."""
+    return n_point(xi, cfg, pot, policy, route="spectral").n_ex
+
+
+def ball_trace_n_b(cfg, pot, k_max):
+    """2 sum_k sum_d m_d c_d over 0 < |k| <= k_max: the ball total of spectral n_b.
+
+    Every lune point k + q is hit once from xi = q and once from
+    xi = -q, so the total is twice the trace of cosh(-2K_k) - 1 per k:
+    the full-lune gap histogram (``gap_response``) against the deflated
+    per-gap values, every k of the shell with weight 1.
+    """
+    ks = ball_array(k_max * k_max, 0)
+    vhat = pot.at(ks)
+    vsq = coupling_sq(vhat, cfg.k_f)
+    total = 0.0
+    for rows, mask, lam in mode_chunks(ks, vhat, cfg, 64):
+        g, counts, _ = gap_response(mask, lam, vsq[rows])
+        total += float(np.sum(counts * cosh_minus_one_per_gap(g, counts,
+                                                              vsq[rows])))
+    return 2.0 * total
+
+
+def ball_pair_sum_n_ex(cfg, pot, k_max):
+    """The ball total of n_ex over 0 < |k| <= k_max, k by k as a lune pair sum.
+
+    -2 / (8 (2pi)^6 k_F^2) sum_k V_k sum_{p, p' in L_k} V(p + p' - k)
+    / (lam_p + lam_p')^2, with p = k + q and p + p' - k = k + q + q'.
+    """
+    total = 0.0
+    for k in ball_array(k_max * k_max, 0):
+        vhat = evaluate(pot, tuple(k.tolist()))
+        mask, gaps = lune_kernel(k, cfg)
+        a = cfg.ball_arr[mask]
+        lam = gaps[mask]
+        vmat = pot.at(k + a[:, None, :] + a[None, :, :])
+        total += vhat * float(np.sum(vmat / (lam[:, None] + lam[None, :]) ** 2))
+    return -2.0 * total / (8.0 * TWO_PI_6 * cfg.k_f**2)

@@ -320,8 +320,11 @@ def _check_inside_shell(xi, symmetry, k_lo, k_hi):
     want = np.sum(np.where(np.sum(zeta * zeta, axis=-1) > cfg.r2,
                            f(ks, zeta), 0.0))
     # the weighted sum over G-representatives and the columns O + (-O)
-    reps, weights, n_k = momentum._hit_shell(xi, cfg, symmetry, k_lo, k_hi)
-    pts, colw = momentum._columns(xi, symmetry)
+    orbs = [orbit(xi, symmetry)]
+    reps, weights, (n_k,) = momentum._hit_shell(orbs, cfg, symmetry, k_lo,
+                                                k_hi)
+    cols, (colw,) = momentum._columns(orbs, cfg)
+    pts = cfg.ball_arr[cols]
     reps = reps[:, None]
     zeta = reps + pts
     got = np.sum(weights[:, None] * colw
@@ -442,6 +445,41 @@ def test_doubled_sum_flags_exhausted_or_failed_shells():
         shell, cfg, TailPolicy(tail_tol=1e-2, max_doublings=0))
     assert calls == [(0, 4)] and k_cut == 4 and n_k == 10
     assert tail == math.inf and not converged and total.tolist() == [1.0]
+
+
+def test_doubled_sum_keeps_each_rows_tail_and_flag():
+    cfg = fermi_ball(1.0)
+    # two rows of two parts: row 0 settles at the first doubling, row 1 at
+    # the second, where row 0's increment 4e-3 still meets the rule; a
+    # shell of row 1 did not converge
+    incs = [[[1.0, 1.0], [1.0, 1.0]],
+            [[1e-3, 2e-3], [0.5, 0.1]],
+            [[4e-3, 1e-4], [1e-3, 5e-3]],
+            [[9.0, 9.0], [9.0, 9.0]]]
+    calls = []
+
+    def shell(k_lo, k_hi):
+        j = len(calls)
+        calls.append((k_lo, k_hi))
+        rows = len(incs[j])
+        return (np.array(incs[j]), np.array([0.5, 1.0])[:rows] * j,
+                np.array([True, j != 1])[:rows],
+                np.array([10, 20])[:rows] * (j + 1))
+
+    total, tail, qerr, n_k, k_cut, converged = doubled_sum(
+        shell, cfg, TailPolicy(k_max=3, tail_tol=1e-2, max_doublings=5))
+    assert calls == [(0, 3), (3, 6), (6, 12)] and k_cut == 12
+    assert total.shape == (2, 2)
+    assert total[0].tolist() == pytest.approx([1.005, 1.0021])
+    assert tail == [4e-3, 5e-3]         # each row's own largest last increment
+    assert converged == [True, False]
+    assert qerr.tolist() == [1.5, 3.0] and n_k.tolist() == [60, 120]
+    # row 0 on its own stops at the first doubling
+    calls.clear()
+    incs = [row[:1] for row in incs]
+    _, tail, _, _, _, converged = doubled_sum(
+        shell, cfg, TailPolicy(k_max=3, tail_tol=1e-2, max_doublings=5))
+    assert tail == [2e-3] and converged == [True] and len(calls) == 2
 
 
 def test_signed_perm_group_is_the_48_element_point_group():

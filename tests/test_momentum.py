@@ -14,9 +14,8 @@ import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, ball_array, d_intersection,
                               fermi_ball, gap_counts, k_support, lambda_of,
                               lune, lune_kernel, neg, nonzero_k_vectors,
-                              norm2, orbit_key, point_group)
+                              norm2, orbit, orbit_key, point_group)
 from fermigas.momentum import (MomentumBreakdown, Observable, _block_parts,
-                               n_boson_integral, n_boson_spectral, n_exchange,
                                n_point, n_weighted)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from fermigas.quasiboson import (TWO_PI_CUBED, build_mode,
@@ -24,7 +23,9 @@ from fermigas.quasiboson import (TWO_PI_CUBED, build_mode,
                                  gap_response, mode_chunks, q_of_s)
 from fermigas.verify import _exchange_term, _integral_term
 
-from oracles import (bulk_chunk, bulk_exchange, per_k_sum, spectral_term,
+from oracles import (ball_pair_sum_n_ex, ball_trace_n_b, bulk_chunk,
+                     bulk_exchange, n_boson_integral, n_boson_spectral,
+                     n_exchange, per_k_sum, spectral_term,
                      truncated_k_vectors)
 
 TWO_PI_6 = (2.0 * np.pi) ** 6
@@ -54,18 +55,18 @@ def _block_inputs(xi, cfg, pot, k_hi):
     """``_block_parts``'s k rows, weights, columns and column weights at xi.
 
     Outside the ball the exact support; inside the shell 0 < |k| <= k_hi
-    on the potential's group with the hit columns of xi's orbit.  Also
-    returns the mode count.
+    on the potential's group with the hit columns of xi's orbit.  The
+    column weights are one (1, c) row.  Also returns the mode count.
     """
     support = k_support(xi, cfg)
     if support.exact:
         ks = support.finite_part
         return (ks, np.ones(ks.shape[0]),
                 cfg.ball_index(np.array([xi, neg(xi)]) - ks[:, None]),
-                np.ones(2), ks.shape[0])
-    reps, wts, n_k = momentum._hit_shell(xi, cfg, pot.symmetry, 0, k_hi)
-    pts, colw = momentum._columns(xi, pot.symmetry)
-    return reps, wts, cfg.ball_index(pts), colw, n_k
+                np.ones((1, 2)), ks.shape[0])
+    orbs = [orbit(xi, pot.symmetry)]
+    reps, wts, n_k = momentum._hit_shell(orbs, cfg, pot.symmetry, 0, k_hi)
+    return (reps, wts, *momentum._columns(orbs, cfg), int(n_k[0]))
 
 
 def test_zero_potential_gives_exact_zero():
@@ -161,8 +162,8 @@ def test_reflection_symmetry_of_n_point():
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
     for xi in ((1, 1, 0), (2, 0, 0)):
-        a = n_point(xi, cfg, pot, route="spectral")
-        b = n_point(tuple(-c for c in xi), cfg, pot, route="spectral")
+        a = n_boson_spectral(xi, cfg, pot)
+        b = n_boson_spectral(tuple(-c for c in xi), cfg, pot)
         assert a.n_b == pytest.approx(b.n_b, rel=1e-12)
         assert a.n_ex == pytest.approx(b.n_ex, rel=1e-12)
 
@@ -192,7 +193,7 @@ def test_orbit_and_bulk_path_match_plain_per_k():
     ks = truncated_k_vectors(xi, cfg, 5)
     plain, _, _ = per_k_sum(ks, xi, cfg, pot)
     *inputs, n_k = _block_inputs(xi, cfg, pot, 5)
-    fast, _, _ = _block_parts(*inputs, cfg, pot, 1e-9, True, True)
+    (fast,), _, _ = _block_parts(*inputs, cfg, pot, 1e-9, True, True)
     assert n_k == len(ks)
     assert fast[0] == pytest.approx(plain[0], rel=1e-10)
     assert fast[1] == pytest.approx(plain[1], rel=1e-10)
@@ -290,7 +291,7 @@ def test_mode_block_matches_plain_per_k_kf2(xi, pot_name):
     ks = truncated_k_vectors(xi, cfg, 5)
     plain, _, plain_ok = per_k_sum(ks, xi, cfg, pot)
     *inputs, n_k = _block_inputs(xi, cfg, pot, 5)
-    fast, _, ok = _block_parts(*inputs, cfg, pot, 1e-9, True, True)
+    (fast,), _, (ok,) = _block_parts(*inputs, cfg, pot, 1e-9, True, True)
     assert n_k == len(ks)
     assert fast[0] == pytest.approx(plain[0], rel=1e-10)
     assert fast[1] == pytest.approx(plain[1], rel=1e-10)
@@ -304,9 +305,9 @@ def test_mode_chunk_matches_full_lune_bulk_oracle(xi):
     pot = coulomb(1.0)
     ks = truncated_k_vectors(xi, cfg, 7, k_min_excl=4)
     # the plain k list at the columns +-xi, each of weight 1
-    fast, _, fast_ok = _block_parts(np.array(ks), np.ones(len(ks)),
-                                    cfg.ball_index(np.array([xi, neg(xi)])),
-                                    np.ones(2), cfg, pot, 1e-9, True, True)
+    (fast,), _, (fast_ok,) = _block_parts(
+        np.array(ks), np.ones(len(ks)), cfg.ball_index(np.array([xi, neg(xi)])),
+        np.ones((1, 2)), cfg, pot, 1e-9, True, True)
     spectral, integral, _, ok = bulk_chunk(ks, xi, cfg, pot, (1, -1), 1e-9)
     assert fast[0] == pytest.approx(spectral, rel=1e-9)
     assert fast[1] == pytest.approx(integral, rel=1e-9)
@@ -544,33 +545,43 @@ def test_weighted_ball_indicator_positive():
     assert len(rows) == 7
 
 
-def _count_n_point(monkeypatch) -> Counter:
-    """Count the n_point calls that n_weighted makes."""
+def _count_calls(monkeypatch) -> Counter:
+    """Count the n_point and doubled_sum calls of momentum, and the rows summed."""
     count = Counter()
+    summed = momentum.doubled_sum
 
-    def counted(xi, *args, **kwargs):
+    def counted_point(xi, *args, **kwargs):
         count["n_point"] += 1
         return n_point(xi, *args, **kwargs)
 
-    monkeypatch.setattr(momentum, "n_point", counted)
+    def counted_sum(*args):
+        count["doubled_sum"] += 1
+        result = summed(*args)
+        count["rows"] += result[0].shape[0]
+        return result
+
+    monkeypatch.setattr(momentum, "n_point", counted_point)
+    monkeypatch.setattr(momentum, "doubled_sum", counted_sum)
     return count
 
 
-@pytest.mark.parametrize("pot_name, calls", [
+@pytest.mark.parametrize("pot_name, orbits", [
     ("coulomb", 5), ("yukawa", 5), ("table_even", 17), ("table_uneven", 33)])
-def test_weighted_ball_runs_one_point_per_orbit(monkeypatch, pot_name, calls):
+def test_weighted_ball_runs_one_point_per_orbit(monkeypatch, pot_name, orbits):
     # the 33 ball points at k_F = 2 fall into 5 orbits of the 48 signed
-    # permutations, 17 of +-1 ({0} and 16 pairs) and 33 of the identity
+    # permutations, 17 of +-1 ({0} and 16 pairs) and 33 of the identity:
+    # one doubled sum with one row per orbit, and no n_point
     cfg = fermi_ball(2.0)
     pot = _potential(pot_name, 6)
     obs = Observable.ball_indicator(cfg)
-    count = _count_n_point(monkeypatch)
-    total, rows = n_weighted(obs, cfg, pot, FAST, route="both")
-    assert count["n_point"] == calls
+    policy = TailPolicy(k_max=4, max_doublings=0)
+    count = _count_calls(monkeypatch)
+    total, rows = n_weighted(obs, cfg, pot, policy, route="both")
+    assert count == Counter(doubled_sum=1, rows=orbits)
     assert [row.xi for row in rows] == obs.support()
     assert total == sum(row.n_total for row in rows)
     for row in rows:
-        want = n_point(row.xi, cfg, pot, FAST, route="both")
+        want = n_point(row.xi, cfg, pot, policy, route="both")
         assert row.n_b == pytest.approx(want.n_b, rel=1e-12)
         assert row.n_ex == pytest.approx(want.n_ex, rel=1e-12)
         assert row.n_b_integral == pytest.approx(want.n_b_integral, rel=1e-11)
@@ -578,14 +589,62 @@ def test_weighted_ball_runs_one_point_per_orbit(monkeypatch, pot_name, calls):
         assert row.converged == want.converged
 
 
+def test_weighted_rows_keep_their_own_tail(monkeypatch):
+    # at k_F = 1 the shell 2 < |k| <= 4 moves the orbit of (1, 0, 0) by at
+    # most 0.146 of its total and {0} by 0.192: at tail_tol 0.17 the first
+    # meets the rule a shell before the second, which the shared sum runs
+    cfg = fermi_ball(1.0)
+    pot = coulomb(1.0)
+    policy = TailPolicy(k_max=2, tail_tol=0.17, max_doublings=3)
+    count = _count_calls(monkeypatch)
+    _, rows = n_weighted(Observable.ball_indicator(cfg), cfg, pot, policy,
+                         route="both")
+    assert count == Counter(doubled_sum=1, rows=2)
+    # both rows run to the cutoff 8, as from 4 with one doubling
+    same_shells = replace(policy, k_max=4, max_doublings=1)
+    for row in rows:
+        alone = n_point(row.xi, cfg, pot, policy, route="both")
+        own = n_point(row.xi, cfg, pot, same_shells, route="both")
+        assert row.converged and own.converged and alone.converged
+        assert row.tail_estimate == pytest.approx(own.tail_estimate, rel=1e-12)
+        assert row.n_b == pytest.approx(own.n_b, rel=1e-12)
+        assert row.n_ex == pytest.approx(own.n_ex, rel=1e-12)
+        assert abs(row.n_b - alone.n_b) <= row.tail_estimate
+        assert abs(row.n_ex - alone.n_ex) <= row.tail_estimate
+    early = next(row for row in rows if row.xi == (1, 0, 0))
+    late = next(row for row in rows if row.xi == (0, 0, 0))
+    # (1, 0, 0) alone stops a shell earlier, {0} alone runs the same shells
+    assert n_point(early.xi, cfg, pot, policy).k_modes_used < early.k_modes_used
+    assert n_point(late.xi, cfg, pot, policy).k_modes_used == late.k_modes_used
+    assert early.tail_estimate != late.tail_estimate
+
+
 def test_weighted_delta_outside_shares_its_row(monkeypatch):
     cfg = fermi_ball(2.0)
-    count = _count_n_point(monkeypatch)
+    count = _count_calls(monkeypatch)
     _, (minus, plus) = n_weighted(Observable.delta((2, 1, 0)), cfg,
                                   coulomb(1.0), route="both")
-    assert count["n_point"] == 1
+    assert count == Counter(n_point=1)
     assert (minus.xi, plus.xi) == ((-2, -1, 0), (2, 1, 0))
     assert replace(minus, xi=plus.xi) == plus
+
+
+@pytest.mark.parametrize("kf", [1.0, 2.0])
+@pytest.mark.parametrize("pot_name", ["coulomb", "yukawa", "table_even"])
+def test_ball_totals_are_one_trace_per_mode(kf, pot_name):
+    # particle-hole balance at a fixed cutoff: each lune point k + q is hit
+    # from xi = q and xi = -q, so the ball totals are k-sums of traces
+    cfg = fermi_ball(kf)
+    # exchange arguments k + q + q' reach 5 + 2 k_F
+    pot = _potential(pot_name, 10)
+    policy = TailPolicy(k_max=5, max_doublings=0)
+    _, rows = n_weighted(Observable.ball_indicator(cfg), cfg, pot, policy,
+                         route="spectral")
+    assert len(rows) == cfg.n_particles
+    n_b = math.fsum(row.n_b for row in rows)
+    n_ex = math.fsum(row.n_ex for row in rows)
+    assert n_b == pytest.approx(ball_trace_n_b(cfg, pot, 5), rel=1e-12)
+    assert n_ex == pytest.approx(ball_pair_sum_n_ex(cfg, pot, 5), rel=1e-12)
 
 
 @pytest.mark.parametrize("pot_name", ["coulomb", "yukawa"])
@@ -597,15 +656,24 @@ def test_block_sign_laws_per_mode(xi, pot_name):
     pot = _potential(pot_name, 6)
     ks, wts, cols, colw, _ = _block_inputs(xi, cfg, pot,
                                            FAST.initial_k_max(cfg))
-    cols = np.broadcast_to(cols, (ks.shape[0], colw.size))
+    cols = np.broadcast_to(cols, (ks.shape[0], colw.shape[1]))
     assert ks.shape[0] > 0
     for i in range(ks.shape[0]):
-        parts, qerr, _ = _block_parts(ks[i:i + 1], wts[i:i + 1],
-                                      cols[i:i + 1], colw, cfg, pot, 1e-9,
-                                      True, True)
+        (parts,), (qerr,), _ = _block_parts(ks[i:i + 1], wts[i:i + 1],
+                                            cols[i:i + 1], colw, cfg, pot,
+                                            1e-9, True, True)
         assert parts[0] >= 0.0, ks[i]
         assert parts[2] <= 0.0, ks[i]
         assert parts[1] >= -qerr, ks[i]
+
+
+def _chunk_sizes(monkeypatch) -> list[int]:
+    """Record the row count of every chunk that momentum's blocks run."""
+    sizes = []
+    chunks = momentum.mode_chunks
+    monkeypatch.setattr(momentum, "mode_chunks", lambda *args: (
+        sizes.append(len(chunk[0])) or chunk for chunk in chunks(*args)))
+    return sizes
 
 
 def test_chunks_bound_candidate_hits(monkeypatch):
@@ -614,16 +682,29 @@ def test_chunks_bound_candidate_hits(monkeypatch):
     # k_F = 5 with one doubling: 561 MB peak RSS, against 45 MB bounded)
     cfg = fermi_ball(4.0)
     xi = (3, 2, 1)
-    pts, _ = momentum._columns(xi, "radial")
-    assert pts.shape[0] == 48
-    sizes = []
-    driver = momentum.mode_chunks
-    monkeypatch.setattr(momentum, "mode_chunks", lambda *args: (
-        sizes.append(len(chunk[0])) or chunk for chunk in driver(*args)))
+    cols, _ = momentum._columns([orbit(xi, "radial")], cfg)
+    assert cols.size == 48
+    sizes = _chunk_sizes(monkeypatch)
     row = n_point(xi, cfg, coulomb(1.0), TailPolicy(max_doublings=0),
                   route="both")
     assert row.k_modes_used > 0 and len(sizes) > 1
-    assert max(sizes) * pts.shape[0] <= momentum._CHUNK
+    assert max(sizes) * cols.size <= momentum._CHUNK
+    # the shared pass bounds the hits of all points together: the k_F = 3
+    # ball's 10 orbits have all 123 ball points as columns, so a chunk
+    # holds _CHUNK // 123 rows, or one row once _CHUNK < 123
+    cfg = fermi_ball(3.0)
+    obs = Observable.ball_indicator(cfg)
+    orbs = {tuple(orbit(xi, "radial")[0].tolist()) for xi in obs.support()}
+    cols, colw = momentum._columns([orbit(xi, "radial") for xi in orbs], cfg)
+    assert len(orbs) == 10 and cols.size == 123 and colw.shape == (10, 123)
+    for chunk in (momentum._CHUNK, 100):
+        monkeypatch.setattr(momentum, "_CHUNK", chunk)
+        sizes.clear()
+        n_weighted(obs, cfg, coulomb(1.0), TailPolicy(max_doublings=0),
+                   route="both")
+        assert len(sizes) > 1
+        assert all(size * cols.size <= chunk or size == 1 for size in sizes)
+        assert max(sizes) == max(1, chunk // cols.size)
 
 
 def test_cross_route_desk_scale_boundary():
