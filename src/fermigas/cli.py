@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import dvlimit, energy, momentum, verify
-from .lattice import TailPolicy, fermi_ball, lune, norm2
+from .lattice import TailPolicy, fermi_ball, lune
 from .potential import Potential, coulomb, load_table, validate
 from .potential import zero as zero_potential
 from .potential import yukawa
@@ -158,9 +158,6 @@ def cmd_dv_compare(args) -> int:
     xi_list = [parse_vec(part) for part in args.xi_list.split(";") if part]
     if not xi_list:
         raise ConfigError("empty --xi-list")
-    for xi in xi_list:
-        if norm2(xi) <= cfg.r2:
-            raise ConfigError(f"comparison point {xi} lies inside the Fermi ball")
     rows = dvlimit.compare_table(cfg, pot, xi_list, samples=args.samples,
                                  seed=args.seed)
     if args.format == "json":

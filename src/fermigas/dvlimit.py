@@ -5,7 +5,9 @@ for side-by-side tables at momenta outside the Fermi ball: a
 Lindhard-type response q_dv in closed form, the screened two-variable
 quadrature n_b_dv (one shared-panel family of inner s-integrals per outer
 panel), and the second-order exchange integral n_ex_dv done by
-importance-sampled Monte Carlo.
+importance-sampled Monte Carlo.  The points of one n_ex_dv call share
+one sample set: each point's estimate equals its lone run, and the
+estimates at different points are correlated.
 
 The exchange integral
 
@@ -128,45 +130,64 @@ def n_b_dv(params: DVParams, quad_tol: float = 1e-7) -> QuadratureResult:
                             converged=out.converged and inner_ok)
 
 
-def _ex_shard(params: DVParams, n: int, key: int) -> tuple[float, float, int]:
-    """One Monte-Carlo shard: returns (sum, sum of squares, count)."""
-    kf, xi = params.k_f, params.xi_norm
-    rng = np.random.Generator(np.random.Philox(key=key))
-    r_lo, r_hi = xi - kf, xi + kf
+def _ex_shard(points, n: int, key: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One Monte-Carlo shard for points of one k_F: (P,) sums, (P,) squares, count.
 
-    r = rng.uniform(r_lo, r_hi, size=n)
-    u_min = (r * r + xi * xi - kf * kf) / (2.0 * r * xi)
-    u = u_min + (1.0 - u_min) * rng.random(n)  # uniform on [u_min, 1)
-    # k in the plane of zero azimuth (k_y = 0); xi along z
-    kx = r * np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    kz = r * u
-    rho = kf * np.cbrt(rng.uniform(0.0, 1.0, size=n))
-    z = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    The five uniform streams and the p geometry are drawn once and read
+    by every point; r = lo + (hi - lo) U is the very float that
+    ``rng.uniform(lo, hi)`` returns, so each point's sums are those of
+    its lone run.
+    """
+    kf = points[0].k_f
+    rng = np.random.Generator(np.random.Philox(key=key))
+    u_r, u_u, u_rho, u_z, u_phi = rng.random((5, n))
+    rho = kf * np.cbrt(u_rho)
+    z = -1.0 + 2.0 * u_z
+    phi = 2.0 * np.pi * u_phi
     sxy = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     px, py, pz = rho * sxy * np.cos(phi), rho * sxy * np.sin(phi), rho * z
-    wz = pz - xi  # p - xi differs from p only in z
-
-    # sums in numpy einsum's order x, z, y: bit-identical to the (n, 3) form
-    kw = kx * px + kz * wz
-    wn2 = px * px + wz * wz + py * py
-    outside = (px + kx) ** 2 + (pz + kz) ** 2 + py * py > kf * kf
-
+    pxx, pyy = px * px, py * py
     vol_ball = (4.0 / 3.0) * np.pi * kf**3
-    weight = 2.0 * np.pi * (r_hi - r_lo) * (1.0 - u_min) * vol_ball
-    # the accepted set meets the sheet k.(p-xi) = 0, so x is unbounded there
-    x = np.divide(weight, kw * kw * wn2, out=np.zeros(n), where=outside)
-    return float(np.sum(x)), float(np.sum(x * x)), n
+
+    sums, squares = np.empty(len(points)), np.empty(len(points))
+    for j, params in enumerate(points):
+        xi = params.xi_norm
+        r_lo, r_hi = xi - kf, xi + kf
+        r = r_lo + (r_hi - r_lo) * u_r
+        u_min = (r * r + xi * xi - kf * kf) / (2.0 * r * xi)
+        u = u_min + (1.0 - u_min) * u_u  # uniform on [u_min, 1)
+        # k in the plane of zero azimuth (k_y = 0); xi along z
+        kx = r * np.sqrt(np.maximum(0.0, 1.0 - u * u))
+        kz = r * u
+        wz = pz - xi  # p - xi differs from p only in z
+
+        # sums in numpy einsum's order x, z, y: bit-identical to the (n, 3) form
+        kw = kx * px + kz * wz
+        wn2 = pxx + wz * wz + pyy
+        outside = (px + kx) ** 2 + (pz + kz) ** 2 + pyy > kf * kf
+
+        weight = 2.0 * np.pi * (r_hi - r_lo) * (1.0 - u_min) * vol_ball
+        # the accepted set meets the sheet k.(p-xi) = 0, so x is unbounded there
+        x = np.divide(weight, kw * kw * wn2, out=np.zeros(n), where=outside)
+        sums[j], squares[j] = np.sum(x), np.sum(x * x)
+    return sums, squares, n
 
 
-def n_ex_dv(params: DVParams, samples: int = 100_000, seed: int = 0,
-            shards: int = 16) -> tuple[float, float]:
+def n_ex_dv(params, samples: int = 100_000, seed: int = 0,
+            shards: int = 16):
     """Monte-Carlo value and standard error of the exchange integral.
+
+    ``params`` is one ``DVParams``, giving one ``(value, stderr)``, or a
+    sequence of them with one k_F, giving one pair per point.  The points
+    share one sample set: each point's estimate equals its lone run, and
+    the estimates at different points are correlated.
 
     Exactly quadratic in alpha (the samples do not depend on it), never
     positive, and reproducible: the shard keys (seed << 8) + i derive
     from ``seed`` and the reduction order is fixed by shard index.
     """
+    single = isinstance(params, DVParams)
+    points = [params] if single else list(params)
     if samples < 10_000:
         raise ValueError("use at least 10^4 samples")
     if shards < 1:
@@ -174,16 +195,23 @@ def n_ex_dv(params: DVParams, samples: int = 100_000, seed: int = 0,
     if seed < 0 or (seed << 8) + shards - 1 >= 2**128:
         raise ValueError(f"seed must be >= 0 with shard keys (seed << 8) + i "
                          f"below 2**128, got seed={seed}")
-    if params.alpha == 0.0:
-        return 0.0, 0.0
-    parts = [_ex_shard(params, samples // shards + (i < samples % shards),
+    if len({p.k_f for p in points}) > 1:
+        raise ValueError("the points of one n_ex_dv call must share k_f")
+    out = [(0.0, 0.0)] * len(points)
+    live = [j for j, p in enumerate(points) if p.alpha != 0.0]
+    if not live:
+        return out[0] if single else out
+    parts = [_ex_shard([points[j] for j in live],
+                       samples // shards + (i < samples % shards),
                        key=(seed << 8) + i) for i in range(shards)]
     total, total_sq, count = map(sum, zip(*parts))
-    mean = total / count
-    var = max(0.0, total_sq / count - mean * mean)
-    stderr = math.sqrt(var / count)
-    pref = params.k_f**2 * params.alpha**2 / 4.0
-    return -pref * mean, pref * stderr
+    for j, s, sq in zip(live, total.tolist(), total_sq.tolist()):
+        mean = s / count
+        var = max(0.0, sq / count - mean * mean)
+        stderr = math.sqrt(var / count)
+        pref = points[j].k_f**2 * points[j].alpha**2 / 4.0
+        out[j] = (-pref * mean, pref * stderr)
+    return out[0] if single else out
 
 
 @dataclass
@@ -215,16 +243,18 @@ def compare_table(cfg, pot, xi_list, quad_tol: float = 1e-7,
     if pot.kind != "coulomb":
         raise ValueError("the continuum comparison is defined for coulomb potentials")
     alpha = pot.g / (4.0 * np.pi * cfg.k_f)
-    rows = []
-    for xi in xi_list:
-        xv = as_vec3(xi)
+    points = [as_vec3(xi) for xi in xi_list]
+    for xv in points:
         if norm2(xv) <= cfg.r2:
             raise ValueError(f"comparison point {xv} must lie outside the Fermi ball")
+    params = [DVParams(k_f=cfg.k_f, alpha=alpha, xi_norm=math.sqrt(norm2(xv)))
+              for xv in points]
+    ex_dv = n_ex_dv(params, samples=samples, seed=seed)
+    rows = []
+    for xv, p, (nex_dv, _) in zip(points, params, ex_dv):
         disc = n_point(xv, cfg, pot, route="spectral")
         ex_disc = disc.n_ex
-        params = DVParams(k_f=cfg.k_f, alpha=alpha, xi_norm=math.sqrt(norm2(xv)))
-        nb_dv = n_b_dv(params, quad_tol=quad_tol).value
-        nex_dv, _ = n_ex_dv(params, samples=samples, seed=seed)
+        nb_dv = n_b_dv(p, quad_tol=quad_tol).value
         rows.append(CompareRow(
             xi=xv,
             n_b_disc=disc.n_b,

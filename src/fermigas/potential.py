@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Vec3, as_vec3, ball_points, neg, norm2
+from .lattice import Vec3, as_vec3, ball_array, neg, norm2
 
 
 @dataclass(frozen=True)
@@ -187,37 +187,29 @@ def validate(pot: Potential, cutoff_radius: int = 10) -> ValidationReport:
 
     Table entries outside the cutoff are checked too.  The partial l2
     norm (sum of squares inside the cutoff, square-rooted) is reported
-    as the square-summability estimate.
+    as the square-summability estimate.  Points run in lex order; each
+    one adds itself to the offenders if V < 0 there and its mirror if V
+    differs at the mirror, first occurrences kept.
     """
     if cutoff_radius < 1:
         raise ValueError("cutoff_radius must be >= 1")
-    ks = set(ball_points(cutoff_radius * cutoff_radius))
-    if pot.kind == "table" and pot.table:
-        ks.update(pot.table.keys())
-        ks.update(neg(k) for k in pot.table.keys())
-    offenders = []
-    sq = 0.0
-    symmetric = True
-    nonnegative = True
+    ks = ball_array(cutoff_radius * cutoff_radius)
     zero_at_origin = True
-    if pot.kind == "table" and pot.table and pot.table.get((0, 0, 0), 0.0) != 0.0:
-        zero_at_origin = False
-        offenders.append((0, 0, 0))
-    for k in sorted(ks):
-        v = evaluate(pot, k)
-        if v < 0:
-            nonnegative = False
-            offenders.append(k)
-        if evaluate(pot, neg(k)) != v:
-            symmetric = False
-            offenders.append(neg(k))
-        sq += v * v
-    seen = set()
-    uniq = [o for o in offenders if not (o in seen or seen.add(o))]
+    if pot.kind == "table" and pot.table:
+        zero_at_origin = pot.table.get((0, 0, 0), 0.0) == 0.0
+        keys = np.array(list(pot.table), dtype=np.int64)
+        ks = np.concatenate([ks, keys, -keys])
+        ks = ks[np.lexsort(ks.T[::-1])]
+        ks = ks[np.r_[True, np.any(ks[1:] != ks[:-1], axis=1)]]
+    v = pot.at(ks)
+    negative, uneven = v < 0, pot.at(-ks) != v
+    flagged = np.stack([ks, -ks], axis=1)[np.column_stack([negative, uneven])]
+    offenders = [(0, 0, 0)] * (not zero_at_origin) + list(map(tuple, flagged.tolist()))
     return ValidationReport(
-        symmetric=symmetric,
-        nonnegative=nonnegative,
+        symmetric=not uneven.any(),
+        nonnegative=not negative.any(),
         zero_at_origin=zero_at_origin,
-        partial_l2=float(np.sqrt(sq)),
-        offenders=tuple(uniq),
+        # accumulated in order, as a running sum: the cumsum's last entry
+        partial_l2=float(np.sqrt(np.cumsum(v * v)[-1])),
+        offenders=tuple(dict.fromkeys(offenders)),
     )

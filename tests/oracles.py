@@ -1,4 +1,4 @@
-"""Plain-loop reference implementations of the vectorized lattice, energy, momentum and continuum kernels.
+"""Plain-loop reference implementations of the vectorized lattice, potential, energy, momentum and continuum kernels.
 
 Each function here is the straightforward per-point form of a hot-path
 kernel in ``fermigas``: a Python loop over the ball, a dense pair sum
@@ -17,14 +17,14 @@ import numpy as np
 
 from fermigas.dvlimit import q_dv
 from fermigas.energy import stable_log1p_minus_x
-from fermigas.lattice import (add, as_vec3, ball_array, d_intersection,
-                              lambda_of, lune_kernel, neg, nonzero_k_vectors,
-                              norm2, point_group)
+from fermigas.lattice import (add, as_vec3, ball_array, ball_points,
+                              d_intersection, lambda_of, lune_kernel, neg,
+                              nonzero_k_vectors, norm2, point_group)
 from fermigas.momentum import n_point
 from fermigas.numerics import (QuadratureResult, integrate_interval,
                                integrate_semi_infinite,
                                integrate_semi_infinite_batch)
-from fermigas.potential import evaluate
+from fermigas.potential import ValidationReport, evaluate
 from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_mode,
                                  cosh2k_minus_one_diag, cosh_minus_one_per_gap,
                                  coupling_sq, gap_response, mode_chunks, q_of_s)
@@ -368,6 +368,42 @@ def n_b_dv_nested(params, quad_tol=1e-7):
     return QuadratureResult(value=pref * out.value, abs_error_estimate=err,
                             evaluations=out.evaluations + evals[0],
                             converged=out.converged and all_ok[0])
+
+
+def validate_loop(pot, cutoff_radius=10):
+    """``potential.validate`` as one scalar ``evaluate`` pair per point of the sorted set."""
+    if cutoff_radius < 1:
+        raise ValueError("cutoff_radius must be >= 1")
+    ks = set(ball_points(cutoff_radius * cutoff_radius))
+    if pot.kind == "table" and pot.table:
+        ks.update(pot.table.keys())
+        ks.update(neg(k) for k in pot.table.keys())
+    offenders = []
+    sq = 0.0
+    symmetric = True
+    nonnegative = True
+    zero_at_origin = True
+    if pot.kind == "table" and pot.table and pot.table.get((0, 0, 0), 0.0) != 0.0:
+        zero_at_origin = False
+        offenders.append((0, 0, 0))
+    for k in sorted(ks):
+        v = evaluate(pot, k)
+        if v < 0:
+            nonnegative = False
+            offenders.append(k)
+        if evaluate(pot, neg(k)) != v:
+            symmetric = False
+            offenders.append(neg(k))
+        sq += v * v
+    seen = set()
+    uniq = [o for o in offenders if not (o in seen or seen.add(o))]
+    return ValidationReport(
+        symmetric=symmetric,
+        nonnegative=nonnegative,
+        zero_at_origin=zero_at_origin,
+        partial_l2=float(np.sqrt(sq)),
+        offenders=tuple(uniq),
+    )
 
 
 def ex_shard_columns(params, n, key):

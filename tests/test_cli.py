@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -149,6 +151,8 @@ def test_non_finite_kf_exit_2(capsys):
      "seed must be >= 0 with shard keys (seed << 8) + i below 2**128"),
     (("dv-compare", "--xi-list", "2,0,0", "--seed", str(2**120)),
      "seed must be >= 0 with shard keys (seed << 8) + i below 2**128"),
+    (("dv-compare", "--xi-list", "2,0,0;0,1,0", "--seed", "-1"),
+     "comparison point (0, 1, 0) must lie outside the Fermi ball"),
 ])
 def test_bad_numeric_options_exit_2(capsys, argv, message):
     assert main([*argv, "--kf", "1"]) == 2
@@ -246,3 +250,33 @@ def test_readme_and_benchmark_commands_parse(monkeypatch):
     for argv in _readme_commands() + bench:
         parser.parse_args(argv)
 
+
+
+_NO_MASKED_ARRAYS = """
+import contextlib, io, json, sys
+from fermigas.cli import main
+runs = [
+    ["momentum", "--kf", "1", "--xi", "2,0,0", "--route", "both"],
+    ["dv-compare", "--kf", "1", "--xi-list", "2,0,0;0,2,1", "--samples", "10000"],
+    ["energy", "--kf", "1", "--k-max", "2", "--max-doublings", "0"],
+    ["momentum-sum", "--kf", "1", "--observable", "ball", "--k-max", "2",
+     "--max-doublings", "0"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_cli_ops_do_not_import_numpy_ma():
+    # numpy.ma costs import time and resident memory in every fresh CLI process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert all(code in (0, 3) for code in result["codes"]), result
+    assert result["numpy.ma"] is False

@@ -199,16 +199,28 @@ def test_n_b_dv_runs_one_family_per_outer_panel(monkeypatch):
 SHARD_SEEDS = (0, 5, 2**20)
 
 
+def _columns_shard(points, n, key):
+    """``dvlimit._ex_shard`` from one ``ex_shard_columns`` run per point."""
+    sums, squares, counts = zip(*(ex_shard_columns(p, n, key) for p in points))
+    assert set(counts) == {n}
+    return np.array(sums), np.array(squares), n
+
+
 def test_ex_shard_matches_column_oracle():
-    p = DVParams(k_f=3.0, alpha=0.1, xi_norm=math.sqrt(10.0))
+    points = [DVParams(k_f=3.0, alpha=0.1, xi_norm=math.sqrt(10.0)),
+              DVParams(k_f=3.0, alpha=0.4, xi_norm=4.0),
+              DVParams(k_f=3.0, alpha=0.1, xi_norm=math.sqrt(18.0))]
     for seed in SHARD_SEEDS:
         for i, n in ((0, 1), (3, 7), (7, 1000), (15, 12_500)):
             key = (seed << 8) + i
-            got = dvlimit._ex_shard(p, n, key)
-            want = ex_shard_columns(p, n, key)
-            assert got[0] == want[0], (seed, i, n)
-            assert got[1] == pytest.approx(want[1], rel=1e-13), (seed, i, n)
-            assert got[2] == want[2] == n
+            sums, squares, count = dvlimit._ex_shard(points, n, key)
+            assert sums.shape == squares.shape == (len(points),)
+            assert count == n
+            for j, p in enumerate(points):
+                want = ex_shard_columns(p, n, key)
+                assert sums[j] == want[0], (seed, i, n, j)
+                assert squares[j] == pytest.approx(want[1], rel=1e-13), (seed, i, n, j)
+                assert want[2] == n
 
 
 def test_n_ex_dv_matches_column_oracle(monkeypatch):
@@ -216,12 +228,51 @@ def test_n_ex_dv_matches_column_oracle(monkeypatch):
              (DVParams(k_f=3.0, alpha=0.03, xi_norm=4.0), 50_001, 7)]
     got = [n_ex_dv(p, samples=n, seed=seed, shards=shards)
            for p, n, shards in cases for seed in SHARD_SEEDS]
-    monkeypatch.setattr(dvlimit, "_ex_shard", ex_shard_columns)
+    monkeypatch.setattr(dvlimit, "_ex_shard", _columns_shard)
     want = [n_ex_dv(p, samples=n, seed=seed, shards=shards)
             for p, n, shards in cases for seed in SHARD_SEEDS]
     for (v, se), (v0, se0) in zip(got, want):
         assert v == pytest.approx(v0, rel=1e-13)
         assert se == pytest.approx(se0, rel=1e-13)
+
+
+def test_n_ex_dv_sequence_equals_lone_runs():
+    # mixed alpha, a repeated |xi| and a point with alpha = 0, on one sample set
+    points = [DVParams(k_f=3.0, alpha=0.4, xi_norm=math.sqrt(10.0)),
+              DVParams(k_f=3.0, alpha=0.0, xi_norm=4.0),
+              DVParams(k_f=3.0, alpha=1.0 / (12.0 * np.pi), xi_norm=math.sqrt(18.0)),
+              DVParams(k_f=3.0, alpha=0.05, xi_norm=math.sqrt(10.0))]
+    for seed in SHARD_SEEDS:
+        for samples, shards in ((20_000, 16), (50_001, 7)):
+            got = n_ex_dv(points, samples=samples, seed=seed, shards=shards)
+            lone = [n_ex_dv(p, samples=samples, seed=seed, shards=shards)
+                    for p in points]
+            assert got == lone
+            assert got[1] == (0.0, 0.0)
+            assert all(type(x) is float for pair in got for x in pair)
+    assert n_ex_dv(points[1:2], samples=10_000) == [(0.0, 0.0)]
+    assert n_ex_dv([], samples=10_000) == []
+
+
+def test_n_ex_dv_sequence_shares_one_sample_set(monkeypatch):
+    keys = []
+    shard = dvlimit._ex_shard
+
+    def counted(points, n, key):
+        keys.append(key)
+        return shard(points, n, key)
+
+    monkeypatch.setattr(dvlimit, "_ex_shard", counted)
+    points = [DVParams(k_f=1.0, alpha=0.4, xi_norm=x) for x in (1.2, 1.5, 2.0)]
+    n_ex_dv(points, samples=10_000, seed=3, shards=5)
+    assert keys == [(3 << 8) + i for i in range(5)]
+
+
+def test_n_ex_dv_rejects_mixed_k_f():
+    points = [DVParams(k_f=1.0, alpha=0.4, xi_norm=1.5),
+              DVParams(k_f=2.0, alpha=0.0, xi_norm=2.5)]
+    with pytest.raises(ValueError, match="must share k_f"):
+        n_ex_dv(points, samples=10_000)
 
 
 def test_n_ex_dv_alpha_zero():
@@ -305,3 +356,17 @@ def test_compare_table_rows_and_csv():
 def test_compare_table_rejects_inside_points():
     with pytest.raises(ValueError):
         compare_table(fermi_ball(1.0), coulomb(1.0), [(1, 0, 0)])
+
+
+def test_compare_table_checks_every_point_before_any_work(monkeypatch):
+    import fermigas.momentum
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("compare_table did work before checking its points")
+
+    monkeypatch.setattr(fermigas.momentum, "n_point", no_work)
+    monkeypatch.setattr(dvlimit, "n_ex_dv", no_work)
+    monkeypatch.setattr(dvlimit, "n_b_dv", no_work)
+    with pytest.raises(ValueError, match=r"comparison point \(0, 1, 0\) must lie "
+                                         "outside the Fermi ball"):
+        compare_table(fermi_ball(1.0), coulomb(1.0), [(2, 0, 0), (0, 2, 1), (0, 1, 0)])

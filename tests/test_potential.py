@@ -10,6 +10,7 @@ import fermigas.potential as potential
 from fermigas.lattice import ball_points, norm2
 from fermigas.potential import (coulomb, evaluate, from_table, load_table,
                                 validate, yukawa, zero)
+from oracles import validate_loop
 
 
 def test_coulomb_values():
@@ -65,6 +66,32 @@ def test_validate_flags_negative_mode():
 def test_validate_zero_potential():
     report = validate(zero(), cutoff_radius=5)
     assert report.ok and report.partial_l2 == 0.0
+
+
+_EVEN = {(1, 0, 0): 1.0, (-1, 0, 0): 1.0, (0, 2, 1): 0.5, (0, -2, -1): 0.5}
+_VALIDATE_CASES = {
+    "coulomb": coulomb(1.3),
+    "yukawa": yukawa(0.7, 0.4),
+    "zero": zero(),
+    "even table": from_table(_EVEN),
+    "uneven table": from_table({(1, 0, 0): 1.0, (-1, 0, 0): 2.0,
+                                (0, 1, -1): 0.25, (2, 0, 1): 3.0}),
+    "negative table": from_table({(1, 0, 0): -1.0, (-1, 0, 0): -1.0,
+                                  (0, 0, 1): 2.0, (0, 1, 1): -0.5}),
+    "nonzero at the origin": from_table({**_EVEN, (0, 0, 0): 4.0}),
+    "keys beyond the cutoff": from_table({**_EVEN, (9, 0, 0): 1.0,
+                                          (-9, 0, 0): -1.0, (0, 7, -8): 2.0}),
+}
+
+
+@pytest.mark.parametrize("cutoff", [1, 4, 6])
+@pytest.mark.parametrize("name", list(_VALIDATE_CASES))
+def test_validate_matches_loop_oracle(name, cutoff):
+    pot = _VALIDATE_CASES[name]
+    got = validate(pot, cutoff_radius=cutoff)
+    assert got == validate_loop(pot, cutoff_radius=cutoff)
+    assert type(got.partial_l2) is float
+    assert all(type(c) is int for o in got.offenders for c in o)
 
 
 def test_builtin_kinds_are_even():
