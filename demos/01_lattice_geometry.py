@@ -26,16 +26,17 @@ print(f"\nweight at (1,1,0): ||p|^2 - kappa| = {m_inv}, m = {m}")
 # The lune of k holds the momenta reachable by a momentum-k excitation:
 # inside the shifted ball, outside the ball itself.
 cfg = fg.fermi_ball(1.0)
-basis = fg.lune((1, 0, 0), cfg)
+# A lune is an (n, 3) array of points in lex order and its array of gaps.
+points, gaps = fg.lune_points((1, 0, 0), cfg)
 print("\nlune of k = (1,0,0) at k_F = 1:")
-for p, lam in zip(basis.points, basis.lambdas):
-    print(f"  p = {p}   gap lambda = {lam}")
+for p, lam in zip(points.tolist(), gaps.tolist()):
+    print(f"  p = {tuple(p)}   gap lambda = {lam}")
 
 # Gaps never drop below 1/2, and far transfers see the whole shifted ball.
+ks = fg.lattice.ball_array(4 * 4, 0)    # every k with 0 < |k| <= 4
 print("\nmin gap over |k| <= 4:",
-      min(fg.lune(k, cfg).lambdas.min()
-          for k in fg.lattice.nonzero_k_vectors(4)))
-print("lune size at k = (3,0,0):", fg.lune((3, 0, 0), cfg).dim,
+      min(fg.lune_points(k, cfg)[1].min() for k in ks))
+print("lune size at k = (3,0,0):", len(fg.lune_points((3, 0, 0), cfg)[0]),
       "(= N, the whole shifted ball)")
 
 # --- supports of observable points ---------------------------------------

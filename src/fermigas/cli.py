@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import dvlimit, energy, momentum, verify
-from .lattice import TailPolicy, fermi_ball, lune
+from .lattice import TailPolicy, fermi_ball, lune_points
 from .potential import Potential, coulomb, load_table, validate
 from .potential import zero as zero_potential
 from .potential import yukawa
@@ -96,15 +96,15 @@ def cmd_lattice_info(args) -> int:
 
 def cmd_lune(args) -> int:
     cfg = fermi_ball(args.kf)
-    basis = lune(parse_vec(args.k), cfg)
+    k = parse_vec(args.k)
+    pts, gaps = lune_points(k, cfg)
     if args.format == "csv":
         print("px,py,pz,lambda")
-        for p, lam in zip(basis.points, basis.lambdas):
-            print(f"{p[0]},{p[1]},{p[2]},{float(lam)!r}")
+        for p, lam in zip(pts.tolist(), gaps.tolist()):
+            print(f"{p[0]},{p[1]},{p[2]},{lam!r}")
     else:
-        _emit({"k": list(basis.k), "dim": basis.dim,
-               "points": [list(p) for p in basis.points],
-               "lambdas": [float(x) for x in basis.lambdas]})
+        _emit({"k": list(k), "dim": len(pts), "points": pts.tolist(),
+               "lambdas": gaps.tolist()})
     return 0
 
 

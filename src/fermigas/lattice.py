@@ -194,32 +194,6 @@ def lambda_of(k: Sequence[int], p: Sequence[int]) -> float:
     return d / 2.0
 
 
-@dataclass(frozen=True)
-class LuneBasis:
-    """Ordered basis of the excitation lune for a momentum transfer k.
-
-    ``points`` are the integer vectors p with |p - k| <= k_F < |p| in
-    lexicographic order; ``lambdas`` is the parallel array of gaps.  The
-    fixed order makes the lune the index space of all per-mode matrices.
-    """
-
-    k: Vec3
-    points: tuple[Vec3, ...]
-    lambdas: np.ndarray = field(repr=False)
-    _index: dict = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.points)
-
-    def index_of(self, p: Vec3) -> int:
-        """Position of p in the basis; KeyError if p is not in the lune."""
-        return self._index[p]
-
-    def __contains__(self, p) -> bool:
-        return as_vec3(p) in self._index
-
-
 def lune_kernel(k, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Lune mask and gaps of k + q for every ball point q, in ball order.
 
@@ -255,24 +229,21 @@ def orbit_key(arr: np.ndarray) -> np.ndarray:
     return (srt[:, 2] * base + srt[:, 1]) * base + srt[:, 0]
 
 
-def lune(k: Sequence[int], cfg: LatticeConfig) -> LuneBasis:
-    """Enumerate the lune of k: the slab of the shifted ball poking out.
+def lune_points(k: Sequence[int],
+                cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Points and gaps of the lune of k: the slab of the shifted ball poking out.
 
-    Candidates are exactly the shifted ball points k + B_F, filtered by
-    |p| > k_F; a translate of the lex-sorted ball stays lex-sorted.
-    Nonempty for every k != 0.
+    Returns the (n, 3) int64 points p = k + q, q in the ball, with
+    |p| > k_F, lex-sorted since a translate of the lex-sorted ball stays
+    lex-sorted, and the (n,) gaps lambda_of(k, p), exact half-integers.
+    The ball is symmetric, so the lune of -k is ``-points[::-1]`` with
+    gaps ``gaps[::-1]``.  Nonempty for every k != 0.
     """
-    kv = as_vec3(k)
-    if kv == (0, 0, 0):
+    kv = np.asarray(k, dtype=np.int64)
+    if not kv.any():
         raise ValueError("lune is undefined for k = 0")
     mask, gaps = lune_kernel(kv, cfg)
-    pts = tuple(map(tuple, (cfg.ball_arr[mask] + kv).tolist()))
-    return LuneBasis(
-        k=kv,
-        points=pts,
-        lambdas=gaps[mask],
-        _index={p: i for i, p in enumerate(pts)},
-    )
+    return cfg.ball_arr[mask] + kv, gaps[mask]
 
 
 def d_intersection(k: Sequence[int], xi: Sequence[int],
@@ -402,12 +373,6 @@ def k_support(xi: Sequence[int], cfg: LatticeConfig) -> KSupport:
         ks = ks[np.lexsort(ks.T[::-1])]
     ks.flags.writeable = False
     return KSupport(xi=xv, exact=exact, finite_part=ks)
-
-
-def nonzero_k_vectors(k_max: int, k_min_excl: int = 0) -> list[Vec3]:
-    """All k != 0 with k_min_excl < |k| <= k_max, lexicographically sorted."""
-    ks = ball_array(k_max * k_max, max(0, k_min_excl * k_min_excl))
-    return list(map(tuple, ks.tolist()))
 
 
 def point_group(symmetry: str) -> np.ndarray:

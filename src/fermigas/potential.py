@@ -17,6 +17,11 @@ import numpy as np
 
 from .lattice import Vec3, as_vec3, ball_array, neg, norm2
 
+# Table keys lie in the box |k_i| <= TABLE_KEY_MAX: its balanced
+# base-(2r+1) codes stay below (2r+1)^3 / 2 < 2^63 in magnitude, so
+# they fit int64 (which holds up to r = 1,321,122).
+TABLE_KEY_MAX = 2**20
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -33,6 +38,9 @@ class Potential:
         for k, v in (self.table or {}).items():
             if not math.isfinite(v):
                 raise ValueError(f"table value at {k} must be finite, got {v}")
+            if max(abs(c) for c in k) > TABLE_KEY_MAX:
+                raise ValueError(f"table key {k} has a component beyond "
+                                 f"{TABLE_KEY_MAX} = 2**20 in magnitude")
 
     @property
     def is_radial(self) -> bool:
@@ -76,7 +84,8 @@ class Potential:
         """(r, digits, sorted codes, values) of the table keys plus a sentinel.
 
         Balanced base-(2r+1) digits code the box |k_i| <= r injectively
-        and in lex order, as in ``LatticeConfig.ball_index``.
+        and in lex order, as in ``LatticeConfig.ball_index``; r is at
+        most ``TABLE_KEY_MAX``, so the codes fit int64.
         """
         keys = np.array(list(self.table), dtype=np.int64).reshape(-1, 3)
         r = int(np.abs(keys).max(initial=0))
@@ -186,10 +195,12 @@ def validate(pot: Potential, cutoff_radius: int = 10) -> ValidationReport:
     """Exhaustively check evenness, nonnegativity, and V(0)=0 for |k| <= cutoff.
 
     Table entries outside the cutoff are checked too.  The partial l2
-    norm (sum of squares inside the cutoff, square-rooted) is reported
-    as the square-summability estimate.  Points run in lex order; each
-    one adds itself to the offenders if V < 0 there and its mirror if V
-    differs at the mirror, first occurrences kept.
+    norm, the square root of the sum of V^2 over every checked point
+    (the ball of the cutoff plus, for a table, its keys and their
+    mirrors beyond it), is reported as the square-summability estimate.
+    Points run in lex order; each one adds itself to the offenders if
+    V < 0 there and its mirror if V differs at the mirror, first
+    occurrences kept.
     """
     if cutoff_radius < 1:
         raise ValueError("cutoff_radius must be >= 1")

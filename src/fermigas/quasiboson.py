@@ -13,9 +13,16 @@ closed forms
     e^{-2K} = h^{-1/2} (h^2 + 2 u u^T)^{1/2} h^{-1/2},
     e^{+2K} = h^{1/2} (h^2 + 2 u u^T)^{-1/2} h^{1/2},
 
-which are built directly (no log/exp round trip).  The response function
-q(s) = 2 <u, (h^2 + s^2)^{-1} u> is the lattice analogue of the Lindhard
-function and equals the screening denominator minus one.
+the reference that ``cosh_minus_one_core`` is tested against.  The
+response function q(s) = 2 <u, (h^2 + s^2)^{-1} u> is the lattice
+analogue of the Lindhard function and equals the screening denominator
+minus one.
+
+The dense per-mode oracles of ``verify`` see a mode as its lune's gap
+array ``lam`` (``lattice.lune_points``) and the coupling ``vsq`` = v^2:
+``build_K(lam, vsq)`` gives K in the order of ``lam``,
+``sandwich_bounds(lam, vsq)`` its elementwise bounds, ``q_of_s(lam, s,
+vsq)`` the response, and ``csk_pair(K, tau)`` cosh and sinh of tau K.
 
 Every lattice sum over k (momentum and energies alike) runs on mode
 blocks: ``mode_chunks`` orders the k rows by |k|^2 and orbit key, drops
@@ -42,57 +49,14 @@ gaps lam_d and their multiplicities m_d:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lattice import (LatticeConfig, LuneBasis, Vec3, as_vec3, gap_counts,
-                      lune, lune_kernel, orbit_key)
+from .lattice import LatticeConfig, gap_counts, lune_kernel, orbit_key
 from .numerics import (integrate_semi_infinite_batch, sym_eig,
                        sym_matrix_function)
-from .potential import Potential, evaluate
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 TWO_PI_6 = (2.0 * np.pi) ** 6
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One excitation mode: lune basis, coupling, and derived vectors."""
-
-    lune: LuneBasis
-    vhat: float            # Fourier mode of the potential at k
-    vsq: float             # v_p^2, constant across the lune
-    k_f: float
-
-    @property
-    def k(self) -> Vec3:
-        return self.lune.k
-
-    @property
-    def dim(self) -> int:
-        return self.lune.dim
-
-    @property
-    def h(self) -> np.ndarray:
-        """Diagonal of the gap operator."""
-        return self.lune.lambdas
-
-    @property
-    def v(self) -> np.ndarray:
-        return np.full(self.dim, np.sqrt(self.vsq))
-
-    @property
-    def u(self) -> np.ndarray:
-        """u = h^{1/2} v, so u_p^2 = lambda_p v_p^2."""
-        return np.sqrt(self.lune.lambdas * self.vsq)
-
-
-def build_mode(k, cfg: LatticeConfig, pot: Potential) -> Mode:
-    kv = as_vec3(k)
-    vhat = evaluate(pot, kv)
-    return Mode(lune=lune(kv, cfg), vhat=vhat, vsq=coupling_sq(vhat, cfg.k_f),
-                k_f=cfg.k_f)
 
 
 def coupling_sq(vhat, k_f: float):
@@ -100,53 +64,20 @@ def coupling_sq(vhat, k_f: float):
     return vhat / (2.0 * TWO_PI_CUBED * k_f)
 
 
-def _core_matrix(mode: Mode) -> np.ndarray:
-    """h^2 + 2 u u^T, the positive definite core of all closed forms."""
-    u = mode.u
-    return np.diag(mode.h**2) + 2.0 * np.outer(u, u)
+def build_K(lam: np.ndarray, vsq: float) -> np.ndarray:
+    """The correlation kernel K of gaps ``lam`` and coupling v^2 = ``vsq``.
 
-
-def build_K(mode: Mode) -> np.ndarray:
-    """The correlation kernel K, symmetric and negative semidefinite."""
-    n = mode.dim
-    if n == 0:
-        return np.zeros((0, 0))
-    if mode.vhat == 0.0:
+    Symmetric and negative semidefinite, in the order of ``lam``.
+    """
+    n = lam.size
+    if n == 0 or vsq == 0.0:
         return np.zeros((n, n))
-    root = sym_matrix_function(_core_matrix(mode), "sqrt")
-    hs = np.sqrt(mode.h)
+    u = np.sqrt(lam * vsq)
+    root = sym_matrix_function(np.diag(lam**2) + 2.0 * np.outer(u, u), "sqrt")
+    hs = np.sqrt(lam)
     a = root / np.outer(hs, hs)
     a = 0.5 * (a + a.T)
     return -0.5 * sym_matrix_function(a, "log")
-
-
-def exp_pm2K(mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{-2K}, e^{+2K}) from the closed forms, sharing one eigendecomposition."""
-    n = mode.dim
-    if n == 0:
-        z = np.zeros((0, 0))
-        return z, z
-    if mode.vhat == 0.0:
-        eye = np.eye(n)
-        return eye, eye.copy()
-    w, uvec = sym_eig(_core_matrix(mode))
-    sqrt_m = (uvec * np.sqrt(w)) @ uvec.T
-    inv_sqrt_m = (uvec / np.sqrt(w)) @ uvec.T
-    hs = np.sqrt(mode.h)
-    outer = np.outer(hs, hs)
-    a = sqrt_m / outer
-    a_inv = inv_sqrt_m * outer
-    return 0.5 * (a + a.T), 0.5 * (a_inv + a_inv.T)
-
-
-def cosh2k_minus_one_diag(mode: Mode) -> np.ndarray:
-    """Diagonal of cosh(-2K) - 1 = (e^{-2K} + e^{+2K})/2 - 1, via one eigh."""
-    n = mode.dim
-    if n == 0 or mode.vhat == 0.0:
-        return np.zeros(n)
-    # the full lune is the core with every multiplicity 1, so w = u
-    return cosh_minus_one_core(mode.h[None], np.ones((1, n)),
-                               np.array([mode.vsq]))[0]
 
 
 def cosh_minus_one_core(lam: np.ndarray, m: np.ndarray,
@@ -202,34 +133,30 @@ def csk_pair(k_matrix: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (c + c.T), 0.5 * (s + s.T)
 
 
-def q_of_s(mode: Mode, s) -> float | np.ndarray:
+def q_of_s(lam: np.ndarray, s, vsq: float) -> float | np.ndarray:
     """Response function q(s) = 2 v^2 sum_p lambda_p / (s^2 + lambda_p^2).
 
-    Vectorized over s; decreasing in s with q(inf) = 0.  Coincides with
-    2 <u, (h^2 + s^2)^{-1} u>.
+    ``lam`` are the gaps, ``vsq`` is v^2.  Vectorized over s; decreasing
+    in s with q(inf) = 0.  Coincides with 2 <u, (h^2 + s^2)^{-1} u>.
     """
     s = np.asarray(s, dtype=float)
-    if mode.dim == 0 or mode.vhat == 0.0:
-        return np.zeros(s.shape) if s.shape else 0.0
-    lam = mode.h
-    out = 2.0 * mode.vsq * np.sum(
+    out = 2.0 * vsq * np.sum(
         lam[:, None] / (s.reshape(-1)[None, :] ** 2 + lam[:, None] ** 2), axis=0
     )
     return out.reshape(s.shape) if s.shape else float(out[0])
 
 
-def sandwich_bounds(mode: Mode) -> tuple[np.ndarray, np.ndarray, float]:
+def sandwich_bounds(lam: np.ndarray,
+                    vsq: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Elementwise bounds v_p v_q / (lambda_p + lambda_q) and screening factor.
 
-    Returns (lower, upper, screening) where upper_pq = v_p v_q /
+    Returns (lower, upper, screening) where upper_pq = v^2 /
     (lambda_p + lambda_q), lower = screening * upper, and screening =
     1 / (1 + 2 <v, h^{-1} v>).  -K, and sinh/cosh of tau K, are pinched
     between these (the sinh bounds scale with tau).
     """
-    lam = mode.h
-    denom = lam[:, None] + lam[None, :]
-    upper = mode.vsq / denom
-    screening = 1.0 / (1.0 + 2.0 * mode.vsq * float(np.sum(1.0 / lam)))
+    upper = vsq / (lam[:, None] + lam[None, :])
+    screening = 1.0 / (1.0 + 2.0 * vsq * float(np.sum(1.0 / lam)))
     return screening * upper, upper, screening
 
 

@@ -15,15 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (LatticeConfig, Vec3, ball_points, d_intersection,
-                      lambda_of, lune, neg, nonzero_k_vectors, norm2, sub)
+from .lattice import (LatticeConfig, ball_array, ball_points, d_intersection,
+                      lambda_of, lune_points, norm2, sub)
 from .momentum import EIGHT_PI4
 from .numerics import (integrate_semi_infinite, rank1_resolvent_diag,
                        sym_matrix_function)
 from .potential import Potential, evaluate
-from .quasiboson import (TWO_PI_6, Mode, build_K, build_mode,
-                         cosh2k_minus_one_diag, csk_pair, q_of_s,
-                         sandwich_bounds)
+from .quasiboson import (TWO_PI_6, build_K, cosh_minus_one_core, coupling_sq,
+                         csk_pair, q_of_s, sandwich_bounds)
 
 
 @dataclass
@@ -67,17 +66,17 @@ def _assert_report(name, measured, tolerance, worst_case, params, reproducer=Non
 
 
 def check_gap_bound(lunes, k_f: float) -> CheckReport:
-    """Every gap in every supplied lune is >= 1/2 (exact arithmetic)."""
+    """Every gap in every supplied (k, points, gaps) lune is >= 1/2 (exact)."""
     worst = math.inf
     worst_at = None
-    for basis in lunes:
-        if basis.dim == 0:
+    for k, pts, gaps in lunes:
+        if gaps.size == 0:
             continue
-        i = int(np.argmin(basis.lambdas))
-        if basis.lambdas[i] < worst:
-            worst = float(basis.lambdas[i])
-            worst_at = {"k": list(basis.k), "p": list(basis.points[i]),
-                        "lambda": float(basis.lambdas[i]), "k_f": k_f}
+        i = int(np.argmin(gaps))
+        if gaps[i] < worst:
+            worst = float(gaps[i])
+            worst_at = {"k": list(k), "p": pts[i].tolist(),
+                        "lambda": float(gaps[i]), "k_f": k_f}
     measured = 0.5 - worst  # > 0 means violation
     return _assert_report(
         "lattice.gap_lower_bound", measured, 0.0,
@@ -88,26 +87,22 @@ def check_gap_bound(lunes, k_f: float) -> CheckReport:
 def check_lattice(cfg: LatticeConfig, seed: int = 7,
                   quadruples: int = 200) -> list[CheckReport]:
     k_max = int(math.ceil(2.0 * cfg.k_f)) + 2
-    ks = nonzero_k_vectors(k_max)
-    lunes = [lune(k, cfg) for k in ks]
+    ks = ball_array(k_max * k_max, 0).tolist()
+    lunes = [(k, *lune_points(k, cfg)) for k in ks]
     reports = [check_gap_bound(lunes, cfg.k_f)]
 
-    # reflection: the lune of -k is the mirrored lune with equal gaps
+    # reflection: the lune of -k is the mirrored lune with equal gaps; the
+    # k run over a symmetric lex-sorted ball, so -k is row -1 - i
     worst = 0.0
     worst_rep = None
-    by_k = {b.k: b for b in lunes}
-    for b in lunes:
-        mirror = by_k[neg(b.k)]
-        mirrored = tuple(sorted(neg(p) for p in b.points))
-        if mirrored != mirror.points:
+    for (k, pts, gaps), (_, m_pts, m_gaps) in zip(lunes, reversed(lunes)):
+        if not np.array_equal(m_pts, -pts[::-1]):
             worst = math.inf
-            worst_rep = {"k": list(b.k), "k_f": cfg.k_f}
+            worst_rep = {"k": list(k), "k_f": cfg.k_f}
             break
-        lam = {p: l for p, l in zip(b.points, b.lambdas)}
-        dev = max(abs(lam[neg(p)] - l)
-                  for p, l in zip(mirror.points, mirror.lambdas))
+        dev = float(np.max(np.abs(m_gaps - gaps[::-1])))
         if dev > worst:
-            worst, worst_rep = dev, {"k": list(b.k), "k_f": cfg.k_f}
+            worst, worst_rep = dev, {"k": list(k), "k_f": cfg.k_f}
     reports.append(_assert_report(
         "lattice.reflection", worst, 0.0, "L(-k) = -L(k) with equal gaps",
         {"k_f": cfg.k_f, "k_max": k_max}, worst_rep))
@@ -123,11 +118,11 @@ def check_lattice(cfg: LatticeConfig, seed: int = 7,
         k = tuple(int(c) for c in rng.integers(-k_max, k_max + 1, size=3))
         if k == (0, 0, 0):
             continue
-        basis = by_k.get(k) or lune(k, cfg)
-        if basis.dim < 2:
+        pts, _ = lune_points(k, cfg)
+        if len(pts) < 2:
             continue
-        i, j = rng.integers(0, basis.dim, size=2)
-        p, q = basis.points[int(i)], basis.points[int(j)]
+        i, j = rng.integers(0, len(pts), size=2)
+        p, q = tuple(pts[int(i)].tolist()), tuple(pts[int(j)].tolist())
         l = sub(tuple(a + b for a, b in zip(p, q)), k)
         if l == (0, 0, 0):
             continue
@@ -163,12 +158,12 @@ def check_lattice(cfg: LatticeConfig, seed: int = 7,
     # lattice-sum trend: sum lambda^beta <= c * k_F^(2+beta) |k|^(1+beta)
     for beta in (-1.0, -0.5):
         ratios = []
-        for b in lunes:
-            kn = math.sqrt(norm2(b.k))
+        for k, _, gaps in lunes:
+            kn = math.sqrt(norm2(k))
             if kn > 2.0 * cfg.k_f:
                 continue
             bound = cfg.k_f ** (2.0 + beta) * kn ** (1.0 + beta)
-            ratios.append(float(np.sum(b.lambdas ** beta)) / bound)
+            ratios.append(float(np.sum(gaps ** beta)) / bound)
         reports.append(CheckReport(
             name=f"lattice.gap_power_sum_trend_beta_{beta:g}",
             status="diagnostic", measured=max(ratios), tolerance=None,
@@ -184,7 +179,7 @@ def check_lattice(cfg: LatticeConfig, seed: int = 7,
             break
     m_inv = abs(norm2(xi_in) - cfg.kappa)
     acc = 0.0
-    for k in nonzero_k_vectors(2 * k_max):
+    for k in ball_array(4 * k_max * k_max, 0).tolist():
         kxi = tuple(a + b for a, b in zip(k, xi_in))
         if cfg.in_lune(k, kxi):
             acc += 1.0 / lambda_of(k, kxi) ** 2
@@ -201,8 +196,16 @@ def check_lattice(cfg: LatticeConfig, seed: int = 7,
 # per-mode checks
 
 
-def _mode_sample(cfg: LatticeConfig) -> list[Vec3]:
-    return nonzero_k_vectors(int(math.floor(2.0 * cfg.k_f)))
+def _mode_sample(cfg: LatticeConfig) -> list[list[int]]:
+    """All k != 0 with |k| <= floor(2 k_F), lex-sorted: -k is row -1 - i."""
+    k_max = int(math.floor(2.0 * cfg.k_f))
+    return ball_array(k_max * k_max, 0).tolist()
+
+
+def _mode(k, cfg: LatticeConfig, pot: Potential):
+    """(points, gaps, V_k, v^2) of the mode k."""
+    vhat = evaluate(pot, k)
+    return (*lune_points(k, cfg), vhat, coupling_sq(vhat, cfg.k_f))
 
 
 def check_mode(cfg: LatticeConfig, pot: Potential,
@@ -211,18 +214,19 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
     slack = 1e-10
 
     def per_k(k):
-        mode = build_mode(k, cfg, pot)
-        kmat = build_K(mode)
-        lower, upper, _ = sandwich_bounds(mode)
+        _, lam, vhat, vsq = _mode(k, cfg, pot)
+        dim = lam.size
+        kmat = build_K(lam, vsq)
+        lower, upper, _ = sandwich_bounds(lam, vsq)
         out = {}
-        out["nsd"] = float(np.max(np.linalg.eigvalsh(kmat))) if mode.dim else 0.0
+        out["nsd"] = float(np.max(np.linalg.eigvalsh(kmat))) if dim else 0.0
         negk = -kmat
         out["sw_K"] = float(max(np.max(negk - upper), np.max(lower - negk))) \
-            if mode.dim else 0.0
+            if dim else 0.0
         sw_cs = 0.0
         hyper = 0.0
-        eye = np.eye(mode.dim)
-        vh_inv_v = mode.vsq * float(np.sum(1.0 / mode.h))
+        eye = np.eye(dim)
+        vh_inv_v = vsq * float(np.sum(1.0 / lam))
         c_upper = vh_inv_v / (1.0 + 2.0 * vh_inv_v) * upper
         for tau in taus:
             c, s = csk_pair(kmat, tau)
@@ -237,9 +241,9 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
         # decomposition of the symmetric conjugations against expm
         key_k = (seed << 24) + (k[0] % 64) * 4096 + (k[1] % 64) * 64 + (k[2] % 64)
         rng = np.random.Generator(np.random.Philox(key=key_k))
-        t_rand = rng.standard_normal((mode.dim, mode.dim))
+        t_rand = rng.standard_normal((dim, dim))
         dec_dev = 0.0
-        for t_mat in (np.diag(rng.standard_normal(mode.dim)),
+        for t_mat in (np.diag(rng.standard_normal(dim)),
                       0.5 * (t_rand + t_rand.T)):
             for tau in taus:
                 ep = sym_matrix_function(tau * kmat, "exp")
@@ -255,7 +259,7 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
                               float(np.max(np.abs(t1 - t1_direct))),
                               float(np.max(np.abs(t2 - t2_direct))))
         out["decomposition"] = dec_dev
-        return out, mode, kmat
+        return out, lam, vhat, kmat
 
     results = [per_k(k) for k in ks]
     reports = []
@@ -263,7 +267,7 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
     def collect(key, tol, label):
         worst = -math.inf
         worst_k = None
-        for k, (vals, _, _) in zip(ks, results):
+        for k, (vals, *_) in zip(ks, results):
             if vals[key] > worst:
                 worst, worst_k = vals[key], k
         rep = {"k": list(worst_k), "k_f": cfg.k_f, "potential": pot.spec_string()}
@@ -278,16 +282,14 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
     collect("hyperbolic", slack, "hyperbolic_identity")
     collect("decomposition", 1e-9, "conjugation_decomposition")
 
-    # kernel reflection between k and -k
+    # kernel reflection between k and -k: the mode -k is row -1 - i, and
+    # its lune is the mirrored lune in reverse order
     worst = -1.0
     worst_k = None
-    kmats = {k: (m, km) for k, (_, m, km) in zip(ks, results)}
-    for k in ks:
-        mode, kmat = kmats[k]
-        mmode, mkmat = kmats[neg(k)]
-        perm = [mmode.lune.index_of(neg(p)) for p in mode.lune.points]
-        dev = float(np.max(np.abs(kmat - mkmat[np.ix_(perm, perm)]))) \
-            if mode.dim else 0.0
+    for k, (_, _, _, kmat), (_, _, _, mkmat) in zip(ks, results,
+                                                    reversed(results)):
+        dev = float(np.max(np.abs(kmat - mkmat[::-1, ::-1]))) \
+            if kmat.size else 0.0
         if dev > worst:
             worst, worst_k = dev, k
     reports.append(_assert_report(
@@ -298,12 +300,10 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
 
     # product-entry bound trend (constants unknown: diagnostic only)
     diag_rows = []
-    for k in ks[: min(4, len(ks))]:
-        mode, kmat = kmats[k]
-        if mode.dim == 0 or mode.vhat == 0.0:
+    for k, (_, lam, vhat, kmat) in zip(ks[: min(4, len(ks))], results):
+        if lam.size == 0 or vhat == 0.0:
             continue
         c, s = csk_pair(kmat, 1.0)
-        lam = mode.h
         denom = lam[:, None] + lam[None, :]
         kn2 = norm2(k)
         scale = cfg.k_f / min(1.0, cfg.k_f**2 / kn2)
@@ -313,8 +313,8 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
             sup = float(np.max(np.abs(prod) * denom)) * scale
             diag_rows.append({
                 "k": list(k), "factors": label, "m": m_order, "sup": sup,
-                "sup_over_vhat_m": sup / mode.vhat**m_order,
-                "sup_over_vhat_1": sup / mode.vhat,
+                "sup_over_vhat_m": sup / vhat**m_order,
+                "sup_over_vhat_1": sup / vhat,
             })
     reports.append(CheckReport(
         name="mode.product_entry_bound_trend", status="diagnostic",
@@ -331,21 +331,23 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
 # cross-route checks
 
 
-def _integral_term(mode: Mode, zetas: Counter,
-                   quad_tol: float) -> tuple[float, float, bool]:
-    """Screened-quadrature route for one mode's hits, one scalar integral each."""
-    if mode.vhat == 0.0 or not zetas:
+def _integral_term(k, gaps: np.ndarray, vhat: float, k_f: float,
+                   zetas: Counter, quad_tol: float) -> tuple[float, float, bool]:
+    """Screened-quadrature route for the hits of mode k, one scalar integral each."""
+    if vhat == 0.0 or not zetas:
         return 0.0, 0.0, True
-    pref = mode.vhat / (EIGHT_PI4 * mode.k_f)
+    vsq = coupling_sq(vhat, k_f)
+    pref = vhat / (EIGHT_PI4 * k_f)
     total = 0.0
     err = 0.0
     ok = True
     for z, mult in sorted(zetas.items()):
-        lam = mode.lune.lambdas[mode.lune.index_of(z)]
+        lam = lambda_of(k, z)
 
         def integrand(s, lam=lam):
             s2 = s * s
-            return (s2 - lam * lam) / (s2 + lam * lam) ** 2 / (1.0 + q_of_s(mode, s))
+            return ((s2 - lam * lam) / (s2 + lam * lam) ** 2
+                    / (1.0 + q_of_s(gaps, s, vsq)))
 
         res = integrate_semi_infinite(integrand, tol=quad_tol,
                                       seeds=(lam, 10.0 * lam))
@@ -355,28 +357,26 @@ def _integral_term(mode: Mode, zetas: Counter,
     return total, err, ok
 
 
-def _exchange_term(mode: Mode, zetas: Counter, pot: Potential) -> float:
+def _exchange_term(k, pts: np.ndarray, gaps: np.ndarray, vhat: float,
+                   k_f: float, zetas: Counter, pot: Potential) -> float:
     """-V_k / (8 (2pi)^6 k_F^2) * sum_zeta sum_p V_{p+zeta-k} / (lam_p + lam_zeta)^2."""
-    if mode.vhat == 0.0 or not zetas or mode.dim == 0:
+    if vhat == 0.0 or not zetas or gaps.size == 0:
         return 0.0
-    pts = np.array(mode.lune.points, dtype=np.int64)
-    lam = mode.lune.lambdas
-    kv = np.array(mode.k, dtype=np.int64)
+    kv = np.array(k, dtype=np.int64)
     total = 0.0
     for z, mult in sorted(zetas.items()):
-        zi = mode.lune.index_of(z)
         vhat2 = pot.at(pts + (np.array(z, dtype=np.int64) - kv))
-        total += mult * float(np.sum(vhat2 / (lam + lam[zi]) ** 2))
-    return -mode.vhat * total / (8.0 * TWO_PI_6 * mode.k_f**2)
+        total += mult * float(np.sum(vhat2 / (gaps + lambda_of(k, z)) ** 2))
+    return -vhat * total / (8.0 * TWO_PI_6 * k_f**2)
 
 
 def _brute_force_pair_sum(k, cfg: LatticeConfig, pot: Potential) -> float:
     """Plain-loop oracle for sum_{p,q} V_k V_{p+q-k} / (lam_p + lam_q)^2."""
-    basis = lune(k, cfg)
+    pts = lune_points(k, cfg)[0].tolist()
     vk = evaluate(pot, k)
     total = 0.0
-    for p in basis.points:
-        for q in basis.points:
+    for p in pts:
+        for q in pts:
             arg = tuple(pc + qc - kc for pc, qc, kc in zip(p, q, k))
             total += vk * evaluate(pot, arg) / (lambda_of(k, p) + lambda_of(k, q)) ** 2
     return total
@@ -391,14 +391,17 @@ def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
     worst = 0.0
     worst_rep = None
     for k in ks[: min(6, len(ks))]:
-        mode = build_mode(k, cfg, pot)
-        if mode.vhat == 0.0:
+        pts, lam, vhat, vsq = _mode(k, cfg, pot)
+        if vhat == 0.0:
             continue
-        diag = cosh2k_minus_one_diag(mode)
-        for i in (0, mode.dim // 2, mode.dim - 1):
-            z = mode.lune.points[i]
+        # the full lune is a deflated core with every multiplicity 1
+        diag = cosh_minus_one_core(lam[None], np.ones((1, lam.size)),
+                                   np.array([vsq]))[0]
+        for i in (0, lam.size // 2, lam.size - 1):
+            z = tuple(pts[i].tolist())
             spec = float(diag[i])
-            integ, err, _ = _integral_term(mode, Counter([z]), quad_tol)
+            integ, err, _ = _integral_term(k, lam, vhat, cfg.k_f, Counter([z]),
+                                           quad_tol)
             dev = abs(spec - integ) - 10.0 * (err + 1e-13 * max(1.0, abs(spec)))
             if dev > worst:
                 worst = dev
@@ -414,14 +417,12 @@ def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
     worst = 0.0
     worst_rep = None
     for k in ks[: min(4, len(ks))]:
-        mode = build_mode(k, cfg, pot)
-        if mode.dim == 0:
-            continue
-        h, u = mode.h, mode.u
+        _, h, _, vsq = _mode(k, cfg, pot)
+        u = np.sqrt(h * vsq)
         for s in (0.0, 0.7, 5.0):
             dense = np.linalg.inv(np.diag(h**2) + 2.0 * np.outer(u, u)
-                                  + s * s * np.eye(mode.dim))
-            for i in range(mode.dim):
+                                  + s * s * np.eye(h.size))
+            for i in range(h.size):
                 got = rank1_resolvent_diag(h, u, s, i)
                 dev = abs(got - dense[i, i]) / abs(dense[i, i])
                 if dev > worst:
@@ -437,12 +438,11 @@ def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
     worst = 0.0
     worst_rep = None
     for k in ks[: min(6, len(ks))]:
-        mode = build_mode(k, cfg, pot)
-        if mode.dim == 0:
-            continue
+        _, h, _, vsq = _mode(k, cfg, pot)
+        u = np.sqrt(h * vsq)
         for s in rng.uniform(0.0, 8.0, size=5):
-            lhs = 1.0 + 2.0 * float(np.dot(mode.u, mode.u / (mode.h**2 + s * s)))
-            rhs = 1.0 + float(q_of_s(mode, float(s)))
+            lhs = 1.0 + 2.0 * float(np.dot(u, u / (h**2 + s * s)))
+            rhs = 1.0 + float(q_of_s(h, float(s), vsq))
             dev = abs(lhs - rhs) / rhs
             if dev > worst:
                 worst = dev
@@ -458,11 +458,11 @@ def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
     for k in ks[: min(3, len(ks))]:
         if evaluate(pot, k) == 0.0:
             continue
-        mode = build_mode(k, cfg, pot)
+        pts, lam, vhat, _ = _mode(k, cfg, pot)
         lhs = 0.0
         for xi in cfg.ball:
             zetas = Counter(d_intersection(k, xi, cfg))
-            lhs += _exchange_term(mode, zetas, pot)
+            lhs += _exchange_term(k, pts, lam, vhat, cfg.k_f, zetas, pot)
         rhs = -_brute_force_pair_sum(k, cfg, pot) / (4.0 * TWO_PI_6 * cfg.k_f**2)
         dev = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         if dev > worst:

@@ -19,18 +19,55 @@ from fermigas.dvlimit import q_dv
 from fermigas.energy import stable_log1p_minus_x
 from fermigas.lattice import (add, as_vec3, ball_array, ball_points,
                               d_intersection, lambda_of, lune_kernel, neg,
-                              nonzero_k_vectors, norm2, point_group)
+                              norm2, point_group)
 from fermigas.momentum import n_point
 from fermigas.numerics import (QuadratureResult, integrate_interval,
                                integrate_semi_infinite,
-                               integrate_semi_infinite_batch)
+                               integrate_semi_infinite_batch, sym_eig)
 from fermigas.potential import ValidationReport, evaluate
-from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_mode,
-                                 cosh2k_minus_one_diag, cosh_minus_one_per_gap,
-                                 coupling_sq, gap_response, mode_chunks, q_of_s)
-from fermigas.verify import _exchange_term, _integral_term
+from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, cosh_minus_one_core,
+                                 cosh_minus_one_per_gap, coupling_sq,
+                                 gap_response, mode_chunks, q_of_s)
+from fermigas.verify import _exchange_term, _integral_term, _mode
 
 EIGHT_PI4 = 8.0 * np.pi**4
+
+
+def nonzero_k_vectors(k_max, k_min_excl=0):
+    """All k != 0 with k_min_excl < |k| <= k_max as lex-sorted tuples."""
+    ks = ball_array(k_max * k_max, max(0, k_min_excl * k_min_excl))
+    return list(map(tuple, ks.tolist()))
+
+
+def exp_pm2K(lam, vsq):
+    """(e^{-2K}, e^{+2K}) of gaps ``lam`` and coupling ``vsq`` from the closed forms.
+
+    e^{-2K} = h^{-1/2} M^{1/2} h^{-1/2} and e^{+2K} = h^{1/2} M^{-1/2}
+    h^{1/2} with the core M = h^2 + 2 u u^T, u = sqrt(lam vsq), from one
+    eigendecomposition of M.
+    """
+    n = lam.size
+    if n == 0 or vsq == 0.0:
+        return np.eye(n), np.eye(n)
+    u = np.sqrt(lam * vsq)
+    w, uvec = sym_eig(np.diag(lam**2) + 2.0 * np.outer(u, u))
+    outer = np.outer(np.sqrt(lam), np.sqrt(lam))
+    a = ((uvec * np.sqrt(w)) @ uvec.T) / outer
+    a_inv = ((uvec / np.sqrt(w)) @ uvec.T) * outer
+    return 0.5 * (a + a.T), 0.5 * (a_inv + a_inv.T)
+
+
+def cosh2k_minus_one_diag(lam, vsq):
+    """Diagonal of cosh(-2K) - 1 on the full lune: one core, every multiplicity 1."""
+    if lam.size == 0 or vsq == 0.0:
+        return np.zeros(lam.size)
+    return cosh_minus_one_core(lam[None], np.ones((1, lam.size)),
+                               np.array([vsq]))[0]
+
+
+def row_of(pts, z):
+    """Row of the point z in the (n, 3) array ``pts``; IndexError if absent."""
+    return int(np.flatnonzero(np.all(pts == np.asarray(z), axis=1))[0])
 
 
 def ball_array_cube(r2, r2_min_excl=-1):
@@ -191,12 +228,12 @@ def bos_term(k, cfg, pot, quad_tol):
 
 def bos_term_mode(k, cfg, pot, quad_tol):
     """(1/pi) int F(q_k(s)) ds with q_k from the mode's full gap list."""
-    mode = build_mode(k, cfg, pot)
-    if mode.vhat == 0.0:
+    _, lam, vhat, vsq = _mode(k, cfg, pot)
+    if vhat == 0.0:
         return 0.0, 0.0, True
-    lam_min = float(np.min(mode.h))
+    lam_min = float(np.min(lam))
     res = integrate_semi_infinite(
-        lambda s: stable_log1p_minus_x(q_of_s(mode, s)), tol=quad_tol,
+        lambda s: stable_log1p_minus_x(q_of_s(lam, s, vsq)), tol=quad_tol,
         seeds=(lam_min, 10.0 * lam_min))
     return res.value / np.pi, res.abs_error_estimate / np.pi, res.converged
 
@@ -293,13 +330,12 @@ def bulk_exchange(ks, xi, cfg, pot, signs):
     return -float(np.sum(vhat * total)) / (8.0 * TWO_PI_6 * cfg.k_f**2)
 
 
-def spectral_term(mode, zetas: Counter) -> float:
+def spectral_term(pts, lam, vsq, zetas: Counter) -> float:
     """Sum over lune hits of the full-lune diagonal of cosh(-2K) - 1."""
-    if mode.vhat == 0.0 or not zetas:
+    if vsq == 0.0 or not zetas:
         return 0.0
-    diag = cosh2k_minus_one_diag(mode)
-    return float(sum(mult * diag[mode.lune.index_of(z)]
-                     for z, mult in zetas.items()))
+    diag = cosh2k_minus_one_diag(lam, vsq)
+    return float(sum(mult * diag[row_of(pts, z)] for z, mult in zetas.items()))
 
 
 def per_k(k, xi, cfg, pot, quad_tol):
@@ -312,10 +348,11 @@ def per_k(k, xi, cfg, pot, quad_tol):
     zetas = Counter(d_intersection(k, xi, cfg))
     if not zetas or evaluate(pot, k) == 0.0:
         return np.zeros(3), 0.0, True
-    mode = build_mode(k, cfg, pot)
-    integral, err, ok = _integral_term(mode, zetas, quad_tol)
-    return (np.array([spectral_term(mode, zetas), integral,
-                      _exchange_term(mode, zetas, pot)]), err, ok)
+    pts, lam, vhat, vsq = _mode(k, cfg, pot)
+    integral, err, ok = _integral_term(k, lam, vhat, cfg.k_f, zetas, quad_tol)
+    return (np.array([spectral_term(pts, lam, vsq, zetas), integral,
+                      _exchange_term(k, pts, lam, vhat, cfg.k_f, zetas, pot)]),
+            err, ok)
 
 
 def per_k_sum(ks, xi, cfg, pot, quad_tol=1e-9):

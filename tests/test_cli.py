@@ -187,6 +187,18 @@ def test_non_finite_potential_exit_2(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_table_keys_beyond_int64_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("10000000000000000000 0 0 1.0\n"
+                    "-10000000000000000000 0 0 1.0\n")
+    argv = ["energy", "--kf", "1", "--k-max", "2", "--max-doublings", "0",
+            "--potential", f"table:{path}"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and "2**20 in magnitude" in err
+
+
 def test_non_finite_tables_exit_2(capsys, tmp_path):
     path = tmp_path / "inf.txt"
     path.write_text("1 0 0 inf\n-1 0 0 inf\n")

@@ -8,11 +8,11 @@ from fermigas.energy import (_ball_pair_sums, _bos_chunks, _ex_terms,
                              _k_shell, e_corr_bos, e_corr_ex, e_fs,
                              energy_report, stable_log1p_minus_x)
 from fermigas.lattice import (TailPolicy, ball_points, doubled_sum, fermi_ball,
-                              lambda_of, lune, lune_kernel, neg,
-                              nonzero_k_vectors, norm2)
+                              lambda_of, lune_kernel, lune_points, neg, norm2)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from oracles import (bos_term, bos_term_mode, e_fs_interaction_loop,
-                     ex_term_dense, k_shell_reduced, single_k_exchange_term)
+                     ex_term_dense, k_shell_reduced, nonzero_k_vectors,
+                     single_k_exchange_term)
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 TWO_PI_6 = (2.0 * np.pi) ** 6
@@ -33,10 +33,11 @@ def test_e_fs_interaction_from_lune_deficits():
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
     # k=(1,0,0): |L_k| - N = 5 - 7 = -2, weighted by V_k / (2 (2pi)^3)
-    assert lune((1, 0, 0), cfg).dim - cfg.n_particles == -2
+    assert len(lune_points((1, 0, 0), cfg)[0]) - cfg.n_particles == -2
     expected = 0.0
     for k in [k for k in _ball(2) if k != (0, 0, 0)]:
-        expected += evaluate(pot, k) * (lune(k, cfg).dim - cfg.n_particles)
+        expected += evaluate(pot, k) * (len(lune_points(k, cfg)[0])
+                                        - cfg.n_particles)
     expected /= 2.0 * TWO_PI_CUBED
     assert e_fs(cfg, pot)[1] == pytest.approx(expected, rel=1e-14)
 
@@ -68,7 +69,7 @@ def test_e_fs_sum_terminates_at_two_kf():
     # beyond |k| = 2 k_F the lune is the whole shifted ball
     cfg = fermi_ball(1.0)
     for k in ((3, 0, 0), (2, 2, 0)):
-        assert lune(k, cfg).dim == cfg.n_particles
+        assert len(lune_points(k, cfg)[0]) == cfg.n_particles
 
 
 def test_stable_f_small_and_large():
@@ -125,10 +126,10 @@ def test_e_corr_ex_single_k_brute_force():
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
     k = (1, 0, 0)
-    basis = lune(k, cfg)
+    pts = lune_points(k, cfg)[0].tolist()
     expected = 0.0
-    for p in basis.points:
-        for q in basis.points:
+    for p in pts:
+        for q in pts:
             arg = tuple(pc + qc - kc for pc, qc, kc in zip(p, q, k))
             expected += evaluate(pot, k) * evaluate(pot, arg) / (
                 lambda_of(k, p) + lambda_of(k, q))

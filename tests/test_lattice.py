@@ -10,12 +10,11 @@ import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, ball_array, ball_points,
                               d_intersection, doubled_sum, fermi_ball,
                               is_sum_of_three_squares, k_shell, k_support,
-                              kappa_and_weight, lambda_of, lune, lune_kernel,
-                              neg, nonzero_k_vectors, norm2, orbit,
-                              point_group)
+                              kappa_and_weight, lambda_of, lune_kernel,
+                              lune_points, neg, norm2, orbit, point_group)
 from oracles import (ball_array_cube, k_shell_reduced, k_support_loop,
-                     lune_loop, orbit_reduce, orbit_reduce_einsum,
-                     truncated_k_vectors)
+                     lune_loop, nonzero_k_vectors, orbit_reduce,
+                     orbit_reduce_einsum, truncated_k_vectors)
 
 
 def brute_ball(r2):
@@ -27,6 +26,11 @@ def brute_ball(r2):
                 if x * x + y * y + z * z <= r2:
                     out.append((x, y, z))
     return sorted(out)
+
+
+def lune_tuples(k, cfg):
+    """The lune points of k as a tuple of integer tuples."""
+    return tuple(map(tuple, lune_points(k, cfg)[0].tolist()))
 
 
 def brute_lune(k, cfg):
@@ -86,27 +90,28 @@ def test_kappa_skips_unattainable_norms():
 
 def test_lune_example_unit_ball():
     cfg = fermi_ball(1.0)
-    basis = lune((1, 0, 0), cfg)
-    assert basis.points == ((1, -1, 0), (1, 0, -1), (1, 0, 1), (1, 1, 0), (2, 0, 0))
-    assert list(basis.lambdas) == [0.5, 0.5, 0.5, 0.5, 1.5]
-    basis2 = lune((2, 0, 0), cfg)
-    assert basis2.dim == 6
-    assert sorted(basis2.lambdas) == [2.0, 2.0, 2.0, 2.0, 2.0, 4.0]
+    pts, gaps = lune_points((1, 0, 0), cfg)
+    assert pts.dtype == np.int64 and pts.shape == (5, 3)
+    assert pts.tolist() == [[1, -1, 0], [1, 0, -1], [1, 0, 1], [1, 1, 0], [2, 0, 0]]
+    assert gaps.tolist() == [0.5, 0.5, 0.5, 0.5, 1.5]
+    pts2, gaps2 = lune_points((2, 0, 0), cfg)
+    assert len(pts2) == 6
+    assert sorted(gaps2) == [2.0, 2.0, 2.0, 2.0, 2.0, 4.0]
 
 
 def test_lune_far_k_is_whole_shifted_ball():
     cfg = fermi_ball(1.0)
     for k in ((3, 0, 0), (2, 2, 1), (0, 0, 5)):
-        assert lune(k, cfg).dim == cfg.n_particles
+        assert len(lune_points(k, cfg)[0]) == cfg.n_particles
 
 
 @pytest.mark.parametrize("k_f", [1.0, 2.0])
 def test_lune_matches_brute_force(k_f):
     cfg = fermi_ball(k_f)
     for k in ((1, 0, 0), (1, 1, 0), (2, 1, 0), (0, 0, 3)):
-        basis = lune(k, cfg)
-        assert list(basis.points) == brute_lune(k, cfg)
-        for p, lam in zip(basis.points, basis.lambdas):
+        pts, gaps = lune_points(k, cfg)
+        assert list(map(tuple, pts.tolist())) == brute_lune(k, cfg)
+        for p, lam in zip(pts.tolist(), gaps):
             assert lam == (norm2(p) - norm2(tuple(a - b for a, b in zip(p, k)))) / 2
 
 
@@ -114,20 +119,20 @@ def test_lune_matches_brute_force(k_f):
 def test_lune_matches_point_loop_exhaustive(k_f):
     cfg = fermi_ball(k_f)
     for k in nonzero_k_vectors(int(math.ceil(2 * k_f)) + 2):
-        basis = lune(k, cfg)
+        pts, lam = lune_points(k, cfg)
         points, gaps = lune_loop(k, cfg)
-        assert basis.points == points
-        assert np.array_equal(basis.lambdas, gaps)
-        assert [lambda_of(k, p) for p in basis.points] == basis.lambdas.tolist()
+        assert tuple(map(tuple, pts.tolist())) == points
+        assert np.array_equal(lam, gaps)
+        assert [lambda_of(k, p) for p in points] == lam.tolist()
         mask, all_gaps = lune_kernel(k, cfg)
-        assert np.count_nonzero(mask) == basis.dim
+        assert np.count_nonzero(mask) == len(pts)
         assert all_gaps.tolist() == [lambda_of(k, tuple(a + b for a, b in zip(k, q)))
                                      for q in cfg.ball]
 
 
 def test_lune_rejects_zero_k():
     with pytest.raises(ValueError):
-        lune((0, 0, 0), fermi_ball(1.0))
+        lune_points((0, 0, 0), fermi_ball(1.0))
 
 
 def test_lambda_of_examples():
@@ -141,21 +146,32 @@ def test_gap_lower_bound_exhaustive():
     for k_f in (1.0, 2.0, 3.0):
         cfg = fermi_ball(k_f)
         for k in nonzero_k_vectors(int(math.ceil(2 * k_f)) + 2):
-            basis = lune(k, cfg)
-            assert basis.dim > 0
-            assert basis.lambdas.min() >= 0.5
+            gaps = lune_points(k, cfg)[1]
+            assert gaps.size > 0
+            assert gaps.min() >= 0.5
 
 
 def test_reflection_symmetry_exhaustive():
     for k_f in (1.0, 2.0, 3.0):
         cfg = fermi_ball(k_f)
         for k in nonzero_k_vectors(int(math.ceil(2 * k_f))):
-            basis = lune(k, cfg)
-            mirror = lune(neg(k), cfg)
-            assert tuple(sorted(neg(p) for p in basis.points)) == mirror.points
-            lam = dict(zip(basis.points, basis.lambdas))
-            for p, l in zip(mirror.points, mirror.lambdas):
+            points = lune_tuples(k, cfg)
+            mirror = lune_tuples(neg(k), cfg)
+            assert tuple(sorted(neg(p) for p in points)) == mirror
+            lam = dict(zip(points, lune_points(k, cfg)[1]))
+            for p, l in zip(mirror, lune_points(neg(k), cfg)[1]):
                 assert lam[neg(p)] == l
+
+
+@pytest.mark.parametrize("k_f", [1.0, 2.0, 3.0])
+def test_mirror_lune_is_reversed_negated_lune(k_f):
+    # the ball is symmetric and lex-sorted, so negating reverses the order
+    cfg = fermi_ball(k_f)
+    for k in nonzero_k_vectors(int(math.ceil(2 * k_f)) + 2):
+        pts, gaps = lune_points(k, cfg)
+        m_pts, m_gaps = lune_points(neg(k), cfg)
+        assert np.array_equal(m_pts, -pts[::-1])
+        assert np.array_equal(m_gaps, gaps[::-1])
 
 
 def test_four_point_identity_random():
@@ -166,9 +182,9 @@ def test_four_point_identity_random():
         k = tuple(int(c) for c in rng.integers(-4, 5, size=3))
         if k == (0, 0, 0):
             continue
-        basis = lune(k, cfg)
-        i, j = rng.integers(0, basis.dim, size=2)
-        p, q = basis.points[int(i)], basis.points[int(j)]
+        points = lune_tuples(k, cfg)
+        i, j = rng.integers(0, len(points), size=2)
+        p, q = points[int(i)], points[int(j)]
         l = tuple(pc + qc - kc for pc, qc, kc in zip(p, q, k))
         if l == (0, 0, 0) or not (cfg.in_lune(l, p) and cfg.in_lune(l, q)):
             continue
@@ -189,13 +205,13 @@ def test_d_intersection_examples():
 def test_d_intersection_membership_is_exact():
     cfg = fermi_ball(2.0)
     for k in ((1, 0, 0), (2, 1, 0)):
-        basis = lune(k, cfg)
+        points = set(lune_tuples(k, cfg))
         for xi in ((1, 1, 0), (2, 0, 0), (0, 0, 0), (3, 1, 0)):
             got = d_intersection(k, xi, cfg)
             cands = [xi, neg(xi),
                      tuple(a + b for a, b in zip(k, xi)),
                      tuple(a - b for a, b in zip(k, xi))]
-            assert got == [z for z in cands if z in basis]
+            assert got == [z for z in cands if z in points]
 
 
 def test_k_support_outside_is_exactly_finite():
@@ -516,9 +532,9 @@ def test_lattice_sum_trend_bounded():
             cfg = fermi_ball(k_f)
             for k in nonzero_k_vectors(int(2 * k_f)):
                 kn = math.sqrt(norm2(k))
-                basis = lune(k, cfg)
+                gaps = lune_points(k, cfg)[1]
                 bound = k_f ** (2.0 + beta) * kn ** (1.0 + beta)
-                ratios.append(float(np.sum(basis.lambdas ** beta)) / bound)
+                ratios.append(float(np.sum(gaps ** beta)) / bound)
         c = max(ratios)
         assert np.isfinite(c) and c > 0
         # single fitted constant works across the whole swept set

@@ -13,20 +13,19 @@ from hypothesis import strategies as st
 import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, ball_array, d_intersection,
                               fermi_ball, gap_counts, k_support, lambda_of,
-                              lune, lune_kernel, neg, nonzero_k_vectors,
-                              norm2, orbit, orbit_key, point_group)
+                              lune_kernel, lune_points, neg, norm2, orbit,
+                              orbit_key, point_group)
 from fermigas.momentum import (MomentumBreakdown, Observable, _block_parts,
                                n_point, n_weighted)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
-from fermigas.quasiboson import (TWO_PI_CUBED, build_mode,
-                                 cosh2k_minus_one_diag, cosh_minus_one_per_gap,
+from fermigas.quasiboson import (TWO_PI_CUBED, cosh_minus_one_per_gap,
                                  gap_response, mode_chunks, q_of_s)
-from fermigas.verify import _exchange_term, _integral_term
+from fermigas.verify import _exchange_term, _integral_term, _mode
 
 from oracles import (ball_pair_sum_n_ex, ball_trace_n_b, bulk_chunk,
-                     bulk_exchange, n_boson_integral, n_boson_spectral,
-                     n_exchange, per_k_sum, spectral_term,
-                     truncated_k_vectors)
+                     bulk_exchange, cosh2k_minus_one_diag, n_boson_integral,
+                     n_boson_spectral, n_exchange, nonzero_k_vectors,
+                     per_k_sum, spectral_term, truncated_k_vectors)
 
 TWO_PI_6 = (2.0 * np.pi) ** 6
 FAST = TailPolicy(k_max=4, tail_tol=1e-3, max_doublings=2)
@@ -80,26 +79,29 @@ def test_dim1_synthetic_mode_contribution():
     # lam = 1, v^2 = 1: the per-hit spectral weight is cosh(-2K) - 1 at K = -log(3)/4
     cfg = fermi_ball(0.5)
     vhat = 2.0 * (2.0 * np.pi) ** 3 * cfg.k_f
-    mode = build_mode((1, 1, 0), cfg,
-                      from_table({(1, 1, 0): vhat, (-1, -1, 0): vhat}))
-    assert mode.dim == 1 and mode.h[0] == 1.0 and mode.vsq == 1.0
-    diag = cosh2k_minus_one_diag(mode)
+    k = (1, 1, 0)
+    pts, lam, _, vsq = _mode(k, cfg,
+                             from_table({k: vhat, (-1, -1, 0): vhat}))
+    assert lam.size == 1 and lam[0] == 1.0 and vsq == 1.0
+    diag = cosh2k_minus_one_diag(lam, vsq)
     expected = (np.sqrt(3.0) + 1.0 / np.sqrt(3.0)) / 2.0 - 1.0
     assert diag[0] == pytest.approx(expected, rel=1e-13)
     assert diag[0] == pytest.approx(0.154701, abs=1e-6)
-    zeta = mode.lune.points[0]
-    assert spectral_term(mode, Counter([zeta])) == pytest.approx(expected, rel=1e-13)
+    zeta = tuple(pts[0].tolist())
+    assert spectral_term(pts, lam, vsq, Counter([zeta])) == pytest.approx(
+        expected, rel=1e-13)
     # the screened quadrature gives the same per-hit weight
-    integ, err, ok = _integral_term(mode, Counter([zeta]), 1e-11)
+    integ, err, ok = _integral_term(k, lam, vhat, cfg.k_f, Counter([zeta]),
+                                    1e-11)
     assert ok and integ == pytest.approx(expected, abs=max(1e-10, 10 * err))
 
 
 def test_single_mode_cross_route():
     cfg = fermi_ball(1.0)
-    mode = build_mode((1, 0, 0), cfg, coulomb(1.0))
+    pts, lam, vhat, vsq = _mode((1, 0, 0), cfg, coulomb(1.0))
     zetas = Counter(d_intersection((1, 0, 0), (1, 1, 0), cfg))
-    spec = spectral_term(mode, zetas)
-    integ, err, ok = _integral_term(mode, zetas, 1e-10)
+    spec = spectral_term(pts, lam, vsq, zetas)
+    integ, err, ok = _integral_term((1, 0, 0), lam, vhat, cfg.k_f, zetas, 1e-10)
     assert ok
     assert abs(spec - integ) <= 1e-6 * abs(spec)
 
@@ -144,13 +146,13 @@ def test_per_k_exchange_aggregation_identity():
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
     k = (1, 0, 0)
-    mode = build_mode(k, cfg, pot)
-    lhs = sum(_exchange_term(mode, Counter(d_intersection(k, xi, cfg)), pot)
+    pts, lam, vhat, _ = _mode(k, cfg, pot)
+    lhs = sum(_exchange_term(k, pts, lam, vhat, cfg.k_f,
+                             Counter(d_intersection(k, xi, cfg)), pot)
               for xi in cfg.ball)
-    basis = lune(k, cfg)
     rhs = 0.0
-    for p in basis.points:
-        for q in basis.points:
+    for p in pts.tolist():
+        for q in pts.tolist():
             arg = tuple(pc + qc - kc for pc, qc, kc in zip(p, q, k))
             rhs += evaluate(pot, k) * evaluate(pot, arg) / (
                 lambda_of(k, p) + lambda_of(k, q)) ** 2
@@ -212,31 +214,31 @@ BLOCK_KS = {
 @pytest.mark.parametrize("kf", sorted(BLOCK_KS))
 def test_deflated_diag_matches_full_lune(kf):
     cfg = fermi_ball(kf)
-    modes = [build_mode(k, cfg, coulomb(1.0)) for k in BLOCK_KS[kf]]
+    modes = [_mode(k, cfg, coulomb(1.0)) for k in BLOCK_KS[kf]]
     g, counts = gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
     per_gap = cosh_minus_one_per_gap(g, counts,
-                                     np.array([m.vsq for m in modes]))
-    for row, mode in enumerate(modes):
-        col = np.searchsorted(g, mode.h)
-        assert np.array_equal(g[col], mode.h)
-        assert counts[row].sum() == mode.dim
+                                     np.array([m[3] for m in modes]))
+    for row, (_, lam, _, vsq) in enumerate(modes):
+        col = np.searchsorted(g, lam)
+        assert np.array_equal(g[col], lam)
+        assert counts[row].sum() == lam.size
         # both sum positive terms, so they agree in relative terms even on
         # far modes (measured: 2.6e-14 at most)
         np.testing.assert_allclose(per_gap[row, col],
-                                   cosh2k_minus_one_diag(mode), rtol=1e-13)
+                                   cosh2k_minus_one_diag(lam, vsq), rtol=1e-13)
 
 
 def test_gap_table_response_matches_q_of_s():
     s = np.array([0.0, 0.05, 0.5, 1.0, 3.0, 10.0, 1e3])
     for kf, pot in ((2.0, coulomb(1.0)), (3.0, yukawa(2.0, 0.5))):
         cfg = fermi_ball(kf)
-        modes = [build_mode(k, cfg, pot) for k in BLOCK_KS[kf]]
-        vsq = np.array([m.vsq for m in modes])
+        modes = [_mode(k, cfg, pot) for k in BLOCK_KS[kf]]
+        vsq = np.array([m[3] for m in modes])
         g, _, resp = gap_response(*lune_kernel(np.array(BLOCK_KS[kf]), cfg),
                                   vsq)
         q = resp @ (1.0 / (s[None, :] ** 2 + g[:, None] ** 2))
-        for row, mode in zip(q, modes):
-            np.testing.assert_allclose(row, q_of_s(mode, s), rtol=1e-13)
+        for row, (_, lam, _, vsq_k) in zip(q, modes):
+            np.testing.assert_allclose(row, q_of_s(lam, s, vsq_k), rtol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +249,7 @@ def test_gap_histogram_is_point_group_invariant(k, kf):
     cfg = fermi_ball(kf)
     images = point_group("radial") @ np.array(k)
     g, counts = gap_counts(*lune_kernel(images, cfg))
-    lam_d, m_d = np.unique(lune(k, cfg).lambdas, return_counts=True)
+    lam_d, m_d = np.unique(lune_points(k, cfg)[1], return_counts=True)
     assert np.array_equal(g, lam_d)
     assert np.array_equal(counts, np.broadcast_to(m_d, (48, lam_d.size)))
     assert np.all(orbit_key(images) == orbit_key(images)[0])
@@ -462,7 +464,8 @@ def test_coupling_monotonicity_of_spectral_summand():
     for k in ((1, 0, 0), (2, 0, 0), (1, 1, 1)):
         prev = None
         for g in (0.1, 0.5, 1.0, 2.0, 10.0):
-            diag = cosh2k_minus_one_diag(build_mode(k, cfg, coulomb(g)))
+            _, lam, _, vsq = _mode(k, cfg, coulomb(g))
+            diag = cosh2k_minus_one_diag(lam, vsq)
             if prev is not None:
                 assert np.all(diag >= prev - 1e-15)
             prev = diag
@@ -471,7 +474,8 @@ def test_coupling_monotonicity_of_spectral_summand():
 def test_positivity_of_spectral_diag():
     cfg = fermi_ball(2.0)
     for k in nonzero_k_vectors(4):
-        diag = cosh2k_minus_one_diag(build_mode(k, cfg, coulomb(1.0)))
+        _, lam, _, vsq = _mode(k, cfg, coulomb(1.0))
+        diag = cosh2k_minus_one_diag(lam, vsq)
         assert np.all(diag > 0.0)
 
 

@@ -163,6 +163,29 @@ def test_at_beyond_the_key_range_reads_zero():
     assert from_table({}).at([[1, 0, 0]]).tolist() == [0.0]
 
 
+def test_table_keys_beyond_the_code_box_rejected():
+    # the uneven table read as even when 2**40 overflowed the int64 codes
+    big = potential.TABLE_KEY_MAX + 1
+    for key in ((2**40, 0, 0), (0, -big, 0), (10**19, 0, 0)):
+        with pytest.raises(ValueError, match="2\\*\\*20 in magnitude"):
+            from_table({key: 1.0, tuple(-c for c in key): 2.0,
+                        (1, 0, 0): 2.0, (-1, 0, 0): 2.0})
+
+
+def test_at_matches_evaluate_at_the_largest_keys():
+    r = potential.TABLE_KEY_MAX
+    keys = [(r, 0, 0), (r, -r, r), (0, r, -1)]
+    table = {k: 1.0 + i for i, k in enumerate(keys)}
+    table.update({tuple(-c for c in k): -(1.0 + i) for i, k in enumerate(keys)})
+    table.update({(1, 0, 0): 2.0, (-1, 0, 0): 2.0})
+    pot = from_table(table)
+    pts = [*keys, *(tuple(-c for c in k) for k in keys), (r, 0, 1), (-r, r, 0)]
+    assert pot.at(pts).tolist() == [evaluate(pot, p) for p in pts]
+    assert pot.at(pts).tolist()[:6] == [1.0, 2.0, 3.0, -1.0, -2.0, -3.0]
+    report = validate(pot, 4)
+    assert not report.ok and not report.symmetric and not report.nonnegative
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: coulomb(math.inf), "coupling g must be finite, got inf"),
     (lambda: coulomb(math.nan), "coupling g must be finite, got nan"),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fermigas.lattice import LuneBasis, fermi_ball, lune
+from fermigas.lattice import fermi_ball, lune_points
 from fermigas.potential import coulomb, zero
 from fermigas.verify import (any_failed, check_cross, check_gap_bound,
                              check_lattice, check_mode, reports_to_json,
@@ -31,15 +31,15 @@ def test_check_lattice_passes_larger_balls(k_f):
 
 def test_gap_check_negative_control_carries_reproducer():
     cfg = fermi_ball(1.0)
-    good = lune((1, 0, 0), cfg)
-    bad = LuneBasis(k=good.k, points=good.points,
-                    lambdas=np.array([0.5, 0.5, 0.3, 0.5, 1.5]),
-                    _index=dict(good._index))
-    report = check_gap_bound([good, bad], cfg.k_f)
+    pts, gaps = lune_points((1, 0, 0), cfg)
+    bad_gaps = np.array([0.5, 0.5, 0.3, 0.5, 1.5])
+    report = check_gap_bound([((1, 0, 0), pts, gaps),
+                              ((1, 0, 0), pts, bad_gaps)], cfg.k_f)
     assert report.status == "fail"
     assert report.reproducer is not None
     assert report.reproducer["lambda"] == pytest.approx(0.3)
     assert report.reproducer["k"] == [1, 0, 0]
+    assert report.reproducer["p"] == [1, 0, 1]
 
 
 @pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 10.0])
