@@ -49,7 +49,7 @@ lives on as a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -310,10 +310,6 @@ class Observable:
         """Symmetrized point mass at +-xi0."""
         xv = as_vec3(xi0)
         return Observable(values={xv: 1.0, neg(xv): 1.0})
-
-    @staticmethod
-    def from_mapping(values: Mapping[Sequence[int], float]) -> "Observable":
-        return Observable(values={as_vec3(k): float(v) for k, v in values.items()})
 
     @staticmethod
     def load_table(path) -> "Observable":

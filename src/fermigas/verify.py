@@ -4,6 +4,13 @@ Every check that tests an exact identity or a proven inequality is an
 assert-class check (status "pass"/"fail", with a reproducer on
 failure).  Bounds that involve unnamed constants are demoted to
 diagnostics: the fitted constant is reported, never asserted.
+
+The checks are reproducible: the four-point identity draws its
+quadruples from seed 7, the per-mode checks take tau in (0, 1/2, 1)
+and their conjugation matrices from seed 11, and the screening check
+draws s from seed 23.  The per-mode checks sample every mode with
+0 < |k| <= 2 k_F, so the suite needs k_F >= 1/2 and raises ValueError
+below it.
 """
 
 from __future__ import annotations
@@ -25,6 +32,14 @@ from .quasiboson import (TWO_PI_6, build_K, cosh_minus_one_core, coupling_sq,
                          csk_pair, q_of_s, sandwich_bounds)
 
 
+LATTICE_SEED = 7             # four-point quadruples
+QUADRUPLES = 200
+TAUS = (0.0, 0.5, 1.0)       # tau of the per-mode hyperbolic checks
+MODE_SEED = 11               # per-mode conjugation matrices
+CROSS_SEED = 23              # screening-identity s values
+CROSS_QUAD_TOL = 1e-10       # integral route of the cross checks
+
+
 @dataclass
 class CheckReport:
     name: str
@@ -34,10 +49,6 @@ class CheckReport:
     worst_case: str = ""
     params: dict = field(default_factory=dict)
     reproducer: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -59,6 +70,13 @@ def _assert_report(name, measured, tolerance, worst_case, params, reproducer=Non
                        tolerance=float(tolerance), worst_case=worst_case,
                        params=params,
                        reproducer=reproducer if status == "fail" else None)
+
+
+def _require_modes(cfg: LatticeConfig) -> None:
+    """Raise ValueError unless some mode has 0 < |k| <= 2 k_F."""
+    if cfg.k_f < 0.5:
+        raise ValueError(f"verify needs k_F >= 1/2, below which no mode has "
+                         f"0 < |k| <= 2 k_F; got k_F = {cfg.k_f}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +102,8 @@ def check_gap_bound(lunes, k_f: float) -> CheckReport:
         {"k_f": k_f, "lunes": len(list(lunes))}, worst_at)
 
 
-def check_lattice(cfg: LatticeConfig, seed: int = 7,
-                  quadruples: int = 200) -> list[CheckReport]:
+def check_lattice(cfg: LatticeConfig) -> list[CheckReport]:
+    _require_modes(cfg)
     k_max = int(math.ceil(2.0 * cfg.k_f)) + 2
     ks = ball_array(k_max * k_max, 0).tolist()
     lunes = [(k, *lune_points(k, cfg)) for k in ks]
@@ -108,12 +126,12 @@ def check_lattice(cfg: LatticeConfig, seed: int = 7,
         {"k_f": cfg.k_f, "k_max": k_max}, worst_rep))
 
     # four-point gap identity on random admissible quadruples
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=LATTICE_SEED))
     worst = 0.0
     worst_rep = None
     tested = 0
     guard = 0
-    while tested < quadruples and guard < 50 * quadruples:
+    while tested < QUADRUPLES and guard < 50 * QUADRUPLES:
         guard += 1
         k = tuple(int(c) for c in rng.integers(-k_max, k_max + 1, size=3))
         if k == (0, 0, 0):
@@ -139,7 +157,7 @@ def check_lattice(cfg: LatticeConfig, seed: int = 7,
     reports.append(_assert_report(
         "lattice.four_point_gap_identity", worst, 0.0,
         f"{tested} admissible quadruples tested",
-        {"k_f": cfg.k_f, "seed": seed}, worst_rep))
+        {"k_f": cfg.k_f, "seed": LATTICE_SEED}, worst_rep))
 
     # gap-sum over modes seeing a fixed outside point: exactly finite
     first_shell_n2 = min(norm2(p) for p in ball_points(cfg.r2 + 16)
@@ -171,23 +189,17 @@ def check_lattice(cfg: LatticeConfig, seed: int = 7,
                        f"(median ratio {np.median(ratios):.3g})",
             params={"k_f": cfg.k_f, "beta": beta}))
 
-    # truncated hole-side gap sum, reported against k_F^(1+delta) m(xi)
-    xi_in = cfg.ball[0]
-    for cand in ((0, 0, 0), cfg.ball[-1]):
-        if cfg.in_ball(cand):
-            xi_in = cand
-            break
-    m_inv = abs(norm2(xi_in) - cfg.kappa)
+    # truncated hole-side gap sum at the centre xi = 0 of the ball, where
+    # 1 / m(xi) = |kappa - |xi|^2| = kappa, reported against k_F^(1+delta) m(xi)
     acc = 0.0
     for k in ball_array(4 * k_max * k_max, 0).tolist():
-        kxi = tuple(a + b for a, b in zip(k, xi_in))
-        if cfg.in_lune(k, kxi):
-            acc += 1.0 / lambda_of(k, kxi) ** 2
-    fitted = acc * m_inv / cfg.k_f ** 1.1
+        if cfg.in_lune(k, k):
+            acc += 1.0 / lambda_of(k, k) ** 2
+    fitted = acc * cfg.kappa / cfg.k_f ** 1.1
     reports.append(CheckReport(
         name="lattice.inside_gap_sum_trend", status="diagnostic",
         measured=float(fitted), tolerance=None,
-        worst_case=f"truncated at |k| <= {2 * k_max}, xi={list(xi_in)}",
+        worst_case=f"truncated at |k| <= {2 * k_max}, xi=[0, 0, 0]",
         params={"k_f": cfg.k_f, "delta": 0.1}))
     return reports
 
@@ -198,6 +210,7 @@ def check_lattice(cfg: LatticeConfig, seed: int = 7,
 
 def _mode_sample(cfg: LatticeConfig) -> list[list[int]]:
     """All k != 0 with |k| <= floor(2 k_F), lex-sorted: -k is row -1 - i."""
+    _require_modes(cfg)
     k_max = int(math.floor(2.0 * cfg.k_f))
     return ball_array(k_max * k_max, 0).tolist()
 
@@ -208,8 +221,7 @@ def _mode(k, cfg: LatticeConfig, pot: Potential):
     return (*lune_points(k, cfg), vhat, coupling_sq(vhat, cfg.k_f))
 
 
-def check_mode(cfg: LatticeConfig, pot: Potential,
-               taus=(0.0, 0.5, 1.0), seed: int = 11) -> list[CheckReport]:
+def check_mode(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
     ks = _mode_sample(cfg)
     slack = 1e-10
 
@@ -218,17 +230,17 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
         dim = lam.size
         kmat = build_K(lam, vsq)
         lower, upper, _ = sandwich_bounds(lam, vsq)
-        out = {}
-        out["nsd"] = float(np.max(np.linalg.eigvalsh(kmat))) if dim else 0.0
-        negk = -kmat
-        out["sw_K"] = float(max(np.max(negk - upper), np.max(lower - negk))) \
-            if dim else 0.0
-        sw_cs = 0.0
-        hyper = 0.0
         eye = np.eye(dim)
         vh_inv_v = vsq * float(np.sum(1.0 / lam))
         c_upper = vh_inv_v / (1.0 + 2.0 * vh_inv_v) * upper
-        for tau in taus:
+        # the conjugations by e^{+-tau K} of a diagonal and a dense
+        # symmetric T are decomposed against the exponentials themselves
+        key_k = (MODE_SEED << 24) + (k[0] % 64) * 4096 + (k[1] % 64) * 64 + (k[2] % 64)
+        rng = np.random.Generator(np.random.Philox(key=key_k))
+        t_rand = rng.standard_normal((dim, dim))
+        t_mats = (np.diag(rng.standard_normal(dim)), 0.5 * (t_rand + t_rand.T))
+        sw_cs = hyper = dec_dev = 0.0
+        for tau in TAUS:
             c, s = csk_pair(kmat, tau)
             hyper = max(hyper, float(np.max(np.abs((c + eye) @ (c + eye) - s @ s - eye))))
             sw_cs = max(sw_cs,
@@ -236,21 +248,11 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
                         float(np.max(tau * lower - s)),
                         float(np.max(-c)),
                         float(np.max(c - c_upper)))
-        out["sw_CS"] = sw_cs
-        out["hyperbolic"] = hyper
-        # decomposition of the symmetric conjugations against expm
-        key_k = (seed << 24) + (k[0] % 64) * 4096 + (k[1] % 64) * 64 + (k[2] % 64)
-        rng = np.random.Generator(np.random.Philox(key=key_k))
-        t_rand = rng.standard_normal((dim, dim))
-        dec_dev = 0.0
-        for t_mat in (np.diag(rng.standard_normal(dim)),
-                      0.5 * (t_rand + t_rand.T)):
-            for tau in taus:
-                ep = sym_matrix_function(tau * kmat, "exp")
-                em = sym_matrix_function(-tau * kmat, "exp")
+            ep = sym_matrix_function(tau * kmat, "exp")
+            em = sym_matrix_function(-tau * kmat, "exp")
+            for t_mat in t_mats:
                 t1_direct = 0.5 * (ep @ t_mat @ ep + em @ t_mat @ em)
                 t2_direct = 0.5 * (ep @ t_mat @ ep - em @ t_mat @ em)
-                c, s = csk_pair(kmat, tau)
                 anti_c = t_mat @ c + c @ t_mat
                 anti_s = t_mat @ s + s @ t_mat
                 t1 = t_mat + anti_c + c @ t_mat @ c + s @ t_mat @ s
@@ -258,7 +260,10 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
                 dec_dev = max(dec_dev,
                               float(np.max(np.abs(t1 - t1_direct))),
                               float(np.max(np.abs(t2 - t2_direct))))
-        out["decomposition"] = dec_dev
+        # every lune of a k != 0 is nonempty, so dim >= 1
+        out = {"nsd": float(np.max(np.linalg.eigvalsh(kmat))),
+               "sw_K": float(max(np.max(-kmat - upper), np.max(lower + kmat))),
+               "sw_CS": sw_cs, "hyperbolic": hyper, "decomposition": dec_dev}
         return out, lam, vhat, kmat
 
     results = [per_k(k) for k in ks]
@@ -273,7 +278,7 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
         rep = {"k": list(worst_k), "k_f": cfg.k_f, "potential": pot.spec_string()}
         reports.append(_assert_report(
             f"mode.{label}", worst, tol, f"worst at k={list(worst_k)}",
-            {"k_f": cfg.k_f, "potential": pot.spec_string(), "taus": list(taus)},
+            {"k_f": cfg.k_f, "potential": pot.spec_string(), "taus": list(TAUS)},
             rep))
 
     collect("nsd", slack, "kernel_nsd")
@@ -288,8 +293,7 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
     worst_k = None
     for k, (_, _, _, kmat), (_, _, _, mkmat) in zip(ks, results,
                                                     reversed(results)):
-        dev = float(np.max(np.abs(kmat - mkmat[::-1, ::-1]))) \
-            if kmat.size else 0.0
+        dev = float(np.max(np.abs(kmat - mkmat[::-1, ::-1])))
         if dev > worst:
             worst, worst_k = dev, k
     reports.append(_assert_report(
@@ -300,8 +304,8 @@ def check_mode(cfg: LatticeConfig, pot: Potential,
 
     # product-entry bound trend (constants unknown: diagnostic only)
     diag_rows = []
-    for k, (_, lam, vhat, kmat) in zip(ks[: min(4, len(ks))], results):
-        if lam.size == 0 or vhat == 0.0:
+    for k, (_, lam, vhat, kmat) in zip(ks[:4], results):
+        if vhat == 0.0:
             continue
         c, s = csk_pair(kmat, 1.0)
         denom = lam[:, None] + lam[None, :]
@@ -382,16 +386,15 @@ def _brute_force_pair_sum(k, cfg: LatticeConfig, pot: Potential) -> float:
     return total
 
 
-def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
-                quad_tol: float = 1e-10) -> list[CheckReport]:
-    ks = _mode_sample(cfg)
+def check_cross(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
+    ks = _mode_sample(cfg)[:6]
+    modes = [_mode(k, cfg, pot) for k in ks]
     reports = []
 
     # spectral vs integral route, per mode and lune point
     worst = 0.0
     worst_rep = None
-    for k in ks[: min(6, len(ks))]:
-        pts, lam, vhat, vsq = _mode(k, cfg, pot)
+    for k, (pts, lam, vhat, vsq) in zip(ks, modes):
         if vhat == 0.0:
             continue
         # the full lune is a deflated core with every multiplicity 1
@@ -401,7 +404,7 @@ def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
             z = tuple(pts[i].tolist())
             spec = float(diag[i])
             integ, err, _ = _integral_term(k, lam, vhat, cfg.k_f, Counter([z]),
-                                           quad_tol)
+                                           CROSS_QUAD_TOL)
             dev = abs(spec - integ) - 10.0 * (err + 1e-13 * max(1.0, abs(spec)))
             if dev > worst:
                 worst = dev
@@ -413,11 +416,10 @@ def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
         {"k_f": cfg.k_f, "potential": pot.spec_string()}, worst_rep))
 
     # rank-one resolvent diagonal vs dense inverse
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=CROSS_SEED))
     worst = 0.0
     worst_rep = None
-    for k in ks[: min(4, len(ks))]:
-        _, h, _, vsq = _mode(k, cfg, pot)
+    for k, (_, h, _, vsq) in zip(ks[:4], modes):
         u = np.sqrt(h * vsq)
         for s in (0.0, 0.7, 5.0):
             dense = np.linalg.inv(np.diag(h**2) + 2.0 * np.outer(u, u)
@@ -437,8 +439,7 @@ def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
     # screening identity 1 + 2<u, (h^2+s^2)^-1 u> = 1 + q(s)
     worst = 0.0
     worst_rep = None
-    for k in ks[: min(6, len(ks))]:
-        _, h, _, vsq = _mode(k, cfg, pot)
+    for k, (_, h, _, vsq) in zip(ks, modes):
         u = np.sqrt(h * vsq)
         for s in rng.uniform(0.0, 8.0, size=5):
             lhs = 1.0 + 2.0 * float(np.dot(u, u / (h**2 + s * s)))
@@ -455,10 +456,9 @@ def check_cross(cfg: LatticeConfig, pot: Potential, seed: int = 23,
     # per-k exchange aggregation over the ball
     worst = 0.0
     worst_rep = None
-    for k in ks[: min(3, len(ks))]:
-        if evaluate(pot, k) == 0.0:
+    for k, (pts, lam, vhat, _) in zip(ks[:3], modes):
+        if vhat == 0.0:
             continue
-        pts, lam, vhat, _ = _mode(k, cfg, pot)
         lhs = 0.0
         for xi in cfg.ball:
             zetas = Counter(d_intersection(k, xi, cfg))

@@ -103,6 +103,15 @@ def test_verify_exit_zero_and_json(capsys):
     assert all(r["status"] != "fail" for r in data)
 
 
+def test_verify_below_half_kf_exit_2(capsys):
+    assert main(["verify", "--kf", "0.3", "--potential", "coulomb:g=1"]) == 2
+    assert "k_F >= 1/2" in capsys.readouterr().err
+    code, out = run_cli(capsys, "verify", "--kf", "0.5",
+                        "--potential", "coulomb:g=1")
+    assert code == 0
+    assert all(r["status"] != "fail" for r in json.loads(out))
+
+
 def test_dv_compare_csv_header(capsys):
     code, out = run_cli(capsys, "dv-compare", "--kf", "1",
                         "--potential", "coulomb:g=1", "--xi-list", "2,0,0",

@@ -5,9 +5,9 @@ import pytest
 
 from fermigas.lattice import fermi_ball, lune_points
 from fermigas.potential import coulomb, zero
-from fermigas.verify import (any_failed, check_cross, check_gap_bound,
-                             check_lattice, check_mode, reports_to_json,
-                             run_all)
+from fermigas.verify import (_mode_sample, any_failed, check_cross,
+                             check_gap_bound, check_lattice, check_mode,
+                             reports_to_json, run_all)
 
 
 def by_name(reports):
@@ -58,6 +58,30 @@ def test_check_mode_product_trend_records_exponent_readings():
     rows = trend.params["rows"]
     assert rows and all("sup_over_vhat_m" in r and "sup_over_vhat_1" in r
                         for r in rows)
+
+
+def test_check_mode_eigensolves_each_distinct_input_once(monkeypatch):
+    # per mode: 2 in build_K, then per tau one csk_pair and exp(+-tau K);
+    # the product-entry trend adds one csk_pair for each of <= 4 modes
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cfg = fermi_ball(1.0)
+    assert not any_failed(check_mode(cfg, coulomb(1.0)))
+    assert len(calls) <= 11 * len(_mode_sample(cfg)) + 4
+
+
+def test_checks_below_half_kf_raise():
+    cfg, pot = fermi_ball(0.3), coulomb(1.0)
+    for call in (lambda: check_lattice(cfg), lambda: check_mode(cfg, pot),
+                 lambda: check_cross(cfg, pot), lambda: run_all(cfg, pot)):
+        with pytest.raises(ValueError, match="k_F >= 1/2"):
+            call()
 
 
 def test_check_cross_green():
