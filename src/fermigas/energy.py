@@ -27,12 +27,16 @@ gap-histogram and response identities:
 
       V_k sum_{t in B+B} c(t) V(k + t) / (|k|^2 + k.t),
 
-  with c(t) = #{(a, b) in B^2 : a + b = t} the ball autocorrelation,
-  one (m, |B+B|) kernel for the full-lune rows; V(k + t) is read off
-  the integer norm for a radial V and by ``Potential.at`` for a table.
-  Near rows (|k| <= 2 k_F) keep the masked pair sum.  The chunk size
-  is taken from |B+B| (829 at k_F = 3, growing as k_F^3), so that the
-  kernel's temporaries stay near 1 MB each.
+  with c(t) = #{(a, b) in B^2 : a + b = t} the ball autocorrelation.
+  A partial lune, the ball points M_k with k + a outside the ball,
+  only swaps c for its pair counts c_k(t) = #{(a, b) in M_k^2 :
+  a + b = t}, so every row runs through one (m, |B+B|) kernel; V(k + t)
+  is read off the integer norm |k + t|^2 = 2 (|k|^2 + k.t) + |t|^2 -
+  |k|^2 for a radial V and by ``Potential.at`` for a table.  Only rows
+  with |k| <= 2 k_F can have a partial lune; they count their pairs
+  from their lune masks.  The chunk size is taken from |B+B| (829 at
+  k_F = 3, growing as k_F^3), so that the kernel's reused float buffers
+  stay under glibc's 128 KB mmap threshold.
 
 E_corr,ex and the Fermi-state interaction put their per-k terms back in
 shell order and sum them one k at a time, so each is the same float as
@@ -56,6 +60,8 @@ from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, coupling_sq, gap_response,
                          mode_chunks, response_integrals)
 
 _CHUNK = 128
+# floats per E_corr,ex kernel buffer: 128 KB, glibc's mmap threshold
+_EX_BUFFER = 1 << 14
 
 
 def stable_log1p_minus_x(x):
@@ -130,19 +136,28 @@ def _bos_chunks(ks, cfg: LatticeConfig, pot: Potential, quad_tol: float):
             lambda q, s2: stable_log1p_minus_x(q), resp, g, lam_min, quad_tol))
 
 
-def _ball_pair_sums(cfg: LatticeConfig):
-    """(t, c(t), |t|^2) over the distinct t in B + B, lex-sorted.
+def _pair_code(cfg: LatticeConfig):
+    """(code, side): an additive code of the ball points.
 
-    c is the ball autocorrelation.  The code a . (side^2, side, 1) is
-    additive and, offset, maps the box |t_i| <= 2 isqrt(r2) onto bins.
+    code(a) is the flat index of a + r in the box [0, 4 r]^3 of the
+    given side, r = isqrt(r2), so code(a) + code(b) is the flat index of
+    a + b + 2 r: one bin per t in the box |t_i| <= 2 r that holds B + B,
+    in lex order of t.
     """
     r = math.isqrt(cfg.r2)
     side = 4 * r + 1
-    code = cfg.ball_arr @ np.array([side * side, side, 1])
-    counts = np.bincount((code[:, None] + code[None, :]).ravel()
-                         + 2 * r * (side * side + side + 1))
+    return np.ravel_multi_index((cfg.ball_arr + r).T, (side,) * 3), side
+
+
+def _ball_pair_sums(cfg: LatticeConfig):
+    """(t, c(t), |t|^2) over the distinct t in B + B, lex-sorted.
+
+    c is the ball autocorrelation, a bincount of the pair codes.
+    """
+    code, side = _pair_code(cfg)
+    counts = np.bincount(np.add.outer(code, code).ravel())
     bins = np.flatnonzero(counts)
-    t = np.column_stack(np.unravel_index(bins, (side, side, side))) - 2 * r
+    t = np.column_stack(np.unravel_index(bins, (side,) * 3)) - side // 2
     return t, counts[bins].astype(float), np.einsum("ij,ij->i", t, t)
 
 
@@ -150,32 +165,54 @@ def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,
               pair_sums) -> np.ndarray:
     """Pair sums V_k V_{p+q-k} / (lam_p + lam_q) over the lune of each row.
 
-    ``pair_sums`` is ``_ball_pair_sums(cfg)``.  Per mode chunk, the rows
-    whose lune is the whole shifted ball run as one (m, |B+B|) kernel
-    over t in B + B; the other rows take the masked pair sum.  Rows with
-    V_k = 0 are 0.
+    ``pair_sums`` is ``_ball_pair_sums(cfg)``.  Every row is one row of
+    the (m, |B+B|) kernel V_k sum_t c_k(t) V(k + t) / (|k|^2 + k.t),
+    where c_k(t) counts the pairs (a, b) of ball points with k + a and
+    k + b in the lune and a + b = t.  Rows with |k|^2 > 4 r2 have a full
+    lune and take the ball autocorrelation c; the others get their
+    masks from ``mode_chunks`` and bincount their pair codes.  The
+    kernel runs in float buffers of ``_EX_BUFFER`` // |B+B| rows, reused
+    over the chunks.  Rows with V_k = 0 are 0.
     """
     t, count, tn2 = pair_sums
     vhat = pot.at(ks)
     out = np.zeros(vhat.shape)
-    # (chunk, |B+B|) temporaries of about 1 MB each
-    for rows, mask, gaps in mode_chunks(ks, vhat, cfg,
-                                        max(1, (1 << 17) // t.shape[0])):
-        full = mask.all(axis=1)
-        if np.any(full):
-            kfull = ks[rows[full]]
-            kn2 = np.einsum("mi,mi->m", kfull, kfull)[:, None]
-            kt = kfull @ t.T
-            if pot.is_radial:
-                vt = pot.from_norm2(kn2 + 2 * kt + tn2)
-            else:
-                vt = pot.at(kfull[:, None] + t)                    # V(k + t)
-            out[rows[full]] = np.sum(count * vt / (kn2 + kt), axis=1)
-        for i in np.flatnonzero(~full):
-            a = cfg.ball_arr[mask[i]]
-            vmat = pot.at(ks[rows[i]] + a[:, None, :] + a[None, :, :])  # V(p + q - k)
-            lam = gaps[i, mask[i]]
-            out[rows[i]] = np.sum(vmat / (lam[:, None] + lam[None, :]))
+    kn2 = np.einsum("mi,mi->m", ks, ks).astype(float)
+    size = max(1, _EX_BUFFER // t.shape[0])
+    tf = t.T.astype(float)
+    den_buf = np.empty((size, t.shape[0]))
+    n2_buf = np.empty_like(den_buf)
+
+    def kernel(rows, counts):
+        # lam_p + lam_q = |k|^2 + k.t, exact in float
+        den = np.matmul(ks[rows].astype(float), tf, out=den_buf[:rows.size])
+        den += kn2[rows, None]
+        if pot.is_radial:
+            n2 = np.multiply(den, 2.0, out=n2_buf[:rows.size])
+            n2 += tn2                                      # |k + t|^2
+            n2 -= kn2[rows, None]
+            vt = pot.from_norm2(n2)
+        else:
+            vt = pot.at(ks[rows, None] + t)                # V(k + t)
+        vt *= counts
+        # off the lune (c_k(t) = 0) den may be <= 0
+        np.divide(vt, den, out=vt, where=counts > 0)
+        out[rows] = vt.sum(axis=1)
+
+    partial = kn2 <= 4 * cfg.r2
+    near = np.flatnonzero(partial)
+    code, side = _pair_code(cfg)
+    bins = np.ravel_multi_index((t + side // 2).T, (side,) * 3)
+    for rows, mask, _ in mode_chunks(ks[near], vhat[near], cfg, size):
+        counts = np.empty((rows.size, t.shape[0]))
+        for i, row in enumerate(mask):
+            a = code[row]
+            counts[i] = np.bincount(np.add.outer(a, a).ravel(),
+                                    minlength=side**3)[bins]
+        kernel(near[rows], counts)
+    far = np.flatnonzero(~partial & (vhat != 0.0))
+    for start in range(0, far.size, size):
+        kernel(far[start:start + size], count)
     return vhat * out
 
 

@@ -214,9 +214,15 @@ def gap_counts(mask: np.ndarray, lam: np.ndarray):
 
     ``mask`` and ``lam`` are the (m, N) output of ``lune_kernel``.
     Returns the distinct lune gaps g of the whole block, ascending, and
-    the (m, G) counts of lune points of each mode at each gap.
+    the (m, G) counts of lune points of each mode at each gap.  The gaps
+    are half-integers, so g comes from a bincount on the integers 2 lam
+    over their range in the block, without a sort.
     """
-    g, col = np.unique(lam[mask], return_inverse=True)
+    two = (2.0 * lam[mask]).astype(np.int64)
+    lo = two.min()
+    seen = np.bincount(two - lo) > 0
+    g = (np.flatnonzero(seen) + lo) / 2.0
+    col = np.cumsum(seen)[two - lo] - 1
     counts = np.bincount(np.nonzero(mask)[0] * g.size + col,
                          minlength=mask.shape[0] * g.size)
     return g, counts.reshape(-1, g.size)

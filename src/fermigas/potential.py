@@ -70,14 +70,13 @@ class Potential:
     def from_norm2(self, n2) -> np.ndarray:
         """Vectorized evaluation from integer squared norms (radial kinds only)."""
         n2 = np.asarray(n2, dtype=float)
-        safe = np.where(n2 > 0, n2, 1.0)
-        if self.kind == "coulomb":
-            return np.where(n2 > 0, self.g / safe, 0.0)
-        if self.kind == "yukawa":
-            return np.where(n2 > 0, self.g / (safe + self.mu**2), 0.0)
-        if self.kind == "zero":
-            return np.zeros_like(n2)
-        raise ValueError(f"potential kind {self.kind!r} is not radial")
+        if not self.is_radial:
+            raise ValueError(f"potential kind {self.kind!r} is not radial")
+        out = np.zeros_like(n2)
+        if self.kind != "zero":
+            np.divide(self.g, n2 + self.mu**2 if self.kind == "yukawa" else n2,
+                      out=out, where=n2 > 0)
+        return out
 
     @cached_property
     def _lookup(self):

@@ -25,12 +25,13 @@ array ``lam`` (``lattice.lune_points``) and the coupling ``vsq`` = v^2:
 vsq)`` the response, and ``csk_pair(K, tau)`` cosh and sinh of tau K.
 
 Every lattice sum over k (momentum and energies alike) runs on mode
-blocks: ``mode_chunks`` orders the k rows by |k|^2 and orbit key, drops
-V_k = 0, and hands out chunks with one (m, N) ``lune_kernel`` mask and
-gap table, the lune of k being the points k + q, q in the ball, whose
-gaps lam = (|k|^2 + 2 k.q)/2 are exact half-integers.  The per-mode
-objects then see a lune only through its gap histogram, the distinct
-gaps lam_d and their multiplicities m_d:
+blocks, save the E_corr,ex rows whose lune is the whole shifted ball
+and needs no mask: ``mode_chunks`` orders the k rows by |k|^2 and orbit
+key, drops V_k = 0, and hands out chunks with one (m, N)
+``lune_kernel`` mask and gap table, the lune of k being the points
+k + q, q in the ball, whose gaps lam = (|k|^2 + 2 k.q)/2 are exact
+half-integers.  The per-mode objects then see a lune only through its
+gap histogram, the distinct gaps lam_d and their multiplicities m_d:
 
 * response: q_k(s) = 2 v^2 sum_d m_d lam_d / (s^2 + lam_d^2), so on a
   chunk's shared gap axis g it is one matmul with the table

@@ -131,6 +131,25 @@ def k_shell_reduced(k_lo, k_hi, symmetry):
                         symmetry)
 
 
+def gap_counts_unique(mask, lam):
+    """``lattice.gap_counts`` by a sort: ``np.unique`` of the lune gaps."""
+    g, col = np.unique(lam[mask], return_inverse=True)
+    counts = np.bincount(np.nonzero(mask)[0] * g.size + col,
+                         minlength=mask.shape[0] * g.size)
+    return g, counts.reshape(-1, g.size)
+
+
+def from_norm2_where(pot, n2):
+    """``Potential.from_norm2`` on a guarded copy of the norms, with two ``np.where``."""
+    n2 = np.asarray(n2, dtype=float)
+    safe = np.where(n2 > 0, n2, 1.0)
+    if pot.kind == "coulomb":
+        return np.where(n2 > 0, pot.g / safe, 0.0)
+    if pot.kind == "yukawa":
+        return np.where(n2 > 0, pot.g / (safe + pot.mu**2), 0.0)
+    return np.zeros_like(n2)
+
+
 def lune_loop(k, cfg):
     """(points, gaps) of the lune of k: filter k + q over the ball, one point at a time."""
     kv = as_vec3(k)

@@ -9,7 +9,8 @@ from fermigas.energy import (_ball_pair_sums, _bos_chunks, _ex_terms,
                              energy_report, stable_log1p_minus_x)
 from fermigas.lattice import (TailPolicy, ball_points, doubled_sum, fermi_ball,
                               lambda_of, lune_kernel, lune_points, neg, norm2)
-from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
+from fermigas.potential import (Potential, coulomb, evaluate, from_table,
+                                yukawa, zero)
 from oracles import (bos_term, bos_term_mode, e_fs_interaction_loop,
                      ex_term_dense, k_shell_reduced, nonzero_k_vectors,
                      single_k_exchange_term)
@@ -162,6 +163,56 @@ def test_ex_term_matches_dense_pair_sum(pot):
         expected = ex_term_dense(k, cfg, pot)
         assert expected > 0.0
         assert term == pytest.approx(expected, rel=1e-13)
+
+
+def _shell_potential(kind, radius):
+    if kind == "coulomb":
+        return coulomb(1.0)
+    if kind == "yukawa":
+        return yukawa(0.7, 1.3)
+    if kind == "table_even":
+        return _table_potential(radius)
+    return _coulomb_tables(radius)[1]
+
+
+@pytest.mark.parametrize("k_f", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("kind", ["coulomb", "yukawa", "table_even",
+                                  "table_none"])
+def test_ex_terms_on_whole_shells_match_single_k(k_f, kind):
+    # K > 2 k_F: the kernel chunks mix partial-lune and full-lune rows,
+    # and the tables, keyed up to K - 1, add V_k = 0 rows
+    cfg = fermi_ball(k_f)
+    k_cut = int(2 * k_f) + 2
+    pot = _shell_potential(kind, k_cut - 1)
+    reps, _ = _k_shell(k_cut, 0, pot.symmetry)
+    full = np.array([lune_kernel(k, cfg)[0].all() for k in reps])
+    assert full.any() and not full.all()
+    if kind.startswith("table"):
+        assert np.any(pot.at(reps) == 0.0) and pot.symmetry == kind[6:]
+    expected = [single_k_exchange_term(k, cfg, pot)
+                for k in map(tuple, reps.tolist())]
+    np.testing.assert_allclose(_ex_block(reps, cfg, pot), expected,
+                               rtol=1e-13, atol=0.0)
+
+
+def test_ex_terms_call_table_once_per_kernel_chunk(monkeypatch):
+    cfg = fermi_ball(2.0)
+    pot = _table_potential(6)
+    reps, _ = _k_shell(8, 0, pot.symmetry)
+    pair_sums = _ball_pair_sums(cfg)
+    size = energy._EX_BUFFER // pair_sums[0].shape[0]
+    kn2 = np.einsum("mi,mi->m", reps, reps)
+    live = pot.at(reps) != 0.0
+    near = np.count_nonzero(live & (kn2 <= 4 * cfg.r2))
+    far = np.count_nonzero(live & (kn2 > 4 * cfg.r2))
+    assert near > size and far > size
+    calls = []
+    at = Potential.at
+    monkeypatch.setattr(Potential, "at",
+                        lambda self, pts: calls.append(1) or at(self, pts))
+    _ex_terms(reps, cfg, pot, pair_sums)
+    # one for V_k, then one per chunk of near rows and of far rows
+    assert len(calls) <= 1 + -(-near // size) + -(-far // size)
 
 
 def test_ball_pair_sums_is_the_autocorrelation():

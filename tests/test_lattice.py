@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, ball_array, ball_points,
                               d_intersection, doubled_sum, fermi_ball,
-                              is_sum_of_three_squares, k_shell, k_support,
-                              kappa_and_weight, lambda_of, lune_kernel,
-                              lune_points, neg, norm2, orbit, point_group)
-from oracles import (ball_array_cube, k_shell_reduced, k_support_loop,
-                     lune_loop, nonzero_k_vectors, orbit_reduce,
+                              gap_counts, is_sum_of_three_squares, k_shell,
+                              k_support, kappa_and_weight, lambda_of,
+                              lune_kernel, lune_points, neg, norm2, orbit,
+                              point_group)
+from fermigas.quasiboson import mode_chunks
+from oracles import (ball_array_cube, gap_counts_unique, k_shell_reduced,
+                     k_support_loop, lune_loop, nonzero_k_vectors, orbit_reduce,
                      orbit_reduce_einsum, truncated_k_vectors)
 
 
@@ -128,6 +130,22 @@ def test_lune_matches_point_loop_exhaustive(k_f):
         assert np.count_nonzero(mask) == len(pts)
         assert all_gaps.tolist() == [lambda_of(k, tuple(a + b for a, b in zip(k, q)))
                                      for q in cfg.ball]
+
+
+@pytest.mark.parametrize("k_f", [1.0, 2.0, 3.0, 12.0])
+def test_gap_counts_bincount_matches_sort(k_f):
+    # a shell across |k| = 2 k_F holds near (partial-lune) and far rows,
+    # with odd |k|^2 (half-integer gaps) and even |k|^2 (integer gaps)
+    cfg = fermi_ball(k_f)
+    ks, _ = k_shell(max(0, int(2 * k_f) - 2), int(2 * k_f) + 2, "radial")
+    kn2 = np.einsum("mi,mi->m", ks, ks)
+    assert np.any(kn2 <= 4 * cfg.r2) and np.any(kn2 > 4 * cfg.r2)
+    assert np.any(kn2 % 2 == 0) and np.any(kn2 % 2 == 1)
+    for _, mask, lam in mode_chunks(ks, np.ones(len(ks)), cfg, 128):
+        g, counts = gap_counts(mask, lam)
+        g_ref, counts_ref = gap_counts_unique(mask, lam)
+        assert g.dtype == g_ref.dtype and counts.dtype == counts_ref.dtype
+        assert np.array_equal(g, g_ref) and np.array_equal(counts, counts_ref)
 
 
 def test_lune_rejects_zero_k():

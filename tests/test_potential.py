@@ -10,7 +10,7 @@ import fermigas.potential as potential
 from fermigas.lattice import ball_points, norm2
 from fermigas.potential import (coulomb, evaluate, from_table, load_table,
                                 validate, yukawa, zero)
-from oracles import validate_loop
+from oracles import from_norm2_where, validate_loop
 
 
 def test_coulomb_values():
@@ -129,6 +129,23 @@ def test_vectorized_norm_evaluation_matches_scalar():
         n2 = np.array([norm2(k) for k in ks], dtype=float)
         vec = pot.from_norm2(n2)
         assert vec == pytest.approx([evaluate(pot, k) for k in ks], abs=0.0)
+
+
+@pytest.mark.parametrize("pot", [coulomb(1.5), yukawa(2.0, 0.25),
+                                 yukawa(0.7, 0.0), zero()],
+                         ids=["coulomb", "yukawa", "yukawa_mu0", "zero"])
+def test_from_norm2_bit_identical_to_where_form(pot):
+    norms = np.arange(200)                         # integer norms from 0
+    for n2 in (norms, norms.reshape(8, 25), np.array(0), np.array(3),
+               norms.astype(float)):
+        got, want = pot.from_norm2(n2), from_norm2_where(pot, n2)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_from_norm2_rejects_table():
+    with pytest.raises(ValueError, match="not radial"):
+        from_table({(1, 0, 0): 1.0}).from_norm2(np.arange(3))
 
 
 _small = st.integers(-3, 3)
