@@ -10,8 +10,7 @@ from .lattice import (KSupport, LatticeConfig, TailPolicy, d_intersection,
                       lune_points)
 from .momentum import MomentumBreakdown, Observable, n_point, n_weighted
 from .energy import EnergyReport, e_corr_bos, e_corr_ex, e_fs, energy_report
-from .numerics import (QuadratureResult, integrate_interval,
-                       integrate_semi_infinite, rank1_resolvent_diag,
+from .numerics import (QuadratureResult, integrate, rank1_resolvent_diag,
                        sym_matrix_function)
 from .potential import (Potential, coulomb, from_table, load_table, validate,
                         yukawa, zero)
@@ -25,9 +24,8 @@ __all__ = [
     "MomentumBreakdown", "Observable", "Potential", "QuadratureResult",
     "TailPolicy", "build_K", "compare_table", "coulomb", "csk_pair",
     "d_intersection", "e_corr_bos", "e_corr_ex", "e_fs", "energy_report",
-    "fermi_ball", "from_table", "integrate_interval",
-    "integrate_semi_infinite", "k_support", "kappa_and_weight", "lambda_of",
-    "load_table", "lune_points", "n_b_dv", "n_ex_dv", "n_point",
+    "fermi_ball", "from_table", "integrate", "k_support", "kappa_and_weight",
+    "lambda_of", "load_table", "lune_points", "n_b_dv", "n_ex_dv", "n_point",
     "n_weighted", "q_dv", "q_of_s", "rank1_resolvent_diag",
     "sym_matrix_function", "validate", "yukawa", "zero",
 ]

@@ -23,8 +23,9 @@ trusted (nor is the integral shown to be finite).
 Sampling reduces the six dimensions analytically by the common azimuth
 about xi (a factor 2pi); |k| is drawn uniformly on its interval, which
 folds the 1/|k|^2 kernel into the radial volume factor |k|^2 d|k|.  The
-generator is counter-based (Philox) with per-shard keys, and shards are
-reduced in index order, so results are reproducible.
+samples come in a fixed number of shards (``_SHARDS``), each from a
+counter-based (Philox) generator keyed by the seed and the shard index,
+and the shards are reduced in index order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (QuadratureResult, check_tol, integrate_interval,
-                       integrate_semi_infinite_batch)
+from .numerics import QuadratureResult, check_tol, integrate
+
+# Monte-Carlo shards of one n_ex_dv call; shard i has the key (seed << 8) + i.
+_SHARDS = 16
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,8 @@ def n_b_dv(params: DVParams, quad_tol: float = 1e-7) -> QuadratureResult:
     both radial endpoints.  The inner s-integrals at the nodes of one
     outer panel run as one family on shared panels, each member at a
     tighter tolerance, so the reported error is dominated by the outer
-    estimate.  ``evaluations`` counts outer nodes and inner values per member.
+    estimate.  ``evaluations`` counts outer nodes and inner values per
+    member; value and error estimate are floats (the outer family has one).
     """
     check_tol(quad_tol, "quad_tol")
     kf, alpha, xi = params.k_f, params.alpha, params.xi_norm
@@ -113,21 +117,21 @@ def n_b_dv(params: DVParams, quad_tol: float = 1e-7) -> QuadratureResult:
             return bracket / (kc * kc + alpha * kf * kf * q_dv(kc, s, kf))
 
         scales = [np.maximum(a, 1e-3), b, 10.0 * np.maximum(a, b)]
-        values, errors, nev, ok = integrate_semi_infinite_batch(
+        values, errors, nev, ok = integrate(
             family, k.size, tol=inner_tol,
             seeds=np.exp(np.mean(np.log(scales), axis=1)))  # geometric means
         inner_err += float(np.sum(errors))
         inner_evals += nev * k.size
         inner_ok = inner_ok and ok
-        return k * values
+        return (k * values)[None, :]
 
-    out = integrate_interval(outer, lo, hi, tol=quad_tol,
-                             seeds=(0.5 * (lo + hi),))
+    (value,), (error,), evals, ok = integrate(outer, 1, lo, hi, tol=quad_tol,
+                                              seeds=(0.5 * (lo + hi),))
     pref = kf * alpha / xi
-    err = abs(pref) * (out.abs_error_estimate + inner_err * (hi - lo))
-    return QuadratureResult(value=pref * out.value, abs_error_estimate=err,
-                            evaluations=out.evaluations + inner_evals,
-                            converged=out.converged and inner_ok)
+    err = abs(pref) * (float(error) + inner_err * (hi - lo))
+    return QuadratureResult(value=pref * float(value), abs_error_estimate=err,
+                            evaluations=evals + inner_evals,
+                            converged=ok and inner_ok)
 
 
 def _ex_shard(points, n: int, key: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -173,8 +177,7 @@ def _ex_shard(points, n: int, key: int) -> tuple[np.ndarray, np.ndarray, int]:
     return sums, squares, n
 
 
-def n_ex_dv(params, samples: int = 100_000, seed: int = 0,
-            shards: int = 16):
+def n_ex_dv(params, samples: int = 100_000, seed: int = 0):
     """Monte-Carlo value and standard error of the exchange integral.
 
     ``params`` is one ``DVParams``, giving one ``(value, stderr)``, or a
@@ -190,9 +193,7 @@ def n_ex_dv(params, samples: int = 100_000, seed: int = 0,
     points = [params] if single else list(params)
     if samples < 10_000:
         raise ValueError("use at least 10^4 samples")
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if seed < 0 or (seed << 8) + shards - 1 >= 2**128:
+    if seed < 0 or (seed << 8) + _SHARDS - 1 >= 2**128:
         raise ValueError(f"seed must be >= 0 with shard keys (seed << 8) + i "
                          f"below 2**128, got seed={seed}")
     if len({p.k_f for p in points}) > 1:
@@ -202,8 +203,8 @@ def n_ex_dv(params, samples: int = 100_000, seed: int = 0,
     if not live:
         return out[0] if single else out
     parts = [_ex_shard([points[j] for j in live],
-                       samples // shards + (i < samples % shards),
-                       key=(seed << 8) + i) for i in range(shards)]
+                       samples // _SHARDS + (i < samples % _SHARDS),
+                       key=(seed << 8) + i) for i in range(_SHARDS)]
     total, total_sq, count = map(sum, zip(*parts))
     for j, s, sq in zip(live, total.tolist(), total_sq.tolist()):
         mean = s / count

@@ -147,9 +147,6 @@ class LatticeConfig:
         rows = np.searchsorted(self.ball_arr @ digits, pts @ digits)
         return np.where(np.einsum("...i,...i->...", pts, pts) <= self.r2, rows, -1)
 
-    def in_ball(self, p: Sequence[int]) -> bool:
-        return norm2(p) <= self.r2
-
     def in_lune(self, k: Vec3, p: Vec3) -> bool:
         """Exact test for |p - k| <= k_F < |p|."""
         return norm2(sub(p, k)) <= self.r2 and norm2(p) > self.r2

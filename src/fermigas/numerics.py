@@ -2,11 +2,11 @@
 
 Three independent pieces live here:
 
-* one adaptive Gauss-Kronrod engine for families of integrands on
-  shared panels (a scalar integrand is a family of one), on finite
-  intervals or on [0, inf) via the rational map s = t/(1-t), with
-  optional seed points to pre-split panels at known scales of the
-  integrand;
+* one adaptive Gauss-Kronrod engine behind one call, ``integrate``,
+  for families of integrands on shared panels (a single integrand is a
+  family of one), on a finite [a, b] or on [0, inf) via the rational
+  map s = t/(1-t), with optional seed points to pre-split panels at
+  known scales of the integrand;
 * matrix functions of real symmetric matrices through a single
   eigendecomposition backend;
 * the O(n) diagonal of a rank-one-updated resolvent (h^2 + 2 u u^T + s^2)^-1.
@@ -19,8 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -51,16 +50,16 @@ _G7_WEIGHTS = np.array([
 ])
 
 
-@dataclass
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
+class QuadratureResult(NamedTuple):
+    """One family's integrals: (n,) values and error estimates, shared counts."""
+    value: np.ndarray
+    abs_error_estimate: np.ndarray
     evaluations: int
-    converged: bool = True
+    converged: bool
 
-    def __post_init__(self):
-        assert self.abs_error_estimate >= 0.0
-        assert self.evaluations >= 1
+
+# Split budget of one integral; exhausting it is flagged, never silent.
+_MAX_SPLITS = 2000
 
 
 def check_tol(tol: float, name: str = "tol") -> None:
@@ -70,8 +69,7 @@ def check_tol(tol: float, name: str = "tol") -> None:
 
 
 def _gauss_kronrod(g: Callable[[np.ndarray], np.ndarray],
-                   edges: Iterable[float], tol: float,
-                   max_subdivisions: int):
+                   edges: Iterable[float], tol: float):
     """Adaptive bisection of a family of n integrands on shared panels.
 
     A globally adaptive Gauss-Kronrod (7, 15) scheme in the manner of
@@ -79,19 +77,16 @@ def _gauss_kronrod(g: Callable[[np.ndarray], np.ndarray],
     to an (n, m) array of values.  The panel with the largest per-member
     Kronrod-Gauss discrepancy is split first (ties go to the older
     panel), until every member's total error estimate is within ``tol``
-    or ``max_subdivisions`` splits are spent.  Refinement is
-    deterministic and independent of ``tol``, so loosening the tolerance
-    can only stop the same refinement sequence earlier.  Returns
-    (values, errors, evaluations, converged) with values and errors of
-    shape (n,), summed in panel-position order.
+    or ``_MAX_SPLITS`` splits are spent.  Refinement is deterministic
+    and independent of ``tol``, so loosening the tolerance can only stop
+    the same refinement sequence earlier.  Returns (values, errors,
+    evaluations, converged) with values and errors of shape (n,), summed
+    in panel-position order.
 
     Sharing panels is conservative: each member's error estimate is a
     valid Kronrod-Gauss bound on its own panel sums.
     """
-    check_tol(tol)
     edges = sorted(set(float(e) for e in edges))
-    if len(edges) < 2:
-        raise ValueError("need at least two panel edges")
     heap = []
     seq = itertools.count()
 
@@ -106,7 +101,7 @@ def _gauss_kronrod(g: Callable[[np.ndarray], np.ndarray],
 
     total_err = sum(push(a, b) for a, b in zip(edges[:-1], edges[1:]))
     splits = 0
-    while total_err.max() > tol and splits < max_subdivisions:
+    while total_err.max() > tol and splits < _MAX_SPLITS:
         _, _, a, b, _, err = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         total_err = total_err - err + push(a, mid) + push(mid, b)
@@ -119,66 +114,37 @@ def _gauss_kronrod(g: Callable[[np.ndarray], np.ndarray],
     return values, errors, nev, bool(errors.max() <= tol)
 
 
-def _half_line(f: Callable[[np.ndarray], np.ndarray]):
-    """f on [0, inf) as an integrand on [0, 1) under s = t/(1-t)."""
-    def g(t):
-        omt = 1.0 - t
-        return np.asarray(f(t / omt), dtype=float) / omt**2
-    return g
+def integrate(f: Callable[[np.ndarray], np.ndarray], n: int, a: float = 0.0,
+              b: float = math.inf, tol: float = 1e-9,
+              seeds: Iterable[float] = ()) -> QuadratureResult:
+    """Integrate a family of n integrands over [a, b] on shared panels.
 
-
-def _half_line_edges(seeds: Iterable[float]) -> list[float]:
-    return [0.0, 1.0] + [s / (1.0 + s) for s in seeds if s > 0.0]
-
-
-def _integrate_one(g: Callable[[np.ndarray], np.ndarray],
-                   edges: Iterable[float], tol: float,
-                   max_subdivisions: int) -> QuadratureResult:
-    """The engine on the scalar integrand g, as a family of one."""
-    values, errors, nev, converged = _gauss_kronrod(
-        lambda t: np.asarray(g(t), dtype=float)[None, :], edges, tol,
-        max_subdivisions)
-    return QuadratureResult(value=float(values[0]),
-                            abs_error_estimate=float(errors[0]),
-                            evaluations=nev, converged=converged)
-
-
-def integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       tol: float = 1e-9, seeds: Iterable[float] = (),
-                       max_subdivisions: int = 2000) -> QuadratureResult:
-    """Adaptive quadrature of a vectorized integrand on the finite [a, b]."""
-    edges = [a, b] + [s for s in seeds if a < s < b]
-    return _integrate_one(f, edges, tol, max_subdivisions)
-
-
-def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
-                            tol: float = 1e-9, seeds: Iterable[float] = (),
-                            max_subdivisions: int = 2000) -> QuadratureResult:
-    """Integrate a vectorized f over [0, inf) to absolute tolerance ``tol``.
-
-    Substituting s = t/(1-t) maps the half line onto [0, 1); the mapped
-    integrand f(s) / (1-t)^2 is then integrated adaptively.  ``seeds``
-    are s-values (e.g. known peak scales) that seed the initial panel
-    edges.  Non-convergence after ``max_subdivisions`` splits is flagged
-    on the result, never silent.
+    f maps an array of m nodes to an (n, m) array of values; a single
+    integrand is a family of one.  Every member is refined to the
+    absolute tolerance ``tol``.  ``seeds`` are points (e.g. known peak
+    scales of the integrand) that pre-split the initial panels.  With
+    b = inf the range must start at a = 0: s = t/(1-t) maps the half
+    line onto [0, 1), where the mapped family f(s) / (1-t)^2 is
+    integrated.
     """
-    return _integrate_one(_half_line(f), _half_line_edges(seeds), tol,
-                          max_subdivisions)
+    check_tol(tol)
+    if b == math.inf:
+        if a != 0.0:
+            raise ValueError(f"an infinite range needs a = 0, got a = {a}")
 
+        def g(t):
+            omt = 1.0 - t
+            return np.asarray(f(t / omt), dtype=float) / omt**2
 
-def integrate_semi_infinite_batch(f: Callable[[np.ndarray], np.ndarray],
-                                  n: int, tol: float = 1e-9,
-                                  seeds: Iterable[float] = (),
-                                  max_subdivisions: int = 2000):
-    """Integrate a family of integrands over [0, inf) on shared panels.
-
-    f maps an array of m quadrature nodes to an (n, m) array of values,
-    n being the family size.  Panels are refined as in ``integrate_semi_infinite`` until every
-    integrand's error estimate is below ``tol``.  Returns (values,
-    errors, evaluations, converged) with values and errors of shape (n,).
-    """
-    return _gauss_kronrod(_half_line(f), _half_line_edges(seeds), tol,
-                          max_subdivisions)
+        edges = [0.0, 1.0] + [s / (1.0 + s) for s in seeds if s > 0.0]
+    else:
+        if not a < b:
+            raise ValueError(f"need a < b, got [{a}, {b}]")
+        g, edges = f, [a, b] + [s for s in seeds if a < s < b]
+    values, errors, nev, converged = _gauss_kronrod(g, edges, tol)
+    if values.shape != (n,):
+        raise ValueError(f"f returned {values.shape[0]} rows, not n = {n}")
+    return QuadratureResult(values, errors, nev, converged)
 
 
 class MatrixFunctionDomainError(ValueError):
@@ -209,23 +175,17 @@ def assert_symmetric(a: np.ndarray, rel: float = 1e-12) -> None:
         raise ValueError(f"matrix is not symmetric (relative defect {defect:.3e})")
 
 
-_SCALAR_FN = {
-    "sqrt": np.sqrt,
-    "inv_sqrt": lambda w: 1.0 / np.sqrt(w),
-    "log": np.log,
-    "exp": np.exp,
-    "cosh": np.cosh,
-}
-_NEEDS_POSITIVE = {"sqrt", "inv_sqrt", "log"}
+_SCALAR_FN = {"sqrt": np.sqrt, "log": np.log, "exp": np.exp}
+_NEEDS_POSITIVE = {"sqrt", "log"}
 
 
 def sym_matrix_function(a: np.ndarray, fn: str) -> np.ndarray:
-    """Apply fn in {sqrt, inv_sqrt, log, exp, cosh} to a symmetric matrix.
+    """Apply fn in {sqrt, log, exp} to a symmetric matrix.
 
     Computed as U f(diag) U^T from one eigendecomposition and
-    re-symmetrized.  sqrt, inv_sqrt and log raise
-    MatrixFunctionDomainError (naming the offending eigenvalue) unless
-    the matrix is positive definite.
+    re-symmetrized.  sqrt and log raise MatrixFunctionDomainError
+    (naming the offending eigenvalue) unless the matrix is positive
+    definite.
     """
     if fn not in _SCALAR_FN:
         raise ValueError(f"unknown matrix function {fn!r}")

@@ -53,8 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import LatticeConfig, gap_counts, lune_kernel, orbit_key
-from .numerics import (integrate_semi_infinite_batch, sym_eig,
-                       sym_matrix_function)
+from .numerics import integrate, sym_eig, sym_matrix_function
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 TWO_PI_6 = (2.0 * np.pi) ** 6
@@ -203,6 +202,6 @@ def response_integrals(f, resp: np.ndarray, g: np.ndarray, scales,
         return f(resp @ (1.0 / (s2[None, :] + g[:, None] ** 2)), s2)
 
     seed = float(np.exp(np.mean(np.log(scales))))
-    vals, errs, _, ok = integrate_semi_infinite_batch(
-        family, len(scales), tol=tol, seeds=(seed, 10.0 * seed))
+    vals, errs, _, ok = integrate(family, len(scales), tol=tol,
+                                  seeds=(seed, 10.0 * seed))
     return vals, errs, ok

@@ -25,8 +25,7 @@ import numpy as np
 from .lattice import (LatticeConfig, ball_array, ball_points, d_intersection,
                       lambda_of, lune_points, norm2, sub)
 from .momentum import EIGHT_PI4
-from .numerics import (integrate_semi_infinite, rank1_resolvent_diag,
-                       sym_matrix_function)
+from .numerics import integrate, rank1_resolvent_diag, sym_matrix_function
 from .potential import Potential, evaluate
 from .quasiboson import (TWO_PI_6, build_K, cosh_minus_one_core, coupling_sq,
                          csk_pair, q_of_s, sandwich_bounds)
@@ -351,12 +350,11 @@ def _integral_term(k, gaps: np.ndarray, vhat: float, k_f: float,
         def integrand(s, lam=lam):
             s2 = s * s
             return ((s2 - lam * lam) / (s2 + lam * lam) ** 2
-                    / (1.0 + q_of_s(gaps, s, vsq)))
+                    / (1.0 + q_of_s(gaps, s, vsq)))[None, :]
 
-        res = integrate_semi_infinite(integrand, tol=quad_tol,
-                                      seeds=(lam, 10.0 * lam))
-        total += mult * pref * res.value
-        err += mult * pref * res.abs_error_estimate
+        res = integrate(integrand, 1, tol=quad_tol, seeds=(lam, 10.0 * lam))
+        total += mult * pref * float(res.value[0])
+        err += mult * pref * float(res.abs_error_estimate[0])
         ok = ok and res.converged
     return total, err, ok
 

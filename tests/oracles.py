@@ -21,9 +21,7 @@ from fermigas.lattice import (add, as_vec3, ball_array, ball_points,
                               d_intersection, lambda_of, lune_kernel, neg,
                               norm2, point_group)
 from fermigas.momentum import n_point
-from fermigas.numerics import (QuadratureResult, integrate_interval,
-                               integrate_semi_infinite,
-                               integrate_semi_infinite_batch, sym_eig)
+from fermigas.numerics import QuadratureResult, integrate, sym_eig
 from fermigas.potential import ValidationReport, evaluate
 from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, cosh_minus_one_core,
                                  cosh_minus_one_per_gap, coupling_sq,
@@ -237,12 +235,12 @@ def bos_term(k, cfg, pot, quad_tol):
 
     def integrand(s):
         q = 2.0 * vsq * np.sum(weight / (s**2 + lam_sq), axis=0)
-        return stable_log1p_minus_x(q)
+        return stable_log1p_minus_x(q)[None, :]
 
     lam_min = float(lam[0])
-    res = integrate_semi_infinite(integrand, tol=quad_tol,
-                                  seeds=(lam_min, 10.0 * lam_min))
-    return res.value / np.pi, res.abs_error_estimate / np.pi, res.converged
+    (value,), (error,), _, ok = integrate(integrand, 1, tol=quad_tol,
+                                          seeds=(lam_min, 10.0 * lam_min))
+    return float(value) / np.pi, float(error) / np.pi, ok
 
 
 def bos_term_mode(k, cfg, pot, quad_tol):
@@ -251,10 +249,10 @@ def bos_term_mode(k, cfg, pot, quad_tol):
     if vhat == 0.0:
         return 0.0, 0.0, True
     lam_min = float(np.min(lam))
-    res = integrate_semi_infinite(
-        lambda s: stable_log1p_minus_x(q_of_s(lam, s, vsq)), tol=quad_tol,
-        seeds=(lam_min, 10.0 * lam_min))
-    return res.value / np.pi, res.abs_error_estimate / np.pi, res.converged
+    (value,), (error,), _, ok = integrate(
+        lambda s: stable_log1p_minus_x(q_of_s(lam, s, vsq))[None, :], 1,
+        tol=quad_tol, seeds=(lam_min, 10.0 * lam_min))
+    return float(value) / np.pi, float(error) / np.pi, ok
 
 
 def orbit_reduce_einsum(ks, xi, symmetry):
@@ -324,7 +322,7 @@ def bulk_chunk(ks, xi, cfg, pot, signs, quad_tol):
             return (s2[None, :] - lz2) / (s2[None, :] + lz2) ** 2 / (1.0 + q)
 
         seed = float(np.exp(np.mean(np.log(lz))))
-        vals, errs, _, conv = integrate_semi_infinite_batch(
+        vals, errs, _, conv = integrate(
             family, int(np.count_nonzero(mask)), tol=quad_tol,
             seeds=(seed, 10.0 * seed))
         integral += float(np.sum(pref[mask] * vals))
@@ -404,26 +402,27 @@ def n_b_dv_nested(params, quad_tol=1e-7):
             first = np.where(a != 0.0, a / (a * a + s2), 0.0)
             bracket = first - b / (b * b + s2)
             screen = k * k + alpha * kf * kf * q_dv(k, s, kf)
-            return bracket / screen
+            return (bracket / screen)[None, :]
 
         scale = max(abs(a), 1e-3)
-        res = integrate_semi_infinite(integrand, tol=inner_tol,
-                                      seeds=(scale, abs(b), 10.0 * max(abs(a), abs(b))))
-        inner_errs[0] += res.abs_error_estimate
-        evals[0] += res.evaluations
-        all_ok[0] = all_ok[0] and res.converged
-        return res.value
+        (value,), (error,), nev, ok = integrate(
+            integrand, 1, tol=inner_tol,
+            seeds=(scale, abs(b), 10.0 * max(abs(a), abs(b))))
+        inner_errs[0] += float(error)
+        evals[0] += nev
+        all_ok[0] = all_ok[0] and ok
+        return float(value)
 
     def outer(karr):
-        return np.array([k * inner(k) for k in np.atleast_1d(karr)])
+        return np.array([[k * inner(k) for k in karr]])
 
-    out = integrate_interval(outer, lo, hi, tol=quad_tol,
-                             seeds=(0.5 * (lo + hi),))
+    (value,), (error,), nev, ok = integrate(outer, 1, lo, hi, tol=quad_tol,
+                                            seeds=(0.5 * (lo + hi),))
     pref = kf * alpha / xi
-    err = abs(pref) * (out.abs_error_estimate + inner_errs[0] * (hi - lo))
-    return QuadratureResult(value=pref * out.value, abs_error_estimate=err,
-                            evaluations=out.evaluations + evals[0],
-                            converged=out.converged and all_ok[0])
+    err = abs(pref) * (float(error) + inner_errs[0] * (hi - lo))
+    return QuadratureResult(value=pref * float(value), abs_error_estimate=err,
+                            evaluations=nev + evals[0],
+                            converged=ok and all_ok[0])
 
 
 def validate_loop(pot, cutoff_radius=10):

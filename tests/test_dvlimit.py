@@ -106,8 +106,7 @@ def test_n_b_dv_rejects_bad_quad_tol(quad_tol):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(seed=-1), "seed must be >= 0"),
     (dict(seed=2**120), "seed must be >= 0"),
-    (dict(seed=2**120 - 1, shards=257), "seed must be >= 0"),
-    (dict(shards=0), "shards must be at least 1"),
+    (dict(seed=2**128), "seed must be >= 0"),
 ])
 def test_n_ex_dv_rejects_bad_seed_and_shards(kwargs, message):
     for alpha in (0.0, 0.1):
@@ -171,27 +170,25 @@ def test_n_b_dv_matches_nested_oracle():
 
 def test_n_b_dv_runs_one_family_per_outer_panel(monkeypatch):
     counts = {"outer": 0, "families": 0}
-    interval, batch = numerics.integrate_interval, numerics.integrate_semi_infinite_batch
+    ranges = []
 
-    def outer_quadrature(f, *args, **kwargs):
-        def counted(k):
-            counts["outer"] += 1
-            return f(k)
-        return interval(counted, *args, **kwargs)
-
-    def family(*args, **kwargs):
+    def counted(f, n, a=0.0, b=math.inf, **kwargs):
+        ranges.append((n, a, b))
+        if b < math.inf:
+            def outer(k):
+                counts["outer"] += 1
+                return f(k)
+            return numerics.integrate(outer, n, a, b, **kwargs)
+        # every inner family holds the s-integrals at one outer panel's nodes
+        assert n == numerics._GK_NODES.size
         counts["families"] += 1
-        return batch(*args, **kwargs)
+        return numerics.integrate(f, n, a, b, **kwargs)
 
-    def scalar(*args, **kwargs):
-        raise AssertionError("n_b_dv ran a scalar inner quadrature")
-
-    monkeypatch.setattr(dvlimit, "integrate_interval", outer_quadrature)
-    monkeypatch.setattr(dvlimit, "integrate_semi_infinite_batch", family)
-    monkeypatch.setattr(numerics, "integrate_semi_infinite", scalar)
-    monkeypatch.setattr(dvlimit, "integrate_semi_infinite", scalar, raising=False)
+    monkeypatch.setattr(dvlimit, "integrate", counted)
     res = n_b_dv(DVParams(k_f=3.0, alpha=0.4, xi_norm=3.5))
     assert res.converged
+    assert ranges[0] == (1, 0.5, 6.5)  # one outer |k| integral, a family of one
+    assert sum(b < math.inf for _, _, b in ranges) == 1
     assert counts["outer"] > 1
     assert counts["families"] == counts["outer"]
 
@@ -224,13 +221,14 @@ def test_ex_shard_matches_column_oracle():
 
 
 def test_n_ex_dv_matches_column_oracle(monkeypatch):
-    cases = [(DVParams(k_f=1.0, alpha=0.4, xi_norm=1.5), 20_000, 16),
-             (DVParams(k_f=3.0, alpha=0.03, xi_norm=4.0), 50_001, 7)]
-    got = [n_ex_dv(p, samples=n, seed=seed, shards=shards)
-           for p, n, shards in cases for seed in SHARD_SEEDS]
+    # 50_001 samples split unevenly over the shards
+    cases = [(DVParams(k_f=1.0, alpha=0.4, xi_norm=1.5), 20_000),
+             (DVParams(k_f=3.0, alpha=0.03, xi_norm=4.0), 50_001)]
+    got = [n_ex_dv(p, samples=n, seed=seed)
+           for p, n in cases for seed in SHARD_SEEDS]
     monkeypatch.setattr(dvlimit, "_ex_shard", _columns_shard)
-    want = [n_ex_dv(p, samples=n, seed=seed, shards=shards)
-            for p, n, shards in cases for seed in SHARD_SEEDS]
+    want = [n_ex_dv(p, samples=n, seed=seed)
+            for p, n in cases for seed in SHARD_SEEDS]
     for (v, se), (v0, se0) in zip(got, want):
         assert v == pytest.approx(v0, rel=1e-13)
         assert se == pytest.approx(se0, rel=1e-13)
@@ -243,10 +241,9 @@ def test_n_ex_dv_sequence_equals_lone_runs():
               DVParams(k_f=3.0, alpha=1.0 / (12.0 * np.pi), xi_norm=math.sqrt(18.0)),
               DVParams(k_f=3.0, alpha=0.05, xi_norm=math.sqrt(10.0))]
     for seed in SHARD_SEEDS:
-        for samples, shards in ((20_000, 16), (50_001, 7)):
-            got = n_ex_dv(points, samples=samples, seed=seed, shards=shards)
-            lone = [n_ex_dv(p, samples=samples, seed=seed, shards=shards)
-                    for p in points]
+        for samples in (20_000, 50_001):
+            got = n_ex_dv(points, samples=samples, seed=seed)
+            lone = [n_ex_dv(p, samples=samples, seed=seed) for p in points]
             assert got == lone
             assert got[1] == (0.0, 0.0)
             assert all(type(x) is float for pair in got for x in pair)
@@ -264,8 +261,8 @@ def test_n_ex_dv_sequence_shares_one_sample_set(monkeypatch):
 
     monkeypatch.setattr(dvlimit, "_ex_shard", counted)
     points = [DVParams(k_f=1.0, alpha=0.4, xi_norm=x) for x in (1.2, 1.5, 2.0)]
-    n_ex_dv(points, samples=10_000, seed=3, shards=5)
-    assert keys == [(3 << 8) + i for i in range(5)]
+    n_ex_dv(points, samples=10_000, seed=3)
+    assert keys == [(3 << 8) + i for i in range(dvlimit._SHARDS)]
 
 
 def test_n_ex_dv_rejects_mixed_k_f():
