@@ -8,6 +8,7 @@ and ordered lexicographically so repeated builds are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -225,6 +226,28 @@ def gap_counts(mask: np.ndarray, lam: np.ndarray):
     return g, counts.reshape(-1, g.size)
 
 
+def gap_classes(mask: np.ndarray, lam: np.ndarray):
+    """Gap histograms of a block of modes as a list of (mode, gap) classes.
+
+    ``mask`` and ``lam`` are the (m, N) output of ``lune_kernel``.
+    Returns (rows, gaps, counts): per distinct gap of each mode its row
+    of the block, the gap and its number of lune points, sorted by row
+    and then gap.  Unlike ``gap_counts`` no (m, G) table is built: a
+    sort of the keys (row, 2 lam) of the lune points, so every array is
+    at most as long as the block has lune points.
+    """
+    rows = np.repeat(np.arange(mask.shape[0]), np.count_nonzero(mask, axis=1))
+    two = lam[mask]
+    two *= 2.0
+    span = int(two.max(initial=0.0)) + 1
+    # 2 lam is an integer in [1, span), so row * span + 2 lam orders (row, gap)
+    rows *= span
+    rows += two.astype(np.int64)
+    keys, counts = np.unique(rows, return_counts=True)
+    rows, two = np.divmod(keys, span)
+    return rows, two / 2.0, counts
+
+
 def orbit_key(arr: np.ndarray) -> np.ndarray:
     """Sorted |k| components as one integer, equal on each 48-element orbit."""
     srt = np.sort(np.abs(arr), axis=1)
@@ -378,6 +401,7 @@ def k_support(xi: Sequence[int], cfg: LatticeConfig) -> KSupport:
     return KSupport(xi=xv, exact=exact, finite_part=ks)
 
 
+@functools.cache
 def point_group(symmetry: str) -> np.ndarray:
     """The group G under which a potential's per-mode summands are invariant.
 
@@ -385,19 +409,22 @@ def point_group(symmetry: str) -> np.ndarray:
     the 48 signed permutation matrices, the point group of Z^3, "even"
     the pair {1, -1} (an even potential guarantees the k -> -k pairing
     and nothing more), "none" just the identity.  Returns (|G|, 3, 3)
-    int64 matrices.
+    int64 matrices, built once per class and shared read-only.
     """
     eye = np.eye(3, dtype=np.int64)
     if symmetry == "none":
-        return eye[None, :, :]
-    if symmetry == "even":
-        return np.array([eye, -eye])
-    if symmetry != "radial":
+        group = eye[None, :, :]
+    elif symmetry == "even":
+        group = np.array([eye, -eye])
+    elif symmetry == "radial":
+        perms = eye[list(itertools.permutations(range(3)))]            # (6, 3, 3)
+        signs = np.array(list(itertools.product((1, -1), repeat=3)))   # (8, 3)
+        # row i of a signed permutation is sign_i times row i of a permutation
+        group = (perms[:, None] * signs[None, :, :, None]).reshape(48, 3, 3)
+    else:
         raise ValueError(f"unknown symmetry class {symmetry!r}")
-    perms = eye[list(itertools.permutations(range(3)))]            # (6, 3, 3)
-    signs = np.array(list(itertools.product((1, -1), repeat=3)))   # (8, 3)
-    # row i of a signed permutation is sign_i times row i of a permutation
-    return (perms[:, None] * signs[None, :, :, None]).reshape(48, 3, 3)
+    group.flags.writeable = False
+    return group
 
 
 def orbit(xi: Sequence[int], symmetry: str) -> np.ndarray:

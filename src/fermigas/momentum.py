@@ -33,17 +33,23 @@ sum (an inside ``n_point`` is its one-row case).
 
 Every k-sum runs on the mode blocks of ``quasiboson`` (its module
 docstring states the gap-histogram, deflation and response identities),
-chunks in (|k|^2, orbit key) order of at most ``_CHUNK`` candidate hits
-over all points (or one row).  Per mode the candidate hit zeta = k + q_z
-has one ball column q_z: inside the ball the columns are the points of
-every O + (-O), and near and full lunes share the block; outside it
-they are +-xi, at the column of s xi - k where that point is in the
-ball, and each support k hits one.  All hits of a chunk share one
-spectral lookup (the deflated value at the hit's gap, one eigensolve
-per orbit key and V_k), one batched integral family on the response
-table and one masked exchange pair sum, each hit once for all points.
-The plain per-k form, one full lune and one scalar quadrature per hit,
-lives on as a test oracle.
+in (|k|^2, orbit key) order.  A block holds at most ``_CHUNK`` rows and
+``_LUNES`` lune-kernel entries (rows times N), however many points and
+columns share it.  Per mode the candidate hit zeta = k + q_z has one
+ball column q_z: inside the ball the columns are the points of every
+O + (-O), and near and full lunes share the block; outside it they are
++-xi, at the column of s xi - k where that point is in the ball, and
+each support k hits one.  A hit's spectral value and screened integral
+depend only on its mode and its gap, so each runs once per distinct
+(mode, gap) pair that some hit of the block reads: the deflated values
+come from the block's eigensolves, one per orbit key and V_k (a group
+cut by a block boundary is solved once, its values carried to the next
+block), batched per histogram size, and the integrals from families of
+at most ``_CHUNK`` pairs on the response table.  The point weights and the
+masked exchange pair sum, which depends on the hit's column, run in
+slices of at most as many hits as the block may hold rows, each hit
+once for all points.  The plain per-k form, one full lune and one
+scalar quadrature per hit, lives on as a test oracle.
 """
 
 from __future__ import annotations
@@ -57,10 +63,14 @@ from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, doubled_sum,
                       k_shell, k_support, neg, norm2, orbit, orbit_key)
 from .numerics import check_tol
 from .potential import Potential, load_table
-from .quasiboson import (TWO_PI_6, coupling_sq, cosh_minus_one_per_gap,
-                         gap_response, mode_chunks, response_integrals)
+from .quasiboson import (TWO_PI_6, class_response, classes_at,
+                         cosh_minus_one_classes, coupling_sq, mode_chunks,
+                         response_integrals)
 
+# rows per mode block, classes per integral family and hits per slice
 _CHUNK = 384
+# lune-kernel entries (rows x N) per mode block
+_LUNES = 1 << 15
 
 EIGHT_PI4 = 8.0 * np.pi**4
 
@@ -112,61 +122,165 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, cols: np.ndarray,
     ``ks`` is (m, 3) with weights ``wts``; ``cols`` holds the ball row of
     each candidate hit's column (module docstring; -1 for none), (m, c)
     or (c,) for all rows, and ``colw`` the (P, c) column weights of P
-    points.  A hit's values do not depend on the point, so each is
-    computed once and the point weights are applied after.  A route
-    left out stays 0.
+    points.  The k rows run in mode blocks of at most ``_CHUNK`` rows
+    and ``_LUNES`` lune-kernel entries, each with its own temporaries
+    (``_mode_block``).  A hit's values do not depend on the point, so
+    each is computed once and the point weights are applied after.  A
+    route left out stays 0.
     """
     vhat = pot.at(ks)
+    out = (np.zeros((colw.shape[0], 3)), np.zeros(colw.shape[0]),
+           np.ones(colw.shape[0], dtype=bool))
+    size = max(1, min(_CHUNK, _LUNES // cfg.n_particles))
+    carry = {}
+    for rows, mask, lam in mode_chunks(ks, vhat, cfg, size):
+        # columns shared by all rows stay one (c,) array, broadcast
+        col = np.broadcast_to(cols if cols.ndim == 1 else cols[rows],
+                              (rows.size, colw.shape[1]))
+        _mode_block(ks[rows], wts[rows], vhat[rows], col, colw, mask, lam,
+                    cfg, pot, quad_tol, (want_spectral, want_integral), size,
+                    carry, out)
+    return out
+
+
+def _mode_block(kc, wts, vhat, col, colw, mask, lam, cfg, pot, quad_tol,
+                routes, size, carry, out) -> None:
+    """Add one mode block's parts, quad errors and ok flags to ``out``.
+
+    The hits of the block's rows ``kc`` read their values per (mode,
+    gap) pair (``_class_values``).  The point weights and the exchange
+    sum, which depends on the hit's column and not only on its gap, run
+    in slices of at most ``size`` hits, the block's row bound, so that
+    a slice's (hits, N) arrays stay within ``_LUNES`` entries.
+    """
+    parts, qerr, ok = out
+    hit = np.flatnonzero((col >= 0)
+                         & mask[np.arange(kc.shape[0])[:, None], col])
+    if not hit.size:
+        return
+    pair, spec, val, err, conv = _class_values(kc, vhat, mask, lam, col, hit,
+                                               cfg, quad_tol, *routes, carry)
+    for lo in range(0, hit.size, size):
+        r, j = np.divmod(hit[lo:lo + size], col.shape[1])
+        at = pair[lo:lo + size]
+        w = wts[r] * colw[:, j]
+        wv = w * vhat[r]
+        parts[:, 0] += w @ spec[at]
+        parts[:, 1] += wv @ val[at] / (EIGHT_PI4 * cfg.k_f)
+        qerr += wv @ err[at] / (EIGHT_PI4 * cfg.k_f)
+        ok &= ~np.any(w[:, ~conv[at]], axis=1)
+        parts[:, 2] -= wv @ _exchange_sums(kc[r], lam[r], mask[r], col[r, j],
+                                           cfg, pot) / (8.0 * TWO_PI_6
+                                                        * cfg.k_f**2)
+
+
+def _class_values(kc, vhat, mask, lam, col, hit, cfg, quad_tol,
+                  want_spectral, want_integral, carry):
+    """(pair, spec, val, err, conv) of the hits ``hit``, flat indices of ``col``.
+
+    A hit's spectral value and screened integral depend only on its mode
+    and its gap, so both run once per pair: per distinct (mode, gap)
+    class of the block (``gap_classes``) that some hit reads.  ``pair``
+    is each hit's pair; the rest are per pair: the spectral value, and
+    the integral with its error and its family's converged flag.  The
+    integrals run as families of at most ``_CHUNK`` pairs.  A route left
+    out reads 0 and converged.
+    """
     vsq = coupling_sq(vhat, cfg.k_f)
-    cols = np.broadcast_to(cols, (ks.shape[0], colw.shape[1]))
-    ball = cfg.ball_arr
-    ball_n2 = np.einsum("ni,ni->n", ball, ball)
-    parts, qerr = np.zeros((colw.shape[0], 3)), np.zeros(colw.shape[0])
-    ok = np.ones(colw.shape[0], dtype=bool)
-    # at most _CHUNK candidate hits (columns in the ball) per chunk, or one row
-    per_row = int(np.max(np.count_nonzero(cols >= 0, axis=1), initial=1))
-    for rows, mask, lam in mode_chunks(ks, vhat, cfg,
-                                       max(1, _CHUNK // per_row)):
-        kc, col = ks[rows], cols[rows]
-        r, j = np.nonzero((col >= 0)
-                          & mask[np.arange(rows.size)[:, None], col])
-        qrow = col[r, j]
-        lz = lam[r, qrow]
-        w = wts[rows][r] * colw[:, j]
-        wv = w * vhat[rows][r]
-        g, counts, resp = gap_response(mask, lam, vsq[rows])
-        if want_spectral:
-            # one eigensolve per gap histogram (fixed by the orbit key) and V_k
-            _, vcode = np.unique(vhat[rows], return_inverse=True)
-            key = orbit_key(kc) * (vcode.max(initial=0) + 1) + vcode
-            _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
-            per_gap = cosh_minus_one_per_gap(g, counts[rep], vsq[rows][rep])
-            parts[:, 0] += w @ per_gap[inv[r], np.searchsorted(g, lz)]
-        if want_integral and r.size:
+    classes, cls = classes_at(mask, lam, col, hit)
+    crows, cgaps, _ = classes
+    read = np.zeros(crows.size, dtype=bool)
+    read[cls] = True
+    pairs = np.flatnonzero(read)
+    pair = (np.cumsum(read) - 1)[cls]
+    del cls, read
+    spec = val = err = np.zeros(pairs.size)
+    conv = np.ones(pairs.size, dtype=bool)
+    if want_spectral:
+        spec = _spectral_values(kc, vhat, vsq, classes, pairs, carry)
+    if want_integral:
+        val, err = np.empty(pairs.size), np.empty(pairs.size)
+        for lo in range(0, pairs.size, _CHUNK):
+            at = slice(lo, lo + _CHUNK)
+            prow, lz = crows[pairs[at]], cgaps[pairs[at]]
+            g, resp = class_response(classes, vsq, prow[0], prow[-1] + 1)
             lz2 = lz[:, None] ** 2
-            vals, errs, conv = response_integrals(
-                lambda q, s2: (s2 - lz2) / (s2 + lz2) ** 2 / (1.0 + q[r]),
+            qrow = prow - prow[0]
+            val[at], err[at], conv[at] = response_integrals(
+                lambda q, s2: (s2 - lz2) / (s2 + lz2) ** 2 / (1.0 + q[qrow]),
                 resp, g, lz, quad_tol)
-            parts[:, 1] += wv @ vals / (EIGHT_PI4 * cfg.k_f)
-            qerr += wv @ errs / (EIGHT_PI4 * cfg.k_f)
-            ok &= conv | ~np.any(w, axis=1)
-        # exchange: sum over p = k + q in the lune of V(p + zeta - k) / t^2
-        # with t = lam_p + lam_zeta, zeta = k + q_z, and p + zeta - k =
-        # k + q + q_z; a radial V reads |k + q + q_z|^2 = 2 t - |k|^2 +
-        # |q + q_z|^2 (exact in integers)
-        qz = ball[qrow]
-        t = lam[r] + lz[:, None]
-        if pot.is_radial:
-            kn2 = np.einsum("mi,mi->m", kc, kc)
-            v2 = pot.from_norm2(2.0 * t - kn2[r, None]
-                                + (ball_n2 + np.einsum("hi,hi->h", qz, qz)[:, None]
-                                   + 2 * qz @ ball.T))
-        else:
-            v2 = pot.at(kc[r, None] + ball + qz[:, None])
-        terms = np.divide(v2, t**2, out=np.zeros(t.shape), where=mask[r])
-        parts[:, 2] -= wv @ np.sum(terms, axis=1) / (8.0 * TWO_PI_6
-                                                      * cfg.k_f**2)
-    return parts, qerr, ok
+    return pair, spec, val, err, conv
+
+
+def _spectral_values(kc, vhat, vsq, classes, pairs, carry) -> np.ndarray:
+    """cosh(-2K) - 1 of the block rows ``kc`` at the classes ``pairs``.
+
+    Modes of one gap histogram (fixed by the orbit key) and V_k share
+    their values, so each pair reads its group's first mode, whose
+    classes come in the same order.  Rows come in (|k|^2, orbit key)
+    order, so a group cut by the block's end goes on at the next
+    block's start: ``carry`` maps (sorted |k|, V_k) to the per-class
+    values of the groups of the previous block's last orbit, and is
+    replaced by this block's.
+    """
+    crows = classes[0]
+    okey = orbit_key(kc)
+    _, vcode = np.unique(vhat, return_inverse=True)
+    _, first, inv = np.unique(okey * (vcode.max(initial=0) + 1) + vcode,
+                              return_index=True, return_inverse=True)
+    head = first[inv]
+    start = np.searchsorted(crows, np.arange(kc.shape[0] + 1))
+    prow = crows[pairs]
+    tail = set(head[okey == okey[-1]].tolist())
+    solve = np.zeros(kc.shape[0], dtype=bool)
+    solve[head[prow]] = True
+    solve[list(tail)] = True
+    # orbit_key's base depends on the block, the sorted |k| does not
+    group = {h: (*sorted(map(abs, kc[h].tolist())), float(vhat[h]))
+             for h in np.flatnonzero(solve).tolist()}
+    known = [h for h, g in group.items() if g in carry]
+    solve[known] = False
+    vals = cosh_minus_one_classes(classes, vsq, np.flatnonzero(solve))
+    for h in known:
+        vals[start[h]:start[h + 1]] = carry[group[h]]
+    carry.clear()
+    carry.update((group[h], vals[start[h]:start[h + 1]].copy()) for h in tail)
+    return vals[start[head[prow]] + pairs - start[prow]]
+
+
+def _exchange_sums(kc, t, inside, qrow, cfg: LatticeConfig,
+                   pot: Potential) -> np.ndarray:
+    """(H,) exchange sums of H hits zeta = k + q_z, before weights.
+
+    ``kc`` holds each hit's k, ``t`` and ``inside`` its lune gaps and
+    mask on the ball (``t`` is overwritten) and ``qrow`` the ball row of
+    q_z.  A hit sums V(p + zeta - k) / t^2 over p = k + q in the lune,
+    with t = lam_p + lam_zeta and p + zeta - k = k + q + q_z; a radial V
+    reads |k + q + q_z|^2 = 2 t - |k|^2 + |q + q_z|^2 (exact in
+    integers).
+    """
+    ball = cfg.ball_arr
+    qz = ball[qrow]
+    t += t[np.arange(qrow.size), qrow][:, None]
+    if pot.is_radial:
+        arg = qz @ ball.T
+        arg *= 2
+        arg += np.einsum("ni,ni->n", ball, ball)
+        arg += np.einsum("hi,hi->h", qz, qz)[:, None]
+        v2 = 2.0 * t
+        v2 -= np.einsum("hi,hi->h", kc, kc)[:, None]
+        v2 += arg
+        del arg
+        v2 = pot.from_norm2(v2)
+    else:
+        arg = kc[:, None] + ball
+        arg += qz[:, None]
+        v2 = pot.at(arg)
+        del arg
+    t *= t
+    np.divide(v2, t, out=v2, where=inside)
+    v2[~inside] = 0.0
+    return np.sum(v2, axis=1)
 
 
 def _columns(orbs: list[np.ndarray],

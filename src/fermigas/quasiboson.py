@@ -35,14 +35,17 @@ gap histogram, the distinct gaps lam_d and their multiplicities m_d:
 
 * response: q_k(s) = 2 v^2 sum_d m_d lam_d / (s^2 + lam_d^2), so on a
   chunk's shared gap axis g it is one matmul with the table
-  C[k, g] = 2 v_k^2 m_g g (``gap_response``), and integrals of
-  f(q_k(s), s^2) over s run as one batched family
-  (``response_integrals``);
+  C[k, g] = 2 v_k^2 m_g g (``gap_response`` from the (m, G) counts,
+  ``class_response`` for a range of rows from the block's (mode, gap)
+  classes), and integrals of f(q_k(s), s^2) over s run as one batched
+  family (``response_integrals``);
 * deflation (Golub 1973): the core h^2 + 2 u u^T acts as lam_d^2 on
   every vector of a gap class orthogonal to u, so it deflates exactly
   to diag(lam_d^2) + 2 w w^T with w_d^2 = m_d lam_d v^2, and
   cosh(-2K) - 1 is the same at every point of one gap
-  (``cosh_minus_one_core``, ``cosh_minus_one_per_gap``);
+  (``cosh_minus_one_core``, and ``cosh_minus_one_classes`` for the
+  classes of chosen modes, ``classes_at`` finding the class of a lune
+  point);
 * the histogram is invariant under the 48 signed permutations of k, as
   the ball is, so modes of equal sorted |k| and equal V_k share one
   deflated eigensolve.
@@ -52,11 +55,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import LatticeConfig, gap_counts, lune_kernel, orbit_key
+from .lattice import (LatticeConfig, gap_classes, gap_counts, lune_kernel,
+                      orbit_key)
 from .numerics import integrate, sym_eig, sym_matrix_function
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 TWO_PI_6 = (2.0 * np.pi) ** 6
+
+# matrix entries per batch of deflated cores (128 KB of float64)
+_CORE_CELLS = 1 << 14
 
 
 def coupling_sq(vhat, k_f: float):
@@ -89,7 +96,8 @@ def cosh_minus_one_core(lam: np.ndarray, m: np.ndarray,
     Row d of its eigen-equation gives (sqrt(mu_j) - lam_d) e_j[d] =
     2 w_d (e_j.w) / (sqrt(mu_j) + lam_d), so the value at gap lam_d is
     2 v^2 sum_j (e_j.w)^2 / (sqrt(mu_j) (sqrt(mu_j) + lam_d)^2), a sum of
-    positive terms that does not cancel on far modes.  One batched eigh.
+    positive terms that does not cancel on far modes.  One batched eigh;
+    besides its eigenvectors one (B, D, D) array, reused in place.
     """
     w = np.sqrt(m * lam * vsq[:, None])
     core = 2.0 * w[:, :, None] * w[:, None, :]
@@ -98,27 +106,36 @@ def cosh_minus_one_core(lam: np.ndarray, m: np.ndarray,
     mu, vec = np.linalg.eigh(core)
     root = np.sqrt(mu)[:, None, :]
     weight = np.einsum("bdj,bd->bj", vec, w)[:, None, :] ** 2 / root
-    return 2.0 * vsq[:, None] * np.sum(
-        weight / (root + lam[:, :, None]) ** 2, axis=2)
+    del vec
+    den = np.add(root, lam[:, :, None], out=core)
+    den *= den
+    return 2.0 * vsq[:, None] * np.sum(np.divide(weight, den, out=den), axis=2)
 
 
-def cosh_minus_one_per_gap(g: np.ndarray, counts: np.ndarray,
-                           vsq: np.ndarray) -> np.ndarray:
-    """(m, G) cosh(-2K) - 1 at a lune point of each gap, on the gap axis g.
+def cosh_minus_one_classes(classes, vsq: np.ndarray,
+                           modes: np.ndarray) -> np.ndarray:
+    """cosh(-2K) - 1 at a lune point of each class of the block rows ``modes``.
 
-    ``g`` and ``counts`` are a chunk's ``gap_counts``; entries at gaps a
-    mode lacks are 0.  One ``cosh_minus_one_core`` per histogram size D.
+    ``classes`` are a block's ``gap_classes`` (rows, gaps, counts),
+    ``vsq`` its (m,) couplings and ``modes`` ascending rows.  Returns one
+    value per class, NaN at the classes of other rows.  One
+    ``cosh_minus_one_core`` per histogram size D, in batches of at most
+    ``_CORE_CELLS`` // D^2 cores, so that no batch holds more than
+    ``_CORE_CELLS`` matrix entries.
     """
-    out = np.zeros(counts.shape)
-    sizes = np.count_nonzero(counts, axis=1)
+    rows, gaps, counts = classes
+    sizes = np.bincount(rows, minlength=vsq.size)
+    start = np.cumsum(sizes) - sizes
+    vals = np.full(rows.size, np.nan)
     # not np.unique: without extra outputs it imports numpy.ma (~1 MB)
-    for d in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == d)
-        nz = np.nonzero(counts[rows])
-        out[rows[nz[0]], nz[1]] = cosh_minus_one_core(
-            g[nz[1]].reshape(-1, d), counts[rows][nz].reshape(-1, d),
-            vsq[rows]).ravel()
-    return out
+    for d in sorted(set(sizes[modes].tolist())):
+        of_size = modes[sizes[modes] == d]
+        step = max(1, _CORE_CELLS // (d * d))
+        for lo in range(0, of_size.size, step):
+            batch = of_size[lo:lo + step]
+            at = start[batch, None] + np.arange(d)
+            vals[at] = cosh_minus_one_core(gaps[at], counts[at], vsq[batch])
+    return vals
 
 
 def csk_pair(k_matrix: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +202,40 @@ def gap_response(mask: np.ndarray, lam: np.ndarray, vsq: np.ndarray):
     """
     g, counts = gap_counts(mask, lam)
     return g, counts, 2.0 * vsq[:, None] * counts * g
+
+
+def classes_at(mask: np.ndarray, lam: np.ndarray, col: np.ndarray,
+               hit: np.ndarray):
+    """A block's ``gap_classes`` and the class of each lune point ``hit``.
+
+    ``col`` is an (m, c) table of ball rows and ``hit`` flat indices into
+    it: hit h names the lune point k + q of row h // c, q = ball row
+    col[h // c, h % c].  The classes are built before the points are
+    looked up, so the two never hold their temporaries at once.  The
+    lookup is exact, as the gaps are half-integers.
+    """
+    classes = gap_classes(mask, lam)
+    # row * scale + gap orders (row, gap) once scale exceeds every gap
+    scale = float(classes[1].max(initial=0.0)) + 1.0
+    rows, j = np.divmod(hit, col.shape[1])
+    gaps = lam[rows, col[rows, j]]
+    del j
+    return classes, np.searchsorted(classes[0] * scale + classes[1],
+                                    rows * scale + gaps)
+
+
+def class_response(classes, vsq: np.ndarray, lo: int, hi: int):
+    """(g, C) of ``gap_response`` for the rows lo..hi-1 of a block's ``gap_classes``.
+
+    g holds the distinct gaps of those rows, ascending, and C is their
+    (hi - lo, G) table with the same entries as ``gap_response``'s.
+    """
+    rows, gaps, counts = classes
+    at = slice(*np.searchsorted(rows, [lo, hi]))
+    g, col = np.unique(gaps[at], return_inverse=True)
+    resp = np.zeros((hi - lo, g.size))
+    resp[rows[at] - lo, col] = 2.0 * vsq[rows[at]] * counts[at] * gaps[at]
+    return g, resp
 
 
 def response_integrals(f, resp: np.ndarray, g: np.ndarray, scales,

@@ -18,14 +18,14 @@ import numpy as np
 from fermigas.dvlimit import q_dv
 from fermigas.energy import stable_log1p_minus_x
 from fermigas.lattice import (add, as_vec3, ball_array, ball_points,
-                              d_intersection, lambda_of, lune_kernel, neg,
-                              norm2, point_group)
+                              d_intersection, gap_classes, lambda_of,
+                              lune_kernel, neg, norm2, point_group)
 from fermigas.momentum import n_point
 from fermigas.numerics import QuadratureResult, integrate, sym_eig
 from fermigas.potential import ValidationReport, evaluate
-from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, cosh_minus_one_core,
-                                 cosh_minus_one_per_gap, coupling_sq,
-                                 gap_response, mode_chunks, q_of_s)
+from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED,
+                                 cosh_minus_one_classes, cosh_minus_one_core,
+                                 coupling_sq, mode_chunks, q_of_s)
 from fermigas.verify import _exchange_term, _integral_term, _mode
 
 EIGHT_PI4 = 8.0 * np.pi**4
@@ -513,7 +513,7 @@ def ball_trace_n_b(cfg, pot, k_max):
 
     Every lune point k + q is hit once from xi = q and once from
     xi = -q, so the total is twice the trace of cosh(-2K_k) - 1 per k:
-    the full-lune gap histogram (``gap_response``) against the deflated
+    the full-lune gap histogram (``gap_classes``) against the deflated
     per-gap values, every k of the shell with weight 1.
     """
     ks = ball_array(k_max * k_max, 0)
@@ -521,9 +521,9 @@ def ball_trace_n_b(cfg, pot, k_max):
     vsq = coupling_sq(vhat, cfg.k_f)
     total = 0.0
     for rows, mask, lam in mode_chunks(ks, vhat, cfg, 64):
-        g, counts, _ = gap_response(mask, lam, vsq[rows])
-        total += float(np.sum(counts * cosh_minus_one_per_gap(g, counts,
-                                                              vsq[rows])))
+        classes = gap_classes(mask, lam)
+        total += float(classes[2] @ cosh_minus_one_classes(
+            classes, vsq[rows], np.arange(rows.size)))
     return 2.0 * total
 
 

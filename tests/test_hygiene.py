@@ -154,12 +154,12 @@ BLOCK_OWNERS = {"lattice.py", "quasiboson.py"}
 
 
 def _block_calls(tree: ast.Module) -> list[str]:
-    """Calls of lune_kernel or gap_counts, by name or as an attribute."""
+    """Calls of lune_kernel, gap_counts or gap_classes, by name or as an attribute."""
     calls = [(node.lineno, name) for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and (name := getattr(node.func, "id",
                                   getattr(node.func, "attr", None)))
-             in ("lune_kernel", "gap_counts")]
+             in ("lune_kernel", "gap_counts", "gap_classes")]
     return [f"{name} (line {line})" for line, name in sorted(calls)]
 
 
@@ -173,6 +173,8 @@ def test_block_call_is_found():
     tree = ast.parse("from .lattice import lune_kernel\n"
                      "mask, lam = lune_kernel(k, cfg)\n"
                      "g, counts = lattice.gap_counts(mask, lam)\n"
-                     "print(lune_kernel, gap_counts_of(mask))\n")
+                     "print(lune_kernel, gap_counts_of(mask))\n"
+                     "classes = gap_classes(mask, lam)\n")
     assert _block_calls(tree) == ["lune_kernel (line 2)",
-                                  "gap_counts (line 3)"]
+                                  "gap_counts (line 3)",
+                                  "gap_classes (line 5)"]

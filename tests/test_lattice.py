@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, ball_array, ball_points,
                               d_intersection, doubled_sum, fermi_ball,
-                              gap_counts, is_sum_of_three_squares, k_shell,
-                              k_support, kappa_and_weight, lambda_of,
+                              gap_classes, gap_counts, is_sum_of_three_squares,
+                              k_shell, k_support, kappa_and_weight, lambda_of,
                               lune_kernel, lune_points, neg, norm2, orbit,
                               point_group)
 from fermigas.quasiboson import mode_chunks
@@ -146,6 +146,11 @@ def test_gap_counts_bincount_matches_sort(k_f):
         g_ref, counts_ref = gap_counts_unique(mask, lam)
         assert g.dtype == g_ref.dtype and counts.dtype == counts_ref.dtype
         assert np.array_equal(g, g_ref) and np.array_equal(counts, counts_ref)
+        # the class list is the same histogram without the (m, G) table
+        rows, gaps, class_counts = gap_classes(mask, lam)
+        nz = np.nonzero(counts_ref)
+        assert np.array_equal(rows, nz[0]) and np.array_equal(gaps, g_ref[nz[1]])
+        assert np.array_equal(class_counts, counts_ref[nz])
 
 
 def test_lune_rejects_zero_k():
@@ -525,6 +530,15 @@ def test_signed_perm_group_is_the_48_element_point_group():
         # one entry +-1 in each row and each column
         assert np.all(np.abs(m).sum(axis=0) == 1)
         assert np.all(np.abs(m).sum(axis=1) == 1)
+
+
+def test_point_group_is_built_once_read_only():
+    for symmetry in ("radial", "even", "none"):
+        group = point_group(symmetry)
+        assert point_group(symmetry) is group
+        assert not group.flags.writeable
+        with pytest.raises(ValueError):
+            group[0, 0, 0] = 2
 
 
 def test_point_group_and_orbit_sizes():

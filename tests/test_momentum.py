@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, ball_array, d_intersection,
-                              fermi_ball, gap_counts, k_support, lambda_of,
-                              lune_kernel, lune_points, neg, norm2, orbit,
-                              orbit_key, point_group)
+                              fermi_ball, gap_classes, gap_counts, k_support,
+                              lambda_of, lune_kernel, lune_points, neg, norm2,
+                              orbit, orbit_key, point_group)
 from fermigas.momentum import (MomentumBreakdown, Observable, _block_parts,
                                n_point, n_weighted)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
-from fermigas.quasiboson import (TWO_PI_CUBED, cosh_minus_one_per_gap,
+from fermigas.quasiboson import (TWO_PI_CUBED, cosh_minus_one_classes,
                                  gap_response, mode_chunks, q_of_s)
 from fermigas.verify import _exchange_term, _integral_term, _mode
 
@@ -202,6 +203,16 @@ def test_orbit_and_bulk_path_match_plain_per_k():
     assert fast[2] == pytest.approx(plain[2], rel=1e-12)
 
 
+def _per_gap(ks, cfg, vsq):
+    """(g, counts, values): ``cosh_minus_one_classes`` of every mode on the (m, G) table."""
+    mask, lam = lune_kernel(ks, cfg)
+    g, counts = gap_counts(mask, lam)
+    values = np.zeros(counts.shape)
+    values[np.nonzero(counts)] = cosh_minus_one_classes(
+        gap_classes(mask, lam), vsq, np.arange(len(ks)))
+    return g, counts, values
+
+
 # near (partial-lune, |k| <= 2 k_F) and far (full-lune) transfers
 BLOCK_KS = {
     2.0: [(1, 0, 0), (1, 1, 1), (2, 1, 0), (3, 1, 1), (0, 4, 0),
@@ -215,9 +226,8 @@ BLOCK_KS = {
 def test_deflated_diag_matches_full_lune(kf):
     cfg = fermi_ball(kf)
     modes = [_mode(k, cfg, coulomb(1.0)) for k in BLOCK_KS[kf]]
-    g, counts = gap_counts(*lune_kernel(np.array(BLOCK_KS[kf]), cfg))
-    per_gap = cosh_minus_one_per_gap(g, counts,
-                                     np.array([m[3] for m in modes]))
+    g, counts, per_gap = _per_gap(np.array(BLOCK_KS[kf]), cfg,
+                                  np.array([m[3] for m in modes]))
     for row, (_, lam, _, vsq) in enumerate(modes):
         col = np.searchsorted(g, lam)
         assert np.array_equal(g[col], lam)
@@ -399,9 +409,7 @@ def test_deflated_hit_value_against_mpmath_kf3():
     assert ks.tolist() == [[6, 2, 1], [-7, 0, 0], [7, 0, 0]]
     vsq = coulomb(1.0).from_norm2(np.einsum("mi,mi->m", ks, ks)) / (
         2.0 * TWO_PI_CUBED * cfg.k_f)
-    mask, lam = lune_kernel(ks, cfg)
-    g, counts = gap_counts(mask, lam)
-    per_gap = cosh_minus_one_per_gap(g, counts, vsq)
+    g, counts, per_gap = _per_gap(ks, cfg, vsq)
     for row, k in enumerate(ks):
         # the hit is s xi with s xi - k in the ball
         s = 1 if norm2(xi - k) <= cfg.r2 else -1
@@ -425,8 +433,7 @@ def test_deflated_far_modes_against_mpmath_kf2():
     cfg = fermi_ball(2.0)
     ks = np.array([(2, 1, 0), (8, 3, 2), (11, 4, 1), (40, 11, 5)])
     vsq = coulomb(1.0).at(ks) / (2.0 * TWO_PI_CUBED * cfg.k_f)
-    g, counts = gap_counts(*lune_kernel(ks, cfg))
-    per_gap = cosh_minus_one_per_gap(g, counts, vsq)
+    g, counts, per_gap = _per_gap(ks, cfg, vsq)
     for row in range(len(ks)):
         nz = np.flatnonzero(counts[row])
         exact = np.array(_cosh_minus_one_mp(g[nz], counts[row, nz], vsq[row]))
@@ -680,35 +687,194 @@ def _chunk_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
+BENCH_POLICY = TailPolicy(tail_tol=1e-3, max_doublings=1)
+
+
+def _block_sizes(monkeypatch) -> dict[str, list[int]]:
+    """Record the rows of each mode block, the members of each integral
+    family and the hits of each exchange slice that momentum's blocks run."""
+    sizes = {"rows": _chunk_sizes(monkeypatch), "members": [], "hits": []}
+    integrals, sums = momentum.response_integrals, momentum._exchange_sums
+    monkeypatch.setattr(momentum, "response_integrals",
+                        lambda f, resp, g, lz, tol: (
+                            sizes["members"].append(lz.size)
+                            or integrals(f, resp, g, lz, tol)))
+    monkeypatch.setattr(momentum, "_exchange_sums", lambda kc, *args: (
+        sizes["hits"].append(kc.shape[0]) or sums(kc, *args)))
+    return sizes
+
+
 def test_chunks_bound_candidate_hits(monkeypatch):
-    # xi = (3, 2, 1) has 48 hit columns; chunks of _CHUNK rows would hold
-    # 48x the hits of an outside chunk, whose k each hit one column (at
-    # k_F = 5 with one doubling: 561 MB peak RSS, against 45 MB bounded)
+    # mode blocks hold at most min(_CHUNK, _LUNES // N) rows, so the lune
+    # kernel and every per-hit array of a block stay within _LUNES entries
+    # whatever the column count; the exchange runs in slices of at most as
+    # many hits, the integrals in families of at most _CHUNK (mode, gap)
+    # pairs.  xi = (3, 2, 1) at k_F = 4 (N = 257) has 48 hit columns
     cfg = fermi_ball(4.0)
     xi = (3, 2, 1)
     cols, _ = momentum._columns([orbit(xi, "radial")], cfg)
     assert cols.size == 48
-    sizes = _chunk_sizes(monkeypatch)
+    sizes = _block_sizes(monkeypatch)
     row = n_point(xi, cfg, coulomb(1.0), TailPolicy(max_doublings=0),
                   route="both")
-    assert row.k_modes_used > 0 and len(sizes) > 1
-    assert max(sizes) * cols.size <= momentum._CHUNK
-    # the shared pass bounds the hits of all points together: the k_F = 3
-    # ball's 10 orbits have all 123 ball points as columns, so a chunk
-    # holds _CHUNK // 123 rows, or one row once _CHUNK < 123
+    bound = momentum._LUNES // cfg.n_particles
+    assert bound == 127 and row.k_modes_used > 0
+    assert max(sizes["rows"]) == bound and len(sizes["rows"]) > 1
+    assert max(sizes["hits"]) == bound
+    assert max(sizes["members"]) == momentum._CHUNK
+    # the shared pass bounds the blocks of all points together: the
+    # k_F = 3 ball's 10 orbits have all 123 ball points as columns
     cfg = fermi_ball(3.0)
     obs = Observable.ball_indicator(cfg)
     orbs = {tuple(orbit(xi, "radial")[0].tolist()) for xi in obs.support()}
     cols, colw = momentum._columns([orbit(xi, "radial") for xi in orbs], cfg)
     assert len(orbs) == 10 and cols.size == 123 and colw.shape == (10, 123)
-    for chunk in (momentum._CHUNK, 100):
+    for chunk, lunes in ((momentum._CHUNK, momentum._LUNES), (100, 2000)):
         monkeypatch.setattr(momentum, "_CHUNK", chunk)
-        sizes.clear()
-        n_weighted(obs, cfg, coulomb(1.0), TailPolicy(max_doublings=0),
-                   route="both")
-        assert len(sizes) > 1
-        assert all(size * cols.size <= chunk or size == 1 for size in sizes)
-        assert max(sizes) == max(1, chunk // cols.size)
+        monkeypatch.setattr(momentum, "_LUNES", lunes)
+        for recorded in sizes.values():
+            recorded.clear()
+        n_weighted(obs, cfg, coulomb(1.0), BENCH_POLICY, route="both")
+        bound = min(chunk, lunes // cfg.n_particles)
+        assert len(sizes["rows"]) > 1 and max(sizes["rows"]) == bound
+        assert max(sizes["hits"]) == bound
+        assert max(sizes["members"]) == chunk
+
+
+def _traced_peak(call) -> int:
+    """tracemalloc peak of ``call()`` in bytes, after one untraced warm-up."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_pass_peak_memory():
+    # bounded by the peaks of the pass that bounded candidate hits per
+    # chunk, measured on CPython 3.11 and numpy 2.4: 0.786 MB for the
+    # k_F = 2 ball at the benchmark's policy (0.71 MB on mode blocks) and
+    # 4.86 MB for xi = (3, 2, 1) at k_F = 4 (1.36 MB)
+    cfg = fermi_ball(2.0)
+    ball = _traced_peak(lambda: n_weighted(
+        Observable.ball_indicator(cfg), cfg, coulomb(1.0), BENCH_POLICY,
+        route="both"))
+    assert ball <= 786_000
+    cfg = fermi_ball(4.0)
+    point = _traced_peak(lambda: n_point(
+        (3, 2, 1), cfg, coulomb(1.0), TailPolicy(max_doublings=0),
+        route="both"))
+    assert point <= 4_860_000
+
+
+def test_block_pass_counts_at_bench_policy(monkeypatch):
+    # the k_F = 2 ball at the benchmark's policy: 225 modes in two blocks
+    # (one per shell); the pass that bounded candidate hits ran 21 chunks
+    # with 128 eigh calls and integrated 7,335 hits one by one
+    cfg = fermi_ball(2.0)
+    pot = coulomb(1.0)
+    obs = Observable.ball_indicator(cfg)
+    sizes = _block_sizes(monkeypatch)
+    eigh, cores = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (
+        cores.append(a.shape) or eigh(a)))
+    n_weighted(obs, cfg, pot, BENCH_POLICY, route="both")
+    assert sum(sizes["rows"]) == 225 and len(sizes["rows"]) == 2
+    assert len(cores) <= len(sizes["rows"]) * len({d for _, d, _ in cores})
+    assert len(cores) < 128
+    assert sum(b for b, _, _ in cores) == 225
+    # one integral per distinct (mode, gap) that some hit reads, counted
+    # here from the hits of each shell: k + x' in the lune, gap
+    # (|k|^2 + 2 k.x')/2
+    orbs = [orbit(xi, pot.symmetry) for xi in obs.support()]
+    cols, _ = momentum._columns(orbs, cfg)
+    x = cfg.ball_arr[cols]
+    pairs = 0
+    k_cut = BENCH_POLICY.initial_k_max(cfg)
+    for lo, hi in ((0, k_cut), (k_cut, 2 * k_cut)):
+        reps, _, _ = momentum._hit_shell(orbs, cfg, pot.symmetry, lo, hi)
+        zeta = reps[:, None] + x
+        two_gap = np.einsum("mi,mi->m", reps, reps)[:, None] + 2 * reps @ x.T
+        hits = np.einsum("mci,mci->mc", zeta, zeta) > cfg.r2
+        pairs += sum(len(set(row[hit].tolist()))
+                     for row, hit in zip(two_gap, hits))
+    assert sum(sizes["members"]) == pairs == 3920
+
+
+@pytest.mark.parametrize("pot_name", ["coulomb", "table_even"])
+def test_split_orbit_groups_share_one_eigensolve(monkeypatch, pot_name):
+    # an outside support holds up to 16 rows per (sorted |k|, V_k) group;
+    # small blocks cut groups, and the values carried from one block to
+    # the next keep one eigensolve per group, as in a single block
+    cfg = fermi_ball(3.0)
+    pot = _potential(pot_name, 12)
+    eigh, cores = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (
+        cores.append(a.shape[0]) or eigh(a)))
+    one = n_point((4, 1, 1), cfg, pot, route="spectral")
+    solves = sum(cores)
+    cores.clear()
+    monkeypatch.setattr(momentum, "_LUNES", 5 * cfg.n_particles)
+    sizes = _chunk_sizes(monkeypatch)
+    cut = n_point((4, 1, 1), cfg, pot, route="spectral")
+    assert len(sizes) == 50 and sum(cores) == solves
+    assert cut.n_b == pytest.approx(one.n_b, rel=1e-14)
+    assert cut.n_ex == pytest.approx(one.n_ex, rel=1e-14)
+
+
+PASS_POINTS = {1.0: [(0, 0, 0), (1, 0, 0)],
+               2.0: [(0, 0, 0), (1, 0, 0), (1, 1, 0)],
+               3.0: [(0, 0, 0), (1, 1, 0), (2, 1, 0)]}
+
+
+@pytest.mark.parametrize("pot_name", ["coulomb", "yukawa", "table_even",
+                                      "table_uneven"])
+@pytest.mark.parametrize("kf", sorted(PASS_POINTS))
+def test_block_pass_matches_per_hit_oracles(monkeypatch, kf, pot_name):
+    # small blocks, families and slices, so that each splits: the inside
+    # points run as the rows of one pass against the plain per-k sums on
+    # |k| <= 3, and every eighth full-lune mode 2 k_F < |k| <= 2 k_F + 1 at
+    # the columns +-xi against them and (radial V) the dense full-lune
+    # oracle
+    cfg = fermi_ball(kf)
+    monkeypatch.setattr(momentum, "_CHUNK", 8)
+    monkeypatch.setattr(momentum, "_LUNES", 6 * cfg.n_particles)
+    far = int(2 * kf) + 1
+    # exchange arguments k + q + q_z reach |k| + 2 k_F
+    pot = _potential(pot_name, far + 2 * math.ceil(kf))
+    xis = PASS_POINTS[kf]
+    orbs = [orbit(xi, pot.symmetry) for xi in xis]
+    reps, wts, _ = momentum._hit_shell(orbs, cfg, pot.symmetry, 0, 3)
+    sizes = _block_sizes(monkeypatch)
+    parts, _, ok = _block_parts(reps, wts, *momentum._columns(orbs, cfg),
+                                cfg, pot, 1e-9, True, True)
+    assert min(len(recorded) for recorded in sizes.values()) > 1
+    for xi, fast, fast_ok in zip(xis, parts, ok):
+        plain, _, plain_ok = per_k_sum(truncated_k_vectors(xi, cfg, 3), xi,
+                                       cfg, pot)
+        assert fast[0] == pytest.approx(plain[0], rel=1e-12)
+        assert fast[1] == pytest.approx(plain[1], rel=1e-10)
+        assert fast[2] == pytest.approx(plain[2], rel=1e-12)
+        assert fast_ok and plain_ok
+    xi = xis[-1]
+    ks = truncated_k_vectors(xi, cfg, far, k_min_excl=int(2 * kf))
+    ks = [k for k in ks if norm2(k) > 4 * cfg.r2][::8]
+    (fast,), _, (fast_ok,) = _block_parts(
+        np.array(ks), np.ones(len(ks)), cfg.ball_index(np.array([xi, neg(xi)])),
+        np.ones((1, 2)), cfg, pot, 1e-9, True, True)
+    plain, _, plain_ok = per_k_sum(ks, xi, cfg, pot)
+    assert fast[0] == pytest.approx(plain[0], rel=1e-12)
+    assert fast[1] == pytest.approx(plain[1], rel=1e-10)
+    assert fast[2] == pytest.approx(plain[2], rel=1e-12)
+    assert fast_ok and plain_ok
+    if pot.is_radial:
+        spectral, integral, _, _ = bulk_chunk(ks, xi, cfg, pot, (1, -1), 1e-9)
+        assert fast[0] == pytest.approx(spectral, rel=1e-12)
+        assert fast[1] == pytest.approx(integral, rel=1e-10)
+        assert fast[2] == pytest.approx(
+            bulk_exchange(ks, xi, cfg, pot, (1, -1)), rel=1e-12)
 
 
 def test_cross_route_desk_scale_boundary():

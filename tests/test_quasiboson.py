@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from fermigas.lattice import fermi_ball, neg
+from fermigas.lattice import fermi_ball, gap_classes, lune_kernel, neg
 from fermigas.numerics import sym_matrix_function
 from fermigas.potential import coulomb, from_table, zero
-from fermigas.quasiboson import build_K, csk_pair, q_of_s, sandwich_bounds
+from fermigas.quasiboson import (build_K, class_response, classes_at,
+                                 csk_pair, gap_response, q_of_s,
+                                 sandwich_bounds)
 from fermigas.verify import _mode
 from oracles import cosh2k_minus_one_diag, exp_pm2K, nonzero_k_vectors
 
@@ -148,3 +150,28 @@ def test_kernel_reflection_and_nsd():
             assert np.array_equal(m_pts, -pts[::-1])
             mirror = build_K(m_lam, m_vsq)[::-1, ::-1]
             assert np.max(np.abs(k_mat - mirror)) < 1e-10
+
+
+def test_classes_at_finds_every_lune_point_of_unsorted_rows():
+    # rows out of |k| order: the first row's gaps reach past the last's
+    cfg = fermi_ball(2.0)
+    ks = np.array([(9, 1, 0), (2, 1, 1), (1, 0, 0), (5, 0, 0)])
+    mask, lam = lune_kernel(ks, cfg)
+    col = np.broadcast_to(np.arange(cfg.n_particles), mask.shape)
+    hit = np.flatnonzero(mask)
+    (rows, gaps, counts), cls = classes_at(mask, lam, col, hit)
+    r, q = np.divmod(hit, cfg.n_particles)
+    assert np.array_equal(rows[cls], r) and np.array_equal(gaps[cls], lam[r, q])
+    assert np.array_equal(np.bincount(cls, minlength=rows.size), counts)
+
+
+def test_class_response_is_the_gap_response_of_its_rows():
+    cfg = fermi_ball(2.0)
+    ks = np.array([(1, 0, 0), (2, 1, 1), (5, 0, 0), (9, 1, 0)])
+    vsq = coulomb(1.0).at(ks) / (2.0 * TWO_PI_CUBED * cfg.k_f)
+    mask, lam = lune_kernel(ks, cfg)
+    classes = gap_classes(mask, lam)
+    for lo, hi in ((0, 4), (1, 3), (3, 4)):
+        g, _, resp = gap_response(mask[lo:hi], lam[lo:hi], vsq[lo:hi])
+        g_cls, resp_cls = class_response(classes, vsq, lo, hi)
+        assert np.array_equal(g_cls, g) and np.array_equal(resp_cls, resp)
