@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import dvlimit, energy, momentum, verify
+from . import dvlimit, energy, momentum
 from .lattice import TailPolicy, fermi_ball, lune_points
 from .potential import Potential, coulomb, load_table, validate
 from .potential import zero as zero_potential
@@ -170,6 +170,7 @@ def cmd_dv_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this op reads it: the others skip its import
     cfg = fermi_ball(args.kf)
     reports = verify.run_all(cfg, _potential(args))
     print(verify.reports_to_json(reports))

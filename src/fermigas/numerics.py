@@ -160,13 +160,12 @@ class MatrixFunctionDomainError(ValueError):
 
 
 def symmetry_defect(a: np.ndarray) -> float:
-    """max |A - A^T| relative to max |A| (0 for the zero matrix)."""
+    """max |A - A^T| relative to max |A| (0 for the zero matrix), worst of a stack."""
     if a.size == 0:
         return 0.0
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(a - a.T))) / scale
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    defect = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
+    return float(np.max(defect / np.where(scale == 0.0, 1.0, scale)))
 
 
 def assert_symmetric(a: np.ndarray, rel: float = 1e-12) -> None:
@@ -183,25 +182,24 @@ def sym_matrix_function(a: np.ndarray, fn: str) -> np.ndarray:
     """Apply fn in {sqrt, log, exp} to a symmetric matrix.
 
     Computed as U f(diag) U^T from one eigendecomposition and
-    re-symmetrized.  sqrt and log raise MatrixFunctionDomainError
-    (naming the offending eigenvalue) unless the matrix is positive
-    definite.
+    re-symmetrized, for each matrix of a stack alike.  sqrt and log raise
+    MatrixFunctionDomainError (naming the offending eigenvalue) unless
+    every matrix is positive definite.
     """
     if fn not in _SCALAR_FN:
         raise ValueError(f"unknown matrix function {fn!r}")
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return a.copy()
-    assert_symmetric(a)
-    w, u = np.linalg.eigh(a)
-    if fn in _NEEDS_POSITIVE and w[0] <= 0.0:
-        raise MatrixFunctionDomainError(fn, float(w[0]))
-    b = (u * _SCALAR_FN[fn](w)) @ u.T
-    return 0.5 * (b + b.T)
+    w, u = sym_eig(a)
+    if fn in _NEEDS_POSITIVE and w[..., 0].min() <= 0.0:
+        raise MatrixFunctionDomainError(fn, float(w[..., 0].min()))
+    b = (u * _SCALAR_FN[fn](w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+    return 0.5 * (b + np.swapaxes(b, -1, -2))
 
 
 def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix (ascending eigenvalues)."""
+    """Eigendecomposition of a symmetric matrix or stack (ascending eigenvalues)."""
     assert_symmetric(a)
     return np.linalg.eigh(np.asarray(a, dtype=float))
 

@@ -23,6 +23,8 @@ array ``lam`` (``lattice.lune_points``) and the coupling ``vsq`` = v^2:
 ``build_K(lam, vsq)`` gives K in the order of ``lam``,
 ``sandwich_bounds(lam, vsq)`` its elementwise bounds, ``q_of_s(lam, s,
 vsq)`` the response, and ``csk_pair(K, tau)`` cosh and sinh of tau K.
+They also take stacks of modes of one lune size (``size_batches``; leading
+axes of lam, vsq and K) and give each mode's values bit for bit.
 
 Every lattice sum over k (momentum and energies alike) runs on mode
 blocks, save the E_corr,ex rows whose lune is the whole shifted ball
@@ -71,20 +73,23 @@ def coupling_sq(vhat, k_f: float):
     return vhat / (2.0 * TWO_PI_CUBED * k_f)
 
 
-def build_K(lam: np.ndarray, vsq: float) -> np.ndarray:
+def build_K(lam: np.ndarray, vsq) -> np.ndarray:
     """The correlation kernel K of gaps ``lam`` and coupling v^2 = ``vsq``.
 
-    Symmetric and negative semidefinite, in the order of ``lam``.
+    Symmetric and negative semidefinite, in the order of ``lam``, and
+    exactly +0.0 on every mode of zero coupling.
     """
-    n = lam.size
-    if n == 0 or vsq == 0.0:
-        return np.zeros((n, n))
-    u = np.sqrt(lam * vsq)
-    root = sym_matrix_function(np.diag(lam**2) + 2.0 * np.outer(u, u), "sqrt")
+    vsq = np.asarray(vsq, dtype=float)
+    out = np.zeros(lam.shape + lam.shape[-1:])
+    live = vsq != 0.0
+    lam, vsq = lam[live], vsq[live]
+    u = np.sqrt(lam * vsq[:, None])
+    core = 2.0 * (u[:, :, None] * u[:, None, :])
+    core += (lam**2)[:, None] * np.eye(lam.shape[1])
     hs = np.sqrt(lam)
-    a = root / np.outer(hs, hs)
-    a = 0.5 * (a + a.T)
-    return -0.5 * sym_matrix_function(a, "log")
+    a = sym_matrix_function(core, "sqrt") / (hs[:, :, None] * hs[:, None, :])
+    out[live] = -0.5 * sym_matrix_function(0.5 * (a + np.swapaxes(a, 1, 2)), "log")
+    return out
 
 
 def cosh_minus_one_core(lam: np.ndarray, m: np.ndarray,
@@ -119,35 +124,40 @@ def cosh_minus_one_classes(classes, vsq: np.ndarray,
     ``classes`` are a block's ``gap_classes`` (rows, gaps, counts),
     ``vsq`` its (m,) couplings and ``modes`` ascending rows.  Returns one
     value per class, NaN at the classes of other rows.  One
-    ``cosh_minus_one_core`` per histogram size D, in batches of at most
-    ``_CORE_CELLS`` // D^2 cores, so that no batch holds more than
-    ``_CORE_CELLS`` matrix entries.
+    ``cosh_minus_one_core`` per batch of histogram size (``size_batches``).
     """
     rows, gaps, counts = classes
     sizes = np.bincount(rows, minlength=vsq.size)
     start = np.cumsum(sizes) - sizes
     vals = np.full(rows.size, np.nan)
-    # not np.unique: without extra outputs it imports numpy.ma (~1 MB)
-    for d in sorted(set(sizes[modes].tolist())):
-        of_size = modes[sizes[modes] == d]
-        step = max(1, _CORE_CELLS // (d * d))
-        for lo in range(0, of_size.size, step):
-            batch = of_size[lo:lo + step]
-            at = start[batch, None] + np.arange(d)
-            vals[at] = cosh_minus_one_core(gaps[at], counts[at], vsq[batch])
+    for d, batch in size_batches(sizes, modes):
+        at = start[batch, None] + np.arange(d)
+        vals[at] = cosh_minus_one_core(gaps[at], counts[at], vsq[batch])
     return vals
 
 
-def csk_pair(k_matrix: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cosh(-tau K) - 1, sinh(-tau K)) from one eigendecomposition of K."""
-    n = k_matrix.shape[0]
-    if n == 0:
-        z = np.zeros((0, 0))
-        return z, z
+def size_batches(sizes: np.ndarray, modes: np.ndarray, share: int = 1):
+    """Yield (d, batch) for the ``modes`` of each size d = ``sizes[mode]``, ascending,
+    in batches of at most ``_CORE_CELLS`` // (share d^2) modes (at least one), for
+    a caller holding ``share`` times the stacked arrays of ``cosh_minus_one_core``."""
+    # not np.unique: without extra outputs it imports numpy.ma (~1 MB)
+    for d in sorted(set(sizes[modes].tolist())):
+        of_size = modes[sizes[modes] == d]
+        step = max(1, _CORE_CELLS // (share * d * d))
+        for lo in range(0, of_size.size, step):
+            yield d, of_size[lo:lo + step]
+
+
+def csk_pair(k_matrix: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
+    """(cosh(-tau K) - 1, sinh(-tau K)) from one eigendecomposition of K.
+
+    ``tau`` may be an array, whose axes lead the result's.
+    """
     w, u = sym_eig(k_matrix)
-    c = (u * (np.cosh(-tau * w) - 1.0)) @ u.T
-    s = (u * np.sinh(-tau * w)) @ u.T
-    return 0.5 * (c + c.T), 0.5 * (s + s.T)
+    x = -np.multiply.outer(tau, w)[..., None, :]
+    c = (u * (np.cosh(x) - 1.0)) @ np.swapaxes(u, -1, -2)
+    s = (u * np.sinh(x)) @ np.swapaxes(u, -1, -2)
+    return 0.5 * (c + np.swapaxes(c, -1, -2)), 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def q_of_s(lam: np.ndarray, s, vsq: float) -> float | np.ndarray:
@@ -163,8 +173,7 @@ def q_of_s(lam: np.ndarray, s, vsq: float) -> float | np.ndarray:
     return out.reshape(s.shape) if s.shape else float(out[0])
 
 
-def sandwich_bounds(lam: np.ndarray,
-                    vsq: float) -> tuple[np.ndarray, np.ndarray, float]:
+def sandwich_bounds(lam: np.ndarray, vsq) -> tuple[np.ndarray, np.ndarray, float]:
     """Elementwise bounds v_p v_q / (lambda_p + lambda_q) and screening factor.
 
     Returns (lower, upper, screening) where upper_pq = v^2 /
@@ -172,9 +181,9 @@ def sandwich_bounds(lam: np.ndarray,
     1 / (1 + 2 <v, h^{-1} v>).  -K, and sinh/cosh of tau K, are pinched
     between these (the sinh bounds scale with tau).
     """
-    upper = vsq / (lam[:, None] + lam[None, :])
-    screening = 1.0 / (1.0 + 2.0 * vsq * float(np.sum(1.0 / lam)))
-    return screening * upper, upper, screening
+    upper = np.expand_dims(vsq, (-2, -1)) / (lam[..., :, None] + lam[..., None, :])
+    screening = 1.0 / (1.0 + 2.0 * vsq * np.sum(1.0 / lam, axis=-1))
+    return screening[..., None, None] * upper, upper, screening
 
 
 def mode_chunks(ks: np.ndarray, vhat: np.ndarray, cfg: LatticeConfig,

@@ -1,4 +1,4 @@
-"""Plain-loop reference implementations of the vectorized lattice, potential, energy, momentum and continuum kernels.
+"""Plain-loop reference implementations of the vectorized lattice, potential, energy, momentum, continuum and verify kernels.
 
 Each function here is the straightforward per-point form of a hot-path
 kernel in ``fermigas``: a Python loop over the ball, a dense pair sum
@@ -21,12 +21,16 @@ from fermigas.lattice import (add, as_vec3, ball_array, ball_points,
                               d_intersection, gap_classes, lambda_of,
                               lune_kernel, neg, norm2, point_group)
 from fermigas.momentum import n_point
-from fermigas.numerics import QuadratureResult, integrate, sym_eig
+from fermigas.numerics import (QuadratureResult, integrate, sym_eig,
+                               sym_matrix_function)
 from fermigas.potential import ValidationReport, evaluate
-from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED,
+from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_K,
                                  cosh_minus_one_classes, cosh_minus_one_core,
-                                 coupling_sq, mode_chunks, q_of_s)
-from fermigas.verify import _exchange_term, _integral_term, _mode
+                                 coupling_sq, csk_pair, mode_chunks, q_of_s,
+                                 sandwich_bounds)
+from fermigas.verify import (MODE_SEED, TAUS, CheckReport, _assert_report,
+                             _exchange_term, _integral_term, _mode,
+                             _mode_sample)
 
 EIGHT_PI4 = 8.0 * np.pi**4
 
@@ -542,3 +546,115 @@ def ball_pair_sum_n_ex(cfg, pot, k_max):
         vmat = pot.at(k + a[:, None, :] + a[None, :, :])
         total += vhat * float(np.sum(vmat / (lam[:, None] + lam[None, :]) ** 2))
     return -2.0 * total / (8.0 * TWO_PI_6 * cfg.k_f**2)
+
+
+def check_mode_loop(cfg, pot):
+    """``verify.check_mode`` one mode at a time: per tau one ``csk_pair`` and
+    exp(+-tau K), every product formed where it is used."""
+    ks = _mode_sample(cfg)
+    slack = 1e-10
+
+    def per_k(k):
+        _, lam, vhat, vsq = _mode(k, cfg, pot)
+        dim = lam.size
+        kmat = build_K(lam, vsq)
+        lower, upper, _ = sandwich_bounds(lam, vsq)
+        eye = np.eye(dim)
+        vh_inv_v = vsq * float(np.sum(1.0 / lam))
+        c_upper = vh_inv_v / (1.0 + 2.0 * vh_inv_v) * upper
+        # the conjugations by e^{+-tau K} of a diagonal and a dense
+        # symmetric T are decomposed against the exponentials themselves
+        key_k = (MODE_SEED << 24) + (k[0] % 64) * 4096 + (k[1] % 64) * 64 + (k[2] % 64)
+        rng = np.random.Generator(np.random.Philox(key=key_k))
+        t_rand = rng.standard_normal((dim, dim))
+        t_mats = (np.diag(rng.standard_normal(dim)), 0.5 * (t_rand + t_rand.T))
+        sw_cs = hyper = dec_dev = 0.0
+        for tau in TAUS:
+            c, s = csk_pair(kmat, tau)
+            hyper = max(hyper, float(np.max(np.abs((c + eye) @ (c + eye) - s @ s - eye))))
+            sw_cs = max(sw_cs,
+                        float(np.max(s - tau * upper)),
+                        float(np.max(tau * lower - s)),
+                        float(np.max(-c)),
+                        float(np.max(c - c_upper)))
+            ep = sym_matrix_function(tau * kmat, "exp")
+            em = sym_matrix_function(-tau * kmat, "exp")
+            for t_mat in t_mats:
+                t1_direct = 0.5 * (ep @ t_mat @ ep + em @ t_mat @ em)
+                t2_direct = 0.5 * (ep @ t_mat @ ep - em @ t_mat @ em)
+                anti_c = t_mat @ c + c @ t_mat
+                anti_s = t_mat @ s + s @ t_mat
+                t1 = t_mat + anti_c + c @ t_mat @ c + s @ t_mat @ s
+                t2 = -anti_s - s @ t_mat @ c - c @ t_mat @ s
+                dec_dev = max(dec_dev,
+                              float(np.max(np.abs(t1 - t1_direct))),
+                              float(np.max(np.abs(t2 - t2_direct))))
+        # every lune of a k != 0 is nonempty, so dim >= 1
+        out = {"nsd": float(np.max(np.linalg.eigvalsh(kmat))),
+               "sw_K": float(max(np.max(-kmat - upper), np.max(lower + kmat))),
+               "sw_CS": sw_cs, "hyperbolic": hyper, "decomposition": dec_dev}
+        return out, lam, vhat, kmat
+
+    results = [per_k(k) for k in ks]
+    reports = []
+
+    def collect(key, tol, label):
+        worst = -math.inf
+        worst_k = None
+        for k, (vals, *_) in zip(ks, results):
+            if vals[key] > worst:
+                worst, worst_k = vals[key], k
+        rep = {"k": list(worst_k), "k_f": cfg.k_f, "potential": pot.spec_string()}
+        reports.append(_assert_report(
+            f"mode.{label}", worst, tol, f"worst at k={list(worst_k)}",
+            {"k_f": cfg.k_f, "potential": pot.spec_string(), "taus": list(TAUS)},
+            rep))
+
+    collect("nsd", slack, "kernel_nsd")
+    collect("sw_K", slack, "sandwich_K")
+    collect("sw_CS", slack, "sandwich_CS")
+    collect("hyperbolic", slack, "hyperbolic_identity")
+    collect("decomposition", 1e-9, "conjugation_decomposition")
+
+    # kernel reflection between k and -k: the mode -k is row -1 - i, and
+    # its lune is the mirrored lune in reverse order
+    worst = -1.0
+    worst_k = None
+    for k, (_, _, _, kmat), (_, _, _, mkmat) in zip(ks, results,
+                                                    reversed(results)):
+        dev = float(np.max(np.abs(kmat - mkmat[::-1, ::-1])))
+        if dev > worst:
+            worst, worst_k = dev, k
+    reports.append(_assert_report(
+        "mode.kernel_reflection", worst, slack,
+        f"worst at k={list(worst_k)}",
+        {"k_f": cfg.k_f, "potential": pot.spec_string()},
+        {"k": list(worst_k), "k_f": cfg.k_f}))
+
+    # product-entry bound trend (constants unknown: diagnostic only)
+    diag_rows = []
+    for k, (_, lam, vhat, kmat) in zip(ks[:4], results):
+        if vhat == 0.0:
+            continue
+        c, s = csk_pair(kmat, 1.0)
+        denom = lam[:, None] + lam[None, :]
+        kn2 = norm2(k)
+        scale = cfg.k_f / min(1.0, cfg.k_f**2 / kn2)
+        for label, prod in (("KK", kmat @ kmat), ("KS", kmat @ s), ("SC", s @ c),
+                            ("KKK", kmat @ kmat @ kmat), ("SKC", s @ kmat @ c)):
+            m_order = len(label)
+            sup = float(np.max(np.abs(prod) * denom)) * scale
+            diag_rows.append({
+                "k": list(k), "factors": label, "m": m_order, "sup": sup,
+                "sup_over_vhat_m": sup / vhat**m_order,
+                "sup_over_vhat_1": sup / vhat,
+            })
+    reports.append(CheckReport(
+        name="mode.product_entry_bound_trend", status="diagnostic",
+        measured=max((r["sup_over_vhat_m"] for r in diag_rows), default=0.0),
+        tolerance=None,
+        worst_case="sup |entry| (lam_p+lam_q) k_F / min(1, k_F^2/|k|^2), "
+                   "normalized by V_k^m and V_k^1 to record which exponent fits",
+        params={"k_f": cfg.k_f, "potential": pot.spec_string(),
+                "rows": diag_rows}))
+    return reports

@@ -287,12 +287,14 @@ codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules,
+                  "fermigas.verify": "fermigas.verify" in sys.modules}))
 """
 
 
 def test_cli_ops_do_not_import_numpy_ma():
-    # numpy.ma costs import time and resident memory in every fresh CLI process
+    # numpy.ma costs import time and resident memory in every fresh CLI
+    # process, and only the verify op compiles fermigas.verify
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -301,3 +303,4 @@ def test_cli_ops_do_not_import_numpy_ma():
     result = json.loads(done.stdout.splitlines()[-1])
     assert all(code in (0, 3) for code in result["codes"]), result
     assert result["numpy.ma"] is False
+    assert result["fermigas.verify"] is False

@@ -172,6 +172,14 @@ def test_asymmetric_input_rejected():
     with pytest.raises(ValueError):
         sym_matrix_function(a, "exp")
     assert symmetry_defect(a) > 1e-12
+    # one asymmetric matrix in a stack, beside a zero and a symmetric one
+    stack = np.array([np.zeros((2, 2)), np.eye(2), a])
+    assert symmetry_defect(stack) == symmetry_defect(a)
+    assert symmetry_defect(stack[:2]) == 0.0
+    with pytest.raises(ValueError):
+        sym_matrix_function(stack, "exp")
+    with pytest.raises(MatrixFunctionDomainError):
+        sym_matrix_function(np.array([np.eye(2), np.diag([2.0, -3.0])]), "log")
 
 
 def test_rank1_resolvent_scalar_case():

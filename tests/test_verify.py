@@ -1,13 +1,19 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fermigas.lattice import fermi_ball, lune_points
-from fermigas.potential import coulomb, zero
-from fermigas.verify import (_mode_sample, any_failed, check_cross,
+from fermigas import verify
+from fermigas.lattice import ball_array, fermi_ball, lune_points
+from fermigas.numerics import sym_matrix_function
+from fermigas.potential import coulomb, from_table, yukawa, zero
+from fermigas.quasiboson import build_K, csk_pair, sandwich_bounds, size_batches
+from fermigas.verify import (TAUS, _mode_sample, any_failed, check_cross,
                              check_gap_bound, check_lattice, check_mode,
                              reports_to_json, run_all)
+from oracles import check_mode_loop
 
 
 def by_name(reports):
@@ -61,19 +67,89 @@ def test_check_mode_product_trend_records_exponent_readings():
 
 
 def test_check_mode_eigensolves_each_distinct_input_once(monkeypatch):
-    # per mode: 2 in build_K, then per tau one csk_pair and exp(+-tau K);
-    # the product-entry trend adds one csk_pair for each of <= 4 modes
-    calls = []
+    # per mode: 2 in build_K, 1 for K (every tau and the product-entry
+    # trend) and 6 for exp(+-tau K); one batched call each per size batch
     eigh = np.linalg.eigh
+    for k_f in (1.0, 2.0):
+        calls, matrices, batches = [], [], []
 
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            matrices.append(math.prod(np.shape(a)[:-2]))
+            return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    cfg = fermi_ball(1.0)
-    assert not any_failed(check_mode(cfg, coulomb(1.0)))
-    assert len(calls) <= 11 * len(_mode_sample(cfg)) + 4
+        def counting_batches(*args, **kwargs):
+            for dim, batch in size_batches(*args, **kwargs):
+                batches.append(batch.size)
+                yield dim, batch
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(verify, "size_batches", counting_batches)
+        cfg = fermi_ball(k_f)
+        n_modes = len(_mode_sample(cfg))
+        assert not any_failed(check_mode(cfg, coulomb(1.0)))
+        assert sum(batches) == n_modes and len(batches) < n_modes
+        assert sum(matrices) <= 9 * n_modes
+        assert len(calls) <= 9 * len(batches)
+
+
+def test_check_mode_peak_memory():
+    # k and -k meet in one pass, so no kernel is held past its mirror's
+    # batch: 1.16 MB, against 1.32 MB with k and -k in separate batches and
+    # 2.08 MB for a per-mode loop that holds every K
+    cfg, pot = fermi_ball(2.0), coulomb(1.0)
+    check_mode(cfg, pot)
+    tracemalloc.start()
+    try:
+        check_mode(cfg, pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_250_000
+
+
+def _even_table_with_zero_modes():
+    # V_k = 0 wherever 3 divides |k|^2, e.g. at k = (1, 1, 1)
+    return from_table({k: 1.0 / (n + 0.5 * k[0] ** 2)
+                       for k in map(tuple, ball_array(25, 0).tolist())
+                       if (n := sum(c * c for c in k)) % 3})
+
+
+@pytest.mark.parametrize("k_f", [1.0, 2.0])
+@pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(1.0, 0.5), zero(),
+                                 _even_table_with_zero_modes()],
+                         ids=["coulomb", "yukawa", "zero", "even_table"])
+def test_check_mode_is_byte_identical_to_per_mode_loop(k_f, pot):
+    cfg = fermi_ball(k_f)
+    assert (reports_to_json(check_mode(cfg, pot))
+            == reports_to_json(check_mode_loop(cfg, pot)))
+
+
+def test_stacked_oracles_equal_per_matrix_calls():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    taus = np.array(TAUS)
+    for dim in range(1, 41):
+        lam = 0.5 * rng.integers(1, 4 * dim + 2, size=(3, dim))
+        vsq = np.array([0.3, 0.0, 2.5]) / dim
+        kmat = build_K(lam, vsq)
+        assert np.array_equal(kmat[1], np.zeros((dim, dim)))
+        assert not np.signbit(kmat[1]).any()
+        cs, ss = csk_pair(kmat, taus)
+        for b in range(3):
+            one = build_K(lam[b], vsq[b])
+            assert np.array_equal(kmat[b], one)
+            for bound, single in zip(sandwich_bounds(lam, vsq),
+                                     sandwich_bounds(lam[b], vsq[b])):
+                assert np.array_equal(bound[b], single)
+            for t, tau in enumerate(TAUS):
+                c, s = csk_pair(one, tau)
+                assert np.array_equal(cs[t, b], c) and np.array_equal(ss[t, b], s)
+        spd = np.diag(lam[0] / lam[0].max()) + np.full((dim, dim), 0.5 / dim)
+        stack = np.array([spd, 2.0 * spd, spd + np.eye(dim)])
+        for fn in ("sqrt", "log", "exp"):
+            out = sym_matrix_function(stack, fn)
+            assert all(np.array_equal(out[b], sym_matrix_function(stack[b], fn))
+                       for b in range(3))
 
 
 def test_checks_below_half_kf_raise():
