@@ -15,11 +15,17 @@ share each through ``_k_shell``.
 
 Both sums, and the interaction part of the Fermi-state energy, run on
 the mode blocks of ``quasiboson``, whose module docstring states the
-gap-histogram and response identities:
+gap-histogram and response identities.  Past |k|^2 > 4 r2 every lune is
+the whole shifted ball (|k + q| > k_F for every ball point q), so both
+sums take those rows without a lune mask:
 
 * E_corr,bos integrates F(q_k(s)) of every row of a chunk of
   ``_CHUNK`` modes as one batched family on the chunk's response
-  table, seeded at the rows' smallest gaps.
+  table, seeded at the rows' smallest gaps.  A chunk of full-lune rows
+  bincounts its integer doubled gaps |k|^2 + 2 k.q into one table
+  reused by every such chunk of a shell: the gap axis grows along a
+  shell, so each fresh table would be mapped anew and page-faulted
+  (``quasiboson.response_chunks``).
 * E_corr,ex: with p = k + a and q = k + b the exchange summand depends
   on the pair through t = a + b alone: p + q - k = k + t and
   lam_p + lam_q = |k|^2 + k.t.  When the lune is the whole shifted
@@ -34,9 +40,11 @@ gap-histogram and response identities:
   is read off the integer norm |k + t|^2 = 2 (|k|^2 + k.t) + |t|^2 -
   |k|^2 for a radial V and by ``Potential.at`` for a table.  Only rows
   with |k| <= 2 k_F can have a partial lune; they count their pairs
-  from their lune masks.  The chunk size is taken from |B+B| (829 at
-  k_F = 3, growing as k_F^3), so that the kernel's reused float buffers
-  stay under glibc's 128 KB mmap threshold.
+  from their lune masks and divide only where c_k(t) > 0, while
+  full-lune rows divide everywhere, as c(t) > 0 on all of B + B.  The
+  chunk size is taken from |B+B| (829 at k_F = 3, growing as k_F^3),
+  so that the kernel's reused float buffers stay under glibc's 128 KB
+  mmap threshold.
 
 E_corr,ex and the Fermi-state interaction put their per-k terms back in
 shell order and sum them one k at a time, so each is the same float as
@@ -47,7 +55,7 @@ one pair sum per k, live on as test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -56,8 +64,8 @@ from .lattice import (LatticeConfig, TailPolicy, ball_array, doubled_sum,
                       k_shell)
 from .numerics import check_tol
 from .potential import Potential
-from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, coupling_sq, gap_response,
-                         mode_chunks, response_integrals)
+from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, mode_chunks,
+                         response_chunks, response_integrals)
 
 _CHUNK = 128
 # floats per E_corr,ex kernel buffer: 128 KB, glibc's mmap threshold
@@ -89,14 +97,7 @@ class EnergyReport:
     tail_flags: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "e_fs_kinetic": self.e_fs_kinetic,
-            "e_fs_interaction": self.e_fs_interaction,
-            "e_corr_bos": self.e_corr_bos,
-            "e_corr_ex": self.e_corr_ex,
-            "k_cutoff": self.k_cutoff,
-            "tail_flags": self.tail_flags,
-        }
+        return asdict(self)
 
 
 def e_fs(cfg: LatticeConfig, pot: Potential) -> tuple[float, float]:
@@ -125,13 +126,12 @@ def _bos_chunks(ks, cfg: LatticeConfig, pot: Potential, quad_tol: float):
     ``rows`` index ``ks``; ``values`` and ``errors`` hold
     int_0^inf F(q_k(s)) ds of each of those rows, all integrated as one
     batched family, each member to ``quad_tol``.  Rows with V_k = 0 are
-    left out.
+    left out.  Chunks of full-lune rows (|k|^2 > 4 r2) fill their
+    response tables with no lune mask, in one buffer sized once per
+    call, since the gap axis grows along a shell (``response_chunks``).
     """
-    vhat = pot.at(ks)
-    vsq = coupling_sq(vhat, cfg.k_f)
-    for rows, mask, lam in mode_chunks(ks, vhat, cfg, _CHUNK):
-        g, counts, resp = gap_response(mask, lam, vsq[rows])
-        lam_min = g[np.argmax(counts > 0, axis=1)]     # g is ascending
+    for rows, g, resp, lam_min in response_chunks(ks, pot.at(ks), cfg,
+                                                  _CHUNK):
         yield (rows, *response_integrals(
             lambda q, s2: stable_log1p_minus_x(q), resp, g, lam_min, quad_tol))
 
@@ -169,10 +169,10 @@ def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,
     the (m, |B+B|) kernel V_k sum_t c_k(t) V(k + t) / (|k|^2 + k.t),
     where c_k(t) counts the pairs (a, b) of ball points with k + a and
     k + b in the lune and a + b = t.  Rows with |k|^2 > 4 r2 have a full
-    lune and take the ball autocorrelation c; the others get their
-    masks from ``mode_chunks`` and bincount their pair codes.  The
-    kernel runs in float buffers of ``_EX_BUFFER`` // |B+B| rows, reused
-    over the chunks.  Rows with V_k = 0 are 0.
+    lune and take the ball autocorrelation c, with no division mask; the
+    others get their masks from ``mode_chunks`` and bincount their pair
+    codes.  The kernel runs in float buffers of ``_EX_BUFFER`` // |B+B|
+    rows, reused over the chunks.  Rows with V_k = 0 are 0.
     """
     t, count, tn2 = pair_sums
     vhat = pot.at(ks)
@@ -183,7 +183,7 @@ def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,
     den_buf = np.empty((size, t.shape[0]))
     n2_buf = np.empty_like(den_buf)
 
-    def kernel(rows, counts):
+    def kernel(rows, counts, where=True):
         # lam_p + lam_q = |k|^2 + k.t, exact in float
         den = np.matmul(ks[rows].astype(float), tf, out=den_buf[:rows.size])
         den += kn2[rows, None]
@@ -195,8 +195,8 @@ def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,
         else:
             vt = pot.at(ks[rows, None] + t)                # V(k + t)
         vt *= counts
-        # off the lune (c_k(t) = 0) den may be <= 0
-        np.divide(vt, den, out=vt, where=counts > 0)
+        # off a partial lune (c_k(t) = 0) den may be <= 0
+        np.divide(vt, den, out=vt, where=where)
         out[rows] = vt.sum(axis=1)
 
     partial = kn2 <= 4 * cfg.r2
@@ -209,7 +209,7 @@ def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,
             a = code[row]
             counts[i] = np.bincount(np.add.outer(a, a).ravel(),
                                     minlength=side**3)[bins]
-        kernel(near[rows], counts)
+        kernel(near[rows], counts, counts > 0)
     far = np.flatnonzero(~partial & (vhat != 0.0))
     for start in range(0, far.size, size):
         kernel(far[start:start + size], count)

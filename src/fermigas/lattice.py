@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -27,7 +28,13 @@ def norm2(p: Sequence[int]) -> int:
 
 
 def as_vec3(p: Sequence[int]) -> Vec3:
-    return (int(p[0]), int(p[1]), int(p[2]))
+    """``p`` as three Python ints; ValueError unless it has exactly three
+    integral components (Python or numpy integers)."""
+    try:
+        x, y, z = map(operator.index, p)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"need three integral components, got {p!r}") from exc
+    return x, y, z
 
 
 def neg(p: Vec3) -> Vec3:
@@ -207,34 +214,15 @@ def lune_kernel(k, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     return shift + np.einsum("ij,ij->i", ball, ball) > cfg.r2, shift / 2.0
 
 
-def gap_counts(mask: np.ndarray, lam: np.ndarray):
-    """Gap histograms of a block of modes on one shared gap axis.
-
-    ``mask`` and ``lam`` are the (m, N) output of ``lune_kernel``.
-    Returns the distinct lune gaps g of the whole block, ascending, and
-    the (m, G) counts of lune points of each mode at each gap.  The gaps
-    are half-integers, so g comes from a bincount on the integers 2 lam
-    over their range in the block, without a sort.
-    """
-    two = (2.0 * lam[mask]).astype(np.int64)
-    lo = two.min()
-    seen = np.bincount(two - lo) > 0
-    g = (np.flatnonzero(seen) + lo) / 2.0
-    col = np.cumsum(seen)[two - lo] - 1
-    counts = np.bincount(np.nonzero(mask)[0] * g.size + col,
-                         minlength=mask.shape[0] * g.size)
-    return g, counts.reshape(-1, g.size)
-
-
 def gap_classes(mask: np.ndarray, lam: np.ndarray):
     """Gap histograms of a block of modes as a list of (mode, gap) classes.
 
     ``mask`` and ``lam`` are the (m, N) output of ``lune_kernel``.
     Returns (rows, gaps, counts): per distinct gap of each mode its row
     of the block, the gap and its number of lune points, sorted by row
-    and then gap.  Unlike ``gap_counts`` no (m, G) table is built: a
-    sort of the keys (row, 2 lam) of the lune points, so every array is
-    at most as long as the block has lune points.
+    and then gap.  No (m, G) table is built: a sort of the keys
+    (row, 2 lam) of the lune points, so every array is at most as long
+    as the block has lune points.
     """
     rows = np.repeat(np.arange(mask.shape[0]), np.count_nonzero(mask, axis=1))
     two = lam[mask]
@@ -307,7 +295,7 @@ class TailPolicy:
     (None picks ceil(2 k_F) + 2); the cutoff is doubled until the
     relative change of every tracked part of the sum drops below the
     positive, finite ``tail_tol`` or the integer ``max_doublings`` is
-    exhausted (``doubled_sum``).
+    exhausted (``doubled_sum``).  Neither integer may be a bool.
     The reported tail estimate is the largest last increment over the
     tracked parts.
     """
@@ -317,6 +305,8 @@ class TailPolicy:
     max_doublings: int = 5
 
     def __post_init__(self):
+        if bool in (type(self.k_max), type(self.max_doublings)):
+            raise ValueError("k_max and max_doublings must not be bools")
         if not (0 < self.tail_tol < math.inf and self.max_doublings >= 0
                 and isinstance(self.max_doublings, numbers.Integral)):
             raise ValueError(f"tail_tol must be positive and finite and "

@@ -54,7 +54,7 @@ scalar quadrature per hit, lives on as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -96,21 +96,11 @@ class MomentumBreakdown:
         return self.n_b + self.n_ex
 
     def to_json_dict(self) -> dict:
-        out = {
-            "xi": list(self.xi),
-            "n_b": self.n_b,
-            "n_ex": self.n_ex,
-            "n_total": self.n_total,
-            "quad_error": self.quad_error,
-            "tail_estimate": self.tail_estimate,
-            "k_modes_used": self.k_modes_used,
-            "route": self.route,
-            "converged": self.converged,
-        }
-        if self.route == "both":
-            out["n_b_spectral"] = self.n_b_spectral
-            out["n_b_integral"] = self.n_b_integral
-            out["discrepancy"] = self.discrepancy
+        """Every field and n_total; the two-route fields only for "both"."""
+        out = asdict(self) | {"xi": list(self.xi), "n_total": self.n_total}
+        if self.route != "both":
+            for key in ("n_b_spectral", "n_b_integral", "discrepancy"):
+                del out[key]
         return out
 
 
@@ -406,6 +396,7 @@ class Observable:
 
     def __post_init__(self):
         for xi, val in self.values.items():
+            as_vec3(xi)
             if not np.isfinite(val):
                 raise ValueError(f"observable weight at {xi} must be finite, "
                                  f"got {val}")

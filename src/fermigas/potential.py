@@ -31,14 +31,20 @@ class Potential:
     table: Mapping[Vec3, float] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.kind not in ("coulomb", "yukawa", "table", "zero"):
+            raise ValueError(f"unknown potential kind {self.kind!r}")
+        if (self.kind == "table") != (self.table is not None):
+            raise ValueError("a table potential needs a table, no other kind")
         if not math.isfinite(self.g):
             raise ValueError(f"coupling g must be finite, got {self.g}")
+        if self.g < 0:
+            raise ValueError(f"coupling g must be nonnegative, got {self.g}")
         if not math.isfinite(self.mu):
             raise ValueError(f"screening mu must be finite, got {self.mu}")
         for k, v in (self.table or {}).items():
             if not math.isfinite(v):
                 raise ValueError(f"table value at {k} must be finite, got {v}")
-            if max(abs(c) for c in k) > TABLE_KEY_MAX:
+            if max(abs(c) for c in as_vec3(k)) > TABLE_KEY_MAX:
                 raise ValueError(f"table key {k} has a component beyond "
                                  f"{TABLE_KEY_MAX} = 2**20 in magnitude")
 
@@ -121,28 +127,20 @@ def evaluate(pot: Potential, k: Sequence[int]) -> float:
     """Fourier mode of the interaction at integer k; exactly 0 at k = 0."""
     kv = as_vec3(k)
     n2 = norm2(kv)
-    if n2 == 0:
+    if n2 == 0 or pot.kind == "zero":
         return 0.0
     if pot.kind == "coulomb":
         return pot.g / n2
     if pot.kind == "yukawa":
         return pot.g / (n2 + pot.mu**2)
-    if pot.kind == "zero":
-        return 0.0
-    if pot.kind == "table":
-        return float(pot.table.get(kv, 0.0))
-    raise ValueError(f"unknown potential kind {pot.kind!r}")
+    return float(pot.table.get(kv, 0.0))
 
 
 def coulomb(g: float) -> Potential:
-    if g < 0:
-        raise ValueError("coupling g must be nonnegative")
     return Potential(kind="coulomb", g=float(g))
 
 
 def yukawa(g: float, mu: float) -> Potential:
-    if g < 0:
-        raise ValueError("coupling g must be nonnegative")
     return Potential(kind="yukawa", g=float(g), mu=float(mu))
 
 

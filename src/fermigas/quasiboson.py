@@ -27,9 +27,9 @@ They also take stacks of modes of one lune size (``size_batches``; leading
 axes of lam, vsq and K) and give each mode's values bit for bit.
 
 Every lattice sum over k (momentum and energies alike) runs on mode
-blocks, save the E_corr,ex rows whose lune is the whole shifted ball
-and needs no mask: ``mode_chunks`` orders the k rows by |k|^2 and orbit
-key, drops V_k = 0, and hands out chunks with one (m, N)
+blocks, save the energy rows whose lune is the whole shifted ball
+(|k|^2 > 4 r2) and needs no mask: ``mode_chunks`` orders the k rows by
+|k|^2 and orbit key, drops V_k = 0, and hands out chunks with one (m, N)
 ``lune_kernel`` mask and gap table, the lune of k being the points
 k + q, q in the ball, whose gaps lam = (|k|^2 + 2 k.q)/2 are exact
 half-integers.  The per-mode objects then see a lune only through its
@@ -37,7 +37,7 @@ gap histogram, the distinct gaps lam_d and their multiplicities m_d:
 
 * response: q_k(s) = 2 v^2 sum_d m_d lam_d / (s^2 + lam_d^2), so on a
   chunk's shared gap axis g it is one matmul with the table
-  C[k, g] = 2 v_k^2 m_g g (``gap_response`` from the (m, G) counts,
+  C[k, g] = 2 v_k^2 m_g g (``response_chunks`` from the (m, G) counts,
   ``class_response`` for a range of rows from the block's (mode, gap)
   classes), and integrals of f(q_k(s), s^2) over s run as one batched
   family (``response_integrals``);
@@ -57,8 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import (LatticeConfig, gap_classes, gap_counts, lune_kernel,
-                      orbit_key)
+from .lattice import LatticeConfig, gap_classes, lune_kernel, orbit_key
 from .numerics import integrate, sym_eig, sym_matrix_function
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
@@ -186,6 +185,12 @@ def sandwich_bounds(lam: np.ndarray, vsq) -> tuple[np.ndarray, np.ndarray, float
     return screening[..., None, None] * upper, upper, screening
 
 
+def _mode_order(ks: np.ndarray, vhat: np.ndarray) -> np.ndarray:
+    """Rows of ``ks`` with V_k != 0 in (|k|^2, orbit key) order."""
+    order = np.lexsort((orbit_key(ks), np.einsum("mi,mi->m", ks, ks)))
+    return order[vhat[order] != 0.0]
+
+
 def mode_chunks(ks: np.ndarray, vhat: np.ndarray, cfg: LatticeConfig,
                 size: int):
     """Yield (rows, mask, lam) over the k rows of ``ks`` with V_k != 0.
@@ -195,22 +200,10 @@ def mode_chunks(ks: np.ndarray, vhat: np.ndarray, cfg: LatticeConfig,
     chunk's gaps stay close.  ``mask`` and ``lam`` are the chunk's (m, N)
     ``lune_kernel``.
     """
-    order = np.lexsort((orbit_key(ks), np.einsum("mi,mi->m", ks, ks)))
-    order = order[vhat[order] != 0.0]
+    order = _mode_order(ks, vhat)
     for start in range(0, order.size, size):
         rows = order[start:start + size]
         yield (rows, *lune_kernel(ks[rows], cfg))
-
-
-def gap_response(mask: np.ndarray, lam: np.ndarray, vsq: np.ndarray):
-    """(g, counts, C) of a chunk of modes of couplings ``vsq``.
-
-    g holds the chunk's distinct lune gaps, ascending, counts the (m, G)
-    multiplicities m_g, and C[k, g] = 2 v_k^2 m_g g, so that
-    q_k(s) = sum_g C[k, g] / (s^2 + g^2).
-    """
-    g, counts = gap_counts(mask, lam)
-    return g, counts, 2.0 * vsq[:, None] * counts * g
 
 
 def classes_at(mask: np.ndarray, lam: np.ndarray, col: np.ndarray,
@@ -234,10 +227,10 @@ def classes_at(mask: np.ndarray, lam: np.ndarray, col: np.ndarray,
 
 
 def class_response(classes, vsq: np.ndarray, lo: int, hi: int):
-    """(g, C) of ``gap_response`` for the rows lo..hi-1 of a block's ``gap_classes``.
+    """(g, C) of the response table of rows lo..hi-1 of a block's ``gap_classes``.
 
     g holds the distinct gaps of those rows, ascending, and C is their
-    (hi - lo, G) table with the same entries as ``gap_response``'s.
+    (hi - lo, G) table with the same entries as ``response_chunks``'s.
     """
     rows, gaps, counts = classes
     at = slice(*np.searchsorted(rows, [lo, hi]))
@@ -247,12 +240,66 @@ def class_response(classes, vsq: np.ndarray, lo: int, hi: int):
     return g, resp
 
 
+def response_chunks(ks: np.ndarray, vhat: np.ndarray, cfg: LatticeConfig,
+                    size: int):
+    """Yield (rows, g, C, lam_min) over the chunks of ``mode_chunks``.
+
+    g holds a chunk's distinct lune gaps, ascending, lam_min each row's
+    smallest, and C[k, g] = 2 v_k^2 m_g g its (m, G) response table, so
+    that q_k(s) = sum_g C[k, g] / (s^2 + g^2).  A chunk with a partial
+    lune takes C from its (mode, gap) classes.  A chunk whose first row,
+    and so every row, has |k|^2 > 4 r2 has full lunes: it bincounts its
+    integer doubled gaps |k|^2 + 2 k.q, with no mask, in slices of
+    ``_CORE_CELLS`` counts, into one buffer sized once for the widest
+    such chunk, as the gap axis grows along a shell; its C is valid
+    until the next chunk.
+    """
+    order = _mode_order(ks, vhat)
+    vsq = coupling_sq(vhat, cfg.k_f)
+    kn2 = np.einsum("mi,mi->m", ks, ks)
+    lo = kn2[order[::size]]
+    hi = kn2[np.append(order[size - 1::size], order[-1:])[:lo.size]]
+    # 2 |k.q| <= 2 |k| k_F: a full chunk's doubled gaps span at most this
+    width = np.max(hi - lo + 4.0 * np.sqrt(hi * cfg.r2), initial=0.0,
+                   where=lo > 4 * cfg.r2)
+    buf = np.empty(size * (int(width) + 2))
+    for start in range(0, order.size, size):
+        rows = order[start:start + size]
+        if kn2[rows[0]] <= 4 * cfg.r2:
+            classes = gap_classes(*lune_kernel(ks[rows], cfg))
+            first = np.searchsorted(classes[0], np.arange(rows.size))
+            yield (rows, *class_response(classes, vsq[rows], 0, rows.size),
+                   classes[1][first])
+            continue
+        two = ks[rows] @ (2 * cfg.ball_arr.T)
+        two += kn2[rows, None]                          # 2 lam = |k|^2 + 2 k.q
+        low = two.min()
+        two -= low
+        seen = np.bincount(two.ravel()) > 0
+        g = (np.flatnonzero(seen) + low) / 2.0
+        # each lune point's flat index in C: row * G + its gap's column
+        two = (np.cumsum(seen) - 1)[two]
+        lam_min = g[two.min(axis=1)]
+        two += g.size * np.arange(rows.size)[:, None]
+        resp = buf[:rows.size * g.size].reshape(rows.size, g.size)
+        step = max(1, _CORE_CELLS // g.size)
+        for a in range(0, rows.size, step):
+            part = resp[a:a + step]
+            part[...] = np.bincount(two[a:a + step].ravel() - a * g.size,
+                                    minlength=part.size).reshape(part.shape)
+        # class_response's products (2 v_k^2 m_g) g, bit for bit
+        resp *= 2.0 * vsq[rows, None]
+        resp *= g
+        yield rows, g, resp, lam_min
+
+
 def response_integrals(f, resp: np.ndarray, g: np.ndarray, scales,
                        tol: float):
     """int_0^inf f(q_k(s), s^2) ds for each of the ``len(scales)`` members.
 
-    ``resp`` and ``g`` are from ``gap_response``; f maps the (rows, nodes)
-    responses and the (nodes,) values s^2 to (members, nodes) integrands.
+    ``resp`` and ``g`` are a response table C and its gaps (as from
+    ``response_chunks``); f maps the (rows, nodes) responses and the
+    (nodes,) values s^2 to (members, nodes) integrands.
     All members are one batched family, each refined to ``tol``, with
     panels seeded at s = seed and 10 seed, seed the geometric mean of
     the gap ``scales``.  Returns (values, errors, converged).

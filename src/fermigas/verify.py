@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,16 +51,9 @@ class CheckReport:
     reproducer: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "worst_case": self.worst_case,
-            "params": self.params,
-        }
-        if self.reproducer is not None:
-            out["reproducer"] = self.reproducer
+        out = asdict(self)
+        if self.reproducer is None:
+            del out["reproducer"]
         return out
 
 

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 
 from fermigas.dvlimit import q_dv
-from fermigas.energy import stable_log1p_minus_x
+from fermigas.energy import _CHUNK, _EX_BUFFER, _pair_code, stable_log1p_minus_x
 from fermigas.lattice import (add, as_vec3, ball_array, ball_points,
                               d_intersection, gap_classes, lambda_of,
                               lune_kernel, neg, norm2, point_group)
@@ -27,7 +27,7 @@ from fermigas.potential import ValidationReport, evaluate
 from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_K,
                                  cosh_minus_one_classes, cosh_minus_one_core,
                                  coupling_sq, csk_pair, mode_chunks, q_of_s,
-                                 sandwich_bounds)
+                                 response_integrals, sandwich_bounds)
 from fermigas.verify import (MODE_SEED, TAUS, CheckReport, _assert_report,
                              _exchange_term, _integral_term, _mode,
                              _mode_sample)
@@ -134,7 +134,7 @@ def k_shell_reduced(k_lo, k_hi, symmetry):
 
 
 def gap_counts_unique(mask, lam):
-    """``lattice.gap_counts`` by a sort: ``np.unique`` of the lune gaps."""
+    """``gap_counts`` by a sort: ``np.unique`` of the lune gaps."""
     g, col = np.unique(lam[mask], return_inverse=True)
     counts = np.bincount(np.nonzero(mask)[0] * g.size + col,
                          minlength=mask.shape[0] * g.size)
@@ -224,6 +224,87 @@ def single_k_exchange_term(k, cfg, pot):
     lam = gaps[mask]
     return (vhat * float(np.sum(vmat / (lam[:, None] + lam[None, :])))
             / (4.0 * TWO_PI_6 * cfg.k_f**2))
+
+
+def gap_counts(mask, lam):
+    """Gap histograms of a block of modes on one shared gap axis.
+
+    ``mask`` and ``lam`` are the (m, N) output of ``lune_kernel``.
+    Returns the distinct lune gaps g of the whole block, ascending, and
+    the (m, G) counts of lune points of each mode at each gap, from a
+    bincount on the integers 2 lam over their range in the block: the
+    masked table that ``quasiboson.response_chunks`` builds for
+    full-lune chunks without a mask.
+    """
+    two = (2.0 * lam[mask]).astype(np.int64)
+    lo = two.min()
+    seen = np.bincount(two - lo) > 0
+    g = (np.flatnonzero(seen) + lo) / 2.0
+    col = np.cumsum(seen)[two - lo] - 1
+    counts = np.bincount(np.nonzero(mask)[0] * g.size + col,
+                         minlength=mask.shape[0] * g.size)
+    return g, counts.reshape(-1, g.size)
+
+
+def gap_response(mask, lam, vsq):
+    """(g, counts, C) of a chunk from its lune mask: ``gap_counts`` and
+    C[k, g] = 2 v_k^2 m_g g, the table of ``quasiboson.response_chunks``."""
+    g, counts = gap_counts(mask, lam)
+    return g, counts, 2.0 * vsq[:, None] * counts * g
+
+
+def bos_chunks_masked(ks, cfg, pot, quad_tol):
+    """``energy._bos_chunks`` with every chunk's table from its lune mask.
+
+    Full-lune chunks included, each chunk takes ``gap_response`` of its
+    ``lune_kernel`` and the first counted gap of each row as its scale.
+    """
+    vhat = pot.at(ks)
+    vsq = coupling_sq(vhat, cfg.k_f)
+    for rows, mask, lam in mode_chunks(ks, vhat, cfg, _CHUNK):
+        g, counts, resp = gap_response(mask, lam, vsq[rows])
+        lam_min = g[np.argmax(counts > 0, axis=1)]
+        yield (rows, *response_integrals(
+            lambda q, s2: stable_log1p_minus_x(q), resp, g, lam_min, quad_tol))
+
+
+def ex_terms_masked(ks, cfg, pot, pair_sums):
+    """``energy._ex_terms`` with every kernel row divided under its count mask.
+
+    Full-lune rows divide where c(t) > 0 too, which holds on all of B + B.
+    """
+    t, count, tn2 = pair_sums
+    vhat = pot.at(ks)
+    out = np.zeros(vhat.shape)
+    kn2 = np.einsum("mi,mi->m", ks, ks).astype(float)
+    size = max(1, _EX_BUFFER // t.shape[0])
+    tf = t.T.astype(float)
+
+    def kernel(rows, counts):
+        den = ks[rows].astype(float) @ tf
+        den += kn2[rows, None]
+        if pot.is_radial:
+            vt = pot.from_norm2(2.0 * den + tn2 - kn2[rows, None])
+        else:
+            vt = pot.at(ks[rows, None] + t)
+        vt *= counts
+        np.divide(vt, den, out=vt, where=counts > 0)
+        out[rows] = vt.sum(axis=1)
+
+    near = np.flatnonzero(kn2 <= 4 * cfg.r2)
+    code, side = _pair_code(cfg)
+    bins = np.ravel_multi_index((t + side // 2).T, (side,) * 3)
+    for rows, mask, _ in mode_chunks(ks[near], vhat[near], cfg, size):
+        counts = np.empty((rows.size, t.shape[0]))
+        for i, row in enumerate(mask):
+            a = code[row]
+            counts[i] = np.bincount(np.add.outer(a, a).ravel(),
+                                    minlength=side**3)[bins]
+        kernel(near[rows], counts)
+    far = np.flatnonzero((kn2 > 4 * cfg.r2) & (vhat != 0.0))
+    for start in range(0, far.size, size):
+        kernel(far[start:start + size], count)
+    return vhat * out
 
 
 def bos_term(k, cfg, pot, quad_tol):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from fermigas.lattice import (TailPolicy, ball_points, doubled_sum, fermi_ball,
                               lambda_of, lune_kernel, lune_points, neg, norm2)
 from fermigas.potential import (Potential, coulomb, evaluate, from_table,
                                 yukawa, zero)
-from oracles import (bos_term, bos_term_mode, e_fs_interaction_loop,
-                     ex_term_dense, k_shell_reduced, nonzero_k_vectors,
+from oracles import (bos_chunks_masked, bos_term, bos_term_mode,
+                     e_fs_interaction_loop, ex_term_dense, ex_terms_masked,
+                     k_shell_reduced, nonzero_k_vectors,
                      single_k_exchange_term)
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
@@ -193,6 +195,66 @@ def test_ex_terms_on_whole_shells_match_single_k(k_f, kind):
                 for k in map(tuple, reps.tolist())]
     np.testing.assert_allclose(_ex_block(reps, cfg, pot), expected,
                                rtol=1e-13, atol=0.0)
+
+
+SHELL_RADII = [1.0, 2.0, 3.0, math.sqrt(6.0)]
+SHELL_KINDS = ["coulomb", "yukawa", "table_even", "table_none"]
+
+
+def _whole_shell(k_f, kind):
+    """cfg, potential and the reps of the shell 0 < |k| <= 4 k_F + 4."""
+    cfg = fermi_ball(k_f)
+    k_cut = int(4 * k_f) + 4
+    pot = _shell_potential(kind, k_cut - 1)
+    return cfg, pot, _k_shell(k_cut, 0, pot.symmetry)[0]
+
+
+@pytest.mark.parametrize("k_f", SHELL_RADII)
+@pytest.mark.parametrize("kind", SHELL_KINDS)
+def test_bos_chunks_match_masked_chunks_on_whole_shells(k_f, kind):
+    # full-lune chunks bincount their integer gaps with no mask; the
+    # masked form of every chunk gives the same floats, chunk by chunk
+    cfg, pot, reps = _whole_shell(k_f, kind)
+    got = list(_bos_chunks(reps, cfg, pot, 1e-9))
+    want = list(bos_chunks_masked(reps, cfg, pot, 1e-9))
+    assert len(got) == len(want)
+    for (rows, vals, errs, ok), (rows_w, vals_w, errs_w, ok_w) in zip(got,
+                                                                      want):
+        assert np.array_equal(rows, rows_w)
+        assert np.array_equal(vals, vals_w) and np.array_equal(errs, errs_w)
+        assert ok == ok_w
+    kn2 = np.einsum("mi,mi->m", reps, reps)
+    full = [kn2[rows] > 4 * cfg.r2 for rows, *_ in got]
+    # one chunk straddles |k|^2 = 4 r2, save at k_F = 2 for the tables,
+    # where the 256 k with 0 < |k|^2 <= 16 fill whole chunks of 128
+    straddle = k_f != 2.0 or kind in ("coulomb", "yukawa")
+    assert sum(f.any() and not f.all() for f in full) == straddle
+    assert any(f.all() for f in full) == (len(full) > 1)
+
+
+@pytest.mark.parametrize("k_f", SHELL_RADII)
+@pytest.mark.parametrize("kind", SHELL_KINDS)
+def test_ex_terms_match_masked_division_on_whole_shells(k_f, kind):
+    cfg, pot, reps = _whole_shell(k_f, kind)
+    pair_sums = _ball_pair_sums(cfg)
+    assert np.array_equal(_ex_terms(reps, cfg, pot, pair_sums),
+                          ex_terms_masked(reps, cfg, pot, pair_sums))
+
+
+def test_e_corr_bos_peak_memory():
+    # the energy_kf3 inputs; full-lune chunks share one response table:
+    # 0.85 MB, against 2.32 MB with a fresh mask, gap and count table per
+    # chunk
+    cfg, pot = fermi_ball(3.0), coulomb(1.0)
+    policy = TailPolicy(tail_tol=1e-3, max_doublings=2)
+    e_corr_bos(cfg, pot, policy, quad_tol=1e-8)
+    tracemalloc.start()
+    try:
+        e_corr_bos(cfg, pot, policy, quad_tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_ex_terms_call_table_once_per_kernel_chunk(monkeypatch):

@@ -101,18 +101,28 @@ def test_unreferenced_private_definition_is_found():
                                             "a.py:_Gone"]
 
 
-def _unreferenced_public(trees: dict[str, ast.Module],
-                         exported: set[str]) -> list[str]:
-    """Public top-level functions and classes that no module of the package
-    refers to outside their own definition, and that it does not export."""
+def _unread_definitions(trees: dict[str, ast.Module],
+                        exported: set[str]) -> list[str]:
+    """Top-level functions and classes, private ones included, that no
+    module of the package reads outside their own definition, and that
+    it does not export.  Reads from tests do not count, so a helper
+    whose last caller left the package is caught here and moves to the
+    tests' oracles."""
     parts = [(mod, node, _references(node))
              for mod, tree in sorted(trees.items()) for node in tree.body]
     return [f"{mod}:{node.name}" for mod, node, _ in parts
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in exported
+            and node.name not in exported
             and not any(node.name in refs for _, other, refs in parts
                         if other is not node)]
+
+
+def _unreferenced_public(trees: dict[str, ast.Module],
+                         exported: set[str]) -> list[str]:
+    """The public names among ``_unread_definitions``."""
+    return [name for name in _unread_definitions(trees, exported)
+            if not name.split(":")[1].startswith("_")]
 
 
 def test_no_unreferenced_public_definitions():
@@ -131,6 +141,24 @@ def test_unreferenced_public_definition_is_found():
              "b.py": ast.parse("from .a import used\n")}
     assert _unreferenced_public(trees, {"Exported"}) == ["a.py:dead",
                                                          "a.py:Gone"]
+
+
+def test_no_unread_definitions():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    assert _unread_definitions(trees, set(fermigas.__all__)) == []
+
+
+def test_unread_definition_is_found():
+    trees = {"a.py": ast.parse("def _loop(n):\n    return _loop(n - 1)\n"
+                               "class _Gone:\n    pass\n"
+                               "def _helper():\n    pass\n"
+                               "def public():\n    return _helper()\n"
+                               "def cmd_dead(args):\n    pass\n"
+                               "def cmd_wired(args):\n    pass\n"
+                               "HANDLERS = [cmd_wired]\n"),
+             "b.py": ast.parse("from .a import public\n")}
+    assert _unread_definitions(trees, set()) == ["a.py:_loop", "a.py:_Gone",
+                                                 "a.py:cmd_dead"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermigas.momentum as momentum
-from fermigas.lattice import (TailPolicy, ball_array, ball_points,
+from fermigas.lattice import (TailPolicy, as_vec3, ball_array, ball_points,
                               d_intersection, doubled_sum, fermi_ball,
-                              gap_classes, gap_counts, is_sum_of_three_squares,
+                              gap_classes, is_sum_of_three_squares,
                               k_shell, k_support, kappa_and_weight, lambda_of,
                               lune_kernel, lune_points, neg, norm2, orbit,
                               point_group)
 from fermigas.quasiboson import mode_chunks
-from oracles import (ball_array_cube, gap_counts_unique, k_shell_reduced,
-                     k_support_loop, lune_loop, nonzero_k_vectors, orbit_reduce,
-                     orbit_reduce_einsum, truncated_k_vectors)
+from oracles import (ball_array_cube, gap_counts, gap_counts_unique,
+                     k_shell_reduced, k_support_loop, lune_loop,
+                     nonzero_k_vectors, orbit_reduce, orbit_reduce_einsum,
+                     truncated_k_vectors)
 
 
 def brute_ball(r2):
@@ -581,3 +582,21 @@ def test_tail_policy_rejects_bad_numbers():
             TailPolicy(**kwargs)
     policy = TailPolicy(k_max=np.int64(3), max_doublings=np.int32(1))
     assert policy.initial_k_max(fermi_ball(1.0)) == 3
+
+
+def test_tail_policy_rejects_bools():
+    for kwargs in ({"k_max": True}, {"max_doublings": True},
+                   {"max_doublings": False}, {"max_doublings": np.True_}):
+        with pytest.raises(ValueError):
+            TailPolicy(**kwargs)
+
+
+def test_as_vec3_checks_three_integral_components():
+    assert as_vec3(np.array([1, -2, 3])) == (1, -2, 3)
+    assert as_vec3((np.int32(1), 0, np.int64(-4))) == (1, 0, -4)
+    assert all(type(c) is int for c in as_vec3(np.arange(3)))
+    # no truncation, and a whole float is not an integer either
+    for bad in ((0.5, 0, 0), (0, 0, -1.9), (1.0, 0, 0), np.zeros(3), (1, 0),
+                (1, 0, 0, 0), (1, 0, 0, 0.5), "abc", 7):
+        with pytest.raises(ValueError, match="three integral components"):
+            as_vec3(bad)

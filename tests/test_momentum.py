@@ -13,20 +13,21 @@ from hypothesis import strategies as st
 
 import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, ball_array, d_intersection,
-                              fermi_ball, gap_classes, gap_counts, k_support,
+                              fermi_ball, gap_classes, k_support,
                               lambda_of, lune_kernel, lune_points, neg, norm2,
                               orbit, orbit_key, point_group)
 from fermigas.momentum import (MomentumBreakdown, Observable, _block_parts,
                                n_point, n_weighted)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from fermigas.quasiboson import (TWO_PI_CUBED, cosh_minus_one_classes,
-                                 gap_response, mode_chunks, q_of_s)
+                                 mode_chunks, q_of_s, response_chunks)
 from fermigas.verify import _exchange_term, _integral_term, _mode
 
 from oracles import (ball_pair_sum_n_ex, ball_trace_n_b, bulk_chunk,
-                     bulk_exchange, cosh2k_minus_one_diag, n_boson_integral,
-                     n_boson_spectral, n_exchange, nonzero_k_vectors,
-                     per_k_sum, spectral_term, truncated_k_vectors)
+                     bulk_exchange, cosh2k_minus_one_diag, gap_counts,
+                     n_boson_integral, n_boson_spectral, n_exchange,
+                     nonzero_k_vectors, per_k_sum, spectral_term,
+                     truncated_k_vectors)
 
 TWO_PI_6 = (2.0 * np.pi) ** 6
 FAST = TailPolicy(k_max=4, tail_tol=1e-3, max_doublings=2)
@@ -243,12 +244,21 @@ def test_gap_table_response_matches_q_of_s():
     for kf, pot in ((2.0, coulomb(1.0)), (3.0, yukawa(2.0, 0.5))):
         cfg = fermi_ball(kf)
         modes = [_mode(k, cfg, pot) for k in BLOCK_KS[kf]]
-        vsq = np.array([m[3] for m in modes])
-        g, _, resp = gap_response(*lune_kernel(np.array(BLOCK_KS[kf]), cfg),
-                                  vsq)
-        q = resp @ (1.0 / (s[None, :] ** 2 + g[:, None] ** 2))
-        for row, (_, lam, _, vsq_k) in zip(q, modes):
-            np.testing.assert_allclose(row, q_of_s(lam, s, vsq_k), rtol=1e-13)
+        ks = np.array(BLOCK_KS[kf])
+        # one masked chunk of all rows; then one chunk per row, so that
+        # the full-lune rows take the unmasked path
+        for size in (len(ks), 1):
+            seen = []
+            for rows, g, resp, lam_min in response_chunks(ks, pot.at(ks),
+                                                          cfg, size):
+                q = resp @ (1.0 / (s[None, :] ** 2 + g[:, None] ** 2))
+                for row, q_row, low in zip(rows, q, lam_min):
+                    _, lam, _, vsq_k = modes[row]
+                    np.testing.assert_allclose(q_row, q_of_s(lam, s, vsq_k),
+                                               rtol=1e-13)
+                    assert low == lam.min()
+                seen.extend(rows.tolist())
+            assert sorted(seen) == list(range(len(ks)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -506,6 +516,20 @@ def test_entry_points_reject_bad_quad_tol(quad_tol):
     for call in calls:
         with pytest.raises(ValueError, match="quad_tol must be positive"):
             call()
+
+
+def test_points_must_be_three_integers():
+    cfg, pot = fermi_ball(1.0), coulomb(1.0)
+    # before, each of these was truncated to the origin
+    with pytest.raises(ValueError, match="three integral components"):
+        n_point((0.5, 0, 0), cfg, pot)
+    with pytest.raises(ValueError, match="three integral components"):
+        Observable.delta((0.9, 0, 0))
+    with pytest.raises(ValueError, match="three integral components"):
+        Observable(values={(0.5, 0, 0): 1.0, (-0.5, 0, 0): 1.0})
+    assert Observable.delta(np.array([2, 0, 0])).support() == [(-2, 0, 0),
+                                                               (2, 0, 0)]
+    assert n_point(np.array([2, 0, 0]), cfg, pot).xi == (2, 0, 0)
 
 
 def test_observable_rejects_non_finite_weights():

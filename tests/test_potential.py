@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 import fermigas.potential as potential
 from fermigas.lattice import ball_points, norm2
-from fermigas.potential import (coulomb, evaluate, from_table, load_table,
-                                validate, yukawa, zero)
+from fermigas.potential import (Potential, coulomb, evaluate, from_table,
+                                load_table, validate, yukawa, zero)
 from oracles import from_norm2_where, validate_loop
 
 
@@ -42,6 +42,32 @@ def test_negative_coupling_rejected():
         coulomb(-1.0)
     with pytest.raises(ValueError):
         yukawa(-0.1, 1.0)
+
+
+def test_potential_checks_its_own_fields():
+    for kind in ("coulomb", "yukawa"):
+        with pytest.raises(ValueError, match="g must be nonnegative, got -1"):
+            Potential(kind=kind, g=-1.0)
+    with pytest.raises(ValueError, match="unknown potential kind 'foo'"):
+        Potential(kind="foo")
+    # before, a table kind without a table failed with AttributeError at
+    # first use, and a table given to another kind was ignored
+    for kind, table in (("table", None), ("coulomb", {(1, 0, 0): 5.0})):
+        with pytest.raises(ValueError, match="needs a table, no other kind"):
+            Potential(kind=kind, table=table)
+    assert Potential(kind="coulomb", g=0.0)((1, 0, 0)) == 0.0
+
+
+def test_table_keys_must_be_three_integers():
+    # before, (0.5, 0, 0) and (-0.5, 0, 0) both stored a value at k = 0
+    for table in ({(0.5, 0, 0): 1.0, (-0.5, 0, 0): 1.0},
+                  {(1, 0, 0, 7): 1.0, (-1, 0, 0, 7): 1.0}):
+        with pytest.raises(ValueError, match="three integral components"):
+            from_table(table)
+        with pytest.raises(ValueError, match="three integral components"):
+            Potential(kind="table", table=table)
+    pot = from_table({(np.int64(1), 0, 0): 2.0, (-1, np.int32(0), 0): 2.0})
+    assert pot.table == {(1, 0, 0): 2.0, (-1, 0, 0): 2.0}
 
 
 def test_validate_coulomb_partial_l2_against_direct_sum():

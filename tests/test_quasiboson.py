@@ -5,10 +5,10 @@ from fermigas.lattice import fermi_ball, gap_classes, lune_kernel, neg
 from fermigas.numerics import sym_matrix_function
 from fermigas.potential import coulomb, from_table, zero
 from fermigas.quasiboson import (build_K, class_response, classes_at,
-                                 csk_pair, gap_response, q_of_s,
-                                 sandwich_bounds)
+                                 csk_pair, q_of_s, sandwich_bounds)
 from fermigas.verify import _mode
-from oracles import cosh2k_minus_one_diag, exp_pm2K, nonzero_k_vectors
+from oracles import (cosh2k_minus_one_diag, exp_pm2K, gap_response,
+                     nonzero_k_vectors)
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
