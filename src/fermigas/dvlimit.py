@@ -50,8 +50,8 @@ class DVParams:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.k_f, self.alpha, self.xi_norm))):
             raise ValueError("k_f, alpha and xi_norm must be finite")
-        if self.k_f <= 0:
-            raise ValueError("k_f must be positive")
+        if self.k_f <= 0 or self.alpha < 0:  # alpha = g / (4 pi k_F), g >= 0
+            raise ValueError("k_f must be positive and alpha nonnegative")
         if self.xi_norm <= self.k_f:
             raise ValueError("the comparison formulas require |xi| > k_F")
 
@@ -191,6 +191,10 @@ def n_ex_dv(params, samples: int = 100_000, seed: int = 0):
     """
     single = isinstance(params, DVParams)
     points = [params] if single else list(params)
+    if not all(isinstance(v, (int, np.integer)) and type(v) is not bool
+               for v in (samples, seed)):
+        raise ValueError(f"samples and seed must be integers, got {samples!r}, {seed!r}")
+    samples, seed = int(samples), int(seed)  # numpy ints would wrap seed << 8
     if samples < 10_000:
         raise ValueError("use at least 10^4 samples")
     if seed < 0 or (seed << 8) + _SHARDS - 1 >= 2**128:

@@ -7,11 +7,10 @@ pieces are
     E_corr,ex  = 1 / (4 (2pi)^6 k_F^2)
                  * sum_k sum_{p,q in lune(k)} V_k V_{p+q-k} / (lam_p + lam_q),
 
-with the k-sums truncated by cutoff doubling (``lattice.doubled_sum``).
-Each shell k_lo < |k| <= k_hi is enumerated in the fundamental domain of
-the potential's group by ``lattice.k_shell``, as (reps, weights) arrays
-exact under its symmetry class; both sums walk the same shells and
-share each through ``_k_shell``.
+with the k-sums truncated by cutoff doubling (``lattice.doubled_sum``)
+over shells k_lo < |k| <= k_hi, each enumerated once in the fundamental
+domain of the potential's group (``lattice.k_shell``) and shared by both
+sums (``_k_shell``).
 
 Both sums, and the interaction part of the Fermi-state energy, run on
 the mode blocks of ``quasiboson``, whose module docstring states the
@@ -21,30 +20,18 @@ sums take those rows without a lune mask:
 
 * E_corr,bos integrates F(q_k(s)) of every row of a chunk of
   ``_CHUNK`` modes as one batched family on the chunk's response
-  table, seeded at the rows' smallest gaps.  A chunk of full-lune rows
-  bincounts its integer doubled gaps |k|^2 + 2 k.q into one table
-  reused by every such chunk of a shell: the gap axis grows along a
-  shell, so each fresh table would be mapped anew and page-faulted
-  (``quasiboson.response_chunks``).
-* E_corr,ex: with p = k + a and q = k + b the exchange summand depends
-  on the pair through t = a + b alone: p + q - k = k + t and
-  lam_p + lam_q = |k|^2 + k.t.  When the lune is the whole shifted
-  ball the pair sum is therefore
-
-      V_k sum_{t in B+B} c(t) V(k + t) / (|k|^2 + k.t),
-
-  with c(t) = #{(a, b) in B^2 : a + b = t} the ball autocorrelation.
-  A partial lune, the ball points M_k with k + a outside the ball,
-  only swaps c for its pair counts c_k(t) = #{(a, b) in M_k^2 :
-  a + b = t}, so every row runs through one (m, |B+B|) kernel; V(k + t)
-  is read off the integer norm |k + t|^2 = 2 (|k|^2 + k.t) + |t|^2 -
-  |k|^2 for a radial V and by ``Potential.at`` for a table.  Only rows
-  with |k| <= 2 k_F can have a partial lune; they count their pairs
-  from their lune masks and divide only where c_k(t) > 0, while
-  full-lune rows divide everywhere, as c(t) > 0 on all of B + B.  The
-  chunk size is taken from |B+B| (829 at k_F = 3, growing as k_F^3),
-  so that the kernel's reused float buffers stay under glibc's 128 KB
-  mmap threshold.
+  table; full-lune chunks bincount their integer doubled gaps into one
+  table reused along the shell (``quasiboson.response_chunks``).
+* E_corr,ex: with p = k + a and q = k + b, p + q - k = k + t and
+  lam_p + lam_q = |k|^2 + k.t depend on t = a + b alone, so a row is
+  V_k sum_{t in B+B} c_k(t) V(k + t) / (|k|^2 + k.t), where c_k(t)
+  counts the lune pairs (a, b) with a + b = t; on a full lune c_k is
+  the ball autocorrelation c.  For a radial V the full-lune rows pair
+  t with -t, as c(t) = c(-t): the pair adds c(t) g 2P / ((P - Q)(P + Q))
+  with P +- Q = (|k|^2 +- k.t)(|k +- t|^2 + mu^2), integers below 2^53
+  for Coulomb while |k|^2 < 2^13, so each row is one contraction over
+  half of B + B, rounded only in its divisions and its sum
+  (``_ex_terms``).
 
 E_corr,ex and the Fermi-state interaction put their per-k terms back in
 shell order and sum them one k at a time, so each is the same float as
@@ -76,14 +63,15 @@ def stable_log1p_minus_x(x):
     """log(1+x) - x without cancellation for small x.
 
     Below 1e-4 the three-term series -x^2/2 + x^3/3 - x^4/4 is used; the
-    truncation error is then below x^5 ~ 1e-20.
+    truncation error is then below x^5 ~ 1e-20.  Only those entries are
+    overwritten; a strided x is copied, as numpy's log1p rounds it apart.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float, order="C")
+    out = np.log1p(x, out=np.empty_like(x))
+    out -= x
     small = np.abs(x) < 1e-4
-    xs = np.where(small, x, 0.0)
-    series = -0.5 * xs**2 + xs**3 / 3.0 - 0.25 * xs**4
-    big = np.log1p(np.where(small, 0.0, x)) - np.where(small, 0.0, x)
-    out = np.where(small, series, big)
+    xs = x[small]
+    out[small] = -0.5 * xs**2 + xs**3 / 3.0 - 0.25 * xs**4
     return out if out.shape else float(out)
 
 
@@ -173,6 +161,15 @@ def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,
     others get their masks from ``mode_chunks`` and bincount their pair
     codes.  The kernel runs in float buffers of ``_EX_BUFFER`` // |B+B|
     rows, reused over the chunks.  Rows with V_k = 0 are 0.
+
+    A radial V pairs t with -t on full-lune rows, as c(t) = c(-t) and
+    t = 0 is the middle of the lex-sorted B + B: with A = |k|^2, x = k.t,
+    tau = |t|^2 + mu^2, P = A (A + tau) + 2 x^2 and Q = (3A + tau) x, the
+    pair adds c(t) g 2P / ((P - Q)(P + Q)), as (A +- x)(A + tau +- 2x) =
+    P +- Q, and t = 0 adds half that.  For Coulomb P +- Q and their
+    product are integers below 2^53 while |k|^2 < 2^13, so each row, one
+    contraction in ``_paired_rows``, is rounded only in its divisions and
+    its sum.
     """
     t, count, tn2 = pair_sums
     vhat = pot.at(ks)
@@ -211,9 +208,46 @@ def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,
                                     minlength=side**3)[bins]
         kernel(near[rows], counts, counts > 0)
     far = np.flatnonzero(~partial & (vhat != 0.0))
-    for start in range(0, far.size, size):
-        kernel(far[start:start + size], count)
+    if pot.is_radial:
+        del den_buf, n2_buf  # the paired rows make their own buffers
+        _paired_rows(ks, kn2, far, pot, pair_sums, out)
+    else:
+        for start in range(0, far.size, size):
+            kernel(far[start:start + size], count)
     return vhat * out
+
+
+def _paired_rows(ks, kn2, far, pot: Potential, pair_sums, out) -> None:
+    """out[far] = g sum_{t >= 0} c'(t) P / ((P - Q)(P + Q)), as in ``_ex_terms``,
+    with c'(0) = c(0) and c'(t) = 2 c(t) beyond."""
+    t, count, tn2 = pair_sums
+    mid = t.shape[0] // 2                          # t[mid] = 0
+    t2, tnh = 2.0 * t[mid:].T, tn2[mid:]
+    cw = np.concatenate(([count[mid]], 2.0 * count[mid + 1:]))
+    mu2 = pot.mu**2 if pot.kind == "yukawa" else 0.0
+    # P +- Q as products (A +- x)(|k +- t|^2 + mu^2): as a difference of
+    # P and Q, P - Q would cancel where |k - t| is small.  The three
+    # half-width buffers hold at most the floats of the kernel's two
+    size = max(1, 2 * _EX_BUFFER // (3 * cw.size))
+    x_buf, p_buf, m_buf = (np.empty((size, cw.size)) for _ in range(3))
+    for start in range(0, far.size, size):
+        rows = far[start:start + size]
+        m, a = rows.size, kn2[rows, None]
+        x = np.matmul(ks[rows].astype(float), t2, out=x_buf[:m])  # 2 k.t
+        plus = np.add(tnh, a, out=p_buf[:m])
+        minus = np.subtract(plus, x, out=m_buf[:m])   # |k - t|^2
+        plus += x                                     # |k + t|^2
+        if mu2:
+            plus += mu2
+            minus += mu2
+        x += 2.0 * a
+        plus *= x                                     # 2 (P + Q)
+        np.subtract(4.0 * a, x, out=x)
+        minus *= x                                    # 2 (P - Q)
+        np.add(plus, minus, out=x)                    # 4 P
+        plus *= minus
+        x /= plus
+        out[rows] = pot.g * (x @ cw)
 
 
 @lru_cache(maxsize=16)

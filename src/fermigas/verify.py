@@ -242,10 +242,10 @@ def _conjugation_devs(kmat, tau: float, c, s, t_mats) -> list[list[float]]:
     return devs
 
 
-def check_mode(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
+def _mode_values(cfg: LatticeConfig, pot: Potential):
+    """(ks, modes, check values, reflection deviations, trend) per sampled mode."""
     ks = _mode_sample(cfg)
     modes = [_mode(k, cfg, pot)[1:] for k in ks]  # (gaps, V_k, v^2)
-    slack = 1e-10
     n = len(ks)
     vals, refl, pending, trend = [None] * n, [None] * n, {}, {}
     # k and -k (rows i and n - 1 - i) side by side, so no K outlives its
@@ -284,6 +284,12 @@ def check_mode(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
                 pending[i] = kmat[j]
             else:  # max |K_k - K_-k reversed| is the same from either side
                 refl[i] = refl[n - 1 - i] = _peaks(np.abs(kmat[j] - mate[::-1, ::-1]))
+    return ks, modes, vals, refl, trend
+
+
+def check_mode(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
+    ks, modes, vals, refl, trend = _mode_values(cfg, pot)
+    slack = 1e-10
     reports = []
 
     def collect(key, tol, label):

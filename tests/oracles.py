@@ -152,6 +152,18 @@ def from_norm2_where(pot, n2):
     return np.zeros_like(n2)
 
 
+def stable_log1p_minus_x_where(x):
+    """``energy.stable_log1p_minus_x`` with both branches over every entry,
+    joined by three ``np.where``."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    xs = np.where(small, x, 0.0)
+    series = -0.5 * xs**2 + xs**3 / 3.0 - 0.25 * xs**4
+    big = np.log1p(np.where(small, 0.0, x)) - np.where(small, 0.0, x)
+    out = np.where(small, series, big)
+    return out if out.shape else float(out)
+
+
 def lune_loop(k, cfg):
     """(points, gaps) of the lune of k: filter k + q over the ball, one point at a time."""
     kv = as_vec3(k)
@@ -629,11 +641,11 @@ def ball_pair_sum_n_ex(cfg, pot, k_max):
     return -2.0 * total / (8.0 * TWO_PI_6 * cfg.k_f**2)
 
 
-def check_mode_loop(cfg, pot):
-    """``verify.check_mode`` one mode at a time: per tau one ``csk_pair`` and
-    exp(+-tau K), every product formed where it is used."""
+def check_mode_values_loop(cfg, pot):
+    """(ks, [(values, lam, V_k, K)]) of ``check_mode_loop``, one mode at a
+    time: per tau one ``csk_pair`` and exp(+-tau K), every product formed
+    where it is used.  ``values`` holds the mode's five check values."""
     ks = _mode_sample(cfg)
-    slack = 1e-10
 
     def per_k(k):
         _, lam, vhat, vsq = _mode(k, cfg, pot)
@@ -676,7 +688,14 @@ def check_mode_loop(cfg, pot):
                "sw_CS": sw_cs, "hyperbolic": hyper, "decomposition": dec_dev}
         return out, lam, vhat, kmat
 
-    results = [per_k(k) for k in ks]
+    return ks, [per_k(k) for k in ks]
+
+
+def check_mode_loop(cfg, pot):
+    """``verify.check_mode`` from the per-mode values of
+    ``check_mode_values_loop``."""
+    ks, results = check_mode_values_loop(cfg, pot)
+    slack = 1e-10
     reports = []
 
     def collect(key, tol, label):

@@ -97,6 +97,31 @@ def test_dv_params_validation():
                 DVParams(**kwargs)
 
 
+def test_dv_params_reject_negative_alpha():
+    # alpha = g / (4 pi k_F) and g >= 0; at alpha = -0.4 the screening
+    # denominator of n_b_dv passes through 0 and the value reads nan
+    for alpha in (-0.4, -1e-300, -math.inf):
+        with pytest.raises(ValueError, match="alpha nonnegative|finite"):
+            DVParams(k_f=1.0, alpha=alpha, xi_norm=1.5)
+    assert DVParams(k_f=1.0, alpha=-0.0, xi_norm=1.5).alpha == 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(samples=2e4), dict(samples=20_000.0), dict(samples=True),
+    dict(samples="20000"), dict(seed=True), dict(seed=False), dict(seed=1.0),
+    dict(seed=np.float64(3.0)), dict(seed=np.bool_(True)),
+])
+def test_n_ex_dv_rejects_non_integral_samples_and_seed(kwargs):
+    for alpha in (0.0, 0.1):
+        with pytest.raises(ValueError, match="samples and seed must be integers"):
+            n_ex_dv(DVParams(k_f=1.0, alpha=alpha, xi_norm=1.5),
+                    **{"samples": 10_000, **kwargs})
+    # numpy integers pass, and a uint8 seed keys its shards as 3 does
+    p = DVParams(k_f=1.0, alpha=0.1, xi_norm=1.5)
+    assert (n_ex_dv(p, samples=np.int64(10_000), seed=np.uint8(3))
+            == n_ex_dv(p, samples=10_000, seed=3))
+
+
 @pytest.mark.parametrize("quad_tol", [0.0, -1e-7, math.inf, math.nan])
 def test_n_b_dv_rejects_bad_quad_tol(quad_tol):
     with pytest.raises(ValueError, match="quad_tol must be positive and finite"):

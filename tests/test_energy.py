@@ -15,7 +15,7 @@ from fermigas.potential import (Potential, coulomb, evaluate, from_table,
 from oracles import (bos_chunks_masked, bos_term, bos_term_mode,
                      e_fs_interaction_loop, ex_term_dense, ex_terms_masked,
                      k_shell_reduced, nonzero_k_vectors,
-                     single_k_exchange_term)
+                     single_k_exchange_term, stable_log1p_minus_x_where)
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 TWO_PI_6 = (2.0 * np.pi) ** 6
@@ -83,6 +83,24 @@ def test_stable_f_small_and_large():
         assert stable_log1p_minus_x(x) == pytest.approx(np.log1p(x) - x, rel=1e-13)
     assert stable_log1p_minus_x(0.0) == 0.0
     assert np.all(stable_log1p_minus_x(np.array([0.0, 1e-6, 1.0])) <= 0.0)
+
+
+def test_stable_f_equals_the_where_form():
+    # the series entries are overwritten after one log1p pass: the same
+    # operations per entry as the three-np.where form, so the same floats
+    edge = np.nextafter(1e-4, np.array([0.0, 1.0]))
+    x = np.concatenate([
+        [0.0, -0.0, 1e-4, -1e-4], edge, -edge,
+        np.nextafter(edge, np.array([[0.0], [1.0]])).ravel(),
+        np.geomspace(1e-300, 1e3, 2000), -np.geomspace(1e-300, 1.0 - 1e-12, 500),
+        np.linspace(-0.999, 0.0, 333)])
+    assert np.array_equal(stable_log1p_minus_x(x), stable_log1p_minus_x_where(x))
+    for rows in (x[:7], x[::-1], x[1::3], x.reshape(5, -1), x.reshape(5, -1).T):
+        assert np.array_equal(stable_log1p_minus_x(rows),
+                              stable_log1p_minus_x_where(rows))
+    for v in (0.0, 1e-4, -5e-5, 0.3, np.float64(2e-5), np.array(7.0)):
+        got = stable_log1p_minus_x(v)
+        assert type(got) is float and got == stable_log1p_minus_x_where(v)
 
 
 def test_e_corr_bos_zero_potential():
@@ -172,6 +190,8 @@ def _shell_potential(kind, radius):
         return coulomb(1.0)
     if kind == "yukawa":
         return yukawa(0.7, 1.3)
+    if kind == "yukawa_small_mu":
+        return yukawa(2.0, 0.33)
     if kind == "table_even":
         return _table_potential(radius)
     return _coulomb_tables(radius)[1]
@@ -233,12 +253,41 @@ def test_bos_chunks_match_masked_chunks_on_whole_shells(k_f, kind):
 
 
 @pytest.mark.parametrize("k_f", SHELL_RADII)
-@pytest.mark.parametrize("kind", SHELL_KINDS)
+@pytest.mark.parametrize("kind", SHELL_KINDS + ["yukawa_small_mu"])
 def test_ex_terms_match_masked_division_on_whole_shells(k_f, kind):
+    # near rows and tables keep the masked kernel's floats; radial far
+    # rows pair t with -t and contract against c, so their sums are
+    # rounded in another order.  With a small mu, P - Q formed as a
+    # difference of P and Q would lose digits where |k - t| is small
     cfg, pot, reps = _whole_shell(k_f, kind)
     pair_sums = _ball_pair_sums(cfg)
-    assert np.array_equal(_ex_terms(reps, cfg, pot, pair_sums),
-                          ex_terms_masked(reps, cfg, pot, pair_sums))
+    got = _ex_terms(reps, cfg, pot, pair_sums)
+    want = ex_terms_masked(reps, cfg, pot, pair_sums)
+    far = np.einsum("mi,mi->m", reps, reps) > 4 * cfg.r2
+    assert far.any() and not far.all()
+    if not pot.is_radial:
+        far[:] = False
+    assert np.array_equal(got[~far], want[~far])
+    np.testing.assert_allclose(got[far], want[far], rtol=4e-15, atol=0.0)
+
+
+# |k|^2 up to 1.4e5 at k_F = 3: (P - Q)(P + Q) of the paired far rows
+# passes 2^53, so it is rounded, as are P +- Q for a non-integer mu^2
+LARGE_KS = ((7, 0, 0), (5, 4, 3), (40, 1, 0), (256, 0, 0), (150, 150, 100),
+            (-150, 100, 150), (300, 200, 100))
+
+
+@pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(0.7, 1.3),
+                                 yukawa(2.0, 0.33)],
+                         ids=["coulomb", "yukawa", "yukawa_small_mu"])
+def test_paired_far_rows_match_single_k_at_large_k(pot):
+    cfg = fermi_ball(3.0)
+    ks = np.array(LARGE_KS)
+    kn2 = np.einsum("mi,mi->m", ks, ks)
+    assert kn2.min() > 4 * cfg.r2 and np.sum(kn2.astype(float)**4 > 2.0**53) == 4
+    expected = [single_k_exchange_term(k, cfg, pot) for k in LARGE_KS]
+    np.testing.assert_allclose(_ex_block(ks, cfg, pot), expected,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_e_corr_bos_peak_memory():
@@ -420,3 +469,20 @@ def test_energy_report_fields_and_signs():
     assert d["e_corr_bos"] < 0.0 < d["e_corr_ex"]
     assert d["e_fs_kinetic"] == 6.0
     assert d["tail_flags"]["bos_converged"] and d["tail_flags"]["ex_converged"]
+
+
+def test_e_corr_ex_peak_memory():
+    # the energy_kf3 inputs: 720,688 B, the peak of the unpaired far rows
+    # too, set by the near rows' pair counting with the kernel's two
+    # buffers alive; the paired far rows' three work arrays take at most
+    # those buffers' 256 KB and are made once they are freed
+    cfg, pot = fermi_ball(3.0), coulomb(1.0)
+    policy = TailPolicy(tail_tol=1e-3, max_doublings=2)
+    e_corr_ex(cfg, pot, policy)
+    tracemalloc.start()
+    try:
+        e_corr_ex(cfg, pot, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 720_688

@@ -13,7 +13,7 @@ from fermigas.quasiboson import build_K, csk_pair, sandwich_bounds, size_batches
 from fermigas.verify import (TAUS, _mode_sample, any_failed, check_cross,
                              check_gap_bound, check_lattice, check_mode,
                              reports_to_json, run_all)
-from oracles import check_mode_loop
+from oracles import check_mode_loop, check_mode_values_loop
 
 
 def by_name(reports):
@@ -123,6 +123,25 @@ def test_check_mode_is_byte_identical_to_per_mode_loop(k_f, pot):
     cfg = fermi_ball(k_f)
     assert (reports_to_json(check_mode(cfg, pot))
             == reports_to_json(check_mode_loop(cfg, pot)))
+
+
+@pytest.mark.parametrize("k_f", [1.0, 2.0])
+@pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(1.0, 0.5), zero(),
+                                 _even_table_with_zero_modes(), coulomb(1e4)],
+                         ids=["coulomb", "yukawa", "zero", "even_table",
+                              "coulomb_strong"])
+def test_check_mode_values_equal_per_mode_loop_per_mode(k_f, pot):
+    # the printed values are maxima over the modes, blind to a last-bit
+    # change in any one mode; compare every mode's five values.  At g = 1
+    # C = cosh(-tau K) - 1 is O(K^2), so the rounding of C T C is lost in
+    # T + ... + C T C: only a strong coupling lets it reach the values
+    cfg = fermi_ball(k_f)
+    ks, _, vals, _, _ = verify._mode_values(cfg, pot)
+    ks_loop, results = check_mode_values_loop(cfg, pot)
+    assert ks == ks_loop and len(vals) == len(results) > 0
+    for got, (want, *_) in zip(vals, results):
+        assert got.keys() == want.keys() and len(got) == 5
+        assert all(got[key] == want[key] for key in got)
 
 
 def test_stacked_oracles_equal_per_matrix_calls():
