@@ -147,12 +147,13 @@ def size_batches(sizes: np.ndarray, modes: np.ndarray, share: int = 1):
             yield d, of_size[lo:lo + step]
 
 
-def csk_pair(k_matrix: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
+def csk_pair(k_matrix: np.ndarray, tau, eig=None) -> tuple[np.ndarray, np.ndarray]:
     """(cosh(-tau K) - 1, sinh(-tau K)) from one eigendecomposition of K.
 
-    ``tau`` may be an array, whose axes lead the result's.
+    ``tau`` may be an array, whose axes lead the result's.  ``eig``, if
+    given, is K's ``sym_eig`` pair, which the caller has already computed.
     """
-    w, u = sym_eig(k_matrix)
+    w, u = sym_eig(k_matrix) if eig is None else eig
     x = -np.multiply.outer(tau, w)[..., None, :]
     c = (u * (np.cosh(x) - 1.0)) @ np.swapaxes(u, -1, -2)
     s = (u * np.sinh(x)) @ np.swapaxes(u, -1, -2)

@@ -12,6 +12,8 @@ draws s from seed 23.  The per-mode checks sample every mode with
 0 < |k| <= 2 k_F, so the suite needs k_F >= 1/2 and raises ValueError
 below it.  They run on stacks of modes of one lune size; each value is
 still its own mode's maximum, bit for bit that of a per-mode loop.
+Each exp(+tau K) comes from K's eigendecomposition, each exp(-tau K)
+from -K's, bit for bit an eigh per tau, as each nonzero tau is 2^n.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .lattice import (LatticeConfig, ball_array, ball_points, d_intersection,
                       lambda_of, lune_points, norm2, sub)
 from .momentum import EIGHT_PI4
-from .numerics import integrate, rank1_resolvent_diag, sym_matrix_function
+from .numerics import integrate, rank1_resolvent_diag, sym_eig
 from .potential import Potential, evaluate
 from .quasiboson import (TWO_PI_6, build_K, cosh_minus_one_core, coupling_sq,
                          csk_pair, q_of_s, sandwich_bounds, size_batches)
@@ -227,10 +229,20 @@ def _peaks(x: np.ndarray) -> list[float]:
     return np.max(x, axis=(-2, -1)).tolist()
 
 
-def _conjugation_devs(kmat, tau: float, c, s, t_mats) -> list[list[float]]:
-    """Per-mode peaks of |direct - decomposed| of T's conjugations by e^{+-tau K}."""
-    ep = sym_matrix_function(tau * kmat, "exp")
-    em = sym_matrix_function(-tau * kmat, "exp")
+def _exp_taus(w, u):
+    """Yield exp(tau A) for tau in TAUS from A's ``sym_eig`` pair (w, U); I at 0."""
+    yield np.broadcast_to(np.eye(w.shape[-1]), u.shape)
+    for tau in TAUS[1:]:
+        b = (u * np.exp(tau * w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+        yield 0.5 * (b + np.swapaxes(b, -1, -2))
+
+
+def _conjugation_devs(ep, em, c, s, t_mats) -> list[list[float]]:
+    """Per-mode peaks of |direct - decomposed| of T's conjugations by e^{+-tau K}.
+
+    ``ep`` is e^{tau K} from eigh(K), ``em`` e^{-tau K} from eigh(-K) (not
+    (-w, U) to the last bit): eigh(tau A) is (tau w, U) exactly, tau being 2^n.
+    """
     devs = []
     for t_mat in t_mats:
         ept, emt = ep @ t_mat @ ep, em @ t_mat @ em
@@ -257,10 +269,11 @@ def _mode_values(cfg: LatticeConfig, pot: Potential):
         lam = np.array([modes[i][0] for i in batch])
         vsq = np.array([modes[i][2] for i in batch])
         kmat = build_K(lam, vsq)
+        eig = sym_eig(kmat)  # K's, for cosh, sinh and every exp(+tau K)
+        cs, ss = csk_pair(kmat, np.array(TAUS), eig)
         lower, upper, _ = sandwich_bounds(lam, vsq)
         vh_inv_v = (vsq * np.sum(1.0 / lam, axis=1))[:, None, None]
         c_upper = vh_inv_v / (1.0 + 2.0 * vh_inv_v) * upper
-        cs, ss = csk_pair(kmat, np.array(TAUS))
         sw_k = _peaks(-kmat - upper), _peaks(lower + kmat)
         sw_cs, hyper, eye = [], [], np.eye(dim)
         for tau, c, s in zip(TAUS, cs, ss):
@@ -270,8 +283,8 @@ def _mode_values(cfg: LatticeConfig, pot: Potential):
                       _peaks(-c), _peaks(c - c_upper)]
         del lower, upper, c_upper, ce
         t_mats = [np.array(t) for t in zip(*(_conjugands(ks[i], dim) for i in batch))]
-        dec = [dev for tau, c, s in zip(TAUS, cs, ss)
-               for dev in _conjugation_devs(kmat, tau, c, s, t_mats)]
+        dec = [dev for args in zip(_exp_taus(*eig), _exp_taus(*sym_eig(-kmat)), cs, ss)
+               for dev in _conjugation_devs(*args, t_mats)]
         nsd = np.max(np.linalg.eigvalsh(kmat), axis=-1).tolist()
         for j, i in enumerate(batch.tolist()):
             vals[i] = {"nsd": nsd[j], "sw_K": max(sw_k[0][j], sw_k[1][j]),

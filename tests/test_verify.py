@@ -7,7 +7,7 @@ import pytest
 
 from fermigas import verify
 from fermigas.lattice import ball_array, fermi_ball, lune_points
-from fermigas.numerics import sym_matrix_function
+from fermigas.numerics import sym_eig, sym_matrix_function
 from fermigas.potential import coulomb, from_table, yukawa, zero
 from fermigas.quasiboson import build_K, csk_pair, sandwich_bounds, size_batches
 from fermigas.verify import (TAUS, _mode_sample, any_failed, check_cross,
@@ -67,8 +67,9 @@ def test_check_mode_product_trend_records_exponent_readings():
 
 
 def test_check_mode_eigensolves_each_distinct_input_once(monkeypatch):
-    # per mode: 2 in build_K, 1 for K (every tau and the product-entry
-    # trend) and 6 for exp(+-tau K); one batched call each per size batch
+    # per mode: 2 in build_K, 1 for K (csk_pair, every exp(+tau K) and the
+    # product-entry trend) and 1 for -K (every exp(-tau K)); one batched
+    # call each per size batch
     eigh = np.linalg.eigh
     for k_f in (1.0, 2.0):
         calls, matrices, batches = [], [], []
@@ -89,8 +90,8 @@ def test_check_mode_eigensolves_each_distinct_input_once(monkeypatch):
         n_modes = len(_mode_sample(cfg))
         assert not any_failed(check_mode(cfg, coulomb(1.0)))
         assert sum(batches) == n_modes and len(batches) < n_modes
-        assert sum(matrices) <= 9 * n_modes
-        assert len(calls) <= 9 * len(batches)
+        assert sum(matrices) == 4 * n_modes
+        assert len(calls) <= 4 * len(batches)
 
 
 def test_check_mode_peak_memory():
@@ -169,6 +170,23 @@ def test_stacked_oracles_equal_per_matrix_calls():
             out = sym_matrix_function(stack, fn)
             assert all(np.array_equal(out[b], sym_matrix_function(stack[b], fn))
                        for b in range(3))
+
+
+def test_shared_eigenpair_exponentials_equal_per_tau_eigensolves():
+    # the premise of verify._exp_taus: each nonzero tau of TAUS is a power
+    # of two, so eigh(tau A) is (tau w, U) to the last bit, and exp(0 A) is I
+    assert all(math.frexp(tau)[0] == 0.5 for tau in TAUS if tau)
+    rng = np.random.Generator(np.random.Philox(key=9))
+    for dim in range(1, 41):
+        lam = 0.5 * rng.integers(1, 4 * dim + 2, size=(4, dim))
+        kmat = build_K(lam, np.array([0.3, 0.0, 2.5, 1e4]) / dim)
+        assert np.array_equal(kmat[1], np.zeros((dim, dim)))
+        for a, sign in ((kmat, 1.0), (-kmat, -1.0)):
+            shared = list(verify._exp_taus(*sym_eig(a)))
+            assert len(shared) == len(TAUS)
+            for tau, got in zip(TAUS, shared):
+                want = sym_matrix_function(sign * tau * kmat, "exp")
+                assert np.array_equal(got, want), (dim, sign, tau)
 
 
 def test_checks_below_half_kf_raise():
