@@ -8,7 +8,8 @@ spectral routes, with an executable suite of the underlying identities.
 from .lattice import (KSupport, LatticeConfig, TailPolicy, d_intersection,
                       fermi_ball, k_support, kappa_and_weight, lambda_of,
                       lune_points)
-from .momentum import MomentumBreakdown, Observable, n_point, n_weighted
+from .momentum import (MomentumBreakdown, Observable, n_point, n_points,
+                       n_weighted)
 from .energy import EnergyReport, e_corr_bos, e_corr_ex, e_fs, energy_report
 from .numerics import (QuadratureResult, integrate, rank1_resolvent_diag,
                        sym_matrix_function)
@@ -26,6 +27,6 @@ __all__ = [
     "d_intersection", "e_corr_bos", "e_corr_ex", "e_fs", "energy_report",
     "fermi_ball", "from_table", "integrate", "k_support", "kappa_and_weight",
     "lambda_of", "load_table", "lune_points", "n_b_dv", "n_ex_dv", "n_point",
-    "n_weighted", "q_dv", "q_of_s", "rank1_resolvent_diag",
+    "n_points", "n_weighted", "q_dv", "q_of_s", "rank1_resolvent_diag",
     "sym_matrix_function", "validate", "yukawa", "zero",
 ]

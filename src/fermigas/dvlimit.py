@@ -3,11 +3,15 @@
 These are the thermodynamic-limit counterparts of the discrete results,
 for side-by-side tables at momenta outside the Fermi ball: a
 Lindhard-type response q_dv in closed form, the screened two-variable
-quadrature n_b_dv (one shared-panel family of inner s-integrals per outer
-panel), and the second-order exchange integral n_ex_dv done by
-importance-sampled Monte Carlo.  The points of one n_ex_dv call share
-one sample set: each point's estimate equals its lone run, and the
-estimates at different points are correlated.
+quadrature n_b_dv, and the second-order exchange integral n_ex_dv done
+by importance-sampled Monte Carlo.  Both take the points of one k_F
+together.  The points of one n_b_dv call are the members of one outer
+family, and the inner s-integrals at all their nodes of one outer panel
+are one shared-panel family: each point's value differs from its lone
+run by less than the two error estimates, and a lone point is a family
+of one.  The points of one n_ex_dv call share one sample set: each
+point's estimate equals its lone run, and the estimates at different
+points are correlated.
 
 The exchange integral
 
@@ -86,52 +90,77 @@ def q_dv(k_norm, s, k_f: float):
     return out if out.shape else float(out)
 
 
-def n_b_dv(params: DVParams, quad_tol: float = 1e-7) -> QuadratureResult:
+def n_b_dv(params, quad_tol: float = 1e-7) -> QuadratureResult:
     """Screened bosonization quadrature over |k| in [|xi|-k_F, |xi|+k_F], s in [0, inf).
 
-    The integrand bracket has two Lorentzian-type poles; it vanishes at
-    both radial endpoints.  The inner s-integrals at the nodes of one
-    outer panel run as one family on shared panels, each member at a
-    tighter tolerance, so the reported error is dominated by the outer
-    estimate.  ``evaluations`` counts outer nodes and inner values per
-    member; value and error estimate are floats (the outer family has one).
+    ``params`` is one ``DVParams``, giving float fields, or a sequence of
+    them with one k_F, a family giving (P,) values and error estimates
+    with shared counts, as ``integrate`` does.  The integrand bracket has
+    two Lorentzian-type poles; it vanishes at both radial endpoints.
+    Every point's interval has width 2 k_F, so the points are the members
+    of one outer family on the first point's interval, each at its nodes
+    shifted by its |xi| less the first one's.  The inner s-integrals at
+    the nodes of every member of one outer panel run as one family on
+    shared panels, each at a tighter tolerance, so the reported error is
+    dominated by the outer estimate.  ``evaluations`` counts outer nodes
+    and inner values per member.  A point with alpha = 0 reads 0.
     """
     check_tol(quad_tol, "quad_tol")
-    kf, alpha, xi = params.k_f, params.alpha, params.xi_norm
-    if alpha == 0.0:
-        return QuadratureResult(value=0.0, abs_error_estimate=0.0,
-                                evaluations=1, converged=True)
-    lo, hi = xi - kf, xi + kf
+    single = isinstance(params, DVParams)
+    points = [params] if single else list(params)
+    if len({p.k_f for p in points}) > 1:
+        raise ValueError("the points of one n_b_dv call must share k_f")
+    values, errors = np.zeros(len(points)), np.zeros(len(points))
+    evals, ok = 1, True
+    live = [j for j, p in enumerate(points) if p.alpha != 0.0]
+    if live:
+        values[live], errors[live], evals, ok = _n_b_family(
+            [points[j] for j in live], quad_tol)
+    if single:
+        return QuadratureResult(value=float(values[0]),
+                                abs_error_estimate=float(errors[0]),
+                                evaluations=evals, converged=ok)
+    return QuadratureResult(values, errors, evals, ok)
+
+
+def _n_b_family(points, quad_tol: float):
+    """(values, errors, evaluations, converged) of ``n_b_dv`` at points of
+    one k_F and nonzero alpha, as one family."""
+    kf = points[0].k_f
+    xi = np.array([p.xi_norm for p in points])
+    alpha = np.array([p.alpha for p in points])
+    lo, hi = points[0].xi_norm - kf, points[0].xi_norm + kf
     inner_tol = quad_tol / (10.0 * (hi - lo))
-    inner_err, inner_evals, inner_ok = 0.0, 0, True
+    inner_err, inner_evals, inner_ok = np.zeros(xi.size), 0, True
+    xc, screen = xi[:, None], (alpha * kf * kf)[:, None]
 
     def outer(k):
         nonlocal inner_err, inner_evals, inner_ok
-        a = xi - 0.5 * k  # a, b > 0, as k < |xi| + k_F < 2 |xi|
-        b = (xi * xi - kf * kf) / (2.0 * k)
-        ac, bc, kc = a[:, None], b[:, None], k[:, None]
+        k = k + (xc - xi[0])  # each member's nodes on its own interval
+        a = xc - 0.5 * k  # a, b > 0, as k < |xi| + k_F < 2 |xi|
+        b = (xc * xc - kf * kf) / (2.0 * k)
+        ac, bc, kc = a.reshape(-1, 1), b.reshape(-1, 1), k.reshape(-1, 1)
+        cc = np.repeat(screen, k.shape[1], axis=0)
 
         def family(s):
             s2 = s * s
             bracket = ac / (ac * ac + s2) - bc / (bc * bc + s2)
-            return bracket / (kc * kc + alpha * kf * kf * q_dv(kc, s, kf))
+            return bracket / (kc * kc + cc * q_dv(kc, s, kf))
 
         scales = [np.maximum(a, 1e-3), b, 10.0 * np.maximum(a, b)]
         values, errors, nev, ok = integrate(
             family, k.size, tol=inner_tol,
-            seeds=np.exp(np.mean(np.log(scales), axis=1)))  # geometric means
-        inner_err += float(np.sum(errors))
-        inner_evals += nev * k.size
+            seeds=np.exp(np.mean(np.log(scales), axis=(1, 2))))  # geometric means
+        inner_err = inner_err + np.sum(errors.reshape(k.shape), axis=1)
+        inner_evals += nev * k.shape[1]
         inner_ok = inner_ok and ok
-        return (k * values)[None, :]
+        return k * values.reshape(k.shape)
 
-    (value,), (error,), evals, ok = integrate(outer, 1, lo, hi, tol=quad_tol,
-                                              seeds=(0.5 * (lo + hi),))
+    values, errors, evals, ok = integrate(outer, xi.size, lo, hi, tol=quad_tol,
+                                          seeds=(0.5 * (lo + hi),))
     pref = kf * alpha / xi
-    err = abs(pref) * (float(error) + inner_err * (hi - lo))
-    return QuadratureResult(value=pref * float(value), abs_error_estimate=err,
-                            evaluations=evals + inner_evals,
-                            converged=ok and inner_ok)
+    return (pref * values, np.abs(pref) * (errors + inner_err * (hi - lo)),
+            evals + inner_evals, ok and inner_ok)
 
 
 def _ex_shard(points, n: int, key: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -240,10 +269,13 @@ def compare_table(cfg, pot, xi_list, quad_tol: float = 1e-7,
     The coupling map is alpha = g / (4 pi k_F), from identifying the
     scaled Coulomb mode g/(k_F |k|^2) with 4 pi alpha / |k|^2.  Ratios
     are descriptive only; the identification is asymptotic in the
-    high-momentum regime.
+    high-momentum regime.  Every point is checked before any work.  The
+    discrete columns come from one ``n_points`` call (spectral route),
+    whose points share their cores, and each continuum column from one
+    call over all points.
     """
     from .lattice import as_vec3, norm2
-    from .momentum import n_point
+    from .momentum import n_points
 
     if pot.kind != "coulomb":
         raise ValueError("the continuum comparison is defined for coulomb potentials")
@@ -255,19 +287,18 @@ def compare_table(cfg, pot, xi_list, quad_tol: float = 1e-7,
     params = [DVParams(k_f=cfg.k_f, alpha=alpha, xi_norm=math.sqrt(norm2(xv)))
               for xv in points]
     ex_dv = n_ex_dv(params, samples=samples, seed=seed)
+    discs = n_points(points, cfg, pot, route="spectral")
+    b_dv = n_b_dv(params, quad_tol=quad_tol).value.tolist()
     rows = []
-    for xv, p, (nex_dv, _) in zip(points, params, ex_dv):
-        disc = n_point(xv, cfg, pot, route="spectral")
-        ex_disc = disc.n_ex
-        nb_dv = n_b_dv(p, quad_tol=quad_tol).value
+    for xv, disc, nb_dv, (nex_dv, _) in zip(points, discs, b_dv, ex_dv):
         rows.append(CompareRow(
             xi=xv,
             n_b_disc=disc.n_b,
-            n_ex_disc=ex_disc,
+            n_ex_disc=disc.n_ex,
             n_b_dv=nb_dv,
             n_ex_dv=nex_dv,
             ratio_b=disc.n_b / nb_dv if nb_dv != 0.0 else math.inf,
-            ratio_ex=ex_disc / nex_dv if nex_dv != 0.0 else math.inf,
+            ratio_ex=disc.n_ex / nex_dv if nex_dv != 0.0 else math.inf,
         ))
     return rows
 

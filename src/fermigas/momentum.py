@@ -17,8 +17,10 @@ exactly that screened integral (scalar case: both sides reduce to
 c^2 lam / ((sqrt(M) + lam)^2 sqrt(M)) / 2 with c = 2 v^2 and
 M = lam^2 + c lam).
 
-Outside the Fermi ball the k-support is exactly finite: one lex-sorted
-(n, 3) array from ``k_support``, weight 1 per k.  Inside it the k-sum
+Outside the Fermi ball the k-support is exactly finite: the 2N points
++-xi - B, weight 1 per k (``lattice.k_support``).  Outside points share
+one pass over the lex-sorted union of their supports, so a (sorted |k|,
+V_k) core that several supports hold is solved once.  Inside it the k-sum
 runs over shells k_lo < |k| <= k_hi doubled by ``lattice.doubled_sum``,
 and the largest last increment of n_b and n_ex is the tail estimate.
 A shell is ``lattice.k_shell`` under the potential's group G, less the
@@ -29,7 +31,8 @@ representatives whose lune meets no hit column: with O the orbit of xi,
 for the G-invariant summand h at a hit, O + (-O) the multiset union.
 So the points of an orbit share every term, and as h does not depend
 on xi, ``n_weighted`` runs all inside orbits as the rows of one doubled
-sum (an inside ``n_point`` is its one-row case).
+sum (an inside ``n_point`` is its one-row case).  ``n_points`` runs
+any list of points this way, and ``n_point`` is its one-point case.
 
 Every k-sum runs on the mode blocks of ``quasiboson`` (its module
 docstring states the gap-histogram, deflation and response identities),
@@ -38,8 +41,9 @@ in (|k|^2, orbit key) order.  A block holds at most ``_CHUNK`` rows and
 columns share it.  Per mode the candidate hit zeta = k + q_z has one
 ball column q_z: inside the ball the columns are the points of every
 O + (-O), and near and full lunes share the block; outside it they are
-+-xi, at the column of s xi - k where that point is in the ball, and
-each support k hits one.  A hit's spectral value and screened integral
++-xi of each point, at the column of s xi - k where that point is in
+the ball, and each support k hits one column of every point whose
+support holds it.  A hit's spectral value and screened integral
 depend only on its mode and its gap, so each runs once per distinct
 (mode, gap) pair that some hit of the block reads: the deflated values
 come from the block's eigensolves, one per orbit key and V_k (a group
@@ -54,13 +58,14 @@ scalar quadrature per hit, lives on as a test oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from .lattice import (LatticeConfig, TailPolicy, Vec3, as_vec3, doubled_sum,
-                      k_shell, k_support, neg, norm2, orbit, orbit_key)
+                      k_shell, neg, norm2, orbit, orbit_key)
 from .numerics import check_tol
 from .potential import Potential, load_table
 from .quasiboson import (TWO_PI_6, class_response, classes_at,
@@ -71,6 +76,8 @@ from .quasiboson import (TWO_PI_6, class_response, classes_at,
 _CHUNK = 384
 # lune-kernel entries (rows x N) per mode block
 _LUNES = 1 << 15
+# column-table cells (support k x 2P columns) per group of outside points
+_COLUMNS = 1 << 18
 
 EIGHT_PI4 = 8.0 * np.pi**4
 
@@ -361,10 +368,40 @@ def _route(route: str, outside: bool) -> str:
     return route
 
 
-def n_point(xi, cfg: LatticeConfig, pot: Potential,
-            policy: TailPolicy | None = None, route: str = "auto",
-            quad_tol: float = 1e-9) -> MomentumBreakdown:
-    """Full occupancy record n_b + n_ex at xi.
+def _outside_rows(xs: list[Vec3], cfg: LatticeConfig, pot: Potential,
+                  route: str, quad_tol: float) -> list[MomentumBreakdown]:
+    """Records of the outside points ``xs``: the rows of one exact-support pass.
+
+    The k rows are the lex-sorted union of the supports +-xi - B, weight
+    1 each, and the columns are xi and -xi of each point, at 2i and
+    2i + 1.  k = s xi - q hits the column s xi at the ball row q.  The
+    two balls of one point are disjoint and miss 0, as |xi| > k_F, so
+    every point has 2N support k.
+    """
+    pts = np.array([v for xv in xs for v in (xv, neg(xv))])
+    every = (pts[:, None] - cfg.ball_arr).reshape(-1, 3)
+    order = np.lexsort(every.T[::-1])
+    every = every[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(every[1:] != every[:-1], axis=1)
+    ks = every[new]
+    at = np.empty(order.size, dtype=np.int64)
+    at[order] = np.cumsum(new) - 1
+    del every, order, new
+    n = cfg.n_particles
+    cols = np.full((ks.shape[0], pts.shape[0]), -1)
+    cols[at.reshape(-1, n), np.arange(pts.shape[0])[:, None]] = np.arange(n)
+    parts, qerr, ok = _block_parts(ks, np.ones(ks.shape[0]), cols,
+                                   np.repeat(np.eye(len(xs)), 2, axis=1), cfg,
+                                   pot, quad_tol, *_ROUTES[route])
+    return [_record(xv, route, row, 0.0, err, 2 * n, conv)
+            for xv, row, err, conv in zip(xs, parts, qerr, ok)]
+
+
+def n_points(xis, cfg: LatticeConfig, pot: Potential,
+             policy: TailPolicy | None = None, route: str = "auto",
+             quad_tol: float = 1e-9) -> list[MomentumBreakdown]:
+    """Full occupancy records n_b + n_ex at the points ``xis``, in order.
 
     route "auto" picks spectral outside the Fermi ball (finite support,
     no quadrature) and integral inside (the screening sum is shared
@@ -372,20 +409,40 @@ def n_point(xi, cfg: LatticeConfig, pot: Potential,
     same k enumeration and reports their discrepancy; n_b is then taken
     from the spectral route.  The trial-state error term is not
     computable in closed form and is dropped throughout.
+
+    All inside points are the rows of one doubled sum.  The outside
+    points, in (|xi|^2, sorted |xi|) order, run in groups of at most
+    ``_COLUMNS`` column-table cells (``_outside_rows``), so that a
+    core their supports share is solved once per group.  A record
+    depends on the other points only through rounding; a repeated point
+    runs once and gets copies of its record.
     """
     check_tol(quad_tol, "quad_tol")
-    xv = as_vec3(xi)
-    route = _route(route, norm2(xv) > cfg.r2)
-    if norm2(xv) <= cfg.r2:
-        return _inside_rows([xv], cfg, pot, policy or TailPolicy(), route,
-                            quad_tol)[0]
-    # the exact support is one block, each k hitting +-xi at its own column
-    ks = k_support(xv, cfg).finite_part
-    cols = cfg.ball_index(np.array([xv, neg(xv)]) - ks[:, None])
-    parts, qerr, ok = _block_parts(ks, np.ones(ks.shape[0]), cols,
-                                   np.ones((1, 2)), cfg, pot, quad_tol,
-                                   *_ROUTES[route])
-    return _record(xv, route, parts[0], 0.0, qerr[0], ks.shape[0], ok[0])
+    out_route = _route(route, True)
+    xvs = [as_vec3(xi) for xi in xis]
+    uniq = list(dict.fromkeys(xvs))
+    outside = sorted((xv for xv in uniq if norm2(xv) > cfg.r2),
+                     key=lambda xv: (norm2(xv), sorted(map(abs, xv))))
+    inside = [xv for xv in uniq if norm2(xv) <= cfg.r2]
+    records = {}
+    if inside:
+        records.update(zip(inside, _inside_rows(
+            inside, cfg, pot, policy or TailPolicy(), _route(route, False),
+            quad_tol)))
+    # a group of P points has at most 2 P N support k and 2 P columns
+    step = max(1, math.isqrt(_COLUMNS // (4 * cfg.n_particles)))
+    for lo in range(0, len(outside), step):
+        group = outside[lo:lo + step]
+        records.update(zip(group, _outside_rows(group, cfg, pot, out_route,
+                                                quad_tol)))
+    return [replace(records[xv]) for xv in xvs]
+
+
+def n_point(xi, cfg: LatticeConfig, pot: Potential,
+            policy: TailPolicy | None = None, route: str = "auto",
+            quad_tol: float = 1e-9) -> MomentumBreakdown:
+    """Full occupancy record at xi: ``n_points`` of the one point."""
+    return n_points([xi], cfg, pot, policy, route, quad_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -433,23 +490,17 @@ def n_weighted(f: Observable, cfg: LatticeConfig, pot: Potential,
     One record serves each orbit of the support under the potential's
     group (``lattice.point_group``), keyed by the first point of its
     ``orbit``: its points sum the same shells at the same hit columns,
-    exactly at every cutoff.  All inside orbits run as the rows of one
-    ``_inside_rows`` pass, each outside orbit as one ``n_point`` at its
-    first point in sorted order.  The sum runs in sorted-xi order.
+    exactly at every cutoff.  The first points of the orbits, in sorted
+    order, run through one ``n_points`` call.  The sum runs in sorted-xi
+    order.
     Returns the total and the per-point records, each with its own xi.
     """
-    check_tol(quad_tol, "quad_tol")
-    policy = policy or TailPolicy()
     support = f.support()
     keys = [tuple(orbit(xi, pot.symmetry)[0].tolist()) for xi in support]
     first = dict(zip(keys[::-1], support[::-1]))   # orbit key -> first point
-    by_point = {xi: n_point(xi, cfg, pot, policy, route=route,
-                            quad_tol=quad_tol)
-                for xi in first.values() if norm2(xi) > cfg.r2}
-    inside = [xi for xi in first.values() if xi not in by_point]
-    if inside:
-        by_point.update(zip(inside, _inside_rows(
-            inside, cfg, pot, policy, _route(route, False), quad_tol)))
+    reps = list(first.values())
+    by_point = dict(zip(reps, n_points(reps, cfg, pot, policy, route,
+                                       quad_tol)))
     rows = [replace(by_point[first[key]], xi=xi)
             for xi, key in zip(support, keys)]
     total = sum(f.values[xi] * row.n_total for xi, row in zip(support, rows))

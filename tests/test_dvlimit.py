@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fermigas import dvlimit, numerics
+from fermigas import dvlimit, numerics, quasiboson
 from fermigas.dvlimit import (CSV_HEADER, DVParams, compare_table, n_b_dv,
                               n_ex_dv, q_dv, rows_to_csv)
 from fermigas.lattice import fermi_ball
@@ -193,7 +193,9 @@ def test_n_b_dv_matches_nested_oracle():
                             <= got.abs_error_estimate + want.abs_error_estimate), case
 
 
-def test_n_b_dv_runs_one_family_per_outer_panel(monkeypatch):
+def _n_b_dv_families(monkeypatch, params):
+    """Run ``n_b_dv(params)``; return its result, its integrate ranges
+    (members, a, b) and the outer-node and inner-family counts."""
     counts = {"outer": 0, "families": 0}
     ranges = []
 
@@ -204,18 +206,72 @@ def test_n_b_dv_runs_one_family_per_outer_panel(monkeypatch):
                 counts["outer"] += 1
                 return f(k)
             return numerics.integrate(outer, n, a, b, **kwargs)
-        # every inner family holds the s-integrals at one outer panel's nodes
-        assert n == numerics._GK_NODES.size
         counts["families"] += 1
         return numerics.integrate(f, n, a, b, **kwargs)
 
     monkeypatch.setattr(dvlimit, "integrate", counted)
-    res = n_b_dv(DVParams(k_f=3.0, alpha=0.4, xi_norm=3.5))
-    assert res.converged
-    assert ranges[0] == (1, 0.5, 6.5)  # one outer |k| integral, a family of one
-    assert sum(b < math.inf for _, _, b in ranges) == 1
-    assert counts["outer"] > 1
-    assert counts["families"] == counts["outer"]
+    res = n_b_dv(params)
+    monkeypatch.undo()
+    return res, ranges, counts
+
+
+def test_n_b_dv_runs_one_family_per_outer_panel(monkeypatch):
+    # a lone point and a sequence of P: the points are the members of one
+    # outer family on the first point's interval, and the inner family of
+    # one outer panel holds the s-integrals at the 15 nodes of every member
+    lone = DVParams(k_f=3.0, alpha=0.4, xi_norm=3.5)
+    points = [lone] + [DVParams(k_f=3.0, alpha=0.4, xi_norm=x)
+                       for x in (4.0, 3.5, 5.8)]
+    for params, members in ((lone, 1), (points, len(points))):
+        res, ranges, counts = _n_b_dv_families(monkeypatch, params)
+        assert res.converged
+        assert ranges[0] == (members, 0.5, 6.5)  # one outer |k| integral
+        assert sum(b < math.inf for _, _, b in ranges) == 1
+        assert {n for n, _, b in ranges if b == math.inf} == {
+            numerics._GK_NODES.size * members}
+        assert counts["outer"] > 1
+        assert counts["families"] == counts["outer"]
+
+
+def test_n_b_dv_sequence_within_errors_of_lone_and_nested():
+    # mixed |xi| and alpha, a repeated |xi| and alpha = 0 in one family:
+    # each value lies within its own error plus that of its lone run, and
+    # plus that of the nested oracle
+    for kf in (1.0, 2.0, 3.0):
+        points = [DVParams(k_f=kf, alpha=a, xi_norm=r * kf) for a, r in (
+            (0.4, 1.05), (1.0 / (4.0 * np.pi * kf), 1.7), (0.0, 2.0),
+            (0.05, 3.0), (0.4, 1.7))]
+        for quad_tol in (1e-5, 1e-7):
+            got = n_b_dv(points, quad_tol=quad_tol)
+            assert got.converged
+            assert got.value.shape == got.abs_error_estimate.shape == (5,)
+            for p, value, error in zip(points, got.value.tolist(),
+                                       got.abs_error_estimate.tolist()):
+                case = (kf, p, quad_tol)
+                if p.alpha == 0.0:
+                    assert value == error == 0.0, case
+                    continue
+                lone = n_b_dv(p, quad_tol=quad_tol)
+                nested = n_b_dv_nested(p, quad_tol=quad_tol)
+                assert abs(value - lone.value) <= error + lone.abs_error_estimate, case
+                assert (abs(value - nested.value)
+                        <= error + nested.abs_error_estimate), case
+
+
+def test_n_b_dv_sequence_edges():
+    # a family of one is the lone run, bit for bit
+    p = DVParams(k_f=1.0, alpha=0.4, xi_norm=1.5)
+    lone, (value,), (error,), evals, ok = n_b_dv(p), *n_b_dv([p])
+    assert (value, error, evals, ok) == tuple(lone)
+    empty = n_b_dv([])
+    assert empty.value.shape == empty.abs_error_estimate.shape == (0,)
+    assert empty.converged
+    zero = n_b_dv([DVParams(k_f=1.0, alpha=0.0, xi_norm=2.0)])
+    assert (zero.value.tolist(), zero.abs_error_estimate.tolist()) == ([0.0], [0.0])
+    with pytest.raises(ValueError, match="must share k_f"):
+        n_b_dv([p, DVParams(k_f=2.0, alpha=0.4, xi_norm=2.5)])
+    with pytest.raises(ValueError, match="quad_tol"):
+        n_b_dv([], quad_tol=0.0)
 
 
 SHARD_SEEDS = (0, 5, 2**20)
@@ -386,9 +442,33 @@ def test_compare_table_checks_every_point_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("compare_table did work before checking its points")
 
-    monkeypatch.setattr(fermigas.momentum, "n_point", no_work)
+    monkeypatch.setattr(fermigas.momentum, "n_points", no_work)
     monkeypatch.setattr(dvlimit, "n_ex_dv", no_work)
     monkeypatch.setattr(dvlimit, "n_b_dv", no_work)
     with pytest.raises(ValueError, match=r"comparison point \(0, 1, 0\) must lie "
                                          "outside the Fermi ball"):
         compare_table(fermi_ball(1.0), coulomb(1.0), [(2, 0, 0), (0, 2, 1), (0, 1, 0)])
+
+
+# the benchmark's outside points at k_F = 3
+BENCH_POINTS = ((3, 1, 0), (3, 2, 1), (4, 0, 0), (4, 1, 1))
+
+
+def _core_groups(points, cfg, pot) -> set:
+    """Distinct (sorted |k|, V_k) over the union of the supports +-xi - B."""
+    ks = {tuple(s * x - q for x, q in zip(xi, p))
+          for xi in points for s in (1, -1) for p in cfg.ball}
+    return {(*sorted(map(abs, k)), pot(k)) for k in ks}
+
+
+def test_compare_table_solves_each_shared_core_once(monkeypatch):
+    # the points' supports share one exact-support pass, so each
+    # deflated core of the union is solved once: 57 rows, where one pass
+    # per point solved the 162 groups of the points' own supports
+    cfg, pot = fermi_ball(3.0), coulomb(1.0)
+    core, rows = quasiboson.cosh_minus_one_core, []
+    monkeypatch.setattr(quasiboson, "cosh_minus_one_core", lambda lam, m, vsq: (
+        rows.append(lam.shape[0]) or core(lam, m, vsq)))
+    compare_table(cfg, pot, BENCH_POINTS, samples=10_000)
+    assert sum(rows) == len(_core_groups(BENCH_POINTS, cfg, pot)) == 57
+    assert sum(len(_core_groups([xi], cfg, pot)) for xi in BENCH_POINTS) == 162

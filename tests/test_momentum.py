@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -655,13 +656,84 @@ def test_weighted_rows_keep_their_own_tail(monkeypatch):
 
 
 def test_weighted_delta_outside_shares_its_row(monkeypatch):
+    # +-xi are one orbit: one n_points call with one row, and no n_point
     cfg = fermi_ball(2.0)
     count = _count_calls(monkeypatch)
+    points, rows = momentum.n_points, []
+    monkeypatch.setattr(momentum, "n_points", lambda xis, *args: (
+        rows.append(len(xis)) or points(xis, *args)))
     _, (minus, plus) = n_weighted(Observable.delta((2, 1, 0)), cfg,
                                   coulomb(1.0), route="both")
-    assert count == Counter(n_point=1)
+    assert rows == [1]
+    assert count == Counter()
     assert (minus.xi, plus.xi) == ((-2, -1, 0), (2, 1, 0))
     assert replace(minus, xi=plus.xi) == plus
+
+
+# an outside point per k_F; the cases name lists of points built from it
+N_POINTS_XI = {1.0: (2, 1, 0), 2.0: (2, 2, 1), 3.0: (3, 2, 1)}
+
+
+def _n_points_case(case: str, xi) -> list:
+    x, y, z = xi
+    return {
+        "pair": [xi, neg(xi)],
+        "images": [xi, (y, -x, z), (-z, y, x), (x, -z, -y)],
+        "duplicates": [xi, (x + 1, y, 0), xi, (1, 0, 0), (x + 1, y, 0)],
+        "one": [xi],
+        "empty": [],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["pair", "images", "duplicates", "one",
+                                  "empty"])
+@pytest.mark.parametrize("pot_name", ["coulomb", "yukawa", "table_even",
+                                      "table_uneven"])
+@pytest.mark.parametrize("kf", [1.0, 2.0, 3.0])
+def test_n_points_match_lone_runs(kf, pot_name, case):
+    # the outside points of one call share one pass over the union of
+    # their supports; each record is its lone n_point's up to rounding
+    cfg = fermi_ball(kf)
+    pot = _potential(pot_name, 10)
+    policy = TailPolicy(k_max=3, max_doublings=0)
+    xis = _n_points_case(case, N_POINTS_XI[kf])
+    rows = momentum.n_points(xis, cfg, pot, policy, route="both")
+    assert [row.xi for row in rows] == xis
+    assert len({id(row) for row in rows}) == len(rows)
+    for xi, row in zip(xis, rows):
+        alone = n_point(xi, cfg, pot, policy, route="both")
+        assert row.n_b_spectral == pytest.approx(alone.n_b_spectral, rel=1e-13)
+        assert row.n_ex == pytest.approx(alone.n_ex, rel=1e-13)
+        assert (abs(row.n_b_integral - alone.n_b_integral)
+                <= row.quad_error + alone.quad_error)
+        assert row.k_modes_used == alone.k_modes_used
+        assert row.converged == alone.converged
+        if norm2(xi) > cfg.r2:
+            assert row.k_modes_used == 2 * cfg.n_particles
+
+
+def test_n_points_outside_groups_bound_the_column_table(monkeypatch):
+    # the outside points run in groups of P with 4 P^2 N <= _COLUMNS, in
+    # (|xi|^2, sorted |xi|) order; each group is one exact-support pass
+    cfg = fermi_ball(2.0)
+    monkeypatch.setattr(momentum, "_COLUMNS", 4 * 2**2 * cfg.n_particles)
+    rows, groups = momentum._outside_rows, []
+    monkeypatch.setattr(momentum, "_outside_rows", lambda xs, *args: (
+        groups.append(list(xs)) or rows(xs, *args)))
+    xis = [(4, 0, 0), (0, 3, 0), (1, 0, 0), (2, 2, 1), (-3, 0, 0), (0, 0, 4)]
+    momentum.n_points(xis, cfg, coulomb(1.0),
+                      TailPolicy(k_max=3, max_doublings=0))
+    assert groups == [[(0, 3, 0), (-3, 0, 0)], [(2, 2, 1), (4, 0, 0)],
+                      [(0, 0, 4)]]
+
+
+def test_n_points_checks_route_and_tolerance_before_any_work():
+    cfg = fermi_ball(1.0)
+    with pytest.raises(ValueError, match="unknown route"):
+        momentum.n_points([], cfg, coulomb(1.0), route="fast")
+    with pytest.raises(ValueError, match="quad_tol"):
+        momentum.n_points([], cfg, coulomb(1.0), quad_tol=0.0)
+    assert momentum.n_points([], cfg, coulomb(1.0)) == []
 
 
 @pytest.mark.parametrize("kf", [1.0, 2.0])
@@ -791,6 +863,27 @@ def test_block_pass_peak_memory():
         (3, 2, 1), cfg, coulomb(1.0), TailPolicy(max_doublings=0),
         route="both"))
     assert point <= 4_860_000
+
+
+def _outside_table(cfg, top: int) -> Observable:
+    """Weight 1 at +-xi for every outside xi with 0 <= x <= y <= z < top."""
+    return Observable(values={
+        q: 1.0 for p in itertools.combinations_with_replacement(range(top), 3)
+        if norm2(p) > cfg.r2 for q in (p, neg(p))})
+
+
+def test_outside_column_table_peak_memory(monkeypatch):
+    # 115 outside orbits at k_F = 2 run as one n_points call, in groups of
+    # 44 points (_COLUMNS = 2^18).  Measured on CPython 3.11 and numpy
+    # 2.4: a peak of 1.66 MB, against 4.62 MB when all 115 share one
+    # column table
+    cfg = fermi_ball(2.0)
+    obs = _outside_table(cfg, 8)
+    assert len(obs.support()) == 230
+    run = lambda: n_weighted(obs, cfg, coulomb(1.0))  # noqa: E731
+    assert _traced_peak(run) <= 1_800_000
+    monkeypatch.setattr(momentum, "_COLUMNS", 1 << 40)
+    assert _traced_peak(run) > 1_800_000
 
 
 def test_block_pass_counts_at_bench_policy(monkeypatch):
