@@ -16,11 +16,16 @@ for k_f in (0.5, 1.0, 2.0, 3.0):
     print(f"k_F = {k_f}: N = {cfg.n_particles:4d}   "
           f"(continuum {cont:7.1f})   kappa = {cfg.kappa}")
 
+# The ball is one read-only (N, 3) int64 array in lex order.
 # kappa is the midpoint of the squared-norm gap across the Fermi surface;
-# every integer point stays at least 1/2 away from it.
+# every integer point stays at least 1/2 away from it: the weight m(p) is
+# 1 / ||p|^2 - kappa|.
 cfg = fg.fermi_ball(2.0)
-m_inv, m = fg.kappa_and_weight((1, 1, 0), cfg)
-print(f"\nweight at (1,1,0): ||p|^2 - kappa| = {m_inv}, m = {m}")
+ball = cfg.ball_arr
+m_inv = np.abs(np.einsum("ij,ij->i", ball, ball) - cfg.kappa)
+print(f"\nball_arr: shape {ball.shape}, writeable {ball.flags.writeable}")
+print(f"min over the ball of ||p|^2 - kappa| = {m_inv.min()}, "
+      f"largest m = {1.0 / m_inv.min()}")
 
 # --- lunes ----------------------------------------------------------------
 # The lune of k holds the momenta reachable by a momentum-k excitation:
@@ -40,10 +45,12 @@ print("lune size at k = (3,0,0):", len(fg.lune_points((3, 0, 0), cfg)[0]),
       "(= N, the whole shifted ball)")
 
 # --- supports of observable points ---------------------------------------
-# Outside the ball only finitely many transfers contribute (the two
-# shifted balls around +-xi); inside, the support is infinite and gets
-# truncated by cutoff doubling.
-sup_out = fg.k_support((2, 0, 0), cfg)
-sup_in = fg.k_support((0, 0, 0), cfg)
-print(f"\nsupport of xi = (2,0,0): exact, {len(sup_out.finite_part)} transfers")
-print(f"support of xi = (0,0,0): truncated = {sup_in.truncated}")
+# Outside the ball only finitely many transfers contribute: xi sits in the
+# lune of k iff k lies in the shifted ball xi + B, and -xi iff k is in
+# -xi + B.  Inside, the support is infinite and gets truncated by cutoff
+# doubling.
+xi = np.array([2, 0, 0])
+support = np.unique(np.concatenate([cfg.ball_arr + xi, cfg.ball_arr - xi]),
+                    axis=0)
+print(f"\nsupport of xi = (2,0,0): exact, {len(support)} transfers")
+print("support of xi = (0,0,0): infinite, truncated by cutoff doubling")

@@ -5,9 +5,8 @@ correlation energies, computed by mutually checking closed-form and
 spectral routes, with an executable suite of the underlying identities.
 """
 
-from .lattice import (KSupport, LatticeConfig, TailPolicy, d_intersection,
-                      fermi_ball, k_support, kappa_and_weight, lambda_of,
-                      lune_points)
+from .lattice import (KSupport, LatticeConfig, TailPolicy, fermi_ball,
+                      k_support, lune_points)
 from .momentum import (MomentumBreakdown, Observable, n_point, n_points,
                        n_weighted)
 from .energy import EnergyReport, e_corr_bos, e_corr_ex, e_fs, energy_report
@@ -24,9 +23,9 @@ __all__ = [
     "DVParams", "EnergyReport", "KSupport", "LatticeConfig",
     "MomentumBreakdown", "Observable", "Potential", "QuadratureResult",
     "TailPolicy", "build_K", "compare_table", "coulomb", "csk_pair",
-    "d_intersection", "e_corr_bos", "e_corr_ex", "e_fs", "energy_report",
-    "fermi_ball", "from_table", "integrate", "k_support", "kappa_and_weight",
-    "lambda_of", "load_table", "lune_points", "n_b_dv", "n_ex_dv", "n_point",
-    "n_points", "n_weighted", "q_dv", "q_of_s", "rank1_resolvent_diag",
-    "sym_matrix_function", "validate", "yukawa", "zero",
+    "e_corr_bos", "e_corr_ex", "e_fs", "energy_report", "fermi_ball",
+    "from_table", "integrate", "k_support", "load_table", "lune_points",
+    "n_b_dv", "n_ex_dv", "n_point", "n_points", "n_weighted", "q_dv",
+    "q_of_s", "rank1_resolvent_diag", "sym_matrix_function", "validate",
+    "yukawa", "zero",
 ]

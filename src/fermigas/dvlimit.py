@@ -103,19 +103,23 @@ def n_b_dv(params, quad_tol: float = 1e-7) -> QuadratureResult:
     the nodes of every member of one outer panel run as one family on
     shared panels, each at a tighter tolerance, so the reported error is
     dominated by the outer estimate.  ``evaluations`` counts outer nodes
-    and inner values per member.  A point with alpha = 0 reads 0.
+    and inner values per member.  A point with alpha = 0 reads 0.  A
+    repeated point is one member, whose value and error each repeat reads.
     """
     check_tol(quad_tol, "quad_tol")
     single = isinstance(params, DVParams)
     points = [params] if single else list(params)
     if len({p.k_f for p in points}) > 1:
         raise ValueError("the points of one n_b_dv call must share k_f")
-    values, errors = np.zeros(len(points)), np.zeros(len(points))
+    row = {p: j for j, p in enumerate(dict.fromkeys(points))}  # each point once
+    values, errors = np.zeros(len(row)), np.zeros(len(row))
     evals, ok = 1, True
-    live = [j for j, p in enumerate(points) if p.alpha != 0.0]
+    live = [j for p, j in row.items() if p.alpha != 0.0]
     if live:
         values[live], errors[live], evals, ok = _n_b_family(
-            [points[j] for j in live], quad_tol)
+            [p for p in row if p.alpha != 0.0], quad_tol)
+    at = [row[p] for p in points]
+    values, errors = values[at], errors[at]
     if single:
         return QuadratureResult(value=float(values[0]),
                                 abs_error_estimate=float(errors[0]),

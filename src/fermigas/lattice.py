@@ -14,7 +14,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,14 +40,6 @@ def neg(p: Vec3) -> Vec3:
     return (-p[0], -p[1], -p[2])
 
 
-def add(p: Vec3, q: Vec3) -> Vec3:
-    return (p[0] + q[0], p[1] + q[1], p[2] + q[2])
-
-
-def sub(p: Vec3, q: Vec3) -> Vec3:
-    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
-
-
 def is_sum_of_three_squares(n: int) -> bool:
     """Legendre criterion: n is a sum of three squares iff not 4^a(8b+7)."""
     if n < 0:
@@ -56,11 +47,6 @@ def is_sum_of_three_squares(n: int) -> bool:
     while n % 4 == 0 and n > 0:
         n //= 4
     return n % 8 != 7
-
-
-def ball_points(r2: int) -> tuple[Vec3, ...]:
-    """All integer points with squared norm <= r2, lexicographically sorted."""
-    return tuple(map(tuple, ball_array(r2).tolist()))
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -131,21 +117,15 @@ class LatticeConfig:
     integer, floored otherwise (see ``fermi_ball``).  Membership is the
     exact test |p|^2 <= r2.  ``kappa`` is the midpoint of the squared-norm
     gap across the Fermi surface and bounds ||p|^2 - kappa| >= 1/2 for
-    every integer p.
+    every integer p.  ``ball_arr`` is the ball as a read-only lex-sorted
+    (N, 3) int64 array; ``r2`` fixes it, so it takes no part in equality.
     """
 
     k_f: float
     r2: int
     n_particles: int
     kappa: float
-    ball: tuple[Vec3, ...] = field(repr=False)
-
-    @cached_property
-    def ball_arr(self) -> np.ndarray:
-        """``ball`` as a read-only lex-sorted (N, 3) int64 array."""
-        arr = np.array(self.ball, dtype=np.int64).reshape(-1, 3)
-        arr.flags.writeable = False
-        return arr
+    ball_arr: np.ndarray = field(repr=False, compare=False)
 
     def ball_index(self, pts) -> np.ndarray:
         """Row in ``ball_arr`` of each point of an (..., 3) array; -1 off the ball."""
@@ -154,10 +134,6 @@ class LatticeConfig:
         digits = (2 * math.isqrt(self.r2) + 1) ** np.arange(2, -1, -1)
         rows = np.searchsorted(self.ball_arr @ digits, pts @ digits)
         return np.where(np.einsum("...i,...i->...", pts, pts) <= self.r2, rows, -1)
-
-    def in_lune(self, k: Vec3, p: Vec3) -> bool:
-        """Exact test for |p - k| <= k_F < |p|."""
-        return norm2(sub(p, k)) <= self.r2 and norm2(p) > self.r2
 
 
 def fermi_ball(k_f: float) -> LatticeConfig:
@@ -174,36 +150,23 @@ def fermi_ball(k_f: float) -> LatticeConfig:
     r2 = round(sq)
     if abs(sq - r2) > 4 * math.ulp(sq):
         r2 = math.floor(sq)
-    ball = ball_points(r2)
-
-    sup_inside = max(n for n in range(r2, -1, -1) if is_sum_of_three_squares(n))
+    ball = ball_array(r2)
+    ball.flags.writeable = False
+    # kappa sits between the largest |p|^2 in the ball and the next sum of
+    # three squares, so no integer point can have |p|^2 == kappa
     inf_outside = r2 + 1
     while not is_sum_of_three_squares(inf_outside):
         inf_outside += 1
-    kappa = (inf_outside + sup_inside) / 2.0
-    # kappa sits strictly between two attainable squared norms, so no
-    # integer point can have |p|^2 == kappa
-    assert inf_outside - sup_inside >= 1
-    return LatticeConfig(
-        k_f=float(k_f),
-        r2=r2,
-        n_particles=len(ball),
-        kappa=kappa,
-        ball=ball,
-    )
-
-
-def lambda_of(k: Sequence[int], p: Sequence[int]) -> float:
-    """Excitation gap (|p|^2 - |p-k|^2)/2, exact as a dyadic rational."""
-    d = norm2(p) - norm2(sub(as_vec3(p), as_vec3(k)))
-    return d / 2.0
+    kappa = (inf_outside + int(np.einsum("ij,ij->i", ball, ball).max())) / 2.0
+    return LatticeConfig(k_f=float(k_f), r2=r2, n_particles=len(ball),
+                         kappa=kappa, ball_arr=ball)
 
 
 def lune_kernel(k, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Lune mask and gaps of k + q for every ball point q, in ball order.
 
     The mask is |k + q|^2 > r2 (k + q lies in the lune of k); the gaps
-    are (|k|^2 + 2 k.q)/2 = lambda_of(k, k + q), exact half-integers.
+    are (|k|^2 + 2 k.q)/2 = (|k + q|^2 - |q|^2)/2, exact half-integers.
     ``k`` is one vector, giving (N,) arrays, or an (m, 3) block, giving
     (m, N) arrays with one row per k.
     """
@@ -249,7 +212,7 @@ def lune_points(k: Sequence[int],
 
     Returns the (n, 3) int64 points p = k + q, q in the ball, with
     |p| > k_F, lex-sorted since a translate of the lex-sorted ball stays
-    lex-sorted, and the (n,) gaps lambda_of(k, p), exact half-integers.
+    lex-sorted, and the (n,) gaps (|p|^2 - |p - k|^2)/2, exact half-integers.
     The ball is symmetric, so the lune of -k is ``-points[::-1]`` with
     gaps ``gaps[::-1]``.  Nonempty for every k != 0.
     """
@@ -258,33 +221,6 @@ def lune_points(k: Sequence[int],
         raise ValueError("lune is undefined for k = 0")
     mask, gaps = lune_kernel(kv, cfg)
     return cfg.ball_arr[mask] + kv, gaps[mask]
-
-
-def d_intersection(k: Sequence[int], xi: Sequence[int],
-                   cfg: LatticeConfig) -> list[Vec3]:
-    """Members of {xi, -xi, k+xi, k-xi} that lie in the lune of k.
-
-    Multiplicity is preserved: for xi = 0 the four candidates collapse
-    pairwise and a lune hit is returned twice.  At any other xi two
-    candidates coincide only at k = +-2 xi, as xi = k - xi or -xi = k + xi,
-    and that point is never in the lune (it would need |xi| <= k_F <
-    |xi|), so each hit appears once.
-    """
-    kv, xv = as_vec3(k), as_vec3(xi)
-    if kv == (0, 0, 0):
-        raise ValueError("k = 0 has no lune")
-    candidates = [xv, neg(xv), add(kv, xv), sub(kv, xv)]
-    return [z for z in candidates if cfg.in_lune(kv, z)]
-
-
-def kappa_and_weight(p: Sequence[int], cfg: LatticeConfig) -> tuple[float, float]:
-    """Distance of |p|^2 from the spectral midpoint and its inverse.
-
-    Returns (m(p)^-1, m(p)) with m(p)^-1 = ||p|^2 - kappa| >= 1/2.
-    """
-    m_inv = abs(norm2(p) - cfg.kappa)
-    assert m_inv >= 0.5
-    return m_inv, 1.0 / m_inv
 
 
 @dataclass(frozen=True)
@@ -358,23 +294,16 @@ def doubled_sum(shell, cfg: LatticeConfig, policy: TailPolicy):
 
 @dataclass(frozen=True)
 class KSupport:
-    """Split of the k-sum for one observable point xi.
+    """The k-support of one point xi, ``exact`` when xi is outside the ball.
 
-    For xi outside the Fermi ball only the candidates +-xi can sit in a
-    lune, which confines k to the two shifted balls +-xi + B_F: the
-    support is exactly finite and ``finite_part`` holds it as a
-    read-only lex-sorted (n, 3) int64 array.  For xi inside the ball the
-    hits are k +- xi and the support is infinite; ``finite_part`` is
-    empty and shells must be enumerated up to a cutoff.
+    Outside, it is the two shifted balls +-xi + B_F, in ``finite_part`` as
+    a read-only lex-sorted (n, 3) int64 array.  Inside, it is infinite and
+    ``finite_part`` is empty: shells run up to a cutoff.
     """
 
     xi: Vec3
     exact: bool
     finite_part: np.ndarray
-
-    @property
-    def truncated(self) -> bool:
-        return not self.exact
 
 
 def k_support(xi: Sequence[int], cfg: LatticeConfig) -> KSupport:

@@ -18,9 +18,9 @@ c^2 lam / ((sqrt(M) + lam)^2 sqrt(M)) / 2 with c = 2 v^2 and
 M = lam^2 + c lam).
 
 Outside the Fermi ball the k-support is exactly finite: the 2N points
-+-xi - B, weight 1 per k (``lattice.k_support``).  Outside points share
-one pass over the lex-sorted union of their supports, so a (sorted |k|,
-V_k) core that several supports hold is solved once.  Inside it the k-sum
++-xi - B, weight 1 per k.  Outside points share one pass over the
+lex-sorted union of their supports, so a (sorted |k|, V_k) core that
+several supports hold is solved once.  Inside it the k-sum
 runs over shells k_lo < |k| <= k_hi doubled by ``lattice.doubled_sum``,
 and the largest last increment of n_b and n_ex is the tail estimate.
 A shell is ``lattice.k_shell`` under the potential's group G, less the
@@ -465,7 +465,8 @@ class Observable:
     @staticmethod
     def ball_indicator(cfg: LatticeConfig) -> "Observable":
         """Indicator of the Fermi ball; its expectation counts excited pairs."""
-        return Observable(values={p: 1.0 for p in cfg.ball})
+        ball = map(tuple, cfg.ball_arr.tolist())
+        return Observable(values=dict.fromkeys(ball, 1.0))
 
     @staticmethod
     def delta(xi0) -> "Observable":

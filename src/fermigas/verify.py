@@ -25,8 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .lattice import (LatticeConfig, ball_array, ball_points, d_intersection,
-                      lambda_of, lune_points, norm2, sub)
+from .lattice import LatticeConfig, ball_array, lune_points, norm2
 from .momentum import EIGHT_PI4
 from .numerics import integrate, rank1_resolvent_diag, sym_eig
 from .potential import Potential, evaluate
@@ -76,6 +75,24 @@ def _require_modes(cfg: LatticeConfig) -> None:
 
 # ---------------------------------------------------------------------------
 # lattice checks
+
+
+def _gap(k, p) -> float:
+    """Excitation gap (|p|^2 - |p - k|^2)/2 of integer vectors, exact."""
+    return (norm2(p) - norm2([a - b for a, b in zip(p, k)])) / 2.0
+
+
+def _is_lune_point(k, p, r2: int) -> bool:
+    """Exact test for |p - k| <= k_F < |p|."""
+    return norm2([a - b for a, b in zip(p, k)]) <= r2 < norm2(p)
+
+
+def _lune_hits(k, xi, r2: int) -> list[tuple[int, int, int]]:
+    """Members of {xi, -xi, k + xi, k - xi} in the lune of k != 0, in that
+    order; at xi = 0 they coincide pairwise, and a hit appears twice."""
+    cands = (xi, [-c for c in xi], [a + b for a, b in zip(k, xi)],
+             [a - b for a, b in zip(k, xi)])
+    return [tuple(z) for z in cands if _is_lune_point(k, z, r2)]
 
 
 def check_gap_bound(lunes, k_f: float) -> CheckReport:
@@ -128,45 +145,40 @@ def check_lattice(cfg: LatticeConfig) -> list[CheckReport]:
     guard = 0
     while tested < QUADRUPLES and guard < 50 * QUADRUPLES:
         guard += 1
-        k = tuple(int(c) for c in rng.integers(-k_max, k_max + 1, size=3))
-        if k == (0, 0, 0):
+        k = [int(c) for c in rng.integers(-k_max, k_max + 1, size=3)]
+        if not any(k):
             continue
         pts, _ = lune_points(k, cfg)
         if len(pts) < 2:
             continue
         i, j = rng.integers(0, len(pts), size=2)
-        p, q = tuple(pts[int(i)].tolist()), tuple(pts[int(j)].tolist())
-        l = sub(tuple(a + b for a, b in zip(p, q)), k)
-        if l == (0, 0, 0):
+        p, q = pts[int(i)].tolist(), pts[int(j)].tolist()
+        l = [a + b - c for a, b, c in zip(p, q, k)]
+        if not (any(l) and _is_lune_point(l, p, cfg.r2)
+                and _is_lune_point(l, q, cfg.r2)):
             continue
-        if not (cfg.in_lune(l, p) and cfg.in_lune(l, q)):
-            continue
-        lhs = lambda_of(k, p) + lambda_of(k, q)
-        rhs = lambda_of(l, p) + lambda_of(l, q)
-        dev = abs(lhs - rhs)
+        dev = abs((_gap(k, p) + _gap(k, q)) - (_gap(l, p) + _gap(l, q)))
         tested += 1
         if dev > worst:
             worst = dev
-            worst_rep = {"k": list(k), "l": list(l), "p": list(p), "q": list(q),
-                         "k_f": cfg.k_f}
+            worst_rep = {"k": k, "l": l, "p": p, "q": q, "k_f": cfg.k_f}
     reports.append(_assert_report(
         "lattice.four_point_gap_identity", worst, 0.0,
         f"{tested} admissible quadruples tested",
         {"k_f": cfg.k_f, "seed": LATTICE_SEED}, worst_rep))
 
-    # gap-sum over modes seeing a fixed outside point: exactly finite
-    first_shell_n2 = min(norm2(p) for p in ball_points(cfg.r2 + 16)
-                         if norm2(p) > cfg.r2)
-    xi = next(p for p in ball_points(first_shell_n2)
-              if norm2(p) == first_shell_n2)
-    ks_xi = [k for q in cfg.ball if (k := sub(xi, q)) != (0, 0, 0)
-             and cfg.in_lune(k, xi)]
-    gap_sum = sum(1.0 / lambda_of(k, xi) for k in sorted(ks_xi))
+    # gap-sum over modes seeing xi, lex-first on the first outer shell: finite
+    shell = ball_array(cfg.r2 + 16, cfg.r2)
+    xi = shell[np.argmin(np.einsum("ij,ij->i", shell, shell))].tolist()
+    ks_xi = sorted(k for q in cfg.ball_arr.tolist()
+                   if any(k := [a - b for a, b in zip(xi, q)])
+                   and _is_lune_point(k, xi, cfg.r2))
+    gap_sum = sum(1.0 / _gap(k, xi) for k in ks_xi)
     reports.append(CheckReport(
         name="lattice.outside_gap_sum_finite", status="pass",
         measured=float(gap_sum), tolerance=math.inf,
-        worst_case=f"sum over {len(ks_xi)} modes at xi={list(xi)}",
-        params={"k_f": cfg.k_f, "xi": list(xi)}))
+        worst_case=f"sum over {len(ks_xi)} modes at xi={xi}",
+        params={"k_f": cfg.k_f, "xi": xi}))
 
     # lattice-sum trend: sum lambda^beta <= c * k_F^(2+beta) |k|^(1+beta)
     for beta in (-1.0, -0.5):
@@ -379,7 +391,7 @@ def _integral_term(k, gaps: np.ndarray, vhat: float, k_f: float,
     err = 0.0
     ok = True
     for z, mult in sorted(zetas.items()):
-        lam = lambda_of(k, z)
+        lam = _gap(k, z)
 
         def integrand(s, lam=lam):
             s2 = s * s
@@ -402,7 +414,7 @@ def _exchange_term(k, pts: np.ndarray, gaps: np.ndarray, vhat: float,
     total = 0.0
     for z, mult in sorted(zetas.items()):
         vhat2 = pot.at(pts + (np.array(z, dtype=np.int64) - kv))
-        total += mult * float(np.sum(vhat2 / (gaps + lambda_of(k, z)) ** 2))
+        total += mult * float(np.sum(vhat2 / (gaps + _gap(k, z)) ** 2))
     return -vhat * total / (8.0 * TWO_PI_6 * k_f**2)
 
 
@@ -414,7 +426,7 @@ def _brute_force_pair_sum(k, cfg: LatticeConfig, pot: Potential) -> float:
     for p in pts:
         for q in pts:
             arg = tuple(pc + qc - kc for pc, qc, kc in zip(p, q, k))
-            total += vk * evaluate(pot, arg) / (lambda_of(k, p) + lambda_of(k, q)) ** 2
+            total += vk * evaluate(pot, arg) / (_gap(k, p) + _gap(k, q)) ** 2
     return total
 
 
@@ -492,8 +504,8 @@ def check_cross(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
         if vhat == 0.0:
             continue
         lhs = 0.0
-        for xi in cfg.ball:
-            zetas = Counter(d_intersection(k, xi, cfg))
+        for xi in cfg.ball_arr.tolist():
+            zetas = Counter(_lune_hits(k, xi, cfg.r2))
             lhs += _exchange_term(k, pts, lam, vhat, cfg.k_f, zetas, pot)
         rhs = -_brute_force_pair_sum(k, cfg, pot) / (4.0 * TWO_PI_6 * cfg.k_f**2)
         dev = abs(lhs - rhs) / max(abs(rhs), 1e-300)

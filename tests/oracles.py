@@ -17,9 +17,9 @@ import numpy as np
 
 from fermigas.dvlimit import q_dv
 from fermigas.energy import _CHUNK, _EX_BUFFER, _pair_code, stable_log1p_minus_x
-from fermigas.lattice import (add, as_vec3, ball_array, ball_points,
-                              d_intersection, gap_classes, lambda_of,
-                              lune_kernel, neg, norm2, point_group)
+from fermigas.lattice import (as_vec3, ball_array, gap_classes,
+                              is_sum_of_three_squares, lune_kernel, neg, norm2,
+                              point_group)
 from fermigas.momentum import n_point
 from fermigas.numerics import (QuadratureResult, integrate, sym_eig,
                                sym_matrix_function)
@@ -29,8 +29,8 @@ from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_K,
                                  coupling_sq, csk_pair, mode_chunks, q_of_s,
                                  response_integrals, sandwich_bounds)
 from fermigas.verify import (MODE_SEED, TAUS, CheckReport, _assert_report,
-                             _exchange_term, _integral_term, _mode,
-                             _mode_sample)
+                             _exchange_term, _integral_term, _lune_hits,
+                             _mode, _mode_sample)
 
 EIGHT_PI4 = 8.0 * np.pi**4
 
@@ -70,6 +70,40 @@ def cosh2k_minus_one_diag(lam, vsq):
 def row_of(pts, z):
     """Row of the point z in the (n, 3) array ``pts``; IndexError if absent."""
     return int(np.flatnonzero(np.all(pts == np.asarray(z), axis=1))[0])
+
+
+def add(p, q):
+    """Componentwise sum of two integer vectors as a tuple."""
+    return tuple(a + b for a, b in zip(p, q))
+
+
+def lambda_of(k, p):
+    """Excitation gap (|p|^2 - |p-k|^2)/2, exact as a dyadic rational."""
+    return (norm2(p) - norm2(add(p, neg(k)))) / 2.0
+
+
+def in_lune(k, p, cfg):
+    """Exact test for |p - k| <= k_F < |p|."""
+    return norm2(add(p, neg(k))) <= cfg.r2 < norm2(p)
+
+
+def ball_points(r2):
+    """All integer points with |p|^2 <= r2 as lex-sorted tuples, from the cube filter."""
+    return tuple(map(tuple, ball_array_cube(r2).tolist()))
+
+
+def n_and_kappa_loop(r2):
+    """(N, kappa) of the ball |p|^2 <= r2: a column count and two scans of
+    the integers for the nearest sums of three squares on either side."""
+    r = math.isqrt(r2)
+    n = sum(2 * math.isqrt(r2 - x * x - y * y) + 1
+            for x in range(-r, r + 1) for y in range(-r, r + 1)
+            if x * x + y * y <= r2)
+    sup_inside = max(m for m in range(r2, -1, -1) if is_sum_of_three_squares(m))
+    inf_outside = r2 + 1
+    while not is_sum_of_three_squares(inf_outside):
+        inf_outside += 1
+    return n, (inf_outside + sup_inside) / 2.0
 
 
 def ball_array_cube(r2, r2_min_excl=-1):
@@ -167,17 +201,18 @@ def stable_log1p_minus_x_where(x):
 def lune_loop(k, cfg):
     """(points, gaps) of the lune of k: filter k + q over the ball, one point at a time."""
     kv = as_vec3(k)
-    pts = sorted(p for q in cfg.ball if norm2(p := add(kv, q)) > cfg.r2)
+    pts = sorted(p for q in ball_points(cfg.r2)
+                 if norm2(p := add(kv, q)) > cfg.r2)
     return tuple(pts), np.array([lambda_of(kv, p) for p in pts], dtype=float)
 
 
 def k_support_loop(xi, cfg):
     """Exact k-support of an outside xi: shifted-ball candidates kept by two lune tests."""
     xv = as_vec3(xi)
-    ks = {add(base, q) for q in cfg.ball for base in (xv, neg(xv))}
+    ks = {add(base, q) for q in ball_points(cfg.r2) for base in (xv, neg(xv))}
     ks.discard((0, 0, 0))
     return tuple(k for k in sorted(ks)
-                 if cfg.in_lune(k, xv) or cfg.in_lune(k, neg(xv)))
+                 if in_lune(k, xv, cfg) or in_lune(k, neg(xv), cfg))
 
 
 def truncated_k_vectors(xi, cfg, k_max, k_min_excl=0):
@@ -376,7 +411,7 @@ def _bulk_inputs(ks, xi, cfg, pot, signs):
     xv = np.array(xi, dtype=np.int64)
     # lam_{k, k+q} = (|k+q|^2 - |q|^2) / 2 = (|k|^2 + 2 k.q) / 2
     lam = 0.5 * (kn2[:, None] + 2.0 * (arr @ cfg.ball_arr.T))
-    channels = [(cfg.ball.index(tuple(int(c) for c in s * xv)),
+    channels = [(ball_points(cfg.r2).index(tuple(int(c) for c in s * xv)),
                  np.einsum("mi,mi->m", arr + s * xv, arr + s * xv) > cfg.r2,
                  cfg.ball_arr + s * xv) for s in signs]
     return arr, kn2, pot.from_norm2(kn2), lam, channels
@@ -455,11 +490,11 @@ def spectral_term(pts, lam, vsq, zetas: Counter) -> float:
 def per_k(k, xi, cfg, pot, quad_tol):
     """One mode's momentum contributions at xi from its full lune.
 
-    Builds the mode, takes its hits from ``d_intersection``, and runs
-    one scalar quadrature per hit and a point-by-point exchange sum.
+    Builds the mode, takes its hits from ``verify._lune_hits``, and
+    runs one scalar quadrature per hit and a point-by-point exchange sum.
     Returns ([n_b spectral, n_b integral, n_ex], quad error, converged).
     """
-    zetas = Counter(d_intersection(k, xi, cfg))
+    zetas = Counter(_lune_hits(as_vec3(k), as_vec3(xi), cfg.r2))
     if not zetas or evaluate(pot, k) == 0.0:
         return np.zeros(3), 0.0, True
     pts, lam, vhat, vsq = _mode(k, cfg, pot)

@@ -15,7 +15,7 @@ from scipy import integrate
 import fermigas as fg
 from fermigas.dvlimit import DVParams, n_b_dv, n_ex_dv, q_dv
 from fermigas.energy import e_corr_bos, e_corr_ex
-from fermigas.lattice import TailPolicy, kappa_and_weight, norm2
+from fermigas.lattice import TailPolicy, norm2
 from fermigas.momentum import n_point
 from fermigas.verify import any_failed, check_cross, check_lattice, check_mode
 
@@ -214,7 +214,7 @@ def test_criterion_9_scaling_trend_diagnostics():
     for k_f, xi in ((1.0, (1, 1, 0)), (2.0, (2, 1, 0)), (3.0, (3, 1, 0))):
         cfg = fg.fermi_ball(k_f)
         row = n_point(xi, cfg, fg.coulomb(1.0), route="spectral")
-        _, m = kappa_and_weight(xi, cfg)
+        m = 1.0 / abs(norm2(xi) - cfg.kappa)
         entry = row.n_b * k_f / m
         entries.append(entry)
         print(f"    k_F={k_f:.0f} xi={xi}: {entry:.6e}")

@@ -122,6 +122,16 @@ def test_dv_compare_csv_header(capsys):
     assert len(lines) == 2
 
 
+def test_dv_compare_points_of_one_norm_read_equal_n_b_dv(capsys):
+    # (3,0,0) and (2,2,1) share |xi| = 3 and alpha, so one family member
+    code, out = run_cli(capsys, "dv-compare", "--kf", "2",
+                        "--xi-list", "3,0,0;0,3,1;2,2,1")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["xi"] for r in rows] == [[3, 0, 0], [0, 3, 1], [2, 2, 1]]
+    assert rows[0]["n_b_dv"] == rows[2]["n_b_dv"] != rows[1]["n_b_dv"]
+
+
 def test_config_error_exit_2(capsys):
     code, _ = run_cli(capsys, "energy", "--kf", "1",
                       "--potential", "bogus:g=1")

@@ -216,13 +216,14 @@ def _n_b_dv_families(monkeypatch, params):
 
 
 def test_n_b_dv_runs_one_family_per_outer_panel(monkeypatch):
-    # a lone point and a sequence of P: the points are the members of one
-    # outer family on the first point's interval, and the inner family of
-    # one outer panel holds the s-integrals at the 15 nodes of every member
+    # a lone point and a sequence of P: the distinct points are the members
+    # of one outer family on the first point's interval (the second 3.5
+    # repeats the first), and the inner family of one outer panel holds
+    # the s-integrals at the 15 nodes of every member
     lone = DVParams(k_f=3.0, alpha=0.4, xi_norm=3.5)
     points = [lone] + [DVParams(k_f=3.0, alpha=0.4, xi_norm=x)
                        for x in (4.0, 3.5, 5.8)]
-    for params, members in ((lone, 1), (points, len(points))):
+    for params, members in ((lone, 1), (points, 3)):
         res, ranges, counts = _n_b_dv_families(monkeypatch, params)
         assert res.converged
         assert ranges[0] == (members, 0.5, 6.5)  # one outer |k| integral
@@ -272,6 +273,22 @@ def test_n_b_dv_sequence_edges():
         n_b_dv([p, DVParams(k_f=2.0, alpha=0.4, xi_norm=2.5)])
     with pytest.raises(ValueError, match="quad_tol"):
         n_b_dv([], quad_tol=0.0)
+
+
+def test_n_b_dv_repeated_point_is_one_member():
+    # a repeat runs once: the family equals the one without the repeats,
+    # member for member, and both copies read the same bits
+    for kf in (2.0, 3.0):
+        a, b, c = (DVParams(k_f=kf, alpha=0.3, xi_norm=x * kf)
+                   for x in (1.5, 1.2, 2.0))
+        zero = DVParams(k_f=kf, alpha=0.0, xi_norm=1.5 * kf)
+        ref = n_b_dv([a, b, c], quad_tol=1e-7)
+        got = n_b_dv([a, b, a, zero, c, b, a], quad_tol=1e-7)
+        at = [0, 1, 0, None, 2, 1, 0]
+        for field in ("value", "abs_error_estimate"):
+            want = [0.0 if j is None else getattr(ref, field)[j] for j in at]
+            assert getattr(got, field).tolist() == want
+        assert (got.evaluations, got.converged) == (ref.evaluations, ref.converged)
 
 
 SHARD_SEEDS = (0, 5, 2**20)
@@ -457,7 +474,7 @@ BENCH_POINTS = ((3, 1, 0), (3, 2, 1), (4, 0, 0), (4, 1, 1))
 def _core_groups(points, cfg, pot) -> set:
     """Distinct (sorted |k|, V_k) over the union of the supports +-xi - B."""
     ks = {tuple(s * x - q for x, q in zip(xi, p))
-          for xi in points for s in (1, -1) for p in cfg.ball}
+          for xi in points for s in (1, -1) for p in cfg.ball_arr.tolist()}
     return {(*sorted(map(abs, k)), pot(k)) for k in ks}
 
 

@@ -8,13 +8,13 @@ from fermigas import energy
 from fermigas.energy import (_ball_pair_sums, _bos_chunks, _ex_terms,
                              _k_shell, e_corr_bos, e_corr_ex, e_fs,
                              energy_report, stable_log1p_minus_x)
-from fermigas.lattice import (TailPolicy, ball_points, doubled_sum, fermi_ball,
-                              lambda_of, lune_kernel, lune_points, neg, norm2)
+from fermigas.lattice import (TailPolicy, doubled_sum, fermi_ball, lune_kernel,
+                              lune_points, neg, norm2)
 from fermigas.potential import (Potential, coulomb, evaluate, from_table,
                                 yukawa, zero)
-from oracles import (bos_chunks_masked, bos_term, bos_term_mode,
+from oracles import (ball_points, bos_chunks_masked, bos_term, bos_term_mode,
                      e_fs_interaction_loop, ex_term_dense, ex_terms_masked,
-                     k_shell_reduced, nonzero_k_vectors,
+                     k_shell_reduced, lambda_of, nonzero_k_vectors,
                      single_k_exchange_term, stable_log1p_minus_x_where)
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
@@ -329,8 +329,9 @@ def test_ex_terms_call_table_once_per_kernel_chunk(monkeypatch):
 def test_ball_pair_sums_is_the_autocorrelation():
     cfg = fermi_ball(math.sqrt(3.0))
     counts = {}
-    for a in cfg.ball:
-        for b in cfg.ball:
+    ball = ball_points(cfg.r2)
+    for a in ball:
+        for b in ball:
             t = tuple(x + y for x, y in zip(a, b))
             counts[t] = counts.get(t, 0) + 1
     t, c, tn2 = _ball_pair_sums(cfg)

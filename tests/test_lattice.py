@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermigas.momentum as momentum
-from fermigas.lattice import (TailPolicy, as_vec3, ball_array, ball_points,
-                              d_intersection, doubled_sum, fermi_ball,
-                              gap_classes, is_sum_of_three_squares,
-                              k_shell, k_support, kappa_and_weight, lambda_of,
-                              lune_kernel, lune_points, neg, norm2, orbit,
-                              point_group)
+from fermigas.lattice import (TailPolicy, as_vec3, ball_array, doubled_sum,
+                              fermi_ball, gap_classes, is_sum_of_three_squares,
+                              k_shell, k_support, lune_kernel, lune_points, neg,
+                              norm2, orbit, point_group)
 from fermigas.quasiboson import mode_chunks
-from oracles import (ball_array_cube, gap_counts, gap_counts_unique,
-                     k_shell_reduced, k_support_loop, lune_loop,
+from fermigas.verify import _gap, _lune_hits
+from oracles import (ball_array_cube, ball_points, gap_counts,
+                     gap_counts_unique, in_lune, k_shell_reduced,
+                     k_support_loop, lambda_of, lune_loop, n_and_kappa_loop,
                      nonzero_k_vectors, orbit_reduce, orbit_reduce_einsum,
                      truncated_k_vectors)
 
@@ -65,8 +65,8 @@ def test_fermi_ball_counts():
 @pytest.mark.parametrize("k_f", [0.5, 1.0, 1.5, 2.0, 2.7, 3.0])
 def test_ball_matches_brute_force(k_f):
     cfg = fermi_ball(k_f)
-    assert list(cfg.ball) == brute_ball(cfg.r2)
-    assert cfg.n_particles == len(cfg.ball)
+    assert list(map(tuple, cfg.ball_arr.tolist())) == brute_ball(cfg.r2)
+    assert cfg.n_particles == len(cfg.ball_arr)
 
 
 @pytest.mark.parametrize("n", [3, 6, 12, 13, 18, 23, 24])
@@ -75,6 +75,37 @@ def test_fermi_ball_takes_the_shell_of_sqrt_n(n):
     cfg = fermi_ball(math.sqrt(n))
     assert cfg.r2 == n
     assert cfg.n_particles == len(ball_points(n))
+
+
+def test_fermi_ball_n_and_kappa_match_loop_oracle():
+    # 7, 15, 23, 28, ... (4^a (8b + 7)) are no sums of three squares
+    for r2 in range(1, 301):
+        cfg = fermi_ball(math.sqrt(r2))
+        assert cfg.r2 == r2
+        assert (cfg.n_particles, cfg.kappa) == n_and_kappa_loop(r2)
+
+
+def test_fermi_ball_equality_ignores_the_array():
+    a, b = fermi_ball(2.0), fermi_ball(2.0)
+    assert a == b and hash(a) == hash(b) and a.ball_arr is not b.ball_arr
+    assert a != fermi_ball(3.0)
+    assert not a.ball_arr.flags.writeable
+    with pytest.raises(ValueError):
+        a.ball_arr[0, 0] = 5
+    assert "ball_arr" not in repr(a)
+
+
+def test_fermi_ball_peak_memory():
+    # one (N, 3) array and the transients of its build: 2.6 MB at k_F = 24;
+    # a tuple of N tuples beside the array would peak at 11.1 MB
+    tracemalloc.start()
+    try:
+        cfg = fermi_ball(24.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.ball_arr.nbytes == 24 * cfg.n_particles
+    assert peak < 4 * 2**20
 
 
 def test_fermi_ball_rejects_nonpositive():
@@ -130,7 +161,7 @@ def test_lune_matches_point_loop_exhaustive(k_f):
         mask, all_gaps = lune_kernel(k, cfg)
         assert np.count_nonzero(mask) == len(pts)
         assert all_gaps.tolist() == [lambda_of(k, tuple(a + b for a, b in zip(k, q)))
-                                     for q in cfg.ball]
+                                     for q in ball_points(cfg.r2)]
 
 
 @pytest.mark.parametrize("k_f", [1.0, 2.0, 3.0, 12.0])
@@ -160,10 +191,11 @@ def test_lune_rejects_zero_k():
 
 
 def test_lambda_of_examples():
-    assert lambda_of((1, 0, 0), (2, 0, 0)) == 1.5
-    assert lambda_of((1, 0, 0), (1, 1, 0)) == 0.5
+    # verify's scalar gap, which its loops read in place of lune_points
+    assert _gap((1, 0, 0), (2, 0, 0)) == 1.5
+    assert _gap((1, 0, 0), (1, 1, 0)) == 0.5
     for k in ((1, 2, 3), (2, 0, 0)):
-        assert lambda_of(k, k) == norm2(k) / 2
+        assert _gap(k, k) == norm2(k) / 2 == lambda_of(k, k)
 
 
 def test_gap_lower_bound_exhaustive():
@@ -210,7 +242,7 @@ def test_four_point_identity_random():
         i, j = rng.integers(0, len(points), size=2)
         p, q = points[int(i)], points[int(j)]
         l = tuple(pc + qc - kc for pc, qc, kc in zip(p, q, k))
-        if l == (0, 0, 0) or not (cfg.in_lune(l, p) and cfg.in_lune(l, q)):
+        if l == (0, 0, 0) or not (in_lune(l, p, cfg) and in_lune(l, q, cfg)):
             continue
         assert lambda_of(k, p) + lambda_of(k, q) == lambda_of(l, p) + lambda_of(l, q)
         tested += 1
@@ -218,12 +250,12 @@ def test_four_point_identity_random():
 
 def test_d_intersection_examples():
     cfg = fermi_ball(1.0)
-    assert d_intersection((1, 0, 0), (1, 1, 0), cfg) == [(1, 1, 0)]
+    assert _lune_hits((1, 0, 0), (1, 1, 0), cfg.r2) == [(1, 1, 0)]
     # xi = 0: +-xi and k+-xi coincide pairwise, multiplicity 2 kept
-    assert d_intersection((2, 0, 0), (0, 0, 0), cfg) == [(2, 0, 0), (2, 0, 0)]
-    assert d_intersection((1, 0, 0), (0, 0, 0), cfg) == []
+    assert _lune_hits((2, 0, 0), (0, 0, 0), cfg.r2) == [(2, 0, 0), (2, 0, 0)]
+    assert _lune_hits((1, 0, 0), (0, 0, 0), cfg.r2) == []
     # xi inside, both k+-xi inside the ball: nothing clears |zeta| > k_F
-    assert d_intersection((1, 0, 0), (0, 0, 1), fermi_ball(2.0)) == []
+    assert _lune_hits((1, 0, 0), (0, 0, 1), fermi_ball(2.0).r2) == []
 
 
 def test_d_intersection_membership_is_exact():
@@ -231,7 +263,7 @@ def test_d_intersection_membership_is_exact():
     for k in ((1, 0, 0), (2, 1, 0)):
         points = set(lune_tuples(k, cfg))
         for xi in ((1, 1, 0), (2, 0, 0), (0, 0, 0), (3, 1, 0)):
-            got = d_intersection(k, xi, cfg)
+            got = _lune_hits(k, xi, cfg.r2)
             cands = [xi, neg(xi),
                      tuple(a + b for a, b in zip(k, xi)),
                      tuple(a - b for a, b in zip(k, xi))]
@@ -246,7 +278,7 @@ def test_k_support_outside_is_exactly_finite():
     assert sup.finite_part.dtype == np.int64
     assert not sup.finite_part.flags.writeable
     for k in sup.finite_part:
-        assert cfg.in_lune(k, (2, 0, 0)) or cfg.in_lune(k, (-2, 0, 0))
+        assert in_lune(k, (2, 0, 0), cfg) or in_lune(k, (-2, 0, 0), cfg)
 
 
 @pytest.mark.parametrize("k_f", [0.5, 1.0, 2**0.5, 2.0, 3.0])
@@ -265,7 +297,8 @@ def test_ball_index_matches_tuple_index():
         r = math.isqrt(cfg.r2) + 2
         axis = np.arange(-r, r + 1)
         pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-        want = [cfg.ball.index(p) if p in cfg.ball else -1
+        ball = ball_points(cfg.r2)
+        want = [ball.index(p) if p in ball else -1
                 for p in map(tuple, pts.reshape(-1, 3).tolist())]
         got = cfg.ball_index(pts)
         assert got.shape == pts.shape[:-1]
@@ -295,11 +328,11 @@ def test_k_support_far_outside_sits_near_xi():
 
 
 def test_kappa_and_weight_examples():
+    # m(p)^-1 = ||p|^2 - kappa| and its inverse m(p), from the array fields
     cfg = fermi_ball(1.0)
-    m_inv, m = kappa_and_weight((0, 0, 0), cfg)
-    assert m_inv == 1.5 and m == pytest.approx(2.0 / 3.0)
-    m_inv, m = kappa_and_weight((1, 1, 0), cfg)
-    assert m_inv == 0.5 and m == 2.0
+    m_inv = np.abs(np.einsum("ij,ij->i", cfg.ball_arr, cfg.ball_arr) - cfg.kappa)
+    assert m_inv[cfg.ball_index((0, 0, 0))] == 1.5 and m_inv.min() == 0.5
+    assert abs(norm2((1, 1, 0)) - cfg.kappa) == 0.5
 
 
 def test_orbit_reduce_reconstructs_full_sum():

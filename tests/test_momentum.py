@@ -13,22 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermigas.momentum as momentum
-from fermigas.lattice import (TailPolicy, ball_array, d_intersection,
-                              fermi_ball, gap_classes, k_support,
-                              lambda_of, lune_kernel, lune_points, neg, norm2,
+from fermigas.lattice import (TailPolicy, ball_array, fermi_ball, gap_classes,
+                              k_support, lune_kernel, lune_points, neg, norm2,
                               orbit, orbit_key, point_group)
 from fermigas.momentum import (MomentumBreakdown, Observable, _block_parts,
                                n_point, n_weighted)
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from fermigas.quasiboson import (TWO_PI_CUBED, cosh_minus_one_classes,
                                  mode_chunks, q_of_s, response_chunks)
-from fermigas.verify import _exchange_term, _integral_term, _mode
+from fermigas.verify import (_exchange_term, _integral_term, _lune_hits,
+                             _mode)
 
-from oracles import (ball_pair_sum_n_ex, ball_trace_n_b, bulk_chunk,
-                     bulk_exchange, cosh2k_minus_one_diag, gap_counts,
-                     n_boson_integral, n_boson_spectral, n_exchange,
-                     nonzero_k_vectors, per_k_sum, spectral_term,
-                     truncated_k_vectors)
+from oracles import (ball_pair_sum_n_ex, ball_points, ball_trace_n_b,
+                     bulk_chunk, bulk_exchange, cosh2k_minus_one_diag,
+                     gap_counts, lambda_of, n_boson_integral,
+                     n_boson_spectral, n_exchange, nonzero_k_vectors,
+                     per_k_sum, spectral_term, truncated_k_vectors)
 
 TWO_PI_6 = (2.0 * np.pi) ** 6
 FAST = TailPolicy(k_max=4, tail_tol=1e-3, max_doublings=2)
@@ -102,7 +102,7 @@ def test_dim1_synthetic_mode_contribution():
 def test_single_mode_cross_route():
     cfg = fermi_ball(1.0)
     pts, lam, vhat, vsq = _mode((1, 0, 0), cfg, coulomb(1.0))
-    zetas = Counter(d_intersection((1, 0, 0), (1, 1, 0), cfg))
+    zetas = Counter(_lune_hits((1, 0, 0), (1, 1, 0), cfg.r2))
     spec = spectral_term(pts, lam, vsq, zetas)
     integ, err, ok = _integral_term((1, 0, 0), lam, vhat, cfg.k_f, zetas, 1e-10)
     assert ok
@@ -151,8 +151,8 @@ def test_per_k_exchange_aggregation_identity():
     k = (1, 0, 0)
     pts, lam, vhat, _ = _mode(k, cfg, pot)
     lhs = sum(_exchange_term(k, pts, lam, vhat, cfg.k_f,
-                             Counter(d_intersection(k, xi, cfg)), pot)
-              for xi in cfg.ball)
+                             Counter(_lune_hits(k, xi, cfg.r2)), pot)
+              for xi in ball_points(cfg.r2))
     rhs = 0.0
     for p in pts.tolist():
         for q in pts.tolist():

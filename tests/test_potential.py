@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fermigas.potential as potential
-from fermigas.lattice import ball_points, norm2
+from fermigas.lattice import norm2
 from fermigas.potential import (Potential, coulomb, evaluate, from_table,
                                 load_table, validate, yukawa, zero)
-from oracles import from_norm2_where, validate_loop
+from oracles import ball_points, from_norm2_where, validate_loop
 
 
 def test_coulomb_values():
