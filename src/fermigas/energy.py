@@ -12,11 +12,11 @@ over shells k_lo < |k| <= k_hi, each enumerated once in the fundamental
 domain of the potential's group (``lattice.k_shell``) and shared by both
 sums (``_k_shell``).
 
-Both sums, and the interaction part of the Fermi-state energy, run on
-the mode blocks of ``quasiboson``, whose module docstring states the
-gap-histogram and response identities.  Past |k|^2 > 4 r2 every lune is
-the whole shifted ball (|k + q| > k_F for every ball point q), so both
-sums take those rows without a lune mask:
+The Fermi-state interaction sums V_k (|L_k| - N) = -V_k c(k), c the
+ball autocorrelation, as B = -B.  Both correlation sums run on the mode
+blocks of ``quasiboson``, whose module docstring states the gap-histogram
+and response identities.  Past |k|^2 > 4 r2 every lune is the whole
+shifted ball, so both sums take those rows without a lune mask:
 
 * E_corr,bos integrates F(q_k(s)) of every row of a chunk of
   ``_CHUNK`` modes as one batched family on the chunk's response
@@ -33,10 +33,10 @@ sums take those rows without a lune mask:
   half of B + B, rounded only in its divisions and its sum
   (``_ex_terms``).
 
-E_corr,ex and the Fermi-state interaction put their per-k terms back in
-shell order and sum them one k at a time, so each is the same float as
-its plain per-k sum.  The plain per-k forms, one scalar quadrature and
-one pair sum per k, live on as test oracles.
+E_corr,ex puts its per-k terms back in shell order, and the Fermi-state
+interaction keeps the lex order of B + B; each sums one k at a time, so
+it is the same float as its plain per-k sum.  The plain per-k forms, one
+scalar quadrature and one pair sum per k, live on as test oracles.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (LatticeConfig, TailPolicy, ball_array, doubled_sum,
-                      k_shell)
+from .lattice import LatticeConfig, TailPolicy, doubled_sum, k_shell
 from .numerics import check_tol
 from .potential import Potential
 from .quasiboson import (TWO_PI_6, TWO_PI_CUBED, mode_chunks,
@@ -91,21 +90,15 @@ class EnergyReport:
 def e_fs(cfg: LatticeConfig, pot: Potential) -> tuple[float, float]:
     """Kinetic and interaction energy of the filled Fermi state.
 
-    The kinetic part is the integer sum of squared norms over the ball.
-    The interaction k-sum is exactly finite: beyond |k| > 2 k_F the lune
-    is the whole shifted ball and the summand V_k (|L_k| - N) vanishes.
+    The kinetic part is the integer sum of squared norms over the ball,
+    the interaction sum_k V_k (|L_k| - N) / (2 (2pi)^3).  As B = -B,
+    |L_k| - N = -c(k), so k runs over B + B, where V_0 = 0.
     """
     ball = cfg.ball_arr
     kinetic = float(np.einsum("ij,ij->", ball, ball))
-    # |k|^2 > 4 r2 puts every k + q with |q|^2 <= r2 outside the ball
-    ks = ball_array(4 * cfg.r2, 0)
-    vhat = pot.at(ks)
-    terms = np.zeros(vhat.shape)
-    for rows, mask, _ in mode_chunks(ks, vhat, cfg, _CHUNK):
-        terms[rows] = vhat[rows] * (np.count_nonzero(mask, axis=1)
-                                    - cfg.n_particles)
+    t, count, _ = _ball_pair_sums(cfg)
     # one k at a time in lex order, the order of the per-k form
-    return kinetic, sum(terms.tolist()) / (2.0 * TWO_PI_CUBED)
+    return kinetic, sum((pot.at(t) * -count).tolist()) / (2.0 * TWO_PI_CUBED)
 
 
 def _bos_chunks(ks, cfg: LatticeConfig, pot: Potential, quad_tol: float):
@@ -140,13 +133,20 @@ def _pair_code(cfg: LatticeConfig):
 def _ball_pair_sums(cfg: LatticeConfig):
     """(t, c(t), |t|^2) over the distinct t in B + B, lex-sorted.
 
-    c is the ball autocorrelation, a bincount of the pair codes.
+    c(t) = #{(a, b) in B^2 : a + b = t} is the FFT square of the ball's
+    indicator on the ``_pair_code`` codes; it does not wrap, as each
+    code(a) + code(b) is a flat index of the box.  An entry more than
+    1e-3 off an integer before rounding raises ``ArithmeticError``.
     """
     code, side = _pair_code(cfg)
-    counts = np.bincount(np.add.outer(code, code).ravel())
+    spec = np.fft.rfft(np.bincount(code, minlength=side**3))
+    conv = np.fft.irfft(spec * spec, side**3)
+    counts = np.rint(conv)
+    if np.abs(conv - counts).max() > 1e-3:
+        raise ArithmeticError("ball autocorrelation is not integer")
     bins = np.flatnonzero(counts)
     t = np.column_stack(np.unravel_index(bins, (side,) * 3)) - side // 2
-    return t, counts[bins].astype(float), np.einsum("ij,ij->i", t, t)
+    return t, counts[bins], np.einsum("ij,ij->i", t, t)
 
 
 def _ex_terms(ks, cfg: LatticeConfig, pot: Potential,

@@ -232,6 +232,15 @@ def truncated_k_vectors(xi, cfg, k_max, k_min_excl=0):
     return list(map(tuple, ks[keep].tolist()))
 
 
+def ball_pair_sums_outer(cfg):
+    """(t, c(t), |t|^2) as ``energy._ball_pair_sums``, from an N x N outer sum."""
+    code, side = _pair_code(cfg)
+    counts = np.bincount(np.add.outer(code, code).ravel())
+    bins = np.flatnonzero(counts)
+    t = np.column_stack(np.unravel_index(bins, (side,) * 3)) - side // 2
+    return t, counts[bins].astype(float), np.einsum("ij,ij->i", t, t)
+
+
 def e_fs_interaction_loop(cfg, pot):
     """Interaction part of e_fs from lune sizes, k by k."""
     total = 0.0

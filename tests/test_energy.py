@@ -12,10 +12,11 @@ from fermigas.lattice import (TailPolicy, doubled_sum, fermi_ball, lune_kernel,
                               lune_points, neg, norm2)
 from fermigas.potential import (Potential, coulomb, evaluate, from_table,
                                 yukawa, zero)
-from oracles import (ball_points, bos_chunks_masked, bos_term, bos_term_mode,
-                     e_fs_interaction_loop, ex_term_dense, ex_terms_masked,
-                     k_shell_reduced, lambda_of, nonzero_k_vectors,
-                     single_k_exchange_term, stable_log1p_minus_x_where)
+from oracles import (ball_pair_sums_outer, ball_points, bos_chunks_masked,
+                     bos_term, bos_term_mode, e_fs_interaction_loop,
+                     ex_term_dense, ex_terms_masked, k_shell_reduced,
+                     lambda_of, nonzero_k_vectors, single_k_exchange_term,
+                     stable_log1p_minus_x_where)
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 TWO_PI_6 = (2.0 * np.pi) ** 6
@@ -61,11 +62,38 @@ def test_e_fs_at_sqrt_n_matches_same_shell():
     assert e_fs(fermi_ball(math.sqrt(3.0)), pot) == e_fs(fermi_ball(1.75), pot)
 
 
-@pytest.mark.parametrize("k_f", [1.0, math.sqrt(3.0), 2.0, 2.5])
+# even with a negative entry and V_k = 0 entries; uneven
+EVEN_TABLE = from_table({
+    k: v
+    for base, v in (((1, 0, 0), 2.0), ((0, 1, 1), -0.5), ((1, 1, 0), 0.0),
+                    ((0, 0, 2), 1.5), ((2, 1, 1), 0.0))
+    for k in (base, neg(base))})
+UNEVEN_TABLE = from_table({(1, 0, 0): 2.0, (0, 1, 1): -0.7, (1, 1, 1): 3.0,
+                           (-2, 0, 1): 0.4})
+
+
+@pytest.mark.parametrize("k_f", [0.5, 1.0, math.sqrt(3.0), 2.0, 2.5,
+                                 math.sqrt(7.0), 3.0])
 def test_e_fs_interaction_matches_lune_loop(k_f):
+    # the same floats in the same lex order: equal to the last bit
     cfg = fermi_ball(k_f)
-    for pot in (coulomb(1.0), yukawa(0.7, 1.3)):
+    for pot in (coulomb(1.0), yukawa(0.7, 1.3), EVEN_TABLE, UNEVEN_TABLE,
+                zero()):
         assert e_fs(cfg, pot)[1] == e_fs_interaction_loop(cfg, pot)
+
+
+def test_e_fs_peak_memory():
+    # one FFT over the (4 r + 1)^3 box at k_F = 12: 6.0 MB, against
+    # 26.7 MB for a sweep of lune masks over |k| <= 2 k_F
+    cfg, pot = fermi_ball(12.0), coulomb(1.0)
+    e_fs(cfg, pot)
+    tracemalloc.start()
+    try:
+        e_fs(cfg, pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 def test_e_fs_sum_terminates_at_two_kf():
@@ -334,11 +362,39 @@ def test_ball_pair_sums_is_the_autocorrelation():
         for b in ball:
             t = tuple(x + y for x, y in zip(a, b))
             counts[t] = counts.get(t, 0) + 1
-    t, c, tn2 = _ball_pair_sums(cfg)
+    t, c, tn2 = ball_pair_sums_outer(cfg)
     assert list(map(tuple, t.tolist())) == sorted(counts)
     assert c.tolist() == [counts[key] for key in sorted(counts)]
     assert tn2.tolist() == [norm2(key) for key in sorted(counts)]
     assert c.sum() == cfg.n_particles ** 2
+    # the FFT counts equal the outer-sum oracle's bin for bin
+    for k_f in (0.5, 1.0, math.sqrt(2.0), 2.0, math.sqrt(7.0), 3.0, 4.5, 5.0,
+                8.0):
+        cfg = fermi_ball(k_f)
+        for got, want in zip(_ball_pair_sums(cfg), ball_pair_sums_outer(cfg)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_ball_pair_sums_peak_memory():
+    # the FFT over the box at k_F = 12: 6.0 MB, against 410 MB for the
+    # N x N outer sum
+    cfg = fermi_ball(12.0)
+    _ball_pair_sums(cfg)
+    tracemalloc.start()
+    try:
+        _ball_pair_sums(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+
+
+def test_ball_pair_sums_rejects_inexact_fft(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda *args, **kwargs: irfft(*args, **kwargs) + 0.3)
+    with pytest.raises(ArithmeticError):
+        _ball_pair_sums(fermi_ball(2.0))
 
 
 @pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(0.7, 1.3)],
