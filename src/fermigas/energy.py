@@ -94,9 +94,14 @@ def e_fs(cfg: LatticeConfig, pot: Potential) -> tuple[float, float]:
     the interaction sum_k V_k (|L_k| - N) / (2 (2pi)^3).  As B = -B,
     |L_k| - N = -c(k), so k runs over B + B, where V_0 = 0.
     """
+    return _e_fs(cfg, pot, _ball_pair_sums(cfg))
+
+
+def _e_fs(cfg: LatticeConfig, pot: Potential, pair_sums):
+    """``e_fs`` on ``pair_sums`` = ``_ball_pair_sums(cfg)``."""
     ball = cfg.ball_arr
     kinetic = float(np.einsum("ij,ij->", ball, ball))
-    t, count, _ = _ball_pair_sums(cfg)
+    t, count, _ = pair_sums
     # one k at a time in lex order, the order of the per-k form
     return kinetic, sum((pot.at(t) * -count).tolist()) / (2.0 * TWO_PI_CUBED)
 
@@ -287,9 +292,12 @@ def e_corr_ex(cfg: LatticeConfig, pot: Potential,
 
     Returns (value, tail_estimate, k_cutoff, converged).
     """
-    policy = policy or TailPolicy()
+    return _e_corr_ex(cfg, pot, policy or TailPolicy(), _ball_pair_sums(cfg))
+
+
+def _e_corr_ex(cfg: LatticeConfig, pot: Potential, policy: TailPolicy, pair_sums):
+    """``e_corr_ex`` on ``pair_sums`` = ``_ball_pair_sums(cfg)``."""
     pref = 1.0 / (4.0 * TWO_PI_6 * cfg.k_f**2)
-    pair_sums = _ball_pair_sums(cfg)
 
     def shell(k_lo, k_hi):
         reps, weights = _k_shell(k_hi, k_lo, pot.symmetry)
@@ -307,10 +315,10 @@ def energy_report(cfg: LatticeConfig, pot: Potential,
                   quad_tol: float = 1e-9) -> EnergyReport:
     check_tol(quad_tol, "quad_tol")
     policy = policy or TailPolicy()
-    kin, inter = e_fs(cfg, pot)
-    bos, bos_tail, bos_qerr, bos_cut, bos_ok = e_corr_bos(
-        cfg, pot, policy, quad_tol)
-    ex, ex_tail, ex_cut, ex_ok = e_corr_ex(cfg, pot, policy)
+    bos, bos_tail, bos_qerr, bos_cut, bos_ok = e_corr_bos(cfg, pot, policy, quad_tol)
+    pair_sums = _ball_pair_sums(cfg)  # one build for both of its sums
+    kin, inter = _e_fs(cfg, pot, pair_sums)
+    ex, ex_tail, ex_cut, ex_ok = _e_corr_ex(cfg, pot, policy, pair_sums)
     return EnergyReport(
         e_fs_kinetic=kin,
         e_fs_interaction=inter,

@@ -206,6 +206,17 @@ def orbit_key(arr: np.ndarray) -> np.ndarray:
     return (srt[:, 2] * base + srt[:, 1]) * base + srt[:, 0]
 
 
+def lune_block(ks, cfg: LatticeConfig):
+    """``lune_points`` of each row of an (m, 3) block of k != 0, flat: (counts,
+    points, gaps), row i's lune the next counts[i] points and gaps."""
+    kv = np.asarray(ks, dtype=np.int64)
+    if not kv.any(axis=1).all():
+        raise ValueError("lune is undefined for k = 0")
+    mask, gaps = lune_kernel(kv, cfg)
+    rows, cols = np.nonzero(mask)
+    return np.count_nonzero(mask, axis=1), cfg.ball_arr[cols] + kv[rows], gaps[mask]
+
+
 def lune_points(k: Sequence[int],
                 cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Points and gaps of the lune of k: the slab of the shifted ball poking out.
@@ -216,11 +227,7 @@ def lune_points(k: Sequence[int],
     The ball is symmetric, so the lune of -k is ``-points[::-1]`` with
     gaps ``gaps[::-1]``.  Nonempty for every k != 0.
     """
-    kv = np.asarray(k, dtype=np.int64)
-    if not kv.any():
-        raise ValueError("lune is undefined for k = 0")
-    mask, gaps = lune_kernel(kv, cfg)
-    return cfg.ball_arr[mask] + kv, gaps[mask]
+    return lune_block(np.reshape(k, (1, 3)), cfg)[1:]
 
 
 @dataclass(frozen=True)

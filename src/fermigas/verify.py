@@ -14,6 +14,8 @@ below it.  They run on stacks of modes of one lune size; each value is
 still its own mode's maximum, bit for bit that of a per-mode loop.
 Each exp(+tau K) comes from K's eigendecomposition, each exp(-tau K)
 from -K's, bit for bit an eigh per tau, as each nonzero tau is 2^n.
+Every lune comes from ``lattice.lune_block``: the lattice checks read
+the cube |k_i| <= k_max in chunks of mirrored row pairs (k with -k).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeConfig, ball_array, lune_points, norm2
+from .lattice import LatticeConfig, ball_array, lune_block, lune_points, norm2
 from .momentum import EIGHT_PI4
 from .numerics import integrate, rank1_resolvent_diag, sym_eig
 from .potential import Potential, evaluate
@@ -39,6 +41,8 @@ TAUS = (0.0, 0.5, 1.0)       # tau of the per-mode hyperbolic checks
 MODE_SEED = 11               # per-mode conjugation matrices
 CROSS_SEED = 23              # screening-identity s values
 CROSS_QUAD_TOL = 1e-10       # integral route of the cross checks
+BETAS = (-1.0, -0.5)         # exponents of the gap power-sum trend
+_CHUNK = 1 << 12             # ball entries per lune_block call of check_lattice
 
 
 @dataclass
@@ -60,10 +64,8 @@ class CheckReport:
 
 def _assert_report(name, measured, tolerance, worst_case, params, reproducer=None):
     status = "pass" if measured <= tolerance else "fail"
-    return CheckReport(name=name, status=status, measured=float(measured),
-                       tolerance=float(tolerance), worst_case=worst_case,
-                       params=params,
-                       reproducer=reproducer if status == "fail" else None)
+    return CheckReport(name, status, float(measured), float(tolerance), worst_case,
+                       params, reproducer if status == "fail" else None)
 
 
 def _require_modes(cfg: LatticeConfig) -> None:
@@ -95,64 +97,86 @@ def _lune_hits(k, xi, r2: int) -> list[tuple[int, int, int]]:
     return [tuple(z) for z in cands if _is_lune_point(k, z, r2)]
 
 
-def check_gap_bound(lunes, k_f: float) -> CheckReport:
-    """Every gap in every supplied (k, points, gaps) lune is >= 1/2 (exact)."""
-    worst = math.inf
-    worst_at = None
-    for k, pts, gaps in lunes:
-        if gaps.size == 0:
-            continue
-        i = int(np.argmin(gaps))
-        if gaps[i] < worst:
-            worst = float(gaps[i])
-            worst_at = {"k": list(k), "p": pts[i].tolist(),
-                        "lambda": float(gaps[i]), "k_f": k_f}
-    measured = 0.5 - worst  # > 0 means violation
+def check_gap_bound(ks, counts, pts, gaps, k_f: float) -> CheckReport:
+    """Every gap of the flat lunes (counts, pts, gaps) of the rows of ks is
+    >= 1/2 (exact); the reproducer is the first least gap."""
+    i = int(np.argmin(gaps))
+    k = [int(c) for c in ks[int(np.count_nonzero(np.cumsum(counts) <= i))]]
+    worst = float(gaps[i])
     return _assert_report(
-        "lattice.gap_lower_bound", measured, 0.0,
-        f"min lambda = {worst} at k={worst_at['k'] if worst_at else None}",
-        {"k_f": k_f, "lunes": len(list(lunes))}, worst_at)
+        "lattice.gap_lower_bound", 0.5 - worst, 0.0,  # > 0 means violation
+        f"min lambda = {worst} at k={k}", {"k_f": k_f, "lunes": len(counts)},
+        {"k": k, "p": pts[i].tolist(), "lambda": worst, "k_f": k_f})
+
+
+def _cube_lunes(cube: np.ndarray, near: np.ndarray, cfg: LatticeConfig):
+    """Per row k of the lex-sorted ``cube`` |k_i| <= k_max: its lune mask over
+    the ball, first least gap and its point, and gap power sums for ``BETAS``
+    where ``near``, each one pairwise sum as np.sum makes it; and the worst
+    reflection deviation with its reproducer.  Rows i and m - 1 - i (k and
+    -k) share ``lune_block`` calls of about ``_CHUNK`` ball entries; the
+    middle row, k = 0, is left out and its mask empty."""
+    m, step = len(cube), max(1, _CHUNK // (2 * cfg.n_particles))
+    in_lune = np.zeros((m, cfg.n_particles), dtype=bool)
+    min_gaps, min_pts, sums = np.empty(m), np.empty((m, 3), np.int64), np.empty((2, m))
+    refl, refl_rep = 0.0, None
+    for lo in range(0, m // 2, step):
+        hi = min(lo + step, m // 2)
+        rows = np.r_[lo:hi, m - hi:m - lo]
+        counts, pts, gaps = lune_block(cube[rows], cfg)
+        starts = np.cumsum(counts) - counts
+        q = cfg.ball_index(pts - np.repeat(cube[rows], counts, axis=0))
+        in_lune[np.repeat(rows, counts), q] = True
+        min_gaps[rows] = np.minimum.reduceat(gaps, starts)
+        at = np.where(gaps == np.repeat(min_gaps[rows], counts), np.arange(gaps.size), gaps.size)
+        min_pts[rows] = pts[np.minimum.reduceat(at, starts)]
+        for c in set(counts[near[rows]].tolist()):
+            sel = np.flatnonzero((counts == c) & near[rows])
+            lam = gaps[starts[sel, None] + np.arange(c)]
+            sums[:, rows[sel]] = [np.sum(lam ** beta, axis=1) for beta in BETAS]
+        # the low rows against the high rows reversed, on points, so that
+        # no symmetry of the ball is assumed; the first failure is kept
+        h, n = hi - lo, int(counts[:hi - lo].sum())
+        mirror = -pts[n:][::-1]
+        if np.array_equal(counts[:h], counts[h:][::-1]) and np.array_equal(pts[:n], mirror):
+            dev = np.maximum.reduceat(np.abs(gaps[:n] - gaps[n:][::-1]), starts[:h])
+            if dev[j := int(np.argmax(dev))] > refl:
+                refl, refl_rep = float(dev[j]), {"k": cube[lo + j].tolist(), "k_f": cfg.k_f}
+        elif refl < math.inf:  # the first row whose lune is not mirrored
+            pairs = zip(np.split(pts[:n], np.cumsum(counts[:h])[:-1]),
+                        np.split(mirror, np.cumsum(counts[h:][::-1])[:-1]))
+            j = next(j for j, (a, b) in enumerate(pairs) if not np.array_equal(a, b))
+            refl, refl_rep = math.inf, {"k": cube[lo + j].tolist(), "k_f": cfg.k_f}
+    return in_lune, min_pts, min_gaps, sums, refl, refl_rep
 
 
 def check_lattice(cfg: LatticeConfig) -> list[CheckReport]:
     _require_modes(cfg)
     k_max = int(math.ceil(2.0 * cfg.k_f)) + 2
-    ks = ball_array(k_max * k_max, 0).tolist()
-    lunes = [(k, *lune_points(k, cfg)) for k in ks]
-    reports = [check_gap_bound(lunes, cfg.k_f)]
-
-    # reflection: the lune of -k is the mirrored lune with equal gaps; the
-    # k run over a symmetric lex-sorted ball, so -k is row -1 - i
-    worst = 0.0
-    worst_rep = None
-    for (k, pts, gaps), (_, m_pts, m_gaps) in zip(lunes, reversed(lunes)):
-        if not np.array_equal(m_pts, -pts[::-1]):
-            worst = math.inf
-            worst_rep = {"k": list(k), "k_f": cfg.k_f}
-            break
-        dev = float(np.max(np.abs(m_gaps - gaps[::-1])))
-        if dev > worst:
-            worst, worst_rep = dev, {"k": list(k), "k_f": cfg.k_f}
-    reports.append(_assert_report(
-        "lattice.reflection", worst, 0.0, "L(-k) = -L(k) with equal gaps",
-        {"k_f": cfg.k_f, "k_max": k_max}, worst_rep))
+    side = 2 * k_max + 1
+    # the lex-sorted cube |k_i| <= k_max: the four-point draws read its lune
+    # masks, the other checks its rows 0 < |k| <= k_max
+    cube = np.indices((side,) * 3).reshape(3, -1).T - k_max
+    kn = np.sqrt(np.einsum("ij,ij->i", cube, cube))
+    ball, near = (0 < kn) & (kn <= k_max), (0 < kn) & (kn <= 2.0 * cfg.k_f)
+    in_lune, min_pts, min_gaps, sums, refl, refl_rep = _cube_lunes(cube, near, cfg)
+    reports = [check_gap_bound(cube[ball], np.ones(ball.sum()), min_pts[ball],
+                               min_gaps[ball], cfg.k_f),
+               _assert_report("lattice.reflection", refl, 0.0,
+                              "L(-k) = -L(k) with equal gaps",
+                              {"k_f": cfg.k_f, "k_max": k_max}, refl_rep)]
 
     # four-point gap identity on random admissible quadruples
     rng = np.random.Generator(np.random.Philox(key=LATTICE_SEED))
-    worst = 0.0
-    worst_rep = None
-    tested = 0
-    guard = 0
+    worst, worst_rep, tested, guard = 0.0, None, 0, 0
     while tested < QUADRUPLES and guard < 50 * QUADRUPLES:
         guard += 1
         k = [int(c) for c in rng.integers(-k_max, k_max + 1, size=3)]
-        if not any(k):
+        cols = np.flatnonzero(in_lune[((k[0] + k_max) * side + k[1] + k_max) * side
+                                      + k[2] + k_max])
+        if len(cols) < 2:  # k = 0 too: its row is empty
             continue
-        pts, _ = lune_points(k, cfg)
-        if len(pts) < 2:
-            continue
-        i, j = rng.integers(0, len(pts), size=2)
-        p, q = pts[int(i)].tolist(), pts[int(j)].tolist()
+        p, q = (cfg.ball_arr[cols[rng.integers(0, len(cols), size=2)]] + k).tolist()
         l = [a + b - c for a, b, c in zip(p, q, k)]
         if not (any(l) and _is_lune_point(l, p, cfg.r2)
                 and _is_lune_point(l, q, cfg.r2)):
@@ -160,8 +184,7 @@ def check_lattice(cfg: LatticeConfig) -> list[CheckReport]:
         dev = abs((_gap(k, p) + _gap(k, q)) - (_gap(l, p) + _gap(l, q)))
         tested += 1
         if dev > worst:
-            worst = dev
-            worst_rep = {"k": k, "l": l, "p": p, "q": q, "k_f": cfg.k_f}
+            worst, worst_rep = dev, {"k": k, "l": l, "p": p, "q": q, "k_f": cfg.k_f}
     reports.append(_assert_report(
         "lattice.four_point_gap_identity", worst, 0.0,
         f"{tested} admissible quadruples tested",
@@ -173,22 +196,16 @@ def check_lattice(cfg: LatticeConfig) -> list[CheckReport]:
     ks_xi = sorted(k for q in cfg.ball_arr.tolist()
                    if any(k := [a - b for a, b in zip(xi, q)])
                    and _is_lune_point(k, xi, cfg.r2))
-    gap_sum = sum(1.0 / _gap(k, xi) for k in ks_xi)
     reports.append(CheckReport(
         name="lattice.outside_gap_sum_finite", status="pass",
-        measured=float(gap_sum), tolerance=math.inf,
+        measured=float(sum(1.0 / _gap(k, xi) for k in ks_xi)), tolerance=math.inf,
         worst_case=f"sum over {len(ks_xi)} modes at xi={xi}",
         params={"k_f": cfg.k_f, "xi": xi}))
 
     # lattice-sum trend: sum lambda^beta <= c * k_F^(2+beta) |k|^(1+beta)
-    for beta in (-1.0, -0.5):
-        ratios = []
-        for k, _, gaps in lunes:
-            kn = math.sqrt(norm2(k))
-            if kn > 2.0 * cfg.k_f:
-                continue
-            bound = cfg.k_f ** (2.0 + beta) * kn ** (1.0 + beta)
-            ratios.append(float(np.sum(gaps ** beta)) / bound)
+    for beta, row_sums in zip(BETAS, sums):
+        ratios = [s / (cfg.k_f ** (2.0 + beta) * x ** (1.0 + beta))
+                  for s, x in zip(row_sums[near].tolist(), kn[near].tolist())]
         reports.append(CheckReport(
             name=f"lattice.gap_power_sum_trend_beta_{beta:g}",
             status="diagnostic", measured=max(ratios), tolerance=None,
@@ -202,10 +219,9 @@ def check_lattice(cfg: LatticeConfig) -> list[CheckReport]:
     far = ball_array(4 * k_max * k_max, 0)
     n2 = np.einsum("ij,ij->i", far, far)
     acc = float(np.add.accumulate(1.0 / (n2[n2 > cfg.r2] / 2.0) ** 2)[-1])
-    fitted = acc * cfg.kappa / cfg.k_f ** 1.1
     reports.append(CheckReport(
         name="lattice.inside_gap_sum_trend", status="diagnostic",
-        measured=float(fitted), tolerance=None,
+        measured=float(acc * cfg.kappa / cfg.k_f ** 1.1), tolerance=None,
         worst_case=f"truncated at |k| <= {2 * k_max}, xi=[0, 0, 0]",
         params={"k_f": cfg.k_f, "delta": 0.1}))
     return reports
@@ -218,14 +234,15 @@ def check_lattice(cfg: LatticeConfig) -> list[CheckReport]:
 def _mode_sample(cfg: LatticeConfig) -> list[list[int]]:
     """All k != 0 with |k| <= floor(2 k_F), lex-sorted: -k is row -1 - i."""
     _require_modes(cfg)
-    k_max = int(math.floor(2.0 * cfg.k_f))
-    return ball_array(k_max * k_max, 0).tolist()
+    return ball_array(int(math.floor(2.0 * cfg.k_f)) ** 2, 0).tolist()
 
 
-def _mode(k, cfg: LatticeConfig, pot: Potential):
-    """(points, gaps, V_k, v^2) of the mode k."""
-    vhat = evaluate(pot, k)
-    return (*lune_points(k, cfg), vhat, coupling_sq(vhat, cfg.k_f))
+def _modes(ks, cfg: LatticeConfig, pot: Potential):
+    """(points, gaps, V_k, v^2) of each mode of ks, the lunes from one lune_block."""
+    counts, pts, gaps = lune_block(ks, cfg)
+    cuts = np.cumsum(counts)[:-1]
+    return [(p, lam, v := evaluate(pot, k), coupling_sq(v, cfg.k_f))
+            for k, p, lam in zip(ks, np.split(pts, cuts), np.split(gaps, cuts))]
 
 
 def _conjugands(k, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +255,7 @@ def _conjugands(k, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _peaks(x: np.ndarray) -> list[float]:
     """The largest entry of each matrix in a stack (a float for one matrix)."""
-    return np.max(x, axis=(-2, -1)).tolist()
+    return x.max(axis=(-2, -1)).tolist()
 
 
 def _exp_taus(w, u):
@@ -269,7 +286,7 @@ def _conjugation_devs(ep, em, c, s, t_mats) -> list[list[float]]:
 def _mode_values(cfg: LatticeConfig, pot: Potential):
     """(ks, modes, check values, reflection deviations, trend) per sampled mode."""
     ks = _mode_sample(cfg)
-    modes = [_mode(k, cfg, pot)[1:] for k in ks]  # (gaps, V_k, v^2)
+    modes = [mode[1:] for mode in _modes(ks, cfg, pot)]  # (gaps, V_k, v^2)
     n = len(ks)
     vals, refl, pending, trend = [None] * n, [None] * n, {}, {}
     # k and -k (rows i and n - 1 - i) side by side, so no K outlives its
@@ -317,33 +334,21 @@ def check_mode(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
     slack = 1e-10
     reports = []
 
-    def collect(key, tol, label):
-        worst = -math.inf
-        worst_k = None
-        for k, v in zip(ks, vals):
-            if v[key] > worst:
-                worst, worst_k = v[key], k
-        rep = {"k": list(worst_k), "k_f": cfg.k_f, "potential": pot.spec_string()}
+    for key, tol, label in (("nsd", slack, "kernel_nsd"), ("sw_K", slack, "sandwich_K"),
+                            ("sw_CS", slack, "sandwich_CS"),
+                            ("hyperbolic", slack, "hyperbolic_identity"),
+                            ("decomposition", 1e-9, "conjugation_decomposition")):
+        # the first k of the largest value, as max keeps the first
+        worst_k, worst = max(zip(ks, (v[key] for v in vals)), key=lambda kv: kv[1])
         reports.append(_assert_report(
             f"mode.{label}", worst, tol, f"worst at k={list(worst_k)}",
             {"k_f": cfg.k_f, "potential": pot.spec_string(), "taus": list(TAUS)},
-            rep))
-
-    collect("nsd", slack, "kernel_nsd")
-    collect("sw_K", slack, "sandwich_K")
-    collect("sw_CS", slack, "sandwich_CS")
-    collect("hyperbolic", slack, "hyperbolic_identity")
-    collect("decomposition", 1e-9, "conjugation_decomposition")
+            {"k": list(worst_k), "k_f": cfg.k_f, "potential": pot.spec_string()}))
 
     # kernel reflection: the lune of -k is the mirrored lune of k, reversed
-    worst = -1.0
-    worst_k = None
-    for k, dev in zip(ks, refl):
-        if dev > worst:
-            worst, worst_k = dev, k
+    worst_k, worst = max(zip(ks, refl), key=lambda kv: kv[1])
     reports.append(_assert_report(
-        "mode.kernel_reflection", worst, slack,
-        f"worst at k={list(worst_k)}",
+        "mode.kernel_reflection", worst, slack, f"worst at k={list(worst_k)}",
         {"k_f": cfg.k_f, "potential": pot.spec_string()},
         {"k": list(worst_k), "k_f": cfg.k_f}))
 
@@ -354,17 +359,14 @@ def check_mode(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
             continue
         kmat, c, s = trend[i]
         denom = lam[:, None] + lam[None, :]
-        kn2 = norm2(k)
-        scale = cfg.k_f / min(1.0, cfg.k_f**2 / kn2)
+        scale = cfg.k_f / min(1.0, cfg.k_f**2 / norm2(k))
         for label, prod in (("KK", kmat @ kmat), ("KS", kmat @ s), ("SC", s @ c),
                             ("KKK", kmat @ kmat @ kmat), ("SKC", s @ kmat @ c)):
             m_order = len(label)
             sup = float(np.max(np.abs(prod) * denom)) * scale
-            diag_rows.append({
-                "k": list(k), "factors": label, "m": m_order, "sup": sup,
-                "sup_over_vhat_m": sup / vhat**m_order,
-                "sup_over_vhat_1": sup / vhat,
-            })
+            diag_rows.append({"k": list(k), "factors": label, "m": m_order, "sup": sup,
+                              "sup_over_vhat_m": sup / vhat**m_order,
+                              "sup_over_vhat_1": sup / vhat})
     reports.append(CheckReport(
         name="mode.product_entry_bound_trend", status="diagnostic",
         measured=max((r["sup_over_vhat_m"] for r in diag_rows), default=0.0),
@@ -387,9 +389,7 @@ def _integral_term(k, gaps: np.ndarray, vhat: float, k_f: float,
         return 0.0, 0.0, True
     vsq = coupling_sq(vhat, k_f)
     pref = vhat / (EIGHT_PI4 * k_f)
-    total = 0.0
-    err = 0.0
-    ok = True
+    total, err, ok = 0.0, 0.0, True
     for z, mult in sorted(zetas.items()):
         lam = _gap(k, z)
 
@@ -432,28 +432,24 @@ def _brute_force_pair_sum(k, cfg: LatticeConfig, pot: Potential) -> float:
 
 def check_cross(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
     ks = _mode_sample(cfg)[:6]
-    modes = [_mode(k, cfg, pot) for k in ks]
+    modes = _modes(ks, cfg, pot)
     reports = []
 
     # spectral vs integral route, per mode and lune point
-    worst = 0.0
-    worst_rep = None
+    worst, worst_rep = 0.0, None
     for k, (pts, lam, vhat, vsq) in zip(ks, modes):
         if vhat == 0.0:
             continue
         # the full lune is a deflated core with every multiplicity 1
-        diag = cosh_minus_one_core(lam[None], np.ones((1, lam.size)),
-                                   np.array([vsq]))[0]
+        diag = cosh_minus_one_core(lam[None], np.ones((1, lam.size)), np.array([vsq]))[0]
         for i in (0, lam.size // 2, lam.size - 1):
             z = tuple(pts[i].tolist())
             spec = float(diag[i])
-            integ, err, _ = _integral_term(k, lam, vhat, cfg.k_f, Counter([z]),
-                                           CROSS_QUAD_TOL)
+            integ, err, _ = _integral_term(k, lam, vhat, cfg.k_f, Counter([z]), CROSS_QUAD_TOL)
             dev = abs(spec - integ) - 10.0 * (err + 1e-13 * max(1.0, abs(spec)))
             if dev > worst:
-                worst = dev
-                worst_rep = {"k": list(k), "zeta": list(z), "k_f": cfg.k_f,
-                             "potential": pot.spec_string()}
+                worst, worst_rep = dev, {"k": list(k), "zeta": list(z), "k_f": cfg.k_f,
+                                         "potential": pot.spec_string()}
     reports.append(_assert_report(
         "cross.route_equivalence_per_mode", worst, 0.0,
         "spectral diagonal vs screened quadrature, slack minus 10x reported error",
@@ -461,28 +457,24 @@ def check_cross(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
 
     # rank-one resolvent diagonal vs dense inverse
     rng = np.random.Generator(np.random.Philox(key=CROSS_SEED))
-    worst = 0.0
-    worst_rep = None
+    worst, worst_rep = 0.0, None
     for k, (_, h, _, vsq) in zip(ks[:4], modes):
         u = np.sqrt(h * vsq)
         for s in (0.0, 0.7, 5.0):
-            dense = np.linalg.inv(np.diag(h**2) + 2.0 * np.outer(u, u)
-                                  + s * s * np.eye(h.size))
+            dense = np.linalg.inv(np.diag(h**2) + 2.0 * np.outer(u, u) + s * s * np.eye(h.size))
             for i in range(h.size):
                 got = rank1_resolvent_diag(h, u, s, i)
                 dev = abs(got - dense[i, i]) / abs(dense[i, i])
                 if dev > worst:
-                    worst = dev
-                    worst_rep = {"k": list(k), "s": s, "index": i,
-                                 "k_f": cfg.k_f, "potential": pot.spec_string()}
+                    worst, worst_rep = dev, {"k": list(k), "s": s, "index": i, "k_f": cfg.k_f,
+                                             "potential": pot.spec_string()}
     reports.append(_assert_report(
         "cross.rank1_resolvent_vs_dense", worst, 1e-10,
         "relative deviation of the updated resolvent diagonal",
         {"k_f": cfg.k_f, "potential": pot.spec_string()}, worst_rep))
 
     # screening identity 1 + 2<u, (h^2+s^2)^-1 u> = 1 + q(s)
-    worst = 0.0
-    worst_rep = None
+    worst, worst_rep = 0.0, None
     for k, (_, h, _, vsq) in zip(ks, modes):
         u = np.sqrt(h * vsq)
         for s in rng.uniform(0.0, 8.0, size=5):
@@ -490,29 +482,25 @@ def check_cross(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
             rhs = 1.0 + float(q_of_s(h, float(s), vsq))
             dev = abs(lhs - rhs) / rhs
             if dev > worst:
-                worst = dev
-                worst_rep = {"k": list(k), "s": float(s), "k_f": cfg.k_f}
+                worst, worst_rep = dev, {"k": list(k), "s": float(s), "k_f": cfg.k_f}
     reports.append(_assert_report(
         "cross.screening_identity", worst, 1e-12,
         "resolvent pairing equals the response function",
         {"k_f": cfg.k_f, "potential": pot.spec_string()}, worst_rep))
 
     # per-k exchange aggregation over the ball
-    worst = 0.0
-    worst_rep = None
+    worst, worst_rep = 0.0, None
     for k, (pts, lam, vhat, _) in zip(ks[:3], modes):
         if vhat == 0.0:
             continue
-        lhs = 0.0
-        for xi in cfg.ball_arr.tolist():
-            zetas = Counter(_lune_hits(k, xi, cfg.r2))
-            lhs += _exchange_term(k, pts, lam, vhat, cfg.k_f, zetas, pot)
+        lhs = sum(_exchange_term(k, pts, lam, vhat, cfg.k_f,
+                                 Counter(_lune_hits(k, xi, cfg.r2)), pot)
+                  for xi in cfg.ball_arr.tolist())
         rhs = -_brute_force_pair_sum(k, cfg, pot) / (4.0 * TWO_PI_6 * cfg.k_f**2)
         dev = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         if dev > worst:
-            worst = dev
-            worst_rep = {"k": list(k), "k_f": cfg.k_f,
-                         "potential": pot.spec_string()}
+            worst, worst_rep = dev, {"k": list(k), "k_f": cfg.k_f,
+                                     "potential": pot.spec_string()}
     reports.append(_assert_report(
         "cross.exchange_aggregation_identity", worst, 1e-12,
         "ball-summed per-mode exchange vs brute-force pair sum",
@@ -521,10 +509,7 @@ def check_cross(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
 
 
 def run_all(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
-    reports = check_lattice(cfg)
-    reports += check_mode(cfg, pot)
-    reports += check_cross(cfg, pot)
-    return reports
+    return check_lattice(cfg) + check_mode(cfg, pot) + check_cross(cfg, pot)
 
 
 def any_failed(reports) -> bool:

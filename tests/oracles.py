@@ -18,8 +18,8 @@ import numpy as np
 from fermigas.dvlimit import q_dv
 from fermigas.energy import _CHUNK, _EX_BUFFER, _pair_code, stable_log1p_minus_x
 from fermigas.lattice import (as_vec3, ball_array, gap_classes,
-                              is_sum_of_three_squares, lune_kernel, neg, norm2,
-                              point_group)
+                              is_sum_of_three_squares, lune_kernel, lune_points,
+                              neg, norm2, point_group)
 from fermigas.momentum import n_point
 from fermigas.numerics import (QuadratureResult, integrate, sym_eig,
                                sym_matrix_function)
@@ -28,9 +28,10 @@ from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_K,
                                  cosh_minus_one_classes, cosh_minus_one_core,
                                  coupling_sq, csk_pair, mode_chunks, q_of_s,
                                  response_integrals, sandwich_bounds)
-from fermigas.verify import (MODE_SEED, TAUS, CheckReport, _assert_report,
-                             _exchange_term, _integral_term, _lune_hits,
-                             _mode, _mode_sample)
+from fermigas.verify import (LATTICE_SEED, MODE_SEED, QUADRUPLES, TAUS,
+                             CheckReport, _assert_report, _exchange_term, _gap,
+                             _integral_term, _is_lune_point, _lune_hits,
+                             _mode_sample)
 
 EIGHT_PI4 = 8.0 * np.pi**4
 
@@ -39,6 +40,12 @@ def nonzero_k_vectors(k_max, k_min_excl=0):
     """All k != 0 with k_min_excl < |k| <= k_max as lex-sorted tuples."""
     ks = ball_array(k_max * k_max, max(0, k_min_excl * k_min_excl))
     return list(map(tuple, ks.tolist()))
+
+
+def mode_of(k, cfg, pot):
+    """(points, gaps, V_k, v^2) of the mode k from its own ``lune_points`` call."""
+    vhat = evaluate(pot, k)
+    return (*lune_points(k, cfg), vhat, coupling_sq(vhat, cfg.k_f))
 
 
 def exp_pm2K(lam, vsq):
@@ -386,7 +393,7 @@ def bos_term(k, cfg, pot, quad_tol):
 
 def bos_term_mode(k, cfg, pot, quad_tol):
     """(1/pi) int F(q_k(s)) ds with q_k from the mode's full gap list."""
-    _, lam, vhat, vsq = _mode(k, cfg, pot)
+    _, lam, vhat, vsq = mode_of(k, cfg, pot)
     if vhat == 0.0:
         return 0.0, 0.0, True
     lam_min = float(np.min(lam))
@@ -506,7 +513,7 @@ def per_k(k, xi, cfg, pot, quad_tol):
     zetas = Counter(_lune_hits(as_vec3(k), as_vec3(xi), cfg.r2))
     if not zetas or evaluate(pot, k) == 0.0:
         return np.zeros(3), 0.0, True
-    pts, lam, vhat, vsq = _mode(k, cfg, pot)
+    pts, lam, vhat, vsq = mode_of(k, cfg, pot)
     integral, err, ok = _integral_term(k, lam, vhat, cfg.k_f, zetas, quad_tol)
     return (np.array([spectral_term(pts, lam, vsq, zetas), integral,
                       _exchange_term(k, pts, lam, vhat, cfg.k_f, zetas, pot)]),
@@ -692,7 +699,7 @@ def check_mode_values_loop(cfg, pot):
     ks = _mode_sample(cfg)
 
     def per_k(k):
-        _, lam, vhat, vsq = _mode(k, cfg, pot)
+        _, lam, vhat, vsq = mode_of(k, cfg, pot)
         dim = lam.size
         kmat = build_K(lam, vsq)
         lower, upper, _ = sandwich_bounds(lam, vsq)
@@ -801,4 +808,98 @@ def check_mode_loop(cfg, pot):
                    "normalized by V_k^m and V_k^1 to record which exponent fits",
         params={"k_f": cfg.k_f, "potential": pot.spec_string(),
                 "rows": diag_rows}))
+    return reports
+
+
+def check_lattice_loop(cfg):
+    """``verify.check_lattice`` one lune at a time: a ``lune_points`` call per
+    k of the k_max ball and per four-point draw."""
+    k_max = int(math.ceil(2.0 * cfg.k_f)) + 2
+    ks = ball_array(k_max * k_max, 0).tolist()
+    lunes = [(k, *lune_points(k, cfg)) for k in ks]
+    worst, worst_at = math.inf, None
+    for k, pts, gaps in lunes:
+        i = int(np.argmin(gaps))
+        if gaps[i] < worst:
+            worst = float(gaps[i])
+            worst_at = {"k": list(k), "p": pts[i].tolist(), "lambda": worst,
+                        "k_f": cfg.k_f}
+    reports = [_assert_report(
+        "lattice.gap_lower_bound", 0.5 - worst, 0.0,
+        f"min lambda = {worst} at k={worst_at['k']}",
+        {"k_f": cfg.k_f, "lunes": len(lunes)}, worst_at)]
+
+    # reflection: the k run over a symmetric lex-sorted ball, so -k is row -1 - i
+    worst, worst_rep = 0.0, None
+    for (k, pts, gaps), (_, m_pts, m_gaps) in zip(lunes, reversed(lunes)):
+        if not np.array_equal(m_pts, -pts[::-1]):
+            worst, worst_rep = math.inf, {"k": list(k), "k_f": cfg.k_f}
+            break
+        dev = float(np.max(np.abs(m_gaps - gaps[::-1])))
+        if dev > worst:
+            worst, worst_rep = dev, {"k": list(k), "k_f": cfg.k_f}
+    reports.append(_assert_report(
+        "lattice.reflection", worst, 0.0, "L(-k) = -L(k) with equal gaps",
+        {"k_f": cfg.k_f, "k_max": k_max}, worst_rep))
+
+    # four-point gap identity, one lune_points call per drawn k
+    rng = np.random.Generator(np.random.Philox(key=LATTICE_SEED))
+    worst, worst_rep, tested, guard = 0.0, None, 0, 0
+    while tested < QUADRUPLES and guard < 50 * QUADRUPLES:
+        guard += 1
+        k = [int(c) for c in rng.integers(-k_max, k_max + 1, size=3)]
+        if not any(k):
+            continue
+        pts, _ = lune_points(k, cfg)
+        if len(pts) < 2:
+            continue
+        i, j = rng.integers(0, len(pts), size=2)
+        p, q = pts[int(i)].tolist(), pts[int(j)].tolist()
+        l = [a + b - c for a, b, c in zip(p, q, k)]
+        if not (any(l) and _is_lune_point(l, p, cfg.r2)
+                and _is_lune_point(l, q, cfg.r2)):
+            continue
+        dev = abs((_gap(k, p) + _gap(k, q)) - (_gap(l, p) + _gap(l, q)))
+        tested += 1
+        if dev > worst:
+            worst, worst_rep = dev, {"k": k, "l": l, "p": p, "q": q, "k_f": cfg.k_f}
+    reports.append(_assert_report(
+        "lattice.four_point_gap_identity", worst, 0.0,
+        f"{tested} admissible quadruples tested",
+        {"k_f": cfg.k_f, "seed": LATTICE_SEED}, worst_rep))
+
+    shell = ball_array(cfg.r2 + 16, cfg.r2)
+    xi = shell[np.argmin(np.einsum("ij,ij->i", shell, shell))].tolist()
+    ks_xi = sorted(k for q in cfg.ball_arr.tolist()
+                   if any(k := [a - b for a, b in zip(xi, q)])
+                   and _is_lune_point(k, xi, cfg.r2))
+    reports.append(CheckReport(
+        name="lattice.outside_gap_sum_finite", status="pass",
+        measured=float(sum(1.0 / _gap(k, xi) for k in ks_xi)), tolerance=math.inf,
+        worst_case=f"sum over {len(ks_xi)} modes at xi={xi}",
+        params={"k_f": cfg.k_f, "xi": xi}))
+
+    # one np.sum per lune
+    for beta in (-1.0, -0.5):
+        ratios = []
+        for k, _, gaps in lunes:
+            kn = math.sqrt(norm2(k))
+            if kn <= 2.0 * cfg.k_f:
+                bound = cfg.k_f ** (2.0 + beta) * kn ** (1.0 + beta)
+                ratios.append(float(np.sum(gaps ** beta)) / bound)
+        reports.append(CheckReport(
+            name=f"lattice.gap_power_sum_trend_beta_{beta:g}",
+            status="diagnostic", measured=max(ratios), tolerance=None,
+            worst_case=f"fitted c over {len(ratios)} modes "
+                       f"(median ratio {np.median(ratios):.3g})",
+            params={"k_f": cfg.k_f, "beta": beta}))
+
+    far = ball_array(4 * k_max * k_max, 0)
+    n2 = np.einsum("ij,ij->i", far, far)
+    acc = float(np.add.accumulate(1.0 / (n2[n2 > cfg.r2] / 2.0) ** 2)[-1])
+    reports.append(CheckReport(
+        name="lattice.inside_gap_sum_trend", status="diagnostic",
+        measured=float(acc * cfg.kappa / cfg.k_f ** 1.1), tolerance=None,
+        worst_case=f"truncated at |k| <= {2 * k_max}, xi=[0, 0, 0]",
+        params={"k_f": cfg.k_f, "delta": 0.1}))
     return reports

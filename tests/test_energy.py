@@ -515,6 +515,22 @@ def test_energy_report_bit_identical_on_reduced_shells(k_f, monkeypatch):
         assert got == energy_report(cfg, pot, pol, quad_tol=1e-8).to_json_dict()
 
 
+def test_energy_report_builds_the_ball_autocorrelation_once(monkeypatch):
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return _ball_pair_sums(cfg)
+
+    monkeypatch.setattr(energy, "_ball_pair_sums", counting)
+    cfg, pot, pol = fermi_ball(2.0), coulomb(1.0), TailPolicy(k_max=3, max_doublings=1)
+    report = energy_report(cfg, pot, pol, quad_tol=1e-8)
+    assert len(calls) == 1
+    assert (report.e_fs_kinetic, report.e_fs_interaction) == e_fs(cfg, pot)
+    assert report.e_corr_ex == e_corr_ex(cfg, pot, pol)[0]
+    assert len(calls) == 3
+
+
 def test_energy_report_fields_and_signs():
     report = energy_report(fermi_ball(1.0), coulomb(1.0),
                            TailPolicy(k_max=4, tail_tol=2e-3, max_doublings=3),

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import fermigas.momentum as momentum
 from fermigas.lattice import (TailPolicy, as_vec3, ball_array, doubled_sum,
                               fermi_ball, gap_classes, is_sum_of_three_squares,
-                              k_shell, k_support, lune_kernel, lune_points, neg,
-                              norm2, orbit, point_group)
+                              k_shell, k_support, lune_block, lune_kernel,
+                              lune_points, neg, norm2, orbit, point_group)
 from fermigas.quasiboson import mode_chunks
 from fermigas.verify import _gap, _lune_hits
 from oracles import (ball_array_cube, ball_points, gap_counts,
@@ -147,6 +147,28 @@ def test_lune_matches_brute_force(k_f):
         assert list(map(tuple, pts.tolist())) == brute_lune(k, cfg)
         for p, lam in zip(pts.tolist(), gaps):
             assert lam == (norm2(p) - norm2(tuple(a - b for a, b in zip(p, k)))) / 2
+
+
+@pytest.mark.parametrize("k_f", [0.5, 1.0, 2.0, 3.0])
+def test_lune_block_equals_lune_points_row_by_row(k_f):
+    # the k_max ball of verify.check_lattice, as one block
+    cfg = fermi_ball(k_f)
+    ks = ball_array((math.ceil(2 * k_f) + 2) ** 2, 0)
+    counts, pts, gaps = lune_block(ks, cfg)
+    assert counts.shape == (len(ks),) and pts.shape == (counts.sum(), 3)
+    ends = np.cumsum(counts)
+    for k, start, end in zip(ks.tolist(), ends - counts, ends):
+        want_pts, want_gaps = lune_points(k, cfg)
+        assert np.array_equal(pts[start:end], want_pts)
+        assert np.array_equal(gaps[start:end], want_gaps)
+
+
+def test_lune_block_rejects_a_zero_row():
+    cfg = fermi_ball(1.0)
+    with pytest.raises(ValueError, match="k = 0"):
+        lune_block(np.array([[1, 0, 0], [0, 0, 0], [0, 1, 0]]), cfg)
+    counts, pts, gaps = lune_block(np.zeros((0, 3), dtype=np.int64), cfg)
+    assert counts.size == pts.shape[0] == gaps.size == 0
 
 
 @pytest.mark.parametrize("k_f", [1.0, math.sqrt(3.0), 2.5])

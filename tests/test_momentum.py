@@ -21,12 +21,11 @@ from fermigas.momentum import (MomentumBreakdown, Observable, _block_parts,
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from fermigas.quasiboson import (TWO_PI_CUBED, cosh_minus_one_classes,
                                  mode_chunks, q_of_s, response_chunks)
-from fermigas.verify import (_exchange_term, _integral_term, _lune_hits,
-                             _mode)
+from fermigas.verify import _exchange_term, _integral_term, _lune_hits
 
 from oracles import (ball_pair_sum_n_ex, ball_points, ball_trace_n_b,
                      bulk_chunk, bulk_exchange, cosh2k_minus_one_diag,
-                     gap_counts, lambda_of, n_boson_integral,
+                     gap_counts, lambda_of, mode_of, n_boson_integral,
                      n_boson_spectral, n_exchange, nonzero_k_vectors,
                      per_k_sum, spectral_term, truncated_k_vectors)
 
@@ -83,7 +82,7 @@ def test_dim1_synthetic_mode_contribution():
     cfg = fermi_ball(0.5)
     vhat = 2.0 * (2.0 * np.pi) ** 3 * cfg.k_f
     k = (1, 1, 0)
-    pts, lam, _, vsq = _mode(k, cfg,
+    pts, lam, _, vsq = mode_of(k, cfg,
                              from_table({k: vhat, (-1, -1, 0): vhat}))
     assert lam.size == 1 and lam[0] == 1.0 and vsq == 1.0
     diag = cosh2k_minus_one_diag(lam, vsq)
@@ -101,7 +100,7 @@ def test_dim1_synthetic_mode_contribution():
 
 def test_single_mode_cross_route():
     cfg = fermi_ball(1.0)
-    pts, lam, vhat, vsq = _mode((1, 0, 0), cfg, coulomb(1.0))
+    pts, lam, vhat, vsq = mode_of((1, 0, 0), cfg, coulomb(1.0))
     zetas = Counter(_lune_hits((1, 0, 0), (1, 1, 0), cfg.r2))
     spec = spectral_term(pts, lam, vsq, zetas)
     integ, err, ok = _integral_term((1, 0, 0), lam, vhat, cfg.k_f, zetas, 1e-10)
@@ -149,7 +148,7 @@ def test_per_k_exchange_aggregation_identity():
     cfg = fermi_ball(1.0)
     pot = coulomb(1.0)
     k = (1, 0, 0)
-    pts, lam, vhat, _ = _mode(k, cfg, pot)
+    pts, lam, vhat, _ = mode_of(k, cfg, pot)
     lhs = sum(_exchange_term(k, pts, lam, vhat, cfg.k_f,
                              Counter(_lune_hits(k, xi, cfg.r2)), pot)
               for xi in ball_points(cfg.r2))
@@ -227,7 +226,7 @@ BLOCK_KS = {
 @pytest.mark.parametrize("kf", sorted(BLOCK_KS))
 def test_deflated_diag_matches_full_lune(kf):
     cfg = fermi_ball(kf)
-    modes = [_mode(k, cfg, coulomb(1.0)) for k in BLOCK_KS[kf]]
+    modes = [mode_of(k, cfg, coulomb(1.0)) for k in BLOCK_KS[kf]]
     g, counts, per_gap = _per_gap(np.array(BLOCK_KS[kf]), cfg,
                                   np.array([m[3] for m in modes]))
     for row, (_, lam, _, vsq) in enumerate(modes):
@@ -244,7 +243,7 @@ def test_gap_table_response_matches_q_of_s():
     s = np.array([0.0, 0.05, 0.5, 1.0, 3.0, 10.0, 1e3])
     for kf, pot in ((2.0, coulomb(1.0)), (3.0, yukawa(2.0, 0.5))):
         cfg = fermi_ball(kf)
-        modes = [_mode(k, cfg, pot) for k in BLOCK_KS[kf]]
+        modes = [mode_of(k, cfg, pot) for k in BLOCK_KS[kf]]
         ks = np.array(BLOCK_KS[kf])
         # one masked chunk of all rows; then one chunk per row, so that
         # the full-lune rows take the unmasked path
@@ -482,7 +481,7 @@ def test_coupling_monotonicity_of_spectral_summand():
     for k in ((1, 0, 0), (2, 0, 0), (1, 1, 1)):
         prev = None
         for g in (0.1, 0.5, 1.0, 2.0, 10.0):
-            _, lam, _, vsq = _mode(k, cfg, coulomb(g))
+            _, lam, _, vsq = mode_of(k, cfg, coulomb(g))
             diag = cosh2k_minus_one_diag(lam, vsq)
             if prev is not None:
                 assert np.all(diag >= prev - 1e-15)
@@ -492,7 +491,7 @@ def test_coupling_monotonicity_of_spectral_summand():
 def test_positivity_of_spectral_diag():
     cfg = fermi_ball(2.0)
     for k in nonzero_k_vectors(4):
-        _, lam, _, vsq = _mode(k, cfg, coulomb(1.0))
+        _, lam, _, vsq = mode_of(k, cfg, coulomb(1.0))
         diag = cosh2k_minus_one_diag(lam, vsq)
         assert np.all(diag > 0.0)
 

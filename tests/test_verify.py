@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermigas import verify
+from fermigas import lattice, verify
 from fermigas.lattice import ball_array, fermi_ball, lune_points
 from fermigas.numerics import sym_eig, sym_matrix_function
 from fermigas.potential import coulomb, from_table, yukawa, zero
@@ -13,7 +13,7 @@ from fermigas.quasiboson import build_K, csk_pair, sandwich_bounds, size_batches
 from fermigas.verify import (TAUS, _mode_sample, any_failed, check_cross,
                              check_gap_bound, check_lattice, check_mode,
                              reports_to_json, run_all)
-from oracles import check_mode_loop, check_mode_values_loop
+from oracles import check_lattice_loop, check_mode_loop, check_mode_values_loop
 
 
 def by_name(reports):
@@ -36,16 +36,57 @@ def test_check_lattice_passes_larger_balls(k_f):
 
 
 def test_gap_check_negative_control_carries_reproducer():
+    # two flat lunes of k = (1, 0, 0), the second with a gap below 1/2
     cfg = fermi_ball(1.0)
     pts, gaps = lune_points((1, 0, 0), cfg)
     bad_gaps = np.array([0.5, 0.5, 0.3, 0.5, 1.5])
-    report = check_gap_bound([((1, 0, 0), pts, gaps),
-                              ((1, 0, 0), pts, bad_gaps)], cfg.k_f)
+    report = check_gap_bound(np.array([[1, 0, 0], [1, 0, 0]]), [5, 5],
+                             np.concatenate([pts, pts]),
+                             np.concatenate([gaps, bad_gaps]), cfg.k_f)
     assert report.status == "fail"
     assert report.reproducer is not None
     assert report.reproducer["lambda"] == pytest.approx(0.3)
     assert report.reproducer["k"] == [1, 0, 0]
     assert report.reproducer["p"] == [1, 0, 1]
+    assert report.params["lunes"] == 2
+
+
+@pytest.mark.parametrize("k_f", [0.5, 1.0, math.sqrt(3.0), 2.0, math.sqrt(7.0), 3.0])
+def test_check_lattice_equals_per_lune_loop(k_f):
+    cfg = fermi_ball(k_f)
+    assert reports_to_json(check_lattice(cfg)) == reports_to_json(check_lattice_loop(cfg))
+
+
+def test_verify_lunes_come_from_the_block_form(monkeypatch):
+    # only the brute-force pair-sum oracle of check_cross reads lune_points
+    calls = []
+
+    def counting(k, cfg):
+        calls.append(tuple(k))
+        return lune_points(k, cfg)
+
+    monkeypatch.setattr(lattice, "lune_points", counting)
+    monkeypatch.setattr(verify, "lune_points", counting)
+    cfg, pot = fermi_ball(2.0), coulomb(1.0)
+    check_lattice(cfg)
+    verify._mode_values(cfg, pot)
+    assert calls == []
+    check_cross(cfg, pot)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("k_f, bound", [(2.0, 1_400_000), (3.0, 3_000_000)])
+def test_check_lattice_peak_memory(k_f, bound):
+    # the lunes of the cube |k_i| <= k_max are read one chunk at a time
+    cfg = fermi_ball(k_f)
+    check_lattice(cfg)
+    tracemalloc.start()
+    try:
+        check_lattice(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 @pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 10.0])
