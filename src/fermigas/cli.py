@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import dvlimit, energy, momentum
 from .lattice import TailPolicy, fermi_ball, lune_points
@@ -161,9 +162,7 @@ def cmd_dv_compare(args) -> int:
     rows = dvlimit.compare_table(cfg, pot, xi_list, samples=args.samples,
                                  seed=args.seed)
     if args.format == "json":
-        _emit([{"xi": list(r.xi), "n_b_disc": r.n_b_disc, "n_ex_disc": r.n_ex_disc,
-                "n_b_dv": r.n_b_dv, "n_ex_dv": r.n_ex_dv,
-                "ratio_b": r.ratio_b, "ratio_ex": r.ratio_ex} for r in rows])
+        _emit([asdict(r) for r in rows])
     else:
         sys.stdout.write(dvlimit.rows_to_csv(rows))
     return 0

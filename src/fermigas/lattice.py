@@ -208,13 +208,15 @@ def orbit_key(arr: np.ndarray) -> np.ndarray:
 
 def lune_block(ks, cfg: LatticeConfig):
     """``lune_points`` of each row of an (m, 3) block of k != 0, flat: (counts,
-    points, gaps), row i's lune the next counts[i] points and gaps."""
+    points, gaps, cols), row i's lune the next counts[i] points and gaps,
+    and cols the ball row of q for each point p = k + q."""
     kv = np.asarray(ks, dtype=np.int64)
     if not kv.any(axis=1).all():
         raise ValueError("lune is undefined for k = 0")
     mask, gaps = lune_kernel(kv, cfg)
     rows, cols = np.nonzero(mask)
-    return np.count_nonzero(mask, axis=1), cfg.ball_arr[cols] + kv[rows], gaps[mask]
+    return (np.count_nonzero(mask, axis=1), cfg.ball_arr[cols] + kv[rows],
+            gaps[mask], cols)
 
 
 def lune_points(k: Sequence[int],
@@ -227,7 +229,7 @@ def lune_points(k: Sequence[int],
     The ball is symmetric, so the lune of -k is ``-points[::-1]`` with
     gaps ``gaps[::-1]``.  Nonempty for every k != 0.
     """
-    return lune_block(np.reshape(k, (1, 3)), cfg)[1:]
+    return lune_block(np.reshape(k, (1, 3)), cfg)[1:3]
 
 
 @dataclass(frozen=True)

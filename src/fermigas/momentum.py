@@ -119,56 +119,44 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, cols: np.ndarray,
     ``ks`` is (m, 3) with weights ``wts``; ``cols`` holds the ball row of
     each candidate hit's column (module docstring; -1 for none), (m, c)
     or (c,) for all rows, and ``colw`` the (P, c) column weights of P
-    points.  The k rows run in mode blocks of at most ``_CHUNK`` rows
-    and ``_LUNES`` lune-kernel entries, each with its own temporaries
-    (``_mode_block``).  A hit's values do not depend on the point, so
-    each is computed once and the point weights are applied after.  A
-    route left out stays 0.
+    points.  Every row has a hit: ``_hit_shell`` keeps only rows that
+    meet a column, and each outside support row hits its own +-xi column.
+    The k rows run in mode blocks of at most ``size`` rows (``_CHUNK``,
+    and ``_LUNES`` lune-kernel entries).  A block's hits read their
+    values per (mode, gap) pair (``_class_values``), which do not depend
+    on the point; the point weights and the exchange sum, which depends
+    on the hit's column, run after in slices of at most ``size`` hits,
+    so that a slice's (hits, N) arrays stay within ``_LUNES`` entries.
+    A route left out stays 0.
     """
     vhat = pot.at(ks)
-    out = (np.zeros((colw.shape[0], 3)), np.zeros(colw.shape[0]),
-           np.ones(colw.shape[0], dtype=bool))
+    parts, qerr, ok = (np.zeros((colw.shape[0], 3)), np.zeros(colw.shape[0]),
+                       np.ones(colw.shape[0], dtype=bool))
     size = max(1, min(_CHUNK, _LUNES // cfg.n_particles))
     carry = {}
     for rows, mask, lam in mode_chunks(ks, vhat, cfg, size):
+        kc, vc = ks[rows], vhat[rows]
         # columns shared by all rows stay one (c,) array, broadcast
         col = np.broadcast_to(cols if cols.ndim == 1 else cols[rows],
                               (rows.size, colw.shape[1]))
-        _mode_block(ks[rows], wts[rows], vhat[rows], col, colw, mask, lam,
-                    cfg, pot, quad_tol, (want_spectral, want_integral), size,
-                    carry, out)
-    return out
-
-
-def _mode_block(kc, wts, vhat, col, colw, mask, lam, cfg, pot, quad_tol,
-                routes, size, carry, out) -> None:
-    """Add one mode block's parts, quad errors and ok flags to ``out``.
-
-    The hits of the block's rows ``kc`` read their values per (mode,
-    gap) pair (``_class_values``).  The point weights and the exchange
-    sum, which depends on the hit's column and not only on its gap, run
-    in slices of at most ``size`` hits, the block's row bound, so that
-    a slice's (hits, N) arrays stay within ``_LUNES`` entries.
-    """
-    parts, qerr, ok = out
-    hit = np.flatnonzero((col >= 0)
-                         & mask[np.arange(kc.shape[0])[:, None], col])
-    if not hit.size:
-        return
-    pair, spec, val, err, conv = _class_values(kc, vhat, mask, lam, col, hit,
-                                               cfg, quad_tol, *routes, carry)
-    for lo in range(0, hit.size, size):
-        r, j = np.divmod(hit[lo:lo + size], col.shape[1])
-        at = pair[lo:lo + size]
-        w = wts[r] * colw[:, j]
-        wv = w * vhat[r]
-        parts[:, 0] += w @ spec[at]
-        parts[:, 1] += wv @ val[at] / (EIGHT_PI4 * cfg.k_f)
-        qerr += wv @ err[at] / (EIGHT_PI4 * cfg.k_f)
-        ok &= ~np.any(w[:, ~conv[at]], axis=1)
-        parts[:, 2] -= wv @ _exchange_sums(kc[r], lam[r], mask[r], col[r, j],
-                                           cfg, pot) / (8.0 * TWO_PI_6
-                                                        * cfg.k_f**2)
+        hit = np.flatnonzero((col >= 0)
+                             & mask[np.arange(rows.size)[:, None], col])
+        pair, spec, val, err, conv = _class_values(
+            kc, vc, mask, lam, col, hit, cfg, quad_tol, want_spectral,
+            want_integral, carry)
+        for lo in range(0, hit.size, size):
+            r, j = np.divmod(hit[lo:lo + size], col.shape[1])
+            at = pair[lo:lo + size]
+            w = wts[rows[r]] * colw[:, j]
+            wv = w * vc[r]
+            parts[:, 0] += w @ spec[at]
+            parts[:, 1] += wv @ val[at] / (EIGHT_PI4 * cfg.k_f)
+            qerr += wv @ err[at] / (EIGHT_PI4 * cfg.k_f)
+            ok &= ~np.any(w[:, ~conv[at]], axis=1)
+            parts[:, 2] -= wv @ _exchange_sums(
+                kc[r], lam[r], mask[r], col[r, j], cfg, pot) / (
+                    8.0 * TWO_PI_6 * cfg.k_f**2)
+    return parts, qerr, ok
 
 
 def _class_values(kc, vhat, mask, lam, col, hit, cfg, quad_tol,
@@ -218,7 +206,9 @@ def _spectral_values(kc, vhat, vsq, classes, pairs, carry) -> np.ndarray:
     order, so a group cut by the block's end goes on at the next
     block's start: ``carry`` maps (sorted |k|, V_k) to the per-class
     values of the groups of the previous block's last orbit, and is
-    replaced by this block's.
+    replaced by this block's.  Every block row has a hit (``_block_parts``),
+    so every row's group is read, and the last orbit's groups, which the
+    carry takes, are all among the solved or carried ones.
     """
     crows = classes[0]
     okey = orbit_key(kc)
@@ -228,10 +218,8 @@ def _spectral_values(kc, vhat, vsq, classes, pairs, carry) -> np.ndarray:
     head = first[inv]
     start = np.searchsorted(crows, np.arange(kc.shape[0] + 1))
     prow = crows[pairs]
-    tail = set(head[okey == okey[-1]].tolist())
     solve = np.zeros(kc.shape[0], dtype=bool)
     solve[head[prow]] = True
-    solve[list(tail)] = True
     # orbit_key's base depends on the block, the sorted |k| does not
     group = {h: (*sorted(map(abs, kc[h].tolist())), float(vhat[h]))
              for h in np.flatnonzero(solve).tolist()}
@@ -241,7 +229,8 @@ def _spectral_values(kc, vhat, vsq, classes, pairs, carry) -> np.ndarray:
     for h in known:
         vals[start[h]:start[h + 1]] = carry[group[h]]
     carry.clear()
-    carry.update((group[h], vals[start[h]:start[h + 1]].copy()) for h in tail)
+    carry.update((g, vals[start[h]:start[h + 1]].copy())
+                 for h, g in group.items() if okey[h] == okey[-1])
     return vals[start[head[prow]] + pairs - start[prow]]
 
 
@@ -379,15 +368,8 @@ def _outside_rows(xs: list[Vec3], cfg: LatticeConfig, pot: Potential,
     every point has 2N support k.
     """
     pts = np.array([v for xv in xs for v in (xv, neg(xv))])
-    every = (pts[:, None] - cfg.ball_arr).reshape(-1, 3)
-    order = np.lexsort(every.T[::-1])
-    every = every[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = np.any(every[1:] != every[:-1], axis=1)
-    ks = every[new]
-    at = np.empty(order.size, dtype=np.int64)
-    at[order] = np.cumsum(new) - 1
-    del every, order, new
+    ks, at = np.unique((pts[:, None] - cfg.ball_arr).reshape(-1, 3), axis=0,
+                       return_inverse=True)
     n = cfg.n_particles
     cols = np.full((ks.shape[0], pts.shape[0]), -1)
     cols[at.reshape(-1, n), np.arange(pts.shape[0])[:, None]] = np.arange(n)

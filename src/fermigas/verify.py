@@ -123,9 +123,8 @@ def _cube_lunes(cube: np.ndarray, near: np.ndarray, cfg: LatticeConfig):
     for lo in range(0, m // 2, step):
         hi = min(lo + step, m // 2)
         rows = np.r_[lo:hi, m - hi:m - lo]
-        counts, pts, gaps = lune_block(cube[rows], cfg)
+        counts, pts, gaps, q = lune_block(cube[rows], cfg)
         starts = np.cumsum(counts) - counts
-        q = cfg.ball_index(pts - np.repeat(cube[rows], counts, axis=0))
         in_lune[np.repeat(rows, counts), q] = True
         min_gaps[rows] = np.minimum.reduceat(gaps, starts)
         at = np.where(gaps == np.repeat(min_gaps[rows], counts), np.arange(gaps.size), gaps.size)
@@ -239,7 +238,7 @@ def _mode_sample(cfg: LatticeConfig) -> list[list[int]]:
 
 def _modes(ks, cfg: LatticeConfig, pot: Potential):
     """(points, gaps, V_k, v^2) of each mode of ks, the lunes from one lune_block."""
-    counts, pts, gaps = lune_block(ks, cfg)
+    counts, pts, gaps, _ = lune_block(ks, cfg)
     cuts = np.cumsum(counts)[:-1]
     return [(p, lam, v := evaluate(pot, k), coupling_sq(v, cfg.k_f))
             for k, p, lam in zip(ks, np.split(pts, cuts), np.split(gaps, cuts))]

@@ -154,8 +154,9 @@ def test_lune_block_equals_lune_points_row_by_row(k_f):
     # the k_max ball of verify.check_lattice, as one block
     cfg = fermi_ball(k_f)
     ks = ball_array((math.ceil(2 * k_f) + 2) ** 2, 0)
-    counts, pts, gaps = lune_block(ks, cfg)
+    counts, pts, gaps, cols = lune_block(ks, cfg)
     assert counts.shape == (len(ks),) and pts.shape == (counts.sum(), 3)
+    assert np.array_equal(cfg.ball_arr[cols] + np.repeat(ks, counts, axis=0), pts)
     ends = np.cumsum(counts)
     for k, start, end in zip(ks.tolist(), ends - counts, ends):
         want_pts, want_gaps = lune_points(k, cfg)
@@ -167,8 +168,11 @@ def test_lune_block_rejects_a_zero_row():
     cfg = fermi_ball(1.0)
     with pytest.raises(ValueError, match="k = 0"):
         lune_block(np.array([[1, 0, 0], [0, 0, 0], [0, 1, 0]]), cfg)
-    counts, pts, gaps = lune_block(np.zeros((0, 3), dtype=np.int64), cfg)
-    assert counts.size == pts.shape[0] == gaps.size == 0
+    counts, pts, gaps, cols = lune_block(np.zeros((0, 3), dtype=np.int64), cfg)
+    assert counts.size == pts.shape[0] == gaps.size == cols.size == 0
+    ks = np.array([[1, 0, 0], [0, -2, 1]])
+    counts, pts, gaps, cols = lune_block(ks, cfg)
+    assert np.array_equal(cfg.ball_arr[cols] + np.repeat(ks, counts, axis=0), pts)
 
 
 @pytest.mark.parametrize("k_f", [1.0, math.sqrt(3.0), 2.5])

@@ -940,6 +940,29 @@ def test_split_orbit_groups_share_one_eigensolve(monkeypatch, pot_name):
     assert cut.n_ex == pytest.approx(one.n_ex, rel=1e-14)
 
 
+def test_split_inside_groups_share_one_eigensolve(monkeypatch):
+    # the inside twin: with one row per block every (sorted |k|, V_k)
+    # group of more than one row is cut, and the carried values keep the
+    # eigensolved matrices of the one-block run
+    cfg = fermi_ball(2.0)
+    pot = _potential("table_even", 6)
+    policy = TailPolicy(k_max=6, max_doublings=0)
+    eigh, cores = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (
+        cores.append(a.shape[0]) or eigh(a)))
+    one = n_point((1, 0, 0), cfg, pot, policy, route="both")
+    solves = sum(cores)
+    cores.clear()
+    monkeypatch.setattr(momentum, "_LUNES", cfg.n_particles)
+    sizes = _chunk_sizes(monkeypatch)
+    cut = n_point((1, 0, 0), cfg, pot, policy, route="both")
+    assert len(sizes) == 457 and set(sizes) == {1}
+    assert sum(cores) == solves
+    assert cut.n_b_spectral == pytest.approx(one.n_b_spectral, rel=1e-14)
+    assert cut.n_ex == pytest.approx(one.n_ex, rel=1e-14)
+    assert cut.n_b_integral == pytest.approx(one.n_b_integral, rel=1e-10)
+
+
 PASS_POINTS = {1.0: [(0, 0, 0), (1, 0, 0)],
                2.0: [(0, 0, 0), (1, 0, 0), (1, 1, 0)],
                3.0: [(0, 0, 0), (1, 1, 0), (2, 1, 0)]}
