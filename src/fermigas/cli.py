@@ -132,7 +132,7 @@ def cmd_momentum_sum(args) -> int:
         else:
             raise ConfigError(f"unknown observable {spec!r} "
                               "(use ball | delta:X,Y,Z | table:PATH)")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     total, rows = momentum.n_weighted(obs, cfg, pot, _policy(args),
                                       route=args.route, quad_tol=args.quad_tol)
@@ -248,10 +248,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,7 @@ and the shards are reduced in index order, so results are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -263,7 +263,7 @@ class CompareRow:
     ratio_ex: float
 
 
-CSV_HEADER = "xi,n_b_disc,n_ex_disc,n_b_dv,n_ex_dv,ratio_b,ratio_ex"
+CSV_HEADER = ",".join(f.name for f in fields(CompareRow))
 
 
 def compare_table(cfg, pot, xi_list, quad_tol: float = 1e-7,
@@ -310,7 +310,6 @@ def compare_table(cfg, pot, xi_list, quad_tol: float = 1e-7,
 def rows_to_csv(rows: list[CompareRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        xi_str = " ".join(str(c) for c in r.xi)
-        lines.append(f"{xi_str},{r.n_b_disc!r},{r.n_ex_disc!r},"
-                     f"{r.n_b_dv!r},{r.n_ex_dv!r},{r.ratio_b!r},{r.ratio_ex!r}")
+        xi, *vals = astuple(r)
+        lines.append(",".join([" ".join(map(str, xi)), *map(repr, vals)]))
     return "\n".join(lines) + "\n"

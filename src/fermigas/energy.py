@@ -87,21 +87,18 @@ class EnergyReport:
         return asdict(self)
 
 
-def e_fs(cfg: LatticeConfig, pot: Potential) -> tuple[float, float]:
+def e_fs(cfg: LatticeConfig, pot: Potential,
+         pair_sums=None) -> tuple[float, float]:
     """Kinetic and interaction energy of the filled Fermi state.
 
     The kinetic part is the integer sum of squared norms over the ball,
     the interaction sum_k V_k (|L_k| - N) / (2 (2pi)^3).  As B = -B,
     |L_k| - N = -c(k), so k runs over B + B, where V_0 = 0.
+    ``pair_sums`` is ``_ball_pair_sums(cfg)``, built when not given.
     """
-    return _e_fs(cfg, pot, _ball_pair_sums(cfg))
-
-
-def _e_fs(cfg: LatticeConfig, pot: Potential, pair_sums):
-    """``e_fs`` on ``pair_sums`` = ``_ball_pair_sums(cfg)``."""
     ball = cfg.ball_arr
     kinetic = float(np.einsum("ij,ij->", ball, ball))
-    t, count, _ = pair_sums
+    t, count, _ = _ball_pair_sums(cfg) if pair_sums is None else pair_sums
     # one k at a time in lex order, the order of the per-k form
     return kinetic, sum((pot.at(t) * -count).tolist()) / (2.0 * TWO_PI_CUBED)
 
@@ -287,16 +284,13 @@ def e_corr_bos(cfg: LatticeConfig, pot: Potential,
 
 
 def e_corr_ex(cfg: LatticeConfig, pot: Potential,
-              policy: TailPolicy | None = None):
+              policy: TailPolicy | None = None, pair_sums=None):
     """Exchange correlation energy; >= 0 for nonnegative potentials.
 
+    ``pair_sums`` is ``_ball_pair_sums(cfg)``, built when not given.
     Returns (value, tail_estimate, k_cutoff, converged).
     """
-    return _e_corr_ex(cfg, pot, policy or TailPolicy(), _ball_pair_sums(cfg))
-
-
-def _e_corr_ex(cfg: LatticeConfig, pot: Potential, policy: TailPolicy, pair_sums):
-    """``e_corr_ex`` on ``pair_sums`` = ``_ball_pair_sums(cfg)``."""
+    pair_sums = _ball_pair_sums(cfg) if pair_sums is None else pair_sums
     pref = 1.0 / (4.0 * TWO_PI_6 * cfg.k_f**2)
 
     def shell(k_lo, k_hi):
@@ -306,7 +300,8 @@ def _e_corr_ex(cfg: LatticeConfig, pot: Potential, policy: TailPolicy, pair_sums
         return (np.array([sum((weights * terms).tolist())]), 0.0, True,
                 int(weights.sum()))
 
-    total, tail, _, _, k_cut, ok = doubled_sum(shell, cfg, policy)
+    total, tail, _, _, k_cut, ok = doubled_sum(shell, cfg,
+                                               policy or TailPolicy())
     return pref * float(total[0]), pref * tail, k_cut, ok
 
 
@@ -317,8 +312,8 @@ def energy_report(cfg: LatticeConfig, pot: Potential,
     policy = policy or TailPolicy()
     bos, bos_tail, bos_qerr, bos_cut, bos_ok = e_corr_bos(cfg, pot, policy, quad_tol)
     pair_sums = _ball_pair_sums(cfg)  # one build for both of its sums
-    kin, inter = _e_fs(cfg, pot, pair_sums)
-    ex, ex_tail, ex_cut, ex_ok = _e_corr_ex(cfg, pot, policy, pair_sums)
+    kin, inter = e_fs(cfg, pot, pair_sums)
+    ex, ex_tail, ex_cut, ex_ok = e_corr_ex(cfg, pot, policy, pair_sums)
     return EnergyReport(
         e_fs_kinetic=kin,
         e_fs_interaction=inter,

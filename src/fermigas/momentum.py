@@ -130,6 +130,9 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, cols: np.ndarray,
     A route left out stays 0.
     """
     vhat = pot.at(ks)
+    _, vcode = np.unique(vhat, return_inverse=True)
+    # (orbit key, V_k) ids: < base^3 * #V_k, base = max |k_i| + 1, in int64
+    gid = orbit_key(ks) * (vcode.max(initial=0) + 1) + vcode
     parts, qerr, ok = (np.zeros((colw.shape[0], 3)), np.zeros(colw.shape[0]),
                        np.ones(colw.shape[0], dtype=bool))
     size = max(1, min(_CHUNK, _LUNES // cfg.n_particles))
@@ -142,8 +145,8 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, cols: np.ndarray,
         hit = np.flatnonzero((col >= 0)
                              & mask[np.arange(rows.size)[:, None], col])
         pair, spec, val, err, conv = _class_values(
-            kc, vc, mask, lam, col, hit, cfg, quad_tol, want_spectral,
-            want_integral, carry)
+            gid[rows], coupling_sq(vc, cfg.k_f), mask, lam, col, hit, quad_tol,
+            want_spectral, want_integral, carry)
         for lo in range(0, hit.size, size):
             r, j = np.divmod(hit[lo:lo + size], col.shape[1])
             at = pair[lo:lo + size]
@@ -159,8 +162,8 @@ def _block_parts(ks: np.ndarray, wts: np.ndarray, cols: np.ndarray,
     return parts, qerr, ok
 
 
-def _class_values(kc, vhat, mask, lam, col, hit, cfg, quad_tol,
-                  want_spectral, want_integral, carry):
+def _class_values(gid, vsq, mask, lam, col, hit, quad_tol, want_spectral,
+                  want_integral, carry):
     """(pair, spec, val, err, conv) of the hits ``hit``, flat indices of ``col``.
 
     A hit's spectral value and screened integral depend only on its mode
@@ -169,9 +172,8 @@ def _class_values(kc, vhat, mask, lam, col, hit, cfg, quad_tol,
     is each hit's pair; the rest are per pair: the spectral value, and
     the integral with its error and its family's converged flag.  The
     integrals run as families of at most ``_CHUNK`` pairs.  A route left
-    out reads 0 and converged.
+    out reads 0 and converged.  ``gid`` and ``vsq`` are per block row.
     """
-    vsq = coupling_sq(vhat, cfg.k_f)
     classes, cls = classes_at(mask, lam, col, hit)
     crows, cgaps, _ = classes
     read = np.zeros(crows.size, dtype=bool)
@@ -182,7 +184,7 @@ def _class_values(kc, vhat, mask, lam, col, hit, cfg, quad_tol,
     spec = val = err = np.zeros(pairs.size)
     conv = np.ones(pairs.size, dtype=bool)
     if want_spectral:
-        spec = _spectral_values(kc, vhat, vsq, classes, pairs, carry)
+        spec = _spectral_values(gid, vsq, classes, pairs, carry)
     if want_integral:
         val, err = np.empty(pairs.size), np.empty(pairs.size)
         for lo in range(0, pairs.size, _CHUNK):
@@ -197,40 +199,34 @@ def _class_values(kc, vhat, mask, lam, col, hit, cfg, quad_tol,
     return pair, spec, val, err, conv
 
 
-def _spectral_values(kc, vhat, vsq, classes, pairs, carry) -> np.ndarray:
-    """cosh(-2K) - 1 of the block rows ``kc`` at the classes ``pairs``.
+def _spectral_values(gid, vsq, classes, pairs, carry) -> np.ndarray:
+    """cosh(-2K) - 1 of the block rows at the classes ``pairs``.
 
-    Modes of one gap histogram (fixed by the orbit key) and V_k share
-    their values, so each pair reads its group's first mode, whose
-    classes come in the same order.  Rows come in (|k|^2, orbit key)
-    order, so a group cut by the block's end goes on at the next
-    block's start: ``carry`` maps (sorted |k|, V_k) to the per-class
-    values of the groups of the previous block's last orbit, and is
-    replaced by this block's.  Every block row has a hit (``_block_parts``),
-    so every row's group is read, and the last orbit's groups, which the
-    carry takes, are all among the solved or carried ones.
+    Modes of one group id ``gid`` (one gap histogram, fixed by the orbit
+    key, and one V_k) share their values, so each pair reads its group's
+    first mode, whose classes come in the same order.  Rows come in
+    (|k|^2, orbit key) order, so a group cut by the block's end goes on
+    at the next block's start: ``carry`` maps the id of each group of
+    the previous block to its per-class values, and is replaced by this
+    block's.  Every block row has a hit (``_block_parts``), so every
+    group of the block is read, and solved or carried.
     """
     crows = classes[0]
-    okey = orbit_key(kc)
-    _, vcode = np.unique(vhat, return_inverse=True)
-    _, first, inv = np.unique(okey * (vcode.max(initial=0) + 1) + vcode,
-                              return_index=True, return_inverse=True)
+    _, first, inv = np.unique(gid, return_index=True, return_inverse=True)
     head = first[inv]
-    start = np.searchsorted(crows, np.arange(kc.shape[0] + 1))
+    start = np.searchsorted(crows, np.arange(gid.size + 1))
     prow = crows[pairs]
-    solve = np.zeros(kc.shape[0], dtype=bool)
+    solve = np.zeros(gid.size, dtype=bool)
     solve[head[prow]] = True
-    # orbit_key's base depends on the block, the sorted |k| does not
-    group = {h: (*sorted(map(abs, kc[h].tolist())), float(vhat[h]))
-             for h in np.flatnonzero(solve).tolist()}
-    known = [h for h, g in group.items() if g in carry]
+    ids = gid.tolist()
+    heads = np.flatnonzero(solve).tolist()
+    known = [h for h in heads if ids[h] in carry]
     solve[known] = False
     vals = cosh_minus_one_classes(classes, vsq, np.flatnonzero(solve))
     for h in known:
-        vals[start[h]:start[h + 1]] = carry[group[h]]
+        vals[start[h]:start[h + 1]] = carry[ids[h]]
     carry.clear()
-    carry.update((g, vals[start[h]:start[h + 1]].copy())
-                 for h, g in group.items() if okey[h] == okey[-1])
+    carry.update((ids[h], vals[start[h]:start[h + 1]].copy()) for h in heads)
     return vals[start[head[prow]] + pairs - start[prow]]
 
 
@@ -368,8 +364,11 @@ def _outside_rows(xs: list[Vec3], cfg: LatticeConfig, pot: Potential,
     every point has 2N support k.
     """
     pts = np.array([v for xv in xs for v in (xv, neg(xv))])
-    ks, at = np.unique((pts[:, None] - cfg.ball_arr).reshape(-1, 3), axis=0,
-                       return_inverse=True)
+    ks = (pts[:, None] - cfg.ball_arr).reshape(-1, 3)
+    _, first, at = np.unique(
+        np.ravel_multi_index((ks - ks.min(0)).T, np.ptp(ks, axis=0) + 1),
+        return_index=True, return_inverse=True)
+    ks = ks[first]                    # lex-sorted, as the codes are
     n = cfg.n_particles
     cols = np.full((ks.shape[0], pts.shape[0]), -1)
     cols[at.reshape(-1, n), np.arange(pts.shape[0])[:, None]] = np.arange(n)

@@ -229,6 +229,15 @@ def test_non_finite_tables_exit_2(capsys, tmp_path):
         assert out == "" and f"{path}:1: value must be finite" in err
 
 
+def test_unreadable_observable_table_exit_2(capsys, tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        assert main(["momentum-sum", "--kf", "1",
+                     "--observable", f"table:{path}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 def test_nonconvergence_flag_exit_3(capsys):
     # one doubling from a tiny cutoff cannot reach the default tail target
     code, out = run_cli(capsys, "momentum", "--kf", "1", "--xi", "0,0,0",

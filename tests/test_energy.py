@@ -531,6 +531,26 @@ def test_energy_report_builds_the_ball_autocorrelation_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_energy_report_runs_the_public_functions(monkeypatch):
+    calls = {"e_fs": 0, "e_corr_ex": 0}
+
+    def counting(name):
+        fn = getattr(energy, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(energy, name, counting(name))
+    cfg, pot, pol = fermi_ball(2.0), coulomb(1.0), TailPolicy(k_max=3, max_doublings=1)
+    report = energy_report(cfg, pot, pol, quad_tol=1e-8)
+    assert calls == {"e_fs": 1, "e_corr_ex": 1}
+    assert (report.e_fs_kinetic, report.e_fs_interaction) == e_fs(cfg, pot)
+    assert report.e_corr_ex == e_corr_ex(cfg, pot, pol)[0]
+
+
 def test_energy_report_fields_and_signs():
     report = energy_report(fermi_ball(1.0), coulomb(1.0),
                            TailPolicy(k_max=4, tail_tol=2e-3, max_doublings=3),
