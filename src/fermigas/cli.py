@@ -39,11 +39,9 @@ def parse_vec(text: str):
 
 
 def parse_potential(spec: str) -> Potential:
-    """Parse "coulomb:g=1", "yukawa:g=1,mu=0.5", "table:PATH", or "zero"."""
+    """Parse "coulomb:g=1", "yukawa:g=1,mu=0.5", "table:PATH" or "zero", keys strictly."""
     kind, _, rest = spec.partition(":")
     try:
-        if kind == "zero":
-            return zero_potential()
         if kind == "table":
             if not rest:
                 raise ConfigError("table potential needs a path: table:PATH")
@@ -51,13 +49,15 @@ def parse_potential(spec: str) -> Potential:
         kv = {}
         for item in rest.split(",") if rest else []:
             key, _, val = item.partition("=")
-            if not _:
-                raise ConfigError(f"bad potential parameter {item!r}")
+            if not _ or key.strip() in kv:
+                raise ConfigError(f"bad or repeated potential parameter {item!r}")
             kv[key.strip()] = float(val)
-        if kind == "coulomb":
-            return coulomb(kv.pop("g", 1.0))
-        if kind == "yukawa":
-            return yukawa(kv.pop("g", 1.0), kv.pop("mu", 1.0))
+        keys = {"zero": (), "coulomb": ("g",), "yukawa": ("g", "mu")}.get(kind)
+        if keys is not None:
+            if extra := kv.keys() - set(keys):
+                raise ConfigError(f"unknown {kind} parameter(s) {sorted(extra)}")
+            make = {"zero": zero_potential, "coulomb": coulomb, "yukawa": yukawa}[kind]
+            return make(*(kv.get(key, 1.0) for key in keys))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad potential spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown potential kind {kind!r}")

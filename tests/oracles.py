@@ -29,8 +29,7 @@ from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_K,
                                  coupling_sq, csk_pair, mode_chunks, q_of_s,
                                  response_integrals, sandwich_bounds)
 from fermigas.verify import (LATTICE_SEED, MODE_SEED, QUADRUPLES, TAUS,
-                             CheckReport, _assert_report, _exchange_term, _gap,
-                             _integral_term, _is_lune_point, _lune_hits,
+                             CheckReport, _assert_report, _gap, _is_lune_point,
                              _mode_sample)
 
 EIGHT_PI4 = 8.0 * np.pi**4
@@ -495,6 +494,70 @@ def bulk_exchange(ks, xi, cfg, pot, signs):
     return -float(np.sum(vhat * total)) / (8.0 * TWO_PI_6 * cfg.k_f**2)
 
 
+def _lune_hits(k, xi, r2: int) -> list[tuple[int, int, int]]:
+    """Members of {xi, -xi, k + xi, k - xi} in the lune of k != 0, in that
+    order; at xi = 0 they coincide pairwise, and a hit appears twice."""
+    cands = (xi, [-c for c in xi], [a + b for a, b in zip(k, xi)],
+             [a - b for a, b in zip(k, xi)])
+    return [tuple(z) for z in cands if _is_lune_point(k, z, r2)]
+
+
+def _exchange_term(k, pts: np.ndarray, gaps: np.ndarray, vhat: float,
+                   k_f: float, zetas: Counter, pot) -> float:
+    """-V_k / (8 (2pi)^6 k_F^2) * sum_zeta sum_p V_{p+zeta-k} / (lam_p + lam_zeta)^2."""
+    if vhat == 0.0 or not zetas or gaps.size == 0:
+        return 0.0
+    kv = np.array(k, dtype=np.int64)
+    total = 0.0
+    for z, mult in sorted(zetas.items()):
+        vhat2 = pot.at(pts + (np.array(z, dtype=np.int64) - kv))
+        total += mult * float(np.sum(vhat2 / (gaps + _gap(k, z)) ** 2))
+    return -vhat * total / (8.0 * TWO_PI_6 * k_f**2)
+
+
+def _integral_term(k, gaps: np.ndarray, vhat: float, k_f: float,
+                   zetas: Counter, quad_tol: float) -> tuple[float, float, bool]:
+    """Screened-quadrature route for the hits of mode k, one scalar integral each."""
+    if vhat == 0.0 or not zetas:
+        return 0.0, 0.0, True
+    vsq = coupling_sq(vhat, k_f)
+    pref = vhat / (EIGHT_PI4 * k_f)
+    total, err, ok = 0.0, 0.0, True
+    for z, mult in sorted(zetas.items()):
+        lam = _gap(k, z)
+
+        def integrand(s, lam=lam):
+            s2 = s * s
+            return ((s2 - lam * lam) / (s2 + lam * lam) ** 2
+                    / (1.0 + q_of_s(gaps, s, vsq)))[None, :]
+
+        res = integrate(integrand, 1, tol=quad_tol, seeds=(lam, 10.0 * lam))
+        total += mult * pref * float(res.value[0])
+        err += mult * pref * float(res.abs_error_estimate[0])
+        ok = ok and res.converged
+    return total, err, ok
+
+
+def exchange_sum_loop(k, pts, gaps, vhat, cfg, pot):
+    """``verify._exchange_sum``: ``_exchange_term`` of each xi of the ball,
+    with its ``_lune_hits``, summed by the builtin sum."""
+    return sum(_exchange_term(k, pts, gaps, vhat, cfg.k_f,
+                              Counter(_lune_hits(k, xi, cfg.r2)), pot)
+               for xi in cfg.ball_arr.tolist())
+
+
+def brute_force_pair_sum(k, cfg, pot) -> float:
+    """``verify._pair_sum`` as a plain double loop over the lune of k."""
+    pts = lune_points(k, cfg)[0].tolist()
+    vk = evaluate(pot, k)
+    total = 0.0
+    for p in pts:
+        for q in pts:
+            arg = tuple(pc + qc - kc for pc, qc, kc in zip(p, q, k))
+            total += vk * evaluate(pot, arg) / (_gap(k, p) + _gap(k, q)) ** 2
+    return total
+
+
 def spectral_term(pts, lam, vsq, zetas: Counter) -> float:
     """Sum over lune hits of the full-lune diagonal of cosh(-2K) - 1."""
     if vsq == 0.0 or not zetas:
@@ -506,7 +569,7 @@ def spectral_term(pts, lam, vsq, zetas: Counter) -> float:
 def per_k(k, xi, cfg, pot, quad_tol):
     """One mode's momentum contributions at xi from its full lune.
 
-    Builds the mode, takes its hits from ``verify._lune_hits``, and
+    Builds the mode, takes its hits from ``_lune_hits``, and
     runs one scalar quadrature per hit and a point-by-point exchange sum.
     Returns ([n_b spectral, n_b integral, n_ex], quad error, converged).
     """

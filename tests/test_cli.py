@@ -38,6 +38,23 @@ def test_parse_potential_kinds(tmp_path):
     assert parse_potential(f"table:{path}").kind == "table"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("coulomb:G=5", "unknown coulomb parameter(s) ['G']"),
+    ("coulomb:g=1,mu=3", "unknown coulomb parameter(s) ['mu']"),
+    ("yukawa:g=1,nu=2", "unknown yukawa parameter(s) ['nu']"),
+    ("zero:g=3", "unknown zero parameter(s) ['g']"),
+    ("coulomb:g=1,g=2", "repeated potential parameter 'g=2'"),
+    ("yukawa:g=1,mu=0.5, mu=1", "repeated potential parameter ' mu=1'"),
+])
+def test_potential_spec_unknown_or_repeated_key_exit_2(capsys, spec, message):
+    from fermigas.cli import ConfigError
+    with pytest.raises(ConfigError, match="bad potential spec"):
+        parse_potential(spec)
+    assert main(["energy", "--kf", "1", "--potential", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+
+
 def test_lattice_info(capsys):
     code, out = run_cli(capsys, "lattice-info", "--kf", "1")
     assert code == 0
@@ -323,3 +340,19 @@ def test_cli_ops_do_not_import_numpy_ma():
     assert all(code in (0, 3) for code in result["codes"]), result
     assert result["numpy.ma"] is False
     assert result["fermigas.verify"] is False
+
+
+def test_verify_op_does_not_import_numpy_ma():
+    # the verify op's diagnostics take their median without np.median,
+    # whose masked-array import would cost every fresh verify process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script = ("import contextlib, io, json, sys\n"
+              "from fermigas.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['verify', '--kf', '1'])\n"
+              "print(json.dumps({'code': code, 'numpy.ma': 'numpy.ma' in sys.modules}))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "numpy.ma": False}

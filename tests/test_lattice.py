@@ -12,8 +12,8 @@ from fermigas.lattice import (TailPolicy, as_vec3, ball_array, doubled_sum,
                               k_shell, k_support, lune_block, lune_kernel,
                               lune_points, neg, norm2, orbit, point_group)
 from fermigas.quasiboson import mode_chunks
-from fermigas.verify import _gap, _lune_hits
-from oracles import (ball_array_cube, ball_points, gap_counts,
+from fermigas.verify import _gap
+from oracles import (_lune_hits, ball_array_cube, ball_points, gap_counts,
                      gap_counts_unique, in_lune, k_shell_reduced,
                      k_support_loop, lambda_of, lune_loop, n_and_kappa_loop,
                      nonzero_k_vectors, orbit_reduce, orbit_reduce_einsum,

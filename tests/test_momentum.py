@@ -21,9 +21,9 @@ from fermigas.momentum import (MomentumBreakdown, Observable, _block_parts,
 from fermigas.potential import coulomb, evaluate, from_table, yukawa, zero
 from fermigas.quasiboson import (TWO_PI_CUBED, cosh_minus_one_classes,
                                  mode_chunks, q_of_s, response_chunks)
-from fermigas.verify import _exchange_term, _integral_term, _lune_hits
 
-from oracles import (ball_pair_sum_n_ex, ball_points, ball_trace_n_b,
+from oracles import (_exchange_term, _integral_term, _lune_hits,
+                     ball_pair_sum_n_ex, ball_points, ball_trace_n_b,
                      bulk_chunk, bulk_exchange, cosh2k_minus_one_diag,
                      gap_counts, lambda_of, mode_of, n_boson_integral,
                      n_boson_spectral, n_exchange, nonzero_k_vectors,

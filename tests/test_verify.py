@@ -13,7 +13,8 @@ from fermigas.quasiboson import build_K, csk_pair, sandwich_bounds, size_batches
 from fermigas.verify import (TAUS, _mode_sample, any_failed, check_cross,
                              check_gap_bound, check_lattice, check_mode,
                              reports_to_json, run_all)
-from oracles import check_lattice_loop, check_mode_loop, check_mode_values_loop
+from oracles import (brute_force_pair_sum, check_lattice_loop, check_mode_loop,
+                     check_mode_values_loop, exchange_sum_loop)
 
 
 def by_name(reports):
@@ -155,6 +156,41 @@ def _even_table_with_zero_modes():
     return from_table({k: 1.0 / (n + 0.5 * k[0] ** 2)
                        for k in map(tuple, ball_array(25, 0).tolist())
                        if (n := sum(c * c for c in k)) % 3})
+
+
+def _table_without_symmetry():
+    # V(-k) != V(k) wherever k_0 != 0, and 0 past |k|^2 = 25
+    return from_table({k: (1.5 if k[0] > 0 else 1.0) / sum(c * c for c in k)
+                       for k in map(tuple, ball_array(25, 0).tolist())})
+
+
+def test_table_potentials_have_their_symmetry():
+    assert _even_table_with_zero_modes().symmetry == "even"
+    assert _table_without_symmetry().symmetry == "none"
+
+
+@pytest.mark.parametrize("k_f", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("pot", [coulomb(1.0), yukawa(1.0, 0.5),
+                                 _even_table_with_zero_modes(),
+                                 _table_without_symmetry()],
+                         ids=["coulomb", "yukawa", "even_table", "none_table"])
+def test_exchange_aggregation_sides_equal_plain_loops(k_f, pot):
+    # both sides of cross.exchange_aggregation_identity, bit for bit, on
+    # its three modes (the largest |k|) and on two of the smallest |k|
+    cfg = fermi_ball(k_f)
+    sample = _mode_sample(cfg)
+    ks = sample[:3] + sample[len(sample) // 2 - 2:len(sample) // 2]
+    for k, (pts, lam, vhat, _) in zip(ks, verify._modes(ks, cfg, pot)):
+        assert verify._pair_sum(k, cfg, pot) == brute_force_pair_sum(k, cfg, pot)
+        assert (verify._exchange_sum(k, pts, lam, vhat, cfg, pot)
+                == exchange_sum_loop(k, pts, lam, vhat, cfg, pot))
+
+
+def test_median_equals_numpy_median():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    for n in range(1, 40):
+        xs = rng.lognormal(size=n).tolist()
+        assert verify._median(xs) == np.median(xs)
 
 
 @pytest.mark.parametrize("k_f", [1.0, 2.0])
