@@ -27,9 +27,11 @@ trusted (nor is the integral shown to be finite).
 Sampling reduces the six dimensions analytically by the common azimuth
 about xi (a factor 2pi); |k| is drawn uniformly on its interval, which
 folds the 1/|k|^2 kernel into the radial volume factor |k|^2 d|k|.  The
-samples come in a fixed number of shards (``_SHARDS``), each from a
-counter-based (Philox) generator keyed by the seed and the shard index,
-and the shards are reduced in index order, so results are reproducible.
+samples come in a fixed number of shards (``_SHARDS``).  Shard i of n
+samples reads draws 0 .. 5n - 1 of the counter-based SplitMix64 stream
+``numerics.uniforms`` of key (seed << 8) + i, as five rows of n in the
+order r, u, rho, z, phi; the shards are reduced in index order, so
+results are reproducible on every platform.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .numerics import QuadratureResult, check_tol, integrate
+from .numerics import QuadratureResult, check_tol, integrate, uniforms
 
 # Monte-Carlo shards of one n_ex_dv call; shard i has the key (seed << 8) + i.
 _SHARDS = 16
@@ -170,14 +172,12 @@ def _n_b_family(points, quad_tol: float):
 def _ex_shard(points, n: int, key: int) -> tuple[np.ndarray, np.ndarray, int]:
     """One Monte-Carlo shard for points of one k_F: (P,) sums, (P,) squares, count.
 
-    The five uniform streams and the p geometry are drawn once and read
-    by every point; r = lo + (hi - lo) U is the very float that
-    ``rng.uniform(lo, hi)`` returns, so each point's sums are those of
-    its lone run.
+    The five uniform rows of key's stream and the p geometry are drawn
+    once and read by every point, each uniform U mapped to [lo, hi) as
+    lo + (hi - lo) U, so each point's sums are those of its lone run.
     """
     kf = points[0].k_f
-    rng = np.random.Generator(np.random.Philox(key=key))
-    u_r, u_u, u_rho, u_z, u_phi = rng.random((5, n))
+    u_r, u_u, u_rho, u_z, u_phi = uniforms(key, 5 * n).reshape(5, n)
     rho = kf * np.cbrt(u_rho)
     z = -1.0 + 2.0 * u_z
     phi = 2.0 * np.pi * u_phi

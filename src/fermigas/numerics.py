@@ -1,6 +1,6 @@
 """Shared numerical kernels.
 
-Three independent pieces live here:
+Four independent pieces live here:
 
 * one adaptive Gauss-Kronrod engine behind one call, ``integrate``,
   for families of integrands on shared panels (a single integrand is a
@@ -9,7 +9,13 @@ Three independent pieces live here:
   known scales of the integrand;
 * matrix functions of real symmetric matrices through a single
   eigendecomposition backend;
-* the O(n) diagonal of a rank-one-updated resolvent (h^2 + 2 u u^T + s^2)^-1.
+* the O(n) diagonal of a rank-one-updated resolvent (h^2 + 2 u u^T + s^2)^-1;
+* one counter-based uniform stream per integer key, SplitMix64 over a
+  counter (Steele, Lea and Flood, OOPSLA 2014): draw i of key's stream
+  is the top 53 bits of mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)
+  times 2^-53, with seed = mix64(mix64(key >> 64) ^ (key mod 2^64)).
+  Any block of a stream is drawn on its own, in the same bits on every
+  platform.
 
 All kernels are pure and reentrant.
 """
@@ -223,3 +229,45 @@ def rank1_resolvent_diag(h_diag: np.ndarray, u: np.ndarray, s: float,
     w = r * u
     denom = 1.0 + 2.0 * float(np.dot(u, w))
     return float(r[index] - 2.0 * w[index] ** 2 / denom)
+
+
+# SplitMix64: the Weyl increment (golden ratio) and the two multipliers
+# of its output mix
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's output mix of one 64-bit integer (a bijection, 0 -> 0)."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def uniforms(key: int, n: int, start: int = 0) -> np.ndarray:
+    """Draws start .. start + n - 1 of key's stream: (n,) doubles in [0, 1).
+
+    ``key`` is an integer with 0 <= key < 2^128, folded into the seed as
+    the module docstring states (below 2^64 the fold is mix64 of the key,
+    a bijection).  Draw i depends only on the seed and i, so a block
+    drawn at ``start`` equals that part of one long draw.
+    """
+    for name, v in (("key", key), ("n", n), ("start", start)):
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+    key, n, start = int(key), int(n), int(start)
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"key must lie in [0, 2**128), got {key}")
+    if n < 0 or start < 0 or start + n >= 1 << 64:
+        raise ValueError(f"need n, start >= 0 and start + n < 2**64, got {n}, {start}")
+    seed = _mix64(_mix64(key >> 64) ^ (key & _MASK64))
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)  # uint64 arrays wrap mod 2^64, silently
+    z += np.uint64(seed)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z * 2.0**-53

@@ -5,12 +5,13 @@ assert-class check (status "pass"/"fail", with a reproducer on
 failure).  Bounds that involve unnamed constants are demoted to
 diagnostics: the fitted constant is reported, never asserted.
 
-The checks are reproducible: the four-point identity draws its
-quadruples from seed 7, the per-mode checks take tau in (0, 1/2, 1)
-and their conjugation matrices from seed 11, and the screening check
-draws s from seed 23.  The per-mode checks sample every mode with
-0 < |k| <= 2 k_F, so the suite needs k_F >= 1/2 and raises ValueError
-below it.  They run on half batches of modes of one lune size
+The checks are reproducible: every draw comes from the SplitMix64
+stream ``numerics.uniforms`` of a fixed key.  The four-point identity
+draws its quadruples from key 7, the per-mode checks take tau in
+(0, 1/2, 1) and their conjugation matrices from keys derived from 11,
+and the screening check draws s from key 23.  The per-mode checks
+sample every mode with 0 < |k| <= 2 k_F, so the suite needs
+k_F >= 1/2 and raises ValueError below it.  They run on half batches of modes of one lune size
 (``size_batches``, share 2), one tau at a time, and take products with
 the diagonal conjugation matrix as broadcasts; each value is bit for
 bit that of the per-mode loop in tests/oracles.py, and each exp(+-tau K)
@@ -30,12 +31,18 @@ import numpy as np
 
 from .lattice import LatticeConfig, ball_array, lune_block, lune_points, norm2
 from .momentum import EIGHT_PI4
-from .numerics import integrate, rank1_resolvent_diag, sym_eig
+from .numerics import integrate, rank1_resolvent_diag, sym_eig, uniforms
 from .potential import Potential, evaluate
 from .quasiboson import (TWO_PI_6, build_K, cosh_minus_one_core, coupling_sq,
                          csk_pair, q_of_s, sandwich_bounds, size_batches)
 
 
+# Keys of the uniform streams.  Draw g of the four-point identity reads
+# uniforms 5g .. 5g + 4 of key 7 (k, then its two lune columns), in
+# blocks of QUADRUPLES draws; mode k reads Box-Muller normals of key
+# (11 << 24) + its components mod 64 in base 64, first the dense T row
+# by row, then the diagonal T; mode j of the screening check reads s as
+# 8 U over uniforms 5j .. 5j + 4 of key 23.
 LATTICE_SEED = 7             # four-point quadruples
 QUADRUPLES = 200
 TAUS = (0.0, 0.5, 1.0)       # tau of the per-mode hyperbolic checks
@@ -164,17 +171,20 @@ def check_lattice(cfg: LatticeConfig) -> list[CheckReport]:
                               "L(-k) = -L(k) with equal gaps",
                               {"k_f": cfg.k_f, "k_max": k_max}, refl_rep)]
 
-    # four-point gap identity on random admissible quadruples
-    rng = np.random.Generator(np.random.Philox(key=LATTICE_SEED))
+    # four-point gap identity on random admissible quadruples: each draw
+    # takes a cube row floor(U side) per axis and two columns of its lune
     worst, worst_rep, tested, guard = 0.0, None, 0, 0
     while tested < QUADRUPLES and guard < 50 * QUADRUPLES:
+        if guard % QUADRUPLES == 0:  # the next block of draws
+            u = uniforms(LATTICE_SEED, 5 * QUADRUPLES, start=5 * guard).reshape(-1, 5)
+            rows = ((u[:, :3] * side).astype(np.int64) @ [side * side, side, 1]).tolist()
+        row, pick = rows[guard % QUADRUPLES], u[guard % QUADRUPLES, 3:]
         guard += 1
-        k = [int(c) for c in rng.integers(-k_max, k_max + 1, size=3)]
-        cols = np.flatnonzero(in_lune[((k[0] + k_max) * side + k[1] + k_max) * side
-                                      + k[2] + k_max])
+        cols = np.flatnonzero(in_lune[row])
         if len(cols) < 2:  # k = 0 too: its row is empty
             continue
-        p, q = (cfg.ball_arr[cols[rng.integers(0, len(cols), size=2)]] + k).tolist()
+        k = cube[row].tolist()
+        p, q = (cfg.ball_arr[cols[(pick * len(cols)).astype(np.int64)]] + k).tolist()
         l = [a + b - c for a, b, c in zip(p, q, k)]
         if not (any(l) and _is_lune_point(l, p, cfg.r2)
                 and _is_lune_point(l, q, cfg.r2)):
@@ -243,12 +253,21 @@ def _modes(ks, cfg: LatticeConfig, pot: Potential):
             for k, p, lam in zip(ks, np.split(pts, cuts), np.split(gaps, cuts))]
 
 
+def _normals(key: int, n: int) -> np.ndarray:
+    """n standard normals by Box-Muller from key's uniform stream: uniforms
+    2j and 2j + 1 give normals 2j and 2j + 1 as r cos(theta) and r sin(theta),
+    with r = sqrt(-2 ln(1 - U_2j)) and theta = 2 pi U_2j+1."""
+    u = uniforms(key, n + n % 2).reshape(-1, 2)
+    r, theta = np.sqrt(-2.0 * np.log1p(-u[:, 0])), 2.0 * np.pi * u[:, 1]
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)]).ravel()[:n]
+
+
 def _conjugands(k, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(Diagonal of the diagonal T, dense symmetric T) of mode k, from its own key."""
     key_k = (MODE_SEED << 24) + (k[0] % 64) * 4096 + (k[1] % 64) * 64 + (k[2] % 64)
-    rng = np.random.Generator(np.random.Philox(key=key_k))
-    t_rand = rng.standard_normal((dim, dim))
-    return rng.standard_normal(dim), 0.5 * (t_rand + t_rand.T)
+    z = _normals(key_k, dim * dim + dim)
+    t_rand = z[:dim * dim].reshape(dim, dim)
+    return z[dim * dim:], 0.5 * (t_rand + t_rand.T)
 
 
 def _peaks(x: np.ndarray) -> list[float]:
@@ -457,7 +476,6 @@ def check_cross(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
         {"k_f": cfg.k_f, "potential": pot.spec_string()}, worst_rep))
 
     # rank-one resolvent diagonal vs dense inverse
-    rng = np.random.Generator(np.random.Philox(key=CROSS_SEED))
     worst, worst_rep = 0.0, None
     for k, (_, h, _, vsq) in zip(ks[:4], modes):
         u = np.sqrt(h * vsq)
@@ -476,14 +494,15 @@ def check_cross(cfg: LatticeConfig, pot: Potential) -> list[CheckReport]:
 
     # screening identity 1 + 2<u, (h^2+s^2)^-1 u> = 1 + q(s)
     worst, worst_rep = 0.0, None
-    for k, (_, h, _, vsq) in zip(ks, modes):
+    draws = (8.0 * uniforms(CROSS_SEED, 5 * len(modes))).reshape(-1, 5).tolist()
+    for k, (_, h, _, vsq), row in zip(ks, modes, draws):
         u = np.sqrt(h * vsq)
-        for s in rng.uniform(0.0, 8.0, size=5):
+        for s in row:
             lhs = 1.0 + 2.0 * float(np.dot(u, u / (h**2 + s * s)))
-            rhs = 1.0 + float(q_of_s(h, float(s), vsq))
+            rhs = 1.0 + float(q_of_s(h, s, vsq))
             dev = abs(lhs - rhs) / rhs
             if dev > worst:
-                worst, worst_rep = dev, {"k": list(k), "s": float(s), "k_f": cfg.k_f}
+                worst, worst_rep = dev, {"k": list(k), "s": s, "k_f": cfg.k_f}
     reports.append(_assert_report(
         "cross.screening_identity", worst, 1e-12,
         "resolvent pairing equals the response function",

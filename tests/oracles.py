@@ -22,7 +22,7 @@ from fermigas.lattice import (as_vec3, ball_array, gap_classes,
                               neg, norm2, point_group)
 from fermigas.momentum import n_point
 from fermigas.numerics import (QuadratureResult, integrate, sym_eig,
-                               sym_matrix_function)
+                               sym_matrix_function, uniforms)
 from fermigas.potential import ValidationReport, evaluate
 from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_K,
                                  cosh_minus_one_classes, cosh_minus_one_core,
@@ -30,7 +30,7 @@ from fermigas.quasiboson import (TWO_PI_6, TWO_PI_CUBED, build_K,
                                  response_integrals, sandwich_bounds)
 from fermigas.verify import (LATTICE_SEED, MODE_SEED, QUADRUPLES, TAUS,
                              CheckReport, _assert_report, _gap, _is_lune_point,
-                             _mode_sample)
+                             _mode_sample, _normals)
 
 EIGHT_PI4 = 8.0 * np.pi**4
 
@@ -672,21 +672,38 @@ def validate_loop(pot, cutoff_radius=10):
     )
 
 
+def splitmix64_uniforms(key, n, start=0):
+    """``numerics.uniforms`` as a plain Python-int SplitMix64 loop."""
+    mask = (1 << 64) - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    seed = mix(mix(key >> 64) ^ (key & mask))
+    return [(mix((seed + (i + 1) * 0x9E3779B97F4A7C15) & mask) >> 11) * 2.0**-53
+            for i in range(start, start + n)]
+
+
 def ex_shard_columns(params, n, key):
-    """``dvlimit._ex_shard`` with (n, 3) vectors and einsum dot products."""
+    """``dvlimit._ex_shard`` with (n, 3) vectors and einsum dot products,
+    each of its five uniform rows drawn on its own through ``start``."""
     kf, xi = params.k_f, params.xi_norm
-    rng = np.random.Generator(np.random.Philox(key=key))
     r_lo, r_hi = xi - kf, xi + kf
 
-    r = rng.uniform(r_lo, r_hi, size=n)
+    def uniform(lo, hi, row):
+        return lo + (hi - lo) * uniforms(key, n, start=row * n)
+
+    r = uniform(r_lo, r_hi, 0)
     u_min = (r * r + xi * xi - kf * kf) / (2.0 * r * xi)
-    u = rng.uniform(u_min, 1.0)
+    u = uniform(u_min, 1.0, 1)
     # k in the plane of zero azimuth; xi along z
     k = np.column_stack([r * np.sqrt(np.maximum(0.0, 1.0 - u * u)),
                          np.zeros(n), r * u])
-    rho = kf * np.cbrt(rng.uniform(0.0, 1.0, size=n))
-    z = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    rho = kf * np.cbrt(uniform(0.0, 1.0, 2))
+    z = uniform(-1.0, 1.0, 3)
+    phi = uniform(0.0, 2.0 * np.pi, 4)
     sxy = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     p = np.column_stack([rho * sxy * np.cos(phi), rho * sxy * np.sin(phi), rho * z])
 
@@ -772,9 +789,9 @@ def check_mode_values_loop(cfg, pot):
         # the conjugations by e^{+-tau K} of a diagonal and a dense
         # symmetric T are decomposed against the exponentials themselves
         key_k = (MODE_SEED << 24) + (k[0] % 64) * 4096 + (k[1] % 64) * 64 + (k[2] % 64)
-        rng = np.random.Generator(np.random.Philox(key=key_k))
-        t_rand = rng.standard_normal((dim, dim))
-        t_mats = (np.diag(rng.standard_normal(dim)), 0.5 * (t_rand + t_rand.T))
+        z = _normals(key_k, dim * dim + dim)
+        t_rand = z[:dim * dim].reshape(dim, dim)
+        t_mats = (np.diag(z[dim * dim:]), 0.5 * (t_rand + t_rand.T))
         sw_cs = hyper = dec_dev = 0.0
         for tau in TAUS:
             c, s = csk_pair(kmat, tau)
@@ -905,19 +922,18 @@ def check_lattice_loop(cfg):
         "lattice.reflection", worst, 0.0, "L(-k) = -L(k) with equal gaps",
         {"k_f": cfg.k_f, "k_max": k_max}, worst_rep))
 
-    # four-point gap identity, one lune_points call per drawn k
-    rng = np.random.Generator(np.random.Philox(key=LATTICE_SEED))
+    # four-point gap identity, one lune_points call and five uniforms per draw
     worst, worst_rep, tested, guard = 0.0, None, 0, 0
     while tested < QUADRUPLES and guard < 50 * QUADRUPLES:
+        u = uniforms(LATTICE_SEED, 5, start=5 * guard).tolist()
         guard += 1
-        k = [int(c) for c in rng.integers(-k_max, k_max + 1, size=3)]
+        k = [int(c * (2 * k_max + 1)) - k_max for c in u[:3]]
         if not any(k):
             continue
         pts, _ = lune_points(k, cfg)
         if len(pts) < 2:
             continue
-        i, j = rng.integers(0, len(pts), size=2)
-        p, q = pts[int(i)].tolist(), pts[int(j)].tolist()
+        p, q = pts[int(u[3] * len(pts))].tolist(), pts[int(u[4] * len(pts))].tolist()
         l = [a + b - c for a, b, c in zip(p, q, k)]
         if not (any(l) and _is_lune_point(l, p, cfg.r2)
                 and _is_lune_point(l, q, cfg.r2)):

@@ -324,13 +324,15 @@ for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
 print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules,
+                  "numpy.random": "numpy.random" in sys.modules,
                   "fermigas.verify": "fermigas.verify" in sys.modules}))
 """
 
 
 def test_cli_ops_do_not_import_numpy_ma():
-    # numpy.ma costs import time and resident memory in every fresh CLI
-    # process, and only the verify op compiles fermigas.verify
+    # numpy.ma and numpy.random cost import time and resident memory in
+    # every fresh CLI process (dv-compare draws its samples from the
+    # package's own stream), and only the verify op compiles fermigas.verify
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -339,12 +341,14 @@ def test_cli_ops_do_not_import_numpy_ma():
     result = json.loads(done.stdout.splitlines()[-1])
     assert all(code in (0, 3) for code in result["codes"]), result
     assert result["numpy.ma"] is False
+    assert result["numpy.random"] is False
     assert result["fermigas.verify"] is False
 
 
 def test_verify_op_does_not_import_numpy_ma():
     # the verify op's diagnostics take their median without np.median,
-    # whose masked-array import would cost every fresh verify process
+    # whose masked-array import would cost every fresh verify process, and
+    # its draws come from the package's own stream, not numpy.random
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -352,7 +356,9 @@ def test_verify_op_does_not_import_numpy_ma():
               "from fermigas.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = main(['verify', '--kf', '1'])\n"
-              "print(json.dumps({'code': code, 'numpy.ma': 'numpy.ma' in sys.modules}))\n")
+              "print(json.dumps({'code': code, 'numpy.ma': 'numpy.ma' in sys.modules,\n"
+              "                  'numpy.random': 'numpy.random' in sys.modules}))\n")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "numpy.ma": False}
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "numpy.ma": False,
+                                                        "numpy.random": False}

@@ -6,7 +6,8 @@ import pytest
 from fermigas import numerics
 from fermigas.numerics import (MatrixFunctionDomainError, integrate,
                                rank1_resolvent_diag,
-                               sym_matrix_function, symmetry_defect)
+                               sym_matrix_function, symmetry_defect, uniforms)
+from oracles import splitmix64_uniforms
 
 INTEGRANDS = [
     # (function, exact value, seed points)
@@ -215,3 +216,43 @@ def test_rank1_resolvent_random_dims(s):
                               + s * s * np.eye(dim))
         got = [rank1_resolvent_diag(h, u, s, i) for i in range(dim)]
         assert got == pytest.approx(np.diag(dense), rel=1e-10)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+def test_uniforms_equal_splitmix64_loop(key):
+    # 2**128 - 1 is the largest shard key of n_ex_dv; 62,500 draws are
+    # one full 12,500-sample shard's five rows
+    assert uniforms(key, 0).tolist() == splitmix64_uniforms(key, 0) == []
+    got = uniforms(key, 62_500)
+    assert got.dtype == np.float64 and got.shape == (62_500,)
+    assert got.tolist() == splitmix64_uniforms(key, 62_500)
+
+
+def test_uniforms_blocks_are_the_tail_of_one_long_draw():
+    long = uniforms(7, 1000).tolist()
+    for m in (0, 1, 5, 499, 999, 1000):
+        assert uniforms(7, 1000 - m, start=m).tolist() == long[m:]
+        assert uniforms(np.int64(7), 3, start=np.uint8(m % 200)).tolist() == long[m % 200:][:3]
+    far = 2**40
+    assert uniforms(3, 17, start=far).tolist() == splitmix64_uniforms(3, 17, start=far)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(key=-1), dict(key=2**128), dict(key=True), dict(key=False),
+    dict(key=1.0), dict(key=np.float64(3.0)), dict(key=np.bool_(True)),
+    dict(n=-1), dict(n=2.0), dict(start=-1), dict(start=2**64 - 5)])
+def test_uniforms_rejects_bad_arguments(kwargs):
+    args = dict(key=1, n=10, start=0) | kwargs
+    with pytest.raises(ValueError):
+        uniforms(**args)
+
+
+def test_uniforms_moments():
+    # standard errors at 10^6 draws: 2.9e-4 for the mean, 7.5e-5 for the variance
+    u = uniforms(12345, 10**6)
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert abs(u.mean() - 0.5) < 1.5e-3
+    assert abs(u.var() - 1.0 / 12.0) < 4e-4
+    # one decile each: a binomial count of 10^5 with standard deviation 300
+    counts = np.bincount((u * 10).astype(np.int64), minlength=10)
+    assert np.all(np.abs(counts - 10**5) < 1500)

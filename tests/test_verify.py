@@ -7,7 +7,7 @@ import pytest
 
 from fermigas import lattice, verify
 from fermigas.lattice import ball_array, fermi_ball, lune_points
-from fermigas.numerics import sym_eig, sym_matrix_function
+from fermigas.numerics import sym_eig, sym_matrix_function, uniforms
 from fermigas.potential import coulomb, from_table, yukawa, zero
 from fermigas.quasiboson import build_K, csk_pair, sandwich_bounds, size_batches
 from fermigas.verify import (TAUS, _mode_sample, any_failed, check_cross,
@@ -293,3 +293,18 @@ def test_run_all_green_and_json_round_trips():
     assert all(p["status"] in ("pass", "fail", "diagnostic") for p in parsed)
     names = [p["name"] for p in parsed]
     assert names == sorted(names)
+
+
+def test_normals_are_box_muller_pairs_with_normal_moments():
+    z = verify._normals(11, 10**6)
+    # standard errors at 10^6 draws: 1e-3, 1.4e-3, 3.9e-3 and 9.8e-3
+    assert abs(z.mean()) < 5e-3
+    assert abs(z.var() - 1.0) < 7e-3
+    assert abs(np.mean(z**3)) < 2e-2
+    assert abs(np.mean(z**4) - 3.0) < 5e-2
+    # an odd count is the head of the next even one, pairs in stream order
+    assert verify._normals(11, 5).tolist() == z[:5].tolist()
+    u = uniforms(11, 2)
+    r = math.sqrt(-2.0 * math.log1p(-u[0]))
+    assert z[:2] == pytest.approx([r * math.cos(2.0 * math.pi * u[1]),
+                                   r * math.sin(2.0 * math.pi * u[1])], rel=1e-15)
